@@ -259,26 +259,29 @@ def centralizer_center(spec: BVWG) -> tuple[BVWG, BVWG]:
         raise NotSimple([tuple(map(str, v)) for v in cert.basis])
     vg = lattice_kernel(spec)
     c_spec = _sub_spec(spec, vg, "c")
-    # kernel of omega restricted to the lattice kernel
+    d_spec = _sub_spec(spec, _omega_kernel_in(spec, vg), "d")
+    return c_spec, d_spec
+
+
+def _omega_kernel_in(spec: BVWG, space: Subspace) -> Subspace:
+    """Kernel of omega restricted to the subspace, in ambient coordinates."""
     rows = []
-    for coord, u in enumerate(vg.basis):
+    for u in space.basis:
         row = {}
-        for j, w in enumerate(vg.basis):
+        for j, w in enumerate(space.basis):
             val = _omega_apply(spec, u, w)
             if val != 0:
                 row[j] = val
         if row:
             rows.append(row)
-    combos = linalg.nullspace(rows, vg.dim)
     vecs = []
-    for combo in combos:
+    for combo in linalg.nullspace(rows, space.dim):
         vec = [Fraction(0)] * spec.n
-        for c, w in zip(combo, vg.basis):
+        for c, w in zip(combo, space.basis):
             if c != 0:
                 vec = [x + c * y for x, y in zip(vec, w)]
         vecs.append(tuple(vec))
-    d_spec = _sub_spec(spec, Subspace(spec.n, vecs), "d")
-    return c_spec, d_spec
+    return Subspace(spec.n, vecs)
 
 
 def _omega_apply(spec: BVWG, u, w) -> Fraction:
@@ -318,28 +321,12 @@ class BVWGInvariants:
 def invariants(spec: BVWG) -> BVWGInvariants:
     """Growth invariants by the closed formulas dim V + rk G and friends."""
     vg = lattice_kernel(spec)
-    _, d_spec = centralizer_center(spec) if is_simple(spec)[0] else (None, None)
-    dim_vgw = d_spec.n if d_spec is not None else _vgw_dim(spec)
     return BVWGInvariants(
         gk_total=spec.n + spec.p,
         rank_lattice=spec.p,
         gk_centralizer=vg.dim + spec.p,
-        gk_center=dim_vgw + spec.p,
+        gk_center=_omega_kernel_in(spec, vg).dim + spec.p,
     )
-
-
-def _vgw_dim(spec: BVWG) -> int:
-    vg = lattice_kernel(spec)
-    rows = []
-    for u in vg.basis:
-        row = {}
-        for j, w in enumerate(vg.basis):
-            val = _omega_apply(spec, u, w)
-            if val != 0:
-                row[j] = val
-        if row:
-            rows.append(row)
-    return len(linalg.nullspace(rows, vg.dim))
 
 
 def growth_count(spec: BVWG, d: int, part: str = "total") -> int:

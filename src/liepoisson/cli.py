@@ -22,7 +22,6 @@ from . import bvwg as bvwg_mod
 from .decompose import check_84 as run_check_84
 from .decompose import decompose
 from .errors import (
-    ComplementEliminated,
     EigenvalueNotRational,
     HypothesisFailed,
     JacobiViolation,
@@ -30,9 +29,7 @@ from .errors import (
     NilradicalUndecided,
     NotNilpotent,
     NotSimple,
-    NotStable,
     SearchExhausted,
-    UnsupportedChain,
 )
 from .invariants import center_up_to_degree, ghat, reduced_algebra, semi_invariants
 from .lie import LieAlgebra, is_nilpotent, is_solvable, verify_lie
@@ -46,11 +43,6 @@ MATH_NEGATIVE = (
     NotSimple,
     NotNilpotent,
 )
-INPUT_ERRORS = (
-    NotStable,
-    UnsupportedChain,
-    ComplementEliminated,
-)
 
 
 class ProblemFile:
@@ -60,7 +52,6 @@ class ProblemFile:
         self.name = data.get("name", "problem")
         opts = data.get("options", {})
         self.max_degree = int(opts.get("max_degree", 6))
-        self.nilpotency_cap = int(opts.get("nilpotency_cap", 64))
         self.lie: LieAlgebra | None = None
         self.ideal: SubstitutionIdeal | None = None
         self.bvwg: bvwg_mod.BVWG | None = None
@@ -93,13 +84,17 @@ class ProblemFile:
             bvwg_mod.validate(self.bvwg)
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
-
-
 def _load(path: str) -> ProblemFile:
     with open(path) as fh:
         return ProblemFile(json.load(fh))
+
+
+def _degree_bound(args, prob: ProblemFile) -> int:
+    """The --max-degree flag when given, else options.max_degree; at least 1."""
+    d = prob.max_degree if args.max_degree is None else args.max_degree
+    if d < 1:
+        raise ValueError(f"degree bound must be at least 1, got {d}")
+    return d
 
 
 def _emit(report: dict, summary: str, args) -> None:
@@ -164,11 +159,11 @@ def cmd_bracket(args) -> int:
 
 def cmd_semi_invariants(args) -> int:
     prob = _load(args.file)
-    d = args.max_degree or prob.max_degree
+    d = _degree_bound(args, prob)
     rep = semi_invariants(prob.lie, prob.ideal, d)
     entries = [
         {
-            "weight": [_fr(v) for v in w.values],
+            "weight": [str(v) for v in w.values],
             "basis": [rep_alg_format(b) for b in basis],
         }
         for w, basis in rep.entries
@@ -184,7 +179,7 @@ def rep_alg_format(el) -> str:
 
 def cmd_center(args) -> int:
     prob = _load(args.file)
-    d = args.max_degree or prob.max_degree
+    d = _degree_bound(args, prob)
     alg = reduced_algebra(prob.lie, prob.ideal)
     basis = center_up_to_degree(alg, d)
     report = {"bound": d, "basis": [str(b.num) for b in basis]}
@@ -194,11 +189,11 @@ def cmd_center(args) -> int:
 
 def cmd_ghat(args) -> int:
     prob = _load(args.file)
-    d = args.max_degree or prob.max_degree
+    d = _degree_bound(args, prob)
     data = ghat(prob.lie, prob.ideal, d)
     report = {
         "bound": d,
-        "kernel_basis": [[_fr(c) for c in row] for row in data.subalgebra.basis],
+        "kernel_basis": [[str(c) for c in row] for row in data.subalgebra.basis],
         "complement": [prob.lie.basis[i].name for i in data.complement],
         "restricted_ideal": [
             {"var": v.name, "value": str(img)} for v, img in data.restricted_ideal.rules
@@ -214,7 +209,7 @@ def cmd_ghat(args) -> int:
 
 def cmd_decompose(args) -> int:
     prob = _load(args.file)
-    d = args.max_degree or prob.max_degree
+    d = _degree_bound(args, prob)
     res = decompose(prob.lie, prob.ideal, d)
     alg = res.algebra
     report = {
@@ -233,7 +228,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_check84(args) -> int:
     prob = _load(args.file)
-    d = args.max_degree or prob.max_degree
+    d = _degree_bound(args, prob)
     report = run_check_84(prob.lie, prob.ideal, d)
     _emit(
         report,
@@ -248,13 +243,15 @@ def cmd_bvwg_simple(args) -> int:
     simple, cert = bvwg_mod.is_simple(prob.bvwg)
     report = {
         "simple": simple,
-        "certificate": [[_fr(c) for c in v] for v in cert.basis],
+        "certificate": [[str(c) for c in v] for v in cert.basis],
     }
     _emit(report, f"simple: {simple}", args)
     return 0 if simple else 1
 
 
 def cmd_bvwg_invariants(args) -> int:
+    if args.dmax is not None and args.dmax < 2:
+        raise ValueError(f"--dmax must be at least 2, got {args.dmax}")
     prob = _load(args.file)
     inv = bvwg_mod.invariants(prob.bvwg)
     report = {
@@ -264,10 +261,10 @@ def cmd_bvwg_invariants(args) -> int:
         "gk_center": inv.gk_center,
         "growth_method": "monomial count (log-log slope, half range)",
     }
-    if args.dmax:
+    if args.dmax is not None:
         report["dmax"] = args.dmax
-        report["growth_total"] = _fr(bvwg_mod.growth_exponent(prob.bvwg, args.dmax))
-        report["growth_group"] = _fr(
+        report["growth_total"] = str(bvwg_mod.growth_exponent(prob.bvwg, args.dmax))
+        report["growth_group"] = str(
             bvwg_mod.growth_exponent(prob.bvwg, args.dmax, "group")
         )
     _emit(report, f"gk dimensions {inv}", args)
@@ -301,7 +298,7 @@ def cmd_bvwg_realize(args) -> int:
             {
                 "i": i,
                 "j": j,
-                "coeffs": {str(k): _fr(c) for k, c in sorted(vec.items())},
+                "coeffs": {str(k): str(c) for k, c in sorted(vec.items())},
             }
             for (i, j), vec in sorted(g.structure.items())
         ],
@@ -362,30 +359,10 @@ def run(argv: list[str]) -> int:
             json.dumps({"error": "search-exhausted", "detail": str(exc)}) + "\n"
         )
         return 3
-    except MATH_NEGATIVE as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 1
-    except INPUT_ERRORS as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 2
-    except (LiePoissonError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 2
+    except (LiePoissonError, ValueError, KeyError, OSError) as exc:
+        report = {"error": type(exc).__name__, "detail": str(exc)}
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+        return 1 if isinstance(exc, MATH_NEGATIVE) else 2
 
 
 def main() -> None:  # console entry point

@@ -42,6 +42,7 @@ from .invariants import center_up_to_degree, reduced_algebra, semi_invariants
 from .lie import (
     LieAlgebra,
     Subspace,
+    coordinate_subalgebra,
     is_nilpotent,
     jordan_holder,
     module_eigenspaces,
@@ -50,8 +51,8 @@ from .poisson import (
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
+    canonical_from_lie,
     localize,
-    poisson_algebra,
     quotient,
 )
 from .polys import Poly
@@ -129,25 +130,11 @@ def _rebase_to_flag(g: LieAlgebra, flag) -> LieAlgebra:
 def _level_algebras(g, ideal, order, level, inverted):
     """Quotient-only and localized algebras on the first ``level`` flag
     variables."""
-    idx = order[:level]
-    ctx = tuple(g.basis[k] for k in idx)
-    entries = {}
-    for a in range(level):
-        for b in range(a + 1, level):
-            vec = g.bracket_basis(idx[a], idx[b])
-            if not vec:
-                continue
-            p = Poly.zero(ctx)
-            for k, c in vec.items():
-                if k not in idx:
-                    raise UnsupportedChain("flag members are not ideals")
-                pos = idx.index(k)
-                p = p + Poly.monomial(
-                    ctx, tuple(1 if t == pos else 0 for t in range(level)), c
-                )
-            if not p.is_zero():
-                entries[(a, b)] = p
-    alg = poisson_algebra(ctx, entries)
+    sub = coordinate_subalgebra(g, order[:level])
+    if sub is None:
+        raise UnsupportedChain("flag members are not ideals")
+    alg = canonical_from_lie(sub)
+    ctx = alg.vars
     rules = []
     if ideal is not None:
         names = {v.name for v in ctx}
@@ -172,7 +159,7 @@ def _center_with_denominators(quotient_alg, localized, d, den_cap):
     seen = set()
     for caps in (monomials_up_to(nden, den_cap) if nden else [()]):
         for c in plain:
-            el = localized.element(LocalElement(c.num.extend(localized.vars), caps))
+            el = localized.element(LocalElement(c.num, caps))
             key = (tuple(sorted(el.num.terms.items())), el.den)
             if not el.is_zero() and key not in seen:
                 seen.add(key)
@@ -209,14 +196,7 @@ def _independent_subset(alg, elements, den_cap):
 
 def _pair_monomials(alg, pairs, d):
     flat = [el for pr in pairs for el in pr]
-    out = []
-    for expo in monomials_up_to(len(flat), d):
-        prod = alg.one()
-        for e, el in zip(expo, flat):
-            for _ in range(e):
-                prod = alg.mul(prod, el)
-        out.append(prod)
-    return out
+    return [alg.monomial(flat, expo) for expo in monomials_up_to(len(flat), d)]
 
 
 def _expand_in_pairs(alg, center_list, pairs, target, dmax):
@@ -227,10 +207,7 @@ def _expand_in_pairs(alg, center_list, pairs, target, dmax):
         expos = monomials_up_to(len(flat), deg)
         spanners = []
         for expo in expos:
-            mono = alg.one()
-            for e, el in zip(expo, flat):
-                for _ in range(e):
-                    mono = alg.mul(mono, el)
+            mono = alg.monomial(flat, expo)
             for c in center_list:
                 spanners.append(alg.mul(c, mono))
         sol = solve_in_span(alg, spanners, target)
@@ -308,11 +285,7 @@ def _eval_pair_poly(alg, coeffs, pairs):
     flat = [el for pr in pairs for el in pr]
     acc = alg.zero()
     for expo, c in sorted(coeffs.items()):
-        term = c
-        for e, el in zip(expo, flat):
-            for _ in range(e):
-                term = alg.mul(term, el)
-        acc = alg.add(acc, term)
+        acc = alg.add(acc, alg.monomial(flat, expo, start=c))
     return acc
 
 
@@ -642,20 +615,7 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     # polynomial degree (a generator may expand as center * pair^2), so the
     # bookkeeping uses its own window, escalating the pair bound as needed
     window = 2 * check_degree
-    plain_center = center_up_to_degree(alg, window)
-    cands = []
-    seen = set()
-    for caps in (monomials_up_to(nden, window) if nden else [()]):
-        for c in plain_center:
-            el = alg.element(LocalElement(c.num, caps))
-            key = (tuple(sorted(el.num.terms.items())), el.den)
-            if not el.is_zero() and key not in seen:
-                seen.add(key)
-                cands.append(el)
-    cands.sort(
-        key=lambda el: (el.num.degree() + sum(el.den), sorted(el.num.terms), el.den)
-    )
-    center_list = _independent_subset(alg, cands, window)
+    center_list = _center_with_denominators(alg, alg, window, window)
     report["mult_map_injective"] = False
     report["mult_map_surjective"] = False
     for pair_bound in range(check_degree, window + 1):

@@ -21,6 +21,7 @@ from .lie import (
     Subspace,
     Weight,
     basis_vec,
+    coordinate_subalgebra,
     jordan_holder,
 )
 from .poisson import (
@@ -44,16 +45,6 @@ def reduced_algebra(g: LieAlgebra, ideal: SubstitutionIdeal | None) -> PoissonAl
     if ideal is not None and not ideal.is_empty():
         alg = quotient(alg, ideal)
     return alg
-
-
-def generator_actions(alg: PoissonAlgebra, g: LieAlgebra):
-    """Bracket action of each Lie basis element on the algebra."""
-    ops = []
-    for i in range(g.dim):
-        name = g.basis[i].name
-        gen = alg.element(Poly.var(alg.vars, name))
-        ops.append(lambda el, gen=gen: alg.bracket(gen, el))
-    return ops
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
@@ -227,21 +218,9 @@ def present_over_ghat(
     if aligned is None:
         raise ComplementEliminated("(kernel subalgebra is not coordinate-aligned)")
     sub_idx = [i for i, v in enumerate(g.basis) if v.name in aligned]
-    sub_basis = tuple(g.basis[i] for i in sub_idx)
-    structure = {}
-    for a in range(len(sub_idx)):
-        for b in range(a + 1, len(sub_idx)):
-            vec = g.bracket_basis(sub_idx[a], sub_idx[b])
-            entry = {}
-            for k, c in vec.items():
-                if k not in sub_idx:
-                    raise ComplementEliminated(
-                        "(kernel subalgebra is not closed under the bracket)"
-                    )
-                entry[sub_idx.index(k)] = c
-            if entry:
-                structure[(a, b)] = entry
-    sub_lie = LieAlgebra(sub_basis, structure)
+    sub_lie = coordinate_subalgebra(g, sub_idx)
+    if sub_lie is None:
+        raise ComplementEliminated("(kernel subalgebra is not closed under the bracket)")
     base = reduced_algebra(sub_lie, data.restricted_ideal if data.restricted_ideal.rules else None)
 
     full = reduced_algebra(g, ideal)

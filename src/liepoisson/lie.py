@@ -20,17 +20,8 @@ from .polys import Context, VarSpec, make_vars
 Vec = tuple[Fraction, ...]
 
 
-def _vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def basis_vec(i: int, dim: int) -> Vec:
@@ -51,9 +42,6 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(vec_add(self.values, other.values))
-
-    def scale(self, c) -> "Weight":
-        return Weight(vec_scale(c, self.values))
 
 
 class Subspace:
@@ -102,9 +90,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return all(c == 0 for c in self.reduce(vec))
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
@@ -186,6 +171,21 @@ def verify_lie(basis: Context | str | Sequence[str], structure) -> LieAlgebra:
                 if any(v != 0 for v in res):
                     raise JacobiViolation(i, j, k, tuple(res))
     return g
+
+
+def coordinate_subalgebra(g: LieAlgebra, idx: Sequence[int]) -> LieAlgebra | None:
+    """The subalgebra spanned by the basis vectors e_k, k in idx, presented
+    on them in that order; None when a bracket leaves their span."""
+    pos = {k: a for a, k in enumerate(idx)}
+    structure = {}
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            vec = g.bracket_basis(idx[a], idx[b])
+            if any(k not in pos for k in vec):
+                return None
+            if vec:
+                structure[(a, b)] = {pos[k]: c for k, c in vec.items()}
+    return LieAlgebra(tuple(g.basis[k] for k in idx), structure)
 
 
 # ---------------------------------------------------------------------------

@@ -259,20 +259,3 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
                     if acc == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def eigenvalue_of(mat, vec) -> Fraction | None:
-    """If mat.vec = c (vec) for a scalar c, return c."""
-    img = mat_vec(mat, vec)
-    c = None
-    for a, b in zip(img, vec):
-        if b == 0:
-            if a != 0:
-                return None
-        else:
-            r = a / b
-            if c is None:
-                c = r
-            elif c != r:
-                return None
-    return Fraction(0) if c is None else c

@@ -252,9 +252,20 @@ class PoissonAlgebra:
     def power(self, a: LocalElement, k: int) -> LocalElement:
         if k < 0:
             return self.power(self.invert(a), -k)
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
+        return self.monomial((a,), (k,))
+
+    def monomial(
+        self,
+        elements: Sequence[LocalElement],
+        expo: Sequence[int],
+        start: LocalElement | None = None,
+    ) -> LocalElement:
+        """start (default 1) times prod elements[i]^expo[i], multiplied one
+        factor at a time from the left."""
+        out = self.one() if start is None else start
+        for e, el in zip(expo, elements):
+            for _ in range(e):
+                out = self.mul(out, el)
         return out
 
     def partial(self, a: LocalElement, v: VarSpec) -> LocalElement:
@@ -392,31 +403,35 @@ def canonical_from_lie(g: LieAlgebra) -> PoissonAlgebra:
     return poisson_algebra(ctx, entries)
 
 
-def is_stable_ideal(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> bool:
-    """True iff every rule generator v - image brackets to 0 mod the ideal
-    against every algebra generator."""
+def _unstable_witness(alg: PoissonAlgebra, ideal: SubstitutionIdeal):
+    """First (rule variable, generator, residual) whose rule generator
+    v - image does not bracket to 0 mod the ideal; None when stable."""
     for v, img in ideal.rules:
         p = Poly.var(alg.vars, v.name) - img.extend(alg.vars)
         for w in alg.vars:
             res = alg.bracket(p, Poly.var(alg.vars, w.name))
             if not ideal.normal_form(res.num).is_zero():
-                return False
-    return True
+                return v.name, w.name, res.num
+    return None
+
+
+def is_stable_ideal(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> bool:
+    """True iff every rule generator v - image brackets to 0 mod the ideal
+    against every algebra generator."""
+    return _unstable_witness(alg, ideal) is None
 
 
 def quotient(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> PoissonAlgebra:
     """Quotient by a bracket-stable substitution ideal (NotStable otherwise).
     Generators are kept; elements are normal-formed onto the non-eliminated
     variables."""
-    for v, img in ideal.rules:
-        p = Poly.var(alg.vars, v.name) - img.extend(alg.vars)
-        for w in alg.vars:
-            res = alg.bracket(p, Poly.var(alg.vars, w.name))
-            if not ideal.normal_form(res.num).is_zero():
-                raise NotStable(v.name, w.name, str(res.num))
+    witness = _unstable_witness(alg, ideal)
+    if witness is not None:
+        v, w, res = witness
+        raise NotStable(v, w, str(res))
     if alg.ideal and not alg.ideal.is_empty():
         merged = tuple(
-            list(((v, ideal.normal_form(img.extend(alg.vars))) for v, img in alg.ideal.rules))
+            (v, ideal.normal_form(img.extend(alg.vars))) for v, img in alg.ideal.rules
         ) + tuple(ideal.rules)
         ideal = SubstitutionIdeal(merged)
     new_inverted = []
@@ -425,13 +440,7 @@ def quotient(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> PoissonAlgebra:
         if s2.is_zero():
             raise ZeroDenominator(str(s))
         new_inverted.append(s2)
-    out = PoissonAlgebra(alg.vars, {}, ideal, tuple(new_inverted))
-    table = {}
-    for (i, j), val in alg.table.items():
-        el = out.element(LocalElement(val.num, val.den))
-        if not el.is_zero():
-            table[(i, j)] = el
-    return PoissonAlgebra(alg.vars, table, ideal, tuple(new_inverted))
+    return poisson_algebra(alg.vars, alg.table, ideal, new_inverted)
 
 
 def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebra:
@@ -448,13 +457,9 @@ def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebr
         if any(e < 0 for m in s.terms for e in m):
             raise ValueError("denominators must be ordinary polynomials")
         new.append(s)
-    out = PoissonAlgebra(alg.vars, {}, alg.ideal, tuple(new))
-    table = {}
-    for (i, j), val in alg.table.items():
-        el = out.element(LocalElement(val.num, tuple(val.den) + (0,) * (len(new) - len(alg.inverted))))
-        if not el.is_zero():
-            table[(i, j)] = el
-    return PoissonAlgebra(alg.vars, table, alg.ideal, tuple(new))
+    pad = (0,) * (len(new) - len(alg.inverted))
+    entries = {k: LocalElement(val.num, val.den + pad) for k, val in alg.table.items()}
+    return poisson_algebra(alg.vars, entries, alg.ideal, new)
 
 
 def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
@@ -470,20 +475,15 @@ def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
     if b.ideal:
         rules += [(v, img.extend(ctx)) for v, img in b.ideal.rules]
     ideal = SubstitutionIdeal(tuple(rules)) if rules else None
-    inverted = tuple(s.extend(ctx) for s in a.inverted) + tuple(
-        s.extend(ctx) for s in b.inverted
-    )
-    out = PoissonAlgebra(ctx, {}, ideal, inverted)
-    table = {}
+    inverted = [s.extend(ctx) for s in a.inverted + b.inverted]
+    entries = {}
     for (i, j), val in a.table.items():
-        el = out.element(LocalElement(val.num.extend(ctx), val.den + (0,) * len(b.inverted)))
-        if not el.is_zero():
-            table[(i, j)] = el
+        entries[(i, j)] = LocalElement(val.num.extend(ctx), val.den + (0,) * len(b.inverted))
     for (i, j), val in b.table.items():
-        el = out.element(LocalElement(val.num.extend(ctx), (0,) * len(a.inverted) + val.den))
-        if not el.is_zero():
-            table[(i + off, j + off)] = el
-    return PoissonAlgebra(ctx, table, ideal, inverted)
+        entries[(i + off, j + off)] = LocalElement(
+            val.num.extend(ctx), (0,) * len(a.inverted) + val.den
+        )
+    return poisson_algebra(ctx, entries, ideal, inverted)
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +560,13 @@ def skew_extend(
         if alg.ideal
         else None
     )
-    inverted = tuple(s.extend(ctx) for s in alg.inverted)
-    out = PoissonAlgebra(ctx, {}, ideal, inverted)
-    table = {}
-    for (i, j), val in alg.table.items():
-        el = out.element(LocalElement(val.num.extend(ctx), val.den))
-        if not el.is_zero():
-            table[(i, j)] = el
+    inverted = [s.extend(ctx) for s in alg.inverted]
+    entries = {k: LocalElement(val.num.extend(ctx), val.den) for k, val in alg.table.items()}
     for i, v in enumerate(alg.vars):
-        img = delta.image_of(alg, v.name)
-        if img.is_zero():
-            continue
         # {v_i, X} = -delta(v_i)
-        el = out.element(LocalElement(img.num.extend(ctx), img.den))
-        table[(i, n)] = out.scale(-1, el)
-    return PoissonAlgebra(ctx, table, ideal, inverted)
+        img = delta.image_of(alg, v.name)
+        entries[(i, n)] = LocalElement(img.num.extend(ctx).scale(-1), img.den)
+    return poisson_algebra(ctx, entries, ideal, inverted)
 
 
 def epsilon_derivation(

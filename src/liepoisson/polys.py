@@ -507,12 +507,3 @@ def _parse_atom(toks: _Tokens, ctx: Context) -> Poly:
         name = toks.take_name()
         return Poly.var(ctx, name)
     raise PolyParseError("expected atom", toks.pos)
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p" (used throughout the JSON interfaces)."""
-    return Fraction(text.strip())
-
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)

@@ -452,17 +452,9 @@ def tensor_presentation_check(
                 raise NotCommuting(f"pair {i+1}", f"pair {j+1}", "(pair relation fails)")
     products = []
     for bexp in monomials_up_to(len(commuting_part), d):
-        base = alg.one()
-        for e, el in zip(bexp, commuting_part):
-            for _ in range(e):
-                base = alg.mul(base, el)
-        remaining = d - sum(bexp)
-        for pexp in monomials_up_to(2 * len(pairs), remaining):
-            prod = base
-            for e, el in zip(pexp, flat_pairs):
-                for _ in range(e):
-                    prod = alg.mul(prod, el)
-            products.append(prod)
+        base = alg.monomial(commuting_part, bexp)
+        for pexp in monomials_up_to(2 * len(pairs), d - sum(bexp)):
+            products.append(alg.monomial(flat_pairs, pexp, start=base))
     if not independent(alg, products):
         return False
     targets = [alg.element(m) for m in basis_monomials(alg, d)]

@@ -5,9 +5,12 @@ import json
 import os
 import sys
 
+import pytest
+
 from liepoisson.cli import run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _capture(argv):
@@ -171,3 +174,64 @@ def test_reports_byte_identical():
     for argv in commands:
         outputs = {_capture(argv + ["--json"])[1] for _ in range(3)}
         assert len(outputs) == 1, argv
+
+
+@pytest.mark.parametrize(
+    "command", ["semi-invariants", "center", "ghat", "decompose", "check84"]
+)
+@pytest.mark.parametrize("flag", ["--max-degree=0", "--max-degree=-1"])
+def test_degree_bound_below_one_is_input_error(command, flag):
+    code, out, _ = _capture([command, path("heisenberg-z1.json"), flag, "--json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
+def test_degree_bound_from_options_and_flag(tmp_path):
+    # an explicit flag overrides options.max_degree (aff2 sets 4)
+    code, out, _ = _capture(
+        ["center", path("aff2.json"), "--max-degree", "1", "--json"]
+    )
+    assert code == 0 and json.loads(out)["bound"] == 1
+    with open(path("heisenberg.json")) as fh:
+        data = json.load(fh)
+    data["options"]["max_degree"] = 0
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(data))
+    code2, out2, _ = _capture(["check84", str(bad), "--json"])
+    assert code2 == 2 and "at least 1" in json.loads(out2)["detail"]
+    code3, out3, _ = _capture(["check84", str(bad), "--max-degree", "2", "--json"])
+    assert code3 == 0 and json.loads(out3)["degree_bound"] == 2
+
+
+@pytest.mark.parametrize("dmax, want", [("-1", 2), ("0", 2), ("1", 2), ("2", 0)])
+def test_dmax_must_be_at_least_two(dmax, want):
+    code, out, _ = _capture(
+        ["bvwg-invariants", path("bvwg-symp.json"), "--dmax", dmax, "--json"]
+    )
+    assert code == want
+    report = json.loads(out)
+    if want:
+        assert report["error"] == "ValueError"
+    else:
+        assert report["dmax"] == 2
+
+
+def test_readme_commands_match_goldens(tmp_path):
+    with open(os.path.join(PERFBENCH, "goldens.json")) as fh:
+        goldens = json.load(fh)
+    assert len(goldens) == 11
+    trace = str(tmp_path / "trace.json")
+    fixtures = os.path.join(PERFBENCH, "fixtures")
+    for golden in goldens:
+        argv = [
+            trace
+            if a == "{trace}"
+            else os.path.join(fixtures, a) if a.endswith(".json") else a
+            for a in golden["argv"]
+        ]
+        code, out, _ = _capture(argv)
+        assert code == golden["code"], golden["argv"]
+        assert out == golden["stdout"], golden["argv"]
+        if golden["trace"] is not None:
+            with open(trace) as fh:
+                assert fh.read() == golden["trace"], golden["argv"]

@@ -9,6 +9,7 @@ from liepoisson.lie import (
     Subspace,
     basis_vec,
     common_eigenvector,
+    coordinate_subalgebra,
     is_nilpotent,
     is_solvable,
     jordan_holder,
@@ -126,3 +127,11 @@ def test_random_solvable_valid(rng):
     for _ in range(25):
         g = random_solvable(rng, rng.randint(1, 5))
         assert is_solvable(g)
+
+
+def test_coordinate_subalgebra():
+    # [x, y] = z leaves span{x, y}
+    assert coordinate_subalgebra(heisenberg(), [0, 1]) is None
+    sub = coordinate_subalgebra(eng4(), [0, 2, 3])
+    assert sub.names() == ["e1", "e3", "e4"]
+    assert sub.structure == {(0, 1): {2: 1}}

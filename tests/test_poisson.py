@@ -8,6 +8,7 @@ import pytest
 from liepoisson.errors import NameClash, NotPDerivation, NotStable, ZeroDenominator
 from liepoisson.poisson import (
     Derivation,
+    LocalElement,
     canonical_from_lie,
     epsilon_derivation,
     ideal_from_pairs,
@@ -99,8 +100,37 @@ def test_quotient_heisenberg_is_weyl():
 
 def test_quotient_not_stable_raises():
     A = canonical_from_lie(heisenberg())
-    with pytest.raises(NotStable):
-        quotient(A, ideal_from_pairs(A.vars, [("x", "0")]))
+    ideal = ideal_from_pairs(A.vars, [("x", "0")])
+    assert not is_stable_ideal(A, ideal)
+    with pytest.raises(NotStable) as info:
+        quotient(A, ideal)
+    # first witness: the rule x -> 0 against generator y, {x, y} = z
+    assert (info.value.rule_var, info.value.generator, info.value.residual) == (
+        "x",
+        "y",
+        "z",
+    )
+
+
+def test_quotient_of_localization_keeps_table():
+    # {x, y} = z/x with z central; z = 1 is stable and x stays inverted
+    ctx = make_vars("x y z")
+    x, z = Poly.var(ctx, "x"), Poly.var(ctx, "z")
+    A = poisson_algebra(ctx, {(0, 1): LocalElement(z, (1,))}, inverted=[x])
+    assert A.jacobi_check() is None
+    Q = quotient(A, ideal_from_pairs(ctx, [("z", "1")]))
+    assert Q.inverted == (x,)
+    assert Q.table == {(0, 1): LocalElement(Poly.const(ctx, 1), (1,))}
+    assert Q.format(Q.bracket("y", Q.invert(Q.gen("x")))) == "1/x^3"
+    # a skew extension of the quotient keeps that table and the ideal
+    S = skew_extend(Q, inner_derivation(Q, Q.gen("x")), "t")
+    one = Poly.const(S.vars, 1)
+    assert S.table == {
+        (0, 1): LocalElement(one, (1,)),
+        (1, 3): LocalElement(one.scale(-1), (1,)),
+    }
+    assert [v.name for v in S.effective_vars()] == ["x", "y", "t"]
+    assert S.jacobi_check() is None
 
 
 def test_localize_bracket_formula():
@@ -166,6 +196,40 @@ def test_tensor_b1_b1_is_b2():
     assert T.jacobi_check() is None
     with pytest.raises(NameClash):
         tensor(b1(), b1())
+
+
+def test_tensor_of_localizations_keeps_denominator_slots():
+    ctx2 = make_vars("X2 Y2")
+    other = poisson_algebra(ctx2, {(0, 1): Poly.const(ctx2, 1)})
+    T = tensor(
+        localize(b1(), [Poly.var(b1().vars, "X")]),
+        localize(other, [Poly.var(ctx2, "X2")]),
+    )
+    assert [str(s) for s in T.inverted] == ["X", "X2"]
+    inv_x, inv_x2 = T.invert(T.gen("X")), T.invert(T.gen("X2"))
+    assert T.bracket(T.gen("Y"), inv_x) == LocalElement(Poly.const(T.vars, 1), (2, 0))
+    assert T.format(T.bracket(T.gen("Y2"), inv_x2)) == "1/X2^2"
+    assert T.bracket(T.gen("Y"), inv_x2).is_zero()
+    assert T.bracket(T.gen("Y2"), inv_x).is_zero()
+    # table entries that carry a denominator land in their own factor's slot
+    ctx = make_vars("X Y")
+    A = poisson_algebra(
+        ctx,
+        {(0, 1): LocalElement(Poly.const(ctx, 1), (1,))},
+        inverted=[Poly.var(ctx, "X")],
+    )
+    B = poisson_algebra(
+        ctx2,
+        {(0, 1): LocalElement(Poly.const(ctx2, 1), (1,))},
+        inverted=[Poly.var(ctx2, "X2")],
+    )
+    TD = tensor(A, B)
+    one = Poly.const(TD.vars, 1)
+    assert TD.table == {
+        (0, 1): LocalElement(one, (1, 0)),
+        (2, 3): LocalElement(one, (0, 1)),
+    }
+    assert TD.jacobi_check() is None
 
 
 def test_skew_extend_examples():
