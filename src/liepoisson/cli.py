@@ -45,12 +45,22 @@ MATH_NEGATIVE = (
 )
 
 
+def _shaped(value, kind: type, what: str):
+    """``value`` when it is a JSON object (dict) or array (list), else a
+    ValueError naming the offending field."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {name}")
+    return value
+
+
 class ProblemFile:
     """Parsed problem: exactly one of a Lie algebra or a lattice spec."""
 
     def __init__(self, data: dict):
+        _shaped(data, dict, "problem file")
         self.name = data.get("name", "problem")
-        opts = data.get("options", {})
+        opts = _shaped(data.get("options", {}), dict, "options")
         self.max_degree = int(opts.get("max_degree", 6))
         self.lie: LieAlgebra | None = None
         self.ideal: SubstitutionIdeal | None = None
@@ -58,26 +68,31 @@ class ProblemFile:
         if ("lie" in data) == ("bvwg" in data):
             raise ValueError("problem file needs exactly one of 'lie' or 'bvwg'")
         if "lie" in data:
-            lie = data["lie"]
-            basis = lie["basis"]
+            lie = _shaped(data["lie"], dict, "lie")
+            basis = _shaped(lie["basis"], list, "lie.basis")
+            if not all(isinstance(name, str) for name in basis):
+                raise ValueError("lie.basis must list generator names as strings")
             if int(lie.get("dim", len(basis))) != len(basis):
                 raise ValueError("dim does not match basis length")
             structure = {}
-            for entry in lie.get("brackets", []):
+            for entry in _shaped(lie.get("brackets", []), list, "lie.brackets"):
+                entry = _shaped(entry, dict, "lie.brackets entry")
                 i, j = int(entry["i"]), int(entry["j"])
                 coeffs = {
-                    int(k): Fraction(str(v)) for k, v in entry["coeffs"].items()
+                    int(k): Fraction(str(v))
+                    for k, v in _shaped(entry["coeffs"], dict, "coeffs").items()
                 }
                 structure[(i, j)] = coeffs
             self.lie = verify_lie(" ".join(basis), structure)
-            rules = data.get("ideal") or []
+            rules = _shaped(data.get("ideal") or [], list, "ideal")
             if rules:
-                ctx = self.lie.basis
-                self.ideal = ideal_from_pairs(
-                    ctx, [(r["var"], r["value"]) for r in rules]
-                )
+                pairs = []
+                for r in rules:
+                    r = _shaped(r, dict, "ideal entry")
+                    pairs.append((r["var"], r["value"]))
+                self.ideal = ideal_from_pairs(self.lie.basis, pairs)
         else:
-            b = data["bvwg"]
+            b = _shaped(data["bvwg"], dict, "bvwg")
             self.bvwg = bvwg_mod.make_spec(
                 b["v_names"], b["omega"], b["g_names"], b["weights"]
             )
@@ -87,6 +102,22 @@ class ProblemFile:
 def _load(path: str) -> ProblemFile:
     with open(path) as fh:
         return ProblemFile(json.load(fh))
+
+
+def _lie_problem(args) -> ProblemFile:
+    """The problem file of a Lie subcommand; ValueError on a lattice spec."""
+    prob = _load(args.file)
+    if prob.lie is None:
+        raise ValueError(f"{args.command} needs a Lie problem file")
+    return prob
+
+
+def _bvwg_problem(args) -> ProblemFile:
+    """The problem file of a bvwg-* subcommand; ValueError on a Lie algebra."""
+    prob = _load(args.file)
+    if prob.bvwg is None:
+        raise ValueError(f"{args.command} needs a bvwg problem file")
+    return prob
 
 
 def _degree_bound(args, prob: ProblemFile) -> int:
@@ -145,9 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    prob = _load(args.file)
-    if prob.lie is None:
-        raise ValueError("bracket needs a Lie problem file")
+    prob = _lie_problem(args)
     alg = reduced_algebra(prob.lie, prob.ideal)
     p = alg.element(args.p)
     q = alg.element(args.q)
@@ -158,7 +187,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_semi_invariants(args) -> int:
-    prob = _load(args.file)
+    prob = _lie_problem(args)
     d = _degree_bound(args, prob)
     rep = semi_invariants(prob.lie, prob.ideal, d)
     entries = [
@@ -178,7 +207,7 @@ def rep_alg_format(el) -> str:
 
 
 def cmd_center(args) -> int:
-    prob = _load(args.file)
+    prob = _lie_problem(args)
     d = _degree_bound(args, prob)
     alg = reduced_algebra(prob.lie, prob.ideal)
     basis = center_up_to_degree(alg, d)
@@ -188,7 +217,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_ghat(args) -> int:
-    prob = _load(args.file)
+    prob = _lie_problem(args)
     d = _degree_bound(args, prob)
     data = ghat(prob.lie, prob.ideal, d)
     report = {
@@ -208,7 +237,7 @@ def cmd_ghat(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    prob = _load(args.file)
+    prob = _lie_problem(args)
     d = _degree_bound(args, prob)
     res = decompose(prob.lie, prob.ideal, d)
     alg = res.algebra
@@ -227,7 +256,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check84(args) -> int:
-    prob = _load(args.file)
+    prob = _lie_problem(args)
     d = _degree_bound(args, prob)
     report = run_check_84(prob.lie, prob.ideal, d)
     _emit(
@@ -239,7 +268,7 @@ def cmd_check84(args) -> int:
 
 
 def cmd_bvwg_simple(args) -> int:
-    prob = _load(args.file)
+    prob = _bvwg_problem(args)
     simple, cert = bvwg_mod.is_simple(prob.bvwg)
     report = {
         "simple": simple,
@@ -252,7 +281,7 @@ def cmd_bvwg_simple(args) -> int:
 def cmd_bvwg_invariants(args) -> int:
     if args.dmax is not None and args.dmax < 2:
         raise ValueError(f"--dmax must be at least 2, got {args.dmax}")
-    prob = _load(args.file)
+    prob = _bvwg_problem(args)
     inv = bvwg_mod.invariants(prob.bvwg)
     report = {
         "gk_total": inv.gk_total,
@@ -272,7 +301,7 @@ def cmd_bvwg_invariants(args) -> int:
 
 
 def cmd_bvwg_embed(args) -> int:
-    prob = _load(args.file)
+    prob = _bvwg_problem(args)
     emb = bvwg_mod.embed_in_weyl(prob.bvwg)
     report = {
         "weyl_pairs": emb.sym_rank,
@@ -289,7 +318,7 @@ def cmd_bvwg_embed(args) -> int:
 
 
 def cmd_bvwg_realize(args) -> int:
-    prob = _load(args.file)
+    prob = _bvwg_problem(args)
     real = bvwg_mod.realize_from_lie(prob.bvwg)
     g = real.lie
     report = {

@@ -63,6 +63,7 @@ from .spaces import (
     independent,
     kernel_of_operators,
     monomials_up_to,
+    operator_rows,
     solve_in_span,
 )
 
@@ -316,7 +317,11 @@ def _central_choice(full_alg, candidates, d):
         gen = full_alg.gen(v.name)
         ops.append(lambda el, gen=gen: full_alg.bracket(gen, el))
     central = [
-        c for c in kernel_of_operators(full_alg, candidates, ops) if not c.is_zero()
+        c
+        for c in kernel_of_operators(
+            full_alg, candidates, operator_rows(full_alg, candidates, ops)
+        )
+        if not c.is_zero()
     ]
     if central:
         central.sort(key=lambda el: (el.num.degree(), sorted(el.num.terms)))

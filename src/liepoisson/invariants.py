@@ -34,7 +34,13 @@ from .poisson import (
     skew_extend,
 )
 from .polys import Poly
-from .spaces import basis_monomials, kernel_of_operators
+from .spaces import (
+    SliceIndex,
+    basis_monomials,
+    common_denominator_rows,
+    kernel_of_operators,
+    operator_rows,
+)
 
 DEFAULT_DEGREE_BOUND = 6
 
@@ -54,7 +60,7 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     for v in alg.vars:
         gen = alg.gen(v.name)
         ops.append(lambda el, gen=gen: alg.bracket(gen, el))
-    return kernel_of_operators(alg, basis, ops)
+    return kernel_of_operators(alg, basis, operator_rows(alg, basis, ops))
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,44 @@ def semi_invariants(
 
     For each candidate weight lam the exact linear system
     {x_j, a} = lam(x_j) a over the degree slice is solved; the weight-zero
-    entry is the degree-bounded center.
+    entry is the degree-bounded center.  The action A_j of each generator on
+    the slice is computed once; each weight then solves one kernel from the
+    shifted rows A_j - lam(x_j) I.
     """
     flag = jordan_holder(g)
     alg = reduced_algebra(g, ideal)
     basis = [alg.element(m) for m in basis_monomials(alg, d)]
-    gens = [alg.gen(v.name) for v in g.basis]
+    ops = [lambda el, gen=alg.gen(v.name): alg.bracket(gen, el) for v in g.basis]
+    index = SliceIndex()
+    actions = operator_rows(alg, basis, ops, index)
+    # the reduced algebra inverts nothing, so every row is over denominator 1
+    identity, _, _ = common_denominator_rows(alg, basis, index)
     entries = []
     for lam in candidate_weights(flag, d):
-        ops = []
-        for j in range(g.dim):
-            c = lam.values[j]
-            gen = gens[j]
-            ops.append(
-                lambda el, gen=gen, c=c: alg.sub(
-                    alg.bracket(gen, el), alg.scale(c, el)
-                )
-            )
-        sol = kernel_of_operators(alg, basis, ops)
+        shifted = [
+            _shift_rows(rows, identity, c) for rows, c in zip(actions, lam.values)
+        ]
+        sol = kernel_of_operators(alg, basis, shifted)
         if sol:
             entries.append((lam, tuple(sol)))
     return SemiInvariantReport(d, tuple(entries), flag)
+
+
+def _shift_rows(rows, identity, c):
+    """Rows of A - c I, given the rows of A and of I on one index."""
+    if c == 0:
+        return rows
+    out = []
+    for row, ident in zip(rows, identity):
+        shifted = dict(row)
+        for col, v in ident.items():
+            x = shifted.get(col, 0) - c * v
+            if x:
+                shifted[col] = x
+            else:
+                shifted.pop(col, None)
+        out.append(shifted)
+    return out
 
 
 @dataclass(frozen=True)

@@ -144,15 +144,25 @@ def verify_lie(basis: Context | str | Sequence[str], structure) -> LieAlgebra:
 
     ``structure`` maps ordered index pairs (i, j) with i < j to sparse
     rational vectors.  Raises ``JacobiViolation`` naming the first failing
-    triple together with the residual vector.
+    triple together with the residual vector, and ``ValueError`` on a
+    repeated basis name or an index outside ``0..dim-1``.
     """
     if not isinstance(basis, tuple) or not all(isinstance(v, VarSpec) for v in basis):
         basis = make_vars(basis)
+    names = [v.name for v in basis]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate basis names in {names}")
     norm: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), vec in structure.items():
         if not (0 <= i < j < len(basis)):
             raise ValueError(f"bad index pair {(i, j)}")
         entry = {int(k): Fraction(c) for k, c in vec.items() if Fraction(c) != 0}
+        bad = [k for k in entry if not 0 <= k < len(basis)]
+        if bad:
+            raise ValueError(
+                f"bracket {(i, j)} has output index {bad[0]} "
+                f"outside 0..{len(basis) - 1}"
+            )
         if entry:
             norm[(i, j)] = entry
     g = LieAlgebra(basis, norm)

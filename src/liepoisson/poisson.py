@@ -29,6 +29,7 @@ from .errors import (
     NameClash,
     NotPDerivation,
     NotStable,
+    UnknownVariable,
     ZeroDenominator,
 )
 from .lie import LieAlgebra
@@ -71,7 +72,9 @@ def ideal_from_pairs(ctx: Context, pairs: Iterable[tuple[str, Poly | str]]) -> S
 
     rules = []
     for name, img in pairs:
-        var = next(v for v in ctx if v.name == name)
+        var = next((v for v in ctx if v.name == name), None)
+        if var is None:
+            raise UnknownVariable(name)
         poly = parse_poly(img, ctx) if isinstance(img, str) else img.extend(ctx)
         rules.append((var, poly))
     return SubstitutionIdeal(tuple(rules))

@@ -3,6 +3,12 @@
 Everything here reduces questions about finite slices of an algebra to exact
 sparse linear algebra: enumerate the monomials of the slice, expand elements
 over a common denominator, and hand rows to ``linalg``.
+
+Kernels of operators are solved in two steps: ``operator_rows`` applies each
+operator to the slice basis once, and ``kernel_of_operators`` solves from
+those rows.  A search that solves many related systems on one slice (the
+semi-invariant search, one system per candidate weight) computes the
+actions once and solves one kernel per system from shifted rows.
 """
 
 from __future__ import annotations
@@ -138,30 +144,44 @@ def solve_in_span(
     return list(sol) if sol is not None else None
 
 
-def kernel_of_operators(
+def operator_rows(
     alg: PoissonAlgebra,
     basis: Sequence[LocalElement],
     operators: Sequence,
-) -> list[LocalElement]:
-    """Elements sum(a_i basis_i) killed by every operator (each operator maps
-    a LocalElement to a LocalElement); exact sparse nullspace.
+    index: SliceIndex | None = None,
+) -> list[list[dict[int, Fraction]]]:
+    """Per operator (each maps a LocalElement to a LocalElement), the
+    numerator rows of its images of the basis, all over one shared index.
 
-    The operator images must stay inside a finite monomial space, which they
-    do for bracket actions on degree slices.
+    The images must stay inside a finite monomial space, which they do for
+    bracket actions on degree slices.
     """
-    index = SliceIndex()
-    images: list[list[dict[int, Fraction]]] = []
-    for op in operators:
-        outs = [op(b) for b in basis]
-        rows, index, _ = common_denominator_rows(alg, outs, index)
-        images.append(rows)
-    ncols = len(index.index)
+    index = index if index is not None else SliceIndex()
+    return [
+        common_denominator_rows(alg, [op(b) for b in basis], index)[0]
+        for op in operators
+    ]
+
+
+def kernel_of_operators(
+    alg: PoissonAlgebra,
+    basis: Sequence[LocalElement],
+    images: Sequence[Sequence[dict[int, Fraction]]],
+) -> list[LocalElement]:
+    """Elements sum(a_i basis_i) killed by every operator, given per operator
+    the rows of its images of the basis (see ``operator_rows``); exact
+    sparse nullspace.
+
+    One equation per operator and column, columns ascending, built in one
+    pass over the nonzero entries.
+    """
     eq_rows: list[dict[int, Fraction]] = []
     for rows in images:
-        for col in range(ncols):
-            row = {i: rows[i][col] for i in range(len(basis)) if col in rows[i]}
-            if row:
-                eq_rows.append(row)
+        by_col: dict[int, dict[int, Fraction]] = {}
+        for i, row in enumerate(rows):
+            for col, c in row.items():
+                by_col.setdefault(col, {})[i] = c
+        eq_rows.extend(by_col[col] for col in sorted(by_col))
     combos = linalg.nullspace(eq_rows, len(basis))
     out = []
     for combo in combos:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -235,3 +236,91 @@ def test_readme_commands_match_goldens(tmp_path):
         if golden["trace"] is not None:
             with open(trace) as fh:
                 assert fh.read() == golden["trace"], golden["argv"]
+
+
+LIE_COMMANDS = ["semi-invariants", "center", "ghat", "decompose", "check84"]
+BVWG_COMMANDS = ["bvwg-simple", "bvwg-invariants", "bvwg-embed", "bvwg-realize"]
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [(c, "bvwg-simple.json") for c in LIE_COMMANDS]
+    + [(c, "heisenberg.json") for c in BVWG_COMMANDS],
+)
+def test_subcommand_on_wrong_problem_kind_is_input_error(command, fixture):
+    code, out, _ = _capture([command, path(fixture), "--json"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "ValueError"
+    assert report["detail"].startswith(f"{command} needs a ")
+
+
+def _heisenberg_data():
+    with open(path("heisenberg.json")) as fh:
+        return json.load(fh)
+
+
+def _malformed(mutate):
+    data = _heisenberg_data()
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [_heisenberg_data()],  # top-level list
+        _malformed(lambda d: d["lie"].update(basis=5)),
+        _malformed(lambda d: d["lie"].update(basis=["x", 2, "z"])),
+        _malformed(lambda d: d["lie"].update(brackets={"i": 0, "j": 1})),
+        _malformed(lambda d: d["lie"]["brackets"][0].update(coeffs=["1"])),
+        _malformed(lambda d: d.update(options=[])),
+        _malformed(lambda d: d["lie"]["brackets"][0].update(coeffs={"7": "1"})),
+        _malformed(lambda d: d["lie"]["brackets"][0].update(coeffs={"-1": "1"})),
+        _malformed(lambda d: d["lie"].update(basis=["x", "x", "z"])),
+        _malformed(lambda d: d.update(ideal=[{"var": "w", "value": "1"}])),
+    ],
+    ids=[
+        "list",
+        "basis-int",
+        "basis-name-int",
+        "brackets-object",
+        "coeffs-list",
+        "options-list",
+        "index-past-end",
+        "index-negative",
+        "duplicate-names",
+        "unknown-ideal-variable",
+    ],
+)
+def test_malformed_problem_is_input_error(tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("verify", "center"):
+        code, out, _ = _capture([command, str(bad), "--json"])
+        assert code == 2, command
+        report = json.loads(out)
+        assert set(report) == {"error", "detail"}
+        assert report["error"] in ("ValueError", "UnknownVariable")
+
+
+def test_python_dash_m_entry_point():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ)
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liepoisson", "verify", "tests/data/heisenberg.json"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "valid": True,
+        "dim": 3,
+        "solvable": True,
+        "nilpotent": True,
+    }

@@ -167,3 +167,94 @@ def test_ghat_partial_sums_are_ideals():
         for k in range(two.dim):
             for v in cur.basis:
                 assert cur.contains(two.bracket_vec(basis_vec(k, two.dim), v))
+
+
+# ---------------------------------------------------------------------------
+# semi_invariants against the per-weight reference
+
+
+def _semi_invariants_per_weight(g, ideal, d):
+    """Reference: one closure per generator and weight, re-bracketing the
+    whole slice for every candidate weight, each system on its own index."""
+    from liepoisson.invariants import candidate_weights
+    from liepoisson.lie import jordan_holder
+    from liepoisson.spaces import basis_monomials, kernel_of_operators, operator_rows
+
+    flag = jordan_holder(g)
+    alg = reduced_algebra(g, ideal)
+    basis = [alg.element(m) for m in basis_monomials(alg, d)]
+    gens = [alg.gen(v.name) for v in g.basis]
+    entries = []
+    for lam in candidate_weights(flag, d):
+        ops = [
+            lambda el, gen=gen, c=c: alg.sub(alg.bracket(gen, el), alg.scale(c, el))
+            for gen, c in zip(gens, lam.values)
+        ]
+        sol = kernel_of_operators(alg, basis, operator_rows(alg, basis, ops))
+        if sol:
+            entries.append((lam, tuple(sol)))
+    return entries
+
+
+def _two_weight():
+    return verify_lie(
+        "t s x y", {(0, 2): {2: 2}, (1, 3): {3: F(-3, 2)}, (0, 3): {3: F(5, 4)}}
+    )
+
+
+def _entries_text(entries):
+    return [
+        ([str(v) for v in w.values], [str(b) for b in basis]) for w, basis in entries
+    ]
+
+
+def test_semi_invariants_match_per_weight_reference():
+    h = heisenberg()
+    cases = [
+        (_two_weight(), None, 4),
+        (aff2(), None, 4),
+        (h, ideal_from_pairs(h.basis, [("z", "1")]), 4),
+        (eng4(), None, 3),
+    ]
+    for g, ideal, d in cases:
+        got = _entries_text(semi_invariants(g, ideal, d).entries)
+        want = _entries_text(_semi_invariants_per_weight(g, ideal, d))
+        assert got == want, g.names()
+        assert got  # the weight-zero entry always holds the constants
+
+
+def test_semi_invariants_bracket_each_generator_once(monkeypatch):
+    from liepoisson.poisson import PoissonAlgebra
+
+    calls = []
+    original = PoissonAlgebra.bracket
+
+    def counted(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    rep = semi_invariants(_two_weight(), None, 5)
+    # 126 monomials of degree <= 5 in 4 variables, 4 generators
+    assert len(calls) == 126 * 4
+    assert rep.weight_zero_basis()
+
+
+def test_kernel_of_operators_with_denominators():
+    from liepoisson.decompose import _central_choice
+    from liepoisson.poisson import LocalElement, localize
+    from liepoisson.polys import Poly
+    from liepoisson.spaces import kernel_of_operators, operator_rows
+
+    # the Heisenberg algebra with z inverted: its center is Q[z, 1/z]
+    A = canonical_from_lie(heisenberg())
+    L = localize(A, [Poly.var(A.vars, "z")])
+    terms = [("1", 0), ("z", 0), ("1", 1), ("x", 1), ("y", 2), ("x*y", 1), ("1", 2)]
+    basis = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in terms]
+    ops = [lambda el, gen=L.gen(v.name): L.bracket(gen, el) for v in L.vars]
+    kernel = kernel_of_operators(L, basis, operator_rows(L, basis, ops))
+    assert [L.format(k) for k in kernel] == ["1", "z", "1/z", "1/z^2"]
+    for k in kernel:
+        assert all(L.bracket(v.name, k).is_zero() for v in L.vars)
+    # the decomposition's central choice solves the same kind of system
+    assert L.format(_central_choice(L, basis[3:], 2)) == "1/z^2"

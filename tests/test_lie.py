@@ -36,6 +36,21 @@ def test_verify_jacobi_violation_residual():
     assert err.value.residual == (F(1), F(1), F(1))
 
 
+@pytest.mark.parametrize(
+    "basis, structure",
+    [
+        ("x y z", {(0, 1): {7: 1}}),  # output index past the basis
+        ("x y z", {(0, 1): {3: 1}}),
+        ("x y z", {(0, 1): {-1: 1}}),  # would index from the end
+        ("x x", {}),  # duplicate basis names
+        ("x y x", {(0, 1): {1: 1}}),
+    ],
+)
+def test_verify_rejects_bad_indices_and_names(basis, structure):
+    with pytest.raises(ValueError):
+        verify_lie(basis, structure)
+
+
 def test_series_flags():
     assert is_nilpotent(heisenberg()) and is_solvable(heisenberg())
     chain = series(heisenberg(), "lower_central")

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from liepoisson.errors import NameClash, NotPDerivation, NotStable, ZeroDenominator
+from liepoisson.errors import (
+    NameClash,
+    NotPDerivation,
+    NotStable,
+    UnknownVariable,
+    ZeroDenominator,
+)
 from liepoisson.poisson import (
     Derivation,
     LocalElement,
@@ -88,6 +94,13 @@ def test_stable_ideal_examples():
     assert is_stable_ideal(A, ideal_from_pairs(A.vars, [("z", "1")]))
     assert not is_stable_ideal(A, ideal_from_pairs(A.vars, [("x", "0")]))
     assert is_stable_ideal(A, ideal_from_pairs(A.vars, []))
+
+
+def test_ideal_from_pairs_unknown_variable():
+    A = canonical_from_lie(heisenberg())
+    with pytest.raises(UnknownVariable) as err:
+        ideal_from_pairs(A.vars, [("z", "1"), ("w", "1")])
+    assert err.value.name == "w"
 
 
 def test_quotient_heisenberg_is_weyl():
