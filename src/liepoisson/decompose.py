@@ -84,11 +84,6 @@ class DecompositionResult:
 # plumbing
 
 
-def _lift(alg: PoissonAlgebra, el: LocalElement) -> LocalElement:
-    den = tuple(el.den) + (0,) * (len(alg.inverted) - len(el.den))
-    return alg.element(LocalElement(el.num.extend(alg.vars), den))
-
-
 def _chain_order(g: LieAlgebra, ideal: SubstitutionIdeal | None):
     """Flag generators as a variable ordering.  Only coordinate-aligned
     flags can thread a nonempty substitution ideal through the levels."""
@@ -409,7 +404,7 @@ def _s_op(full_l, g, t_vec):
 def _project_s_weight(cur_l, full_l, g, s: Subspace, el, theta_values):
     """Spectral projection inside the full algebra, pushed back to the
     level algebra (flag prefixes are ideals, so the action stays inside)."""
-    lifted = _lift(full_l, el)
+    lifted = full_l.element(el)
     for t_vec, th in zip(s.basis, theta_values):
         lifted = _krylov_projection(full_l, _s_op(full_l, g, t_vec), lifted, th)
     return cur_l.element(
@@ -463,7 +458,7 @@ def decompose(
         z_idx = order[level - 1]
         step = {"level": level, "generator": g.basis[z_idx].name}
         cur_q, cur_l = _level_algebras(g, ideal, order, level, inverted)
-        pairs = [(_lift(cur_l, x), _lift(cur_l, y)) for x, y in pairs]
+        pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
         full_l = (
             localize(full_alg, [w.extend(full_alg.vars) for w in inverted])
             if (s is not None and inverted)
@@ -474,7 +469,7 @@ def decompose(
         if prev_q is None:
             plain_center = [cur_l.one()]
         else:
-            plain_center = [_lift(cur_l, c) for c in center_up_to_degree(prev_q, d)]
+            plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_q, d)]
         z_el = cur_l.gen(g.basis[z_idx].name)
         if s is not None:
             z_el = _project_s_weight(
@@ -505,7 +500,7 @@ def decompose(
         else:
             step["case"] = "b"
             images = [im for _, im in nonzero]
-            v_full = _central_choice(full_alg, [_lift(full_alg, im) for im in images], d)
+            v_full = _central_choice(full_alg, [full_alg.element(im) for im in images], d)
             v_poly = v_full.num  # plain central polynomial
             v_cur = cur_l.element(v_poly.restrict(cur_l.vars))
             combo = solve_in_span(cur_l, images, v_cur)
@@ -529,9 +524,9 @@ def decompose(
                 if not any(str(v_level) == str(w) for w in inverted):
                     inverted.append(v_level)
                     cur_q, cur_l = _level_algebras(g, ideal, order, level, inverted)
-                    pairs = [(_lift(cur_l, x), _lift(cur_l, y)) for x, y in pairs]
-                    u = _lift(cur_l, u)
-                    z_el = _lift(cur_l, z_el)
+                    pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
+                    u = cur_l.element(u)
+                    z_el = cur_l.element(z_el)
                 if s is not None:
                     full_l = localize(
                         full_alg, [w.extend(full_alg.vars) for w in inverted]

@@ -279,7 +279,7 @@ def _named_signature(alg: PoissonAlgebra):
     sig = {}
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            el = alg.normalize(alg.table_entry(pos[names[a]], pos[names[b]]))
+            el = alg.table_entry(pos[names[a]], pos[names[b]])
             terms = []
             for mono, c in sorted(el.num.terms.items()):
                 named = tuple(

@@ -6,6 +6,12 @@ inverted denominators (the localization).  Elements are ``LocalElement``s:
 a numerator polynomial together with one denominator exponent per inverted
 polynomial.
 
+Every element an algebra hands out is in normal form (no eliminated
+variable, no cancellable denominator power).  ``element`` is the one
+coercion point that applies the ideal; the arithmetic keeps normal form by
+cancelling denominators only, so a ``LocalElement`` passed to an operation
+must come from that algebra.
+
 The bracket of arbitrary elements is computed as the biderivation
 
     {p, q} = sum_{i<j} {v_i, v_j} (d_i p d_j q - d_j p d_i q),
@@ -145,6 +151,9 @@ def format_local(el: LocalElement, algebra: "PoissonAlgebra | None") -> str:
 
 @dataclass(frozen=True, eq=False)
 class PoissonAlgebra:
+    """Invariant: every element it returns (table entries included) is in
+    normal form, established once by ``element`` and kept by the rest."""
+
     vars: Context
     table: dict[tuple[int, int], LocalElement] = field(default_factory=dict)
     ideal: SubstitutionIdeal | None = None
@@ -159,8 +168,8 @@ class PoissonAlgebra:
         return LocalElement(Poly.const(self.vars, 1), (0,) * len(self.inverted))
 
     def element(self, p: Poly | LocalElement | str) -> LocalElement:
-        """Coerce a polynomial (or report-grammar string) into the algebra
-        and put it in normal form."""
+        """Coerce a polynomial, report-grammar string or LocalElement into
+        the algebra and put it in normal form."""
         from .polys import parse_poly
 
         if isinstance(p, str):
@@ -180,10 +189,15 @@ class PoissonAlgebra:
         return self.element(Poly.var(self.vars, name))
 
     def normalize(self, el: LocalElement) -> LocalElement:
+        """Ideal normal form, then ``_cancel``; only ``element`` calls it."""
         num = self.ideal.normal_form(el.num) if self.ideal else el.num
-        den = list(el.den)
+        return self._cancel(num, el.den)
+
+    def _cancel(self, num: Poly, den: tuple[int, ...]) -> LocalElement:
+        """Cancel exact powers of the inverted denominators from num."""
         if num.is_zero():
             return LocalElement(num, (0,) * len(self.inverted))
+        den = list(den)
         for i, s in enumerate(self.inverted):
             while den[i] > 0:
                 q = num.divide_exact(s)
@@ -203,9 +217,7 @@ class PoissonAlgebra:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        den = tuple(max(x, y) for x, y in zip(a.den, b.den)) or ()
-        if not self.inverted:
-            return self.normalize(LocalElement(a.num + b.num, ()))
+        den = tuple(max(x, y) for x, y in zip(a.den, b.den))
         na = a.num
         nb = b.num
         for i, s in enumerate(self.inverted):
@@ -213,15 +225,13 @@ class PoissonAlgebra:
                 na = na * s ** (den[i] - a.den[i])
             if den[i] - b.den[i]:
                 nb = nb * s ** (den[i] - b.den[i])
-        return self.normalize(LocalElement(na + nb, den))
+        return self._cancel(na + nb, den)
 
     def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
         return self.add(a, self.scale(-1, b))
 
     def mul(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        return self.normalize(
-            LocalElement(a.num * b.num, tuple(x + y for x, y in zip(a.den, b.den)))
-        )
+        return self._cancel(a.num * b.num, tuple(x + y for x, y in zip(a.den, b.den)))
 
     def scale(self, c, a: LocalElement) -> LocalElement:
         return LocalElement(a.num.scale(c), a.den)
@@ -229,7 +239,6 @@ class PoissonAlgebra:
     def invert(self, a: LocalElement) -> LocalElement:
         """Inverse of a unit: a Laurent unit monomial times powers of the
         inverted denominators.  Raises ZeroDenominator otherwise."""
-        a = self.normalize(a)
         num = a.num
         extra = [0] * len(self.inverted)
         for i, s in enumerate(self.inverted):
@@ -250,7 +259,7 @@ class PoissonAlgebra:
             else:
                 inv_num = inv_num * self.inverted[i] ** (-k)
                 new_den.append(0)
-        return self.normalize(LocalElement(inv_num, tuple(new_den)))
+        return self._cancel(inv_num, tuple(new_den))
 
     def power(self, a: LocalElement, k: int) -> LocalElement:
         if k < 0:
@@ -273,7 +282,7 @@ class PoissonAlgebra:
 
     def partial(self, a: LocalElement, v: VarSpec) -> LocalElement:
         """Quotient-rule partial derivative d/dv."""
-        out = self.normalize(LocalElement(a.num.partial(v), a.den))
+        out = self._cancel(a.num.partial(v), a.den)
         for i, s in enumerate(self.inverted):
             k = a.den[i]
             if k == 0:
@@ -283,9 +292,7 @@ class PoissonAlgebra:
                 continue
             den = list(a.den)
             den[i] += 1
-            out = self.add(
-                out, self.normalize(LocalElement(a.num.scale(-k) * ds, tuple(den)))
-            )
+            out = self.add(out, self._cancel(a.num.scale(-k) * ds, tuple(den)))
         return out
 
     # -- the bracket ------------------------------------------------------------
@@ -300,8 +307,8 @@ class PoissonAlgebra:
         return self.scale(-1, e) if e is not None else self.zero()
 
     def bracket(self, p: Poly | LocalElement | str, q: Poly | LocalElement | str) -> LocalElement:
-        """Leibniz/biderivation extension of the generator table, followed by
-        ideal normal form and denominator cancellation."""
+        """Leibniz/biderivation extension of the generator table; a Poly or
+        string argument is coerced through ``element``."""
         a = self.element(p) if not isinstance(p, LocalElement) else p
         b = self.element(q) if not isinstance(q, LocalElement) else q
         out = self.zero()
@@ -361,7 +368,7 @@ class PoissonAlgebra:
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
                 i, j = keep[a], keep[b]
-                val = self.normalize(self.table_entry(i, j))
+                val = self.table_entry(i, j)
                 terms = []
                 for mono, c in sorted(val.num.terms.items()):
                     proj = tuple(mono[k] for k in keep)

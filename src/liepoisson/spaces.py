@@ -118,6 +118,15 @@ def covers(
     return all(ech.contains(r) for r in rows[len(spanners) :])
 
 
+def _columns(rows: Sequence[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Sparse transpose, one pass: column -> {row number: entry}."""
+    by_col: dict[int, dict[int, Fraction]] = {}
+    for i, row in enumerate(rows):
+        for col, c in row.items():
+            by_col.setdefault(col, {})[i] = c
+    return by_col
+
+
 def solve_in_span(
     alg: PoissonAlgebra,
     spanners: Sequence[LocalElement],
@@ -125,17 +134,13 @@ def solve_in_span(
 ) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of spanners, or None."""
     rows, index, caps = common_denominator_rows(alg, list(spanners) + [target])
-    ncols = len(index.index)
     # unknowns: coefficients a_i; equations: per monomial column
+    by_col = _columns(rows[:-1])
     eq_rows = []
     rhs = []
     target_row = rows[-1]
-    for col in range(ncols):
-        row = {
-            i: rows[i][col]
-            for i in range(len(spanners))
-            if col in rows[i]
-        }
+    for col in range(len(index.index)):
+        row = by_col.get(col, {})
         b = target_row.get(col, Fraction(0))
         if row or b:
             eq_rows.append(row)
@@ -177,10 +182,7 @@ def kernel_of_operators(
     """
     eq_rows: list[dict[int, Fraction]] = []
     for rows in images:
-        by_col: dict[int, dict[int, Fraction]] = {}
-        for i, row in enumerate(rows):
-            for col, c in row.items():
-                by_col.setdefault(col, {})[i] = c
+        by_col = _columns(rows)
         eq_rows.extend(by_col[col] for col in sorted(by_col))
     combos = linalg.nullspace(eq_rows, len(basis))
     out = []

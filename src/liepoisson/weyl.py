@@ -293,21 +293,8 @@ def chi_context(
     )
     y_name = "Y" if all(v.name != "Y" for v in alg.vars) else f"Y_{alpha.name}"
     y_var = VarSpec(y_name)
-    target = _adjoin_central(quo, y_var)
+    target = tensor(quo, poisson_algebra((y_var,), {}))
     return ChiContext(alg, delta, alpha, cap, target, y_var)
-
-
-def _adjoin_central(alg: PoissonAlgebra, var: VarSpec) -> PoissonAlgebra:
-    ctx = alg.vars + (var,)
-    ideal = (
-        SubstitutionIdeal(tuple((v, img.extend(ctx)) for v, img in alg.ideal.rules))
-        if alg.ideal
-        else None
-    )
-    entries = {}
-    for (i, j), val in alg.table.items():
-        entries[(i, j)] = val.num.extend(ctx)
-    return poisson_algebra(ctx, entries, ideal, tuple(s.extend(ctx) for s in alg.inverted))
 
 
 def _delta_powers(ctx: ChiContext, p: LocalElement) -> list[LocalElement]:

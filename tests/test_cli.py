@@ -160,6 +160,35 @@ def test_mathematical_negative_exit_code(tmp_path):
     assert json.loads(out2)["error"] == "HypothesisFailed"
 
 
+FILIFORM5 = {
+    "lie": {
+        "dim": 5,
+        "basis": ["e1", "e2", "e3", "e4", "e5"],
+        "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"2": "1"}},
+            {"i": 0, "j": 2, "coeffs": {"3": "1"}},
+            {"i": 0, "j": 3, "coeffs": {"4": "1"}},
+        ],
+    }
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "check84"])
+def test_search_exhausted_exit_code(tmp_path, command):
+    # the filiform algebra needs a degree-2 pair; bound 1 exhausts the search
+    problem = tmp_path / "filiform5.json"
+    problem.write_text(json.dumps(FILIFORM5))
+    code, out, _ = _capture([command, str(problem), "--max-degree", "1"])
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "search-exhausted",
+        "detail": "search exhausted at degree bound 1 (pair splitting failed)",
+    }
+    code2, out2, _ = _capture([command, str(problem), "--max-degree", "2", "--json"])
+    assert code2 == 0
+    assert "error" not in json.loads(out2)
+
+
 def test_reports_byte_identical():
     commands = [
         ["verify", path("heisenberg.json")],

@@ -15,6 +15,7 @@ from liepoisson.errors import (
 from liepoisson.poisson import (
     Derivation,
     LocalElement,
+    SubstitutionIdeal,
     canonical_from_lie,
     epsilon_derivation,
     ideal_from_pairs,
@@ -302,3 +303,62 @@ def test_quotient_descends(rng):
         upstairs = I.normal_form(A.bracket(p, q).num)
         downstairs = B.bracket(I.normal_form(p), I.normal_form(q))
         assert B.sub(B.element(upstairs), downstairs).is_zero()
+
+
+def _normal_form_algebras():
+    """Heisenberg with z = 1, and B1 tensor B1 with two inverted
+    denominators, each with the units its elements may be divided by."""
+    A = canonical_from_lie(heisenberg())
+    quo = quotient(A, ideal_from_pairs(A.vars, [("z", "1")]))
+    ctx2 = make_vars("X2 Y2")
+    B = tensor(b1(), poisson_algebra(ctx2, {(0, 1): Poly.const(ctx2, 1)}))
+    loc = localize(B, [Poly.var(B.vars, "X"), parse_poly("X2 + Y", B.vars)])
+    return [(quo, []), (loc, [loc.element(s) for s in loc.inverted])]
+
+
+def test_operations_keep_normal_form(rng):
+    # element() is the only place the normal form is applied; every
+    # operation on its results must hand back normal elements
+    for alg, units in _normal_form_algebras():
+
+        def sample(lo, hi):
+            c = F(rng.randint(1, 5), rng.randint(1, 3))
+            el = alg.element(Poly.const(alg.vars, c))
+            for u in units:
+                el = alg.mul(el, alg.power(u, rng.randint(lo, hi)))
+            return el
+
+        fractions = 0
+        for _ in range(12):
+            a = alg.mul(alg.element(random_poly(rng, alg.vars, 3)), sample(-2, 1))
+            b = alg.mul(alg.element(random_poly(rng, alg.vars, 3)), sample(-2, 1))
+            results = [
+                alg.add(a, b),
+                alg.add(a, alg.sub(b, a)),  # equals b: needs cancelling
+                alg.sub(a, b),
+                alg.mul(a, b),
+                alg.bracket(a, b),
+                alg.invert(sample(-2, 2)),
+            ] + [alg.partial(a, v) for v in alg.vars]
+            for r in results:
+                assert alg.normalize(r) == r
+                fractions += not r.is_polynomial()
+        assert fractions > 0 if units else fractions == 0
+
+
+def test_bracket_of_elements_skips_ideal_normal_form(monkeypatch):
+    A = canonical_from_lie(heisenberg())
+    Q = quotient(A, ideal_from_pairs(A.vars, [("z", "1")]))
+    p, q = Q.element("x^2*z + y*z^3"), Q.element("x*y^2 - z")
+    want = Q.bracket(p, q)
+    calls = []
+    normal_form = SubstitutionIdeal.normal_form
+
+    def counted(self, poly):
+        calls.append(poly)
+        return normal_form(self, poly)
+
+    monkeypatch.setattr(SubstitutionIdeal, "normal_form", counted)
+    assert Q.bracket(p, q) == want
+    assert Q.format(want) == "4*x^2*y - y^2"  # {x^2 + y, x*y^2 - 1}
+    assert calls == []

@@ -14,6 +14,7 @@ from liepoisson.errors import (
 )
 from liepoisson.poisson import (
     Derivation,
+    LocalElement,
     canonical_from_lie,
     ideal_from_pairs,
     inner_derivation,
@@ -214,6 +215,23 @@ def test_chi_context_validation():
         ctx2 = make_vars("u")
         A2 = poisson_algebra(ctx2, {})
         chi_context(A2, Derivation({"u": A2.gen("u")}), "u", cap=8)
+
+
+def test_chi_target_keeps_table_denominators():
+    # {p, q} = 1/s with s inverted: the target of chi must carry the 1/s
+    ctx = make_vars("a p q s")
+    A = poisson_algebra(
+        ctx,
+        {(1, 2): LocalElement(Poly.const(ctx, 1), (1,))},
+        inverted=[Poly.var(ctx, "s")],
+    )
+    C = chi_context(A, Derivation({"a": A.one()}), "a")
+    T = C.target
+    assert A.format(A.bracket(A.gen("p"), A.gen("q"))) == "1/s"
+    assert T.bracket(T.gen("p"), T.gen("q")) == LocalElement(Poly.const(T.vars, 1), (1,))
+    assert T.format(T.bracket(T.gen("p"), T.gen("q"))) == "1/s"
+    assert [v.name for v in T.vars] == ["a", "p", "q", "s", "Y"]
+    assert T.inverted == (Poly.var(T.vars, "s"),)
 
 
 def test_chi_tensor_cases():
