@@ -58,9 +58,10 @@ from .poisson import (
 from .polys import Poly
 from .spaces import (
     basis_monomials,
-    common_denominator_rows,
+    combination,
     covers,
     independent,
+    independent_subset,
     kernel_of_operators,
     monomials_up_to,
     operator_rows,
@@ -84,22 +85,21 @@ class DecompositionResult:
 # plumbing
 
 
-def _chain_order(g: LieAlgebra, ideal: SubstitutionIdeal | None):
+def _chain_order(flag, ideal: SubstitutionIdeal | None):
     """Flag generators as a variable ordering.  Only coordinate-aligned
     flags can thread a nonempty substitution ideal through the levels."""
-    flag = jordan_holder(g)
     order = []
     for gen in flag.generators:
         nz = [j for j, c in enumerate(gen) if c != 0]
         order.append(nz[0] if len(nz) == 1 and gen[nz[0]] == 1 else None)
     if all(k is not None for k in order):
-        return flag, list(order)
+        return order
     if ideal is not None and not ideal.is_empty():
         raise UnsupportedChain(
             "flag is not aligned with the coordinate variables; "
             "re-present the algebra on a flag basis or drop the ideal"
         )
-    return flag, None
+    return None
 
 
 def _rebase_to_flag(g: LieAlgebra, flag) -> LieAlgebra:
@@ -167,27 +167,7 @@ def _center_with_denominators(quotient_alg, localized, d, den_cap):
             el.den,
         )
     )
-    return _independent_subset(localized, cands, den_cap)
-
-
-def _independent_subset(alg, elements, den_cap):
-    """Greedy echelon filter; elements are compared over the fixed common
-    denominator (multiplying by denominators is injective in a domain)."""
-    from . import linalg
-    from .spaces import SliceIndex
-
-    index = SliceIndex()
-    ech = linalg.Echelon()
-    out = []
-    for el in elements:
-        num = el.num
-        for i, s in enumerate(alg.inverted):
-            k = den_cap - el.den[i]
-            if k > 0:
-                num = num * s**k
-        if ech.add(index.row_of(num)):
-            out.append(el)
-    return out
+    return independent_subset(localized, cands)
 
 
 def _pair_monomials(alg, pairs, d):
@@ -210,14 +190,9 @@ def _expand_in_pairs(alg, center_list, pairs, target, dmax):
         if sol is None:
             continue
         coeffs = {}
-        k = 0
-        for expo in expos:
-            acc = alg.zero()
-            for c in center_list:
-                a = sol[k]
-                k += 1
-                if a != 0:
-                    acc = alg.add(acc, alg.scale(a, c))
+        width = len(center_list)
+        for k, expo in enumerate(expos):
+            acc = combination(alg, sol[k * width : (k + 1) * width], center_list)
             if not acc.is_zero():
                 coeffs[expo] = acc
         return coeffs
@@ -303,6 +278,18 @@ def _split_against_pairs(alg, center_list, pairs, z_el, d):
     return _integrate_pair_potential(alg, len(pairs), dx_targets, dy_targets)
 
 
+def _pair_potential(cur_l, prev_q, pairs, z_el, d):
+    """The potential b, evaluated on the pairs, with {b, .} = {z, .} on
+    every pair element; zero when there are no pairs yet."""
+    if not pairs:
+        return cur_l.zero()
+    exp_center = _center_with_denominators(prev_q, cur_l, d, d)
+    bexp = _split_against_pairs(cur_l, exp_center, pairs, z_el, d)
+    if bexp is None:
+        raise SearchExhausted(d, "(pair splitting failed)")
+    return _eval_pair_poly(cur_l, bexp, pairs)
+
+
 def _central_choice(full_alg, candidates, d):
     """Deterministic nonzero g-central element in the span of the
     candidates; HypothesisFailed with a weight certificate when only a
@@ -323,9 +310,7 @@ def _central_choice(full_alg, candidates, d):
         v = central[0]
         lead = max(v.num.terms, key=lambda m: (sum(m), m))
         return full_alg.scale(Fraction(1) / v.num.terms[lead], v)
-    rows, _, _ = common_denominator_rows(full_alg, candidates)
-    ech = linalg.Echelon()
-    basis = [c for c, row in zip(candidates, rows) if ech.add(row)]
+    basis = independent_subset(full_alg, candidates)
     mats = []
     for v in full_alg.vars:
         gen = full_alg.gen(v.name)
@@ -340,11 +325,7 @@ def _central_choice(full_alg, candidates, d):
         )
     for vals, space in module_eigenspaces(mats, len(basis)):
         if any(c != 0 for c in vals):
-            vec = space.basis[0]
-            el = full_alg.zero()
-            for c, b in zip(vec, basis):
-                if c != 0:
-                    el = full_alg.add(el, full_alg.scale(c, b))
+            el = combination(full_alg, space.basis[0], basis)
             raise HypothesisFailed(tuple(map(str, vals)), full_alg.format(el))
     raise EigenvalueNotRational("(no rational eigenvector in the derivation image)")
 
@@ -426,18 +407,21 @@ def decompose(
     trace: dict = {"degree_bound": d, "levels": []}
     if _skip_hypothesis:
         trace["hypothesis"] = "nilpotent action (central semi-invariants automatic)"
+        flag = jordan_holder(g)
     else:
         report = semi_invariants(g, ideal, d)
         for w, basis in report.entries:
             if not w.is_zero():
                 raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
         trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
+        flag = report.flag
 
-    flag, order = _chain_order(g, ideal)
+    order = _chain_order(flag, ideal)
     if order is None:
         g = _rebase_to_flag(g, flag)
         ideal = None
-        flag, order = _chain_order(g, ideal)
+        flag = jordan_holder(g)
+        order = _chain_order(flag, ideal)
         if order is None:  # pragma: no cover
             raise UnsupportedChain("flag re-presentation failed")
         trace["basis_change"] = "re-presented on the flag basis"
@@ -448,7 +432,7 @@ def decompose(
         else None
     )
 
-    full_alg = reduced_algebra(g, ideal)
+    full_alg = full_l = reduced_algebra(g, ideal)
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_q = None
@@ -459,11 +443,6 @@ def decompose(
         step = {"level": level, "generator": g.basis[z_idx].name}
         cur_q, cur_l = _level_algebras(g, ideal, order, level, inverted)
         pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
-        full_l = (
-            localize(full_alg, [w.extend(full_alg.vars) for w in inverted])
-            if (s is not None and inverted)
-            else full_alg
-        )
 
         # plain previous center: the domain where v and u are searched
         if prev_q is None:
@@ -485,16 +464,11 @@ def decompose(
 
         if not nonzero:
             step["case"] = "a"
+            x_new = z_el
             if pairs:
-                exp_center = _center_with_denominators(prev_q, cur_l, d, d)
-                bexp = _split_against_pairs(cur_l, exp_center, pairs, z_el, d)
-                if bexp is None:
-                    raise SearchExhausted(d, "(pair splitting failed)")
-                b_el = _eval_pair_poly(cur_l, bexp, pairs)
+                b_el = _pair_potential(cur_l, prev_q, pairs, z_el, d)
                 x_new = cur_l.sub(z_el, b_el)
                 step["potential"] = cur_l.format(b_el)
-            else:
-                x_new = z_el
             _assert_commutes(cur_l, x_new, pairs, plain_center, d)
             step["adjoined_central"] = cur_l.format(x_new)
         else:
@@ -506,10 +480,7 @@ def decompose(
             combo = solve_in_span(cur_l, images, v_cur)
             if combo is None:
                 raise SearchExhausted(d, "(no preimage for the central image)")
-            u = cur_l.zero()
-            for a, (c, _) in zip(combo, nonzero):
-                if a != 0:
-                    u = cur_l.add(u, cur_l.scale(a, c))
+            u = combination(cur_l, combo, [c for c, _ in nonzero])
             if s is not None:
                 theta = theta_by_level[level - 1]
                 u = _project_s_weight(cur_l, full_l, g, s, u, [-t for t in theta])
@@ -523,25 +494,15 @@ def decompose(
                 v_level = v_poly.restrict(cur_l.vars) if v_poly.ctx != cur_l.vars else v_poly
                 if not any(str(v_level) == str(w) for w in inverted):
                     inverted.append(v_level)
-                    cur_q, cur_l = _level_algebras(g, ideal, order, level, inverted)
+                    cur_l = localize(cur_l, [v_level])
                     pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
                     u = cur_l.element(u)
                     z_el = cur_l.element(z_el)
-                if s is not None:
-                    full_l = localize(
-                        full_alg, [w.extend(full_alg.vars) for w in inverted]
-                    )
+                    if s is not None:
+                        full_l = localize(full_l, [v_level.extend(full_alg.vars)])
                 v_inv = cur_l.invert(cur_l.element(v_level.extend(cur_l.vars)))
                 y_new = cur_l.mul(u, v_inv)
-            exp_center = (
-                _center_with_denominators(prev_q, cur_l, d, d)
-                if prev_q is not None
-                else [cur_l.one()]
-            )
-            bexp = _split_against_pairs(cur_l, exp_center, pairs, z_el, d)
-            if bexp is None:
-                raise SearchExhausted(d, "(pair splitting failed)")
-            b_el = _eval_pair_poly(cur_l, bexp, pairs)
+            b_el = _pair_potential(cur_l, prev_q, pairs, z_el, d)
             if s is not None:
                 b_el = _project_s_weight(
                     cur_l, full_l, g, s, b_el, list(theta_by_level[level - 1])
@@ -620,8 +581,9 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     report["mult_map_surjective"] = False
     for pair_bound in range(check_degree, window + 1):
         products = []
+        monomials = _pair_monomials(alg, res.pairs, pair_bound)
         for c in center_list:
-            for w in _pair_monomials(alg, res.pairs, pair_bound):
+            for w in monomials:
                 prod = alg.mul(c, w)
                 if prod.num.degree() <= 3 * check_degree and all(
                     e <= window for e in prod.den

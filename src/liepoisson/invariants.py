@@ -187,6 +187,8 @@ def _restrict_ideal(
         return SubstitutionIdeal(())
     comp_names = {g.basis[i].name for i in complement}
     aligned = _aligned_names(g, sub)
+    # images live on the kernel subalgebra's variables, in basis order
+    sub_ctx = tuple(u for u in g.basis if u.name in (aligned or ()))
     rules = []
     for v, img in ideal.rules:
         if v.name in comp_names:
@@ -195,7 +197,7 @@ def _restrict_ideal(
             raise ComplementEliminated(
                 f"{v.name} (rule not supported inside the kernel subalgebra)"
             )
-        rules.append((v, img))
+        rules.append((v, img.restrict(sub_ctx)))
     return SubstitutionIdeal(tuple(rules))
 
 

@@ -96,13 +96,31 @@ def common_denominator_rows(
     return rows, index, caps
 
 
-def span_dimension(alg: PoissonAlgebra, elements: Sequence[LocalElement]) -> int:
+def independent_subset(
+    alg: PoissonAlgebra, elements: Sequence[LocalElement]
+) -> list[LocalElement]:
+    """Greedy echelon filter: the elements that raise the rank of those
+    accepted before them, in order.  Rows are taken over the common
+    denominator; any common denominator accepts the same elements, because
+    multiplying by a denominator is injective."""
     rows, _, _ = common_denominator_rows(alg, elements)
-    return linalg.rank(rows)
+    ech = linalg.Echelon()
+    return [el for el, row in zip(elements, rows) if ech.add(row)]
 
 
 def independent(alg: PoissonAlgebra, elements: Sequence[LocalElement]) -> bool:
-    return span_dimension(alg, elements) == len(elements)
+    return len(independent_subset(alg, elements)) == len(elements)
+
+
+def combination(
+    alg: PoissonAlgebra, coeffs: Sequence[Fraction], elements: Sequence[LocalElement]
+) -> LocalElement:
+    """sum(a_i elements_i), added in order, skipping zero coefficients."""
+    acc = alg.zero()
+    for a, el in zip(coeffs, elements):
+        if a != 0:
+            acc = alg.add(acc, alg.scale(a, el))
+    return acc
 
 
 def covers(
@@ -185,11 +203,4 @@ def kernel_of_operators(
         by_col = _columns(rows)
         eq_rows.extend(by_col[col] for col in sorted(by_col))
     combos = linalg.nullspace(eq_rows, len(basis))
-    out = []
-    for combo in combos:
-        acc = alg.zero()
-        for a, b in zip(combo, basis):
-            if a != 0:
-                acc = alg.add(acc, alg.scale(a, b))
-        out.append(acc)
-    return out
+    return [combination(alg, combo, basis) for combo in combos]

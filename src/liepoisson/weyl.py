@@ -36,6 +36,7 @@ from .poisson import (
     is_p_derivation,
     poisson_algebra,
     quotient,
+    skew_extend,
     tensor,
 )
 from .polys import Context, Poly, VarSpec
@@ -76,9 +77,6 @@ class WeylPresentation:
         for i in range(self.n):
             entries[(i, self.n + i)] = Poly.const(ctx, 1)  # {X_i, Y_i} = 1
         return poisson_algebra(ctx, entries)
-
-    def pair_index(self, i: int) -> tuple[int, int]:
-        return i, self.n + i
 
     def is_center_poly(self, p: Poly) -> bool:
         znames = {v.name for v in self.center_vars}
@@ -307,39 +305,49 @@ def _delta_powers(ctx: ChiContext, p: LocalElement) -> list[LocalElement]:
     return out[:-1]
 
 
+def _series(
+    ctx: ChiContext, el: LocalElement, target: PoissonAlgebra, y_name: str
+) -> LocalElement:
+    """sum 1/n! [delta^n(el) mod alpha] Y^n in ``target``, whose ideal kills
+    alpha; each delta^n(el) keeps its denominator."""
+    y = target.gen(y_name)
+    acc = target.zero()
+    for nn, dn in enumerate(_delta_powers(ctx, el)):
+        term = target.monomial([y], (nn,), start=target.element(dn))
+        acc = target.add(acc, target.scale(Fraction(1, factorial(nn)), term))
+    return acc
+
+
+def _by_last_power(el: LocalElement, base: PoissonAlgebra) -> dict[int, LocalElement]:
+    """Group el by the exponent of its last variable: power -> coefficient
+    in ``base``, whose context is el's minus that variable; keeps el.den."""
+    groups: dict[int, dict] = {}
+    for mono, c in el.num.terms.items():
+        groups.setdefault(mono[-1], {})[mono[:-1]] = c
+    return {
+        k: base.element(LocalElement(Poly(base.vars, terms), el.den))
+        for k, terms in sorted(groups.items())
+    }
+
+
 def chi_forward(ctx: ChiContext, p: Poly | LocalElement) -> LocalElement:
     """chi(p) = sum 1/n! [delta^n(p) mod alpha] Y^n; a P-isomorphism onto
     the quotient extended by the central variable Y."""
-    alg = ctx.algebra
-    el = alg.element(p) if not isinstance(p, LocalElement) else p
+    el = ctx.algebra.element(p) if not isinstance(p, LocalElement) else p
     if not el.is_polynomial():
         raise ValueError("the exponential transform acts on polynomial elements")
-    tgt = ctx.target
-    acc = tgt.zero()
-    for nn, dn in enumerate(_delta_powers(ctx, el)):
-        num = dn.num.extend(tgt.vars)
-        ypow = Poly.var(tgt.vars, ctx.y_var.name) ** nn
-        term = tgt.element(num * ypow)
-        acc = tgt.add(acc, tgt.scale(Fraction(1, factorial(nn)), term))
-    return acc
+    return _series(ctx, el, ctx.target, ctx.y_var.name)
 
 
 def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
     """theta(p-bar Y^n) = sum_m (-1)^m/m! delta^m(p) alpha^(m+n); the exact
     inverse of chi_forward."""
     alg = ctx.algebra
-    tgt = ctx.target
-    el = tgt.element(q) if not isinstance(q, LocalElement) else q
-    y_idx = len(tgt.vars) - 1
+    el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
     acc = alg.zero()
     alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
-    by_y: dict[int, dict] = {}
-    for mono, c in el.num.terms.items():
-        by_y.setdefault(mono[y_idx], {})[mono[:y_idx]] = c
-    for ypow, terms in sorted(by_y.items()):
-        # target context minus Y is exactly alg's context (alpha kept, exponent 0)
-        coeff = Poly(alg.vars, dict(terms))
-        lifted = alg.element(coeff)
+    # target context minus Y is exactly alg's context (alpha kept, exponent 0)
+    for ypow, lifted in _by_last_power(el, alg).items():
         for m, dm in enumerate(_delta_powers(ctx, lifted)):
             term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
             acc = alg.add(acc, alg.scale(Fraction((-1) ** m, factorial(m)), term))
@@ -358,7 +366,7 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
     """Straighten the skew extension A_delta{X} into (A/A alpha) tensor B_1:
     chi(X) = 1 tensor X_1, and on A the same series as chi_forward with Y_1
     in place of Y.  Verified by rebuilding the bracket table on generators."""
-    source = skew = _skew(ctx, x_name)
+    source = skew = skew_extend(ctx.algebra, ctx.delta, x_name)
     quo = quotient(
         ctx.algebra, SubstitutionIdeal(((ctx.alpha, Poly.zero(ctx.algebra.vars)),))
     )
@@ -372,22 +380,11 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
 
     def fwd(p: Poly | LocalElement) -> LocalElement:
         el = skew.element(p) if not isinstance(p, LocalElement) else p
-        x_idx = len(skew.vars) - 1
+        x = target.gen(xn)
         acc = target.zero()
-        for mono, c in el.num.terms.items():
-            a_mono = mono[:x_idx]
-            a_part = ctx.algebra.element(Poly(ctx.algebra.vars, {a_mono: c}))
-            img = target.zero()
-            for nn, dn in enumerate(_delta_powers(ctx, a_part)):
-                term = target.element(
-                    dn.num.extend(target.vars)
-                    * Poly.var(target.vars, yn) ** nn
-                )
-                img = target.add(img, target.scale(Fraction(1, factorial(nn)), term))
-            img = target.mul(
-                img, target.element(Poly.var(target.vars, xn) ** mono[x_idx])
-            )
-            acc = target.add(acc, img)
+        for power, coeff in _by_last_power(el, ctx.algebra).items():
+            img = _series(ctx, coeff, target, yn)
+            acc = target.add(acc, target.monomial([x], (power,), start=img))
         return acc
 
     # verify the generator bracket table is carried onto the tensor table
@@ -402,12 +399,6 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
                 ok = False
     x_image = fwd(skew.gen(x_name))
     return ChiTensorResult(source, target, x_image, ok)
-
-
-def _skew(ctx: ChiContext, x_name: str) -> PoissonAlgebra:
-    from .poisson import skew_extend
-
-    return skew_extend(ctx.algebra, ctx.delta, x_name)
 
 
 # ---------------------------------------------------------------------------

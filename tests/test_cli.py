@@ -133,6 +133,31 @@ def test_input_error_exit_code(tmp_path):
     assert code2 == 2
 
 
+def test_unsupported_chain_exit_code(tmp_path):
+    # non-aligned flag plus a nonempty ideal: an input the recursion rejects
+    problem = tmp_path / "chain.json"
+    problem.write_text(
+        json.dumps(
+            {
+                "lie": {
+                    "dim": 3,
+                    "basis": ["b1", "b2", "b3"],
+                    "brackets": [
+                        {"i": 0, "j": 1, "coeffs": {"0": "-1", "2": "1"}},
+                        {"i": 1, "j": 2, "coeffs": {"0": "1", "2": "-1"}},
+                    ],
+                },
+                "ideal": [{"var": "b3", "value": "b1 + 1"}],
+            }
+        )
+    )
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "4"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "UnsupportedChain"
+    assert "not aligned" in report["detail"]
+
+
 def test_mathematical_negative_exit_code(tmp_path):
     # invalid Jacobi table: verify reports validity false with exit 1
     bad = tmp_path / "lie.json"

@@ -12,7 +12,7 @@ from liepoisson.decompose import (
     decompose_nilpotent,
     verify_decomposition,
 )
-from liepoisson.errors import HypothesisFailed, NotNilpotent
+from liepoisson.errors import HypothesisFailed, NotNilpotent, UnsupportedChain
 from liepoisson.lie import Subspace, verify_lie
 from liepoisson.poisson import ideal_from_pairs
 
@@ -161,3 +161,35 @@ def test_non_aligned_flag_rebased():
     assert res.n == 1
     assert "basis_change" in res.trace
     assert verify_decomposition(res, 3)["ok"]
+
+
+def test_non_aligned_flag_with_ideal_unsupported():
+    # the same non-aligned Heisenberg cannot be re-presented with an ideal
+    g = verify_lie(
+        "b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}}
+    )
+    with pytest.raises(UnsupportedChain):
+        decompose(g, ideal_from_pairs(g.basis, [("b3", "b1 + 1")]), 4)
+
+
+def test_flag_computed_once(monkeypatch):
+    # decompose reuses the flag that the semi-invariant search computed
+    import importlib
+
+    from liepoisson import invariants
+    from liepoisson.lie import jordan_holder
+
+    # the package re-exports the function under the submodule's name
+    decompose_module = importlib.import_module("liepoisson.decompose")
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return jordan_holder(g)
+
+    monkeypatch.setattr(invariants, "jordan_holder", counted)
+    monkeypatch.setattr(decompose_module, "jordan_holder", counted)
+    res = decompose(eng4(), None, 6)
+    assert res.n == 1
+    assert len(calls) == 1

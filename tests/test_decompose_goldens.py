@@ -1,0 +1,77 @@
+"""Byte-for-byte goldens for the center tensor Weyl decomposition.
+
+Each case records e, n, the formatted pairs and center basis, the trace and
+the ``verify_decomposition`` report.  Regenerate (only when a change of
+output is intended) with
+
+    PYTHONPATH=src:tests python tests/test_decompose_goldens.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import sys
+
+from liepoisson.decompose import decompose, decompose_nilpotent, verify_decomposition
+from liepoisson.lie import Subspace, verify_lie
+from liepoisson.poisson import ideal_from_pairs
+
+from conftest import abelian, eng4, heisenberg, random_basis_change
+from test_acceptance import DECOMP_FIXTURES
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "decompose_goldens.json")
+
+
+def _record(res, check_degree):
+    alg = res.algebra
+    return {
+        "e": str(res.e),
+        "n": res.n,
+        "pairs": [[alg.format(x), alg.format(y)] for x, y in res.pairs],
+        "center": [alg.format(c) for c in res.center_basis],
+        "trace": res.trace,
+        "verify": verify_decomposition(res, check_degree),
+    }
+
+
+def compute_goldens() -> dict:
+    out = {}
+    for name, g, pairs in DECOMP_FIXTURES:
+        ideal = ideal_from_pairs(g.basis, pairs) if pairs else None
+        out[name] = _record(decompose(g, ideal, 6), 4)
+    # [x,y] = z, [t,x] = x, [t,y] = -y; s = <t> acts semisimply
+    g = verify_lie("x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}})
+    ideal = ideal_from_pairs(g.basis, [("z", "1")])
+    out["semisimple-s=<t>"] = _record(
+        decompose(g, ideal, 6, s=Subspace(4, [(0, 0, 0, 1)])), 4
+    )
+    # Heisenberg on (x, y, x + z): the flag is not coordinate-aligned
+    g = verify_lie("b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}})
+    out["rebase-b1b2b3"] = _record(decompose(g, None, 5), 3)
+    bases = [("heisenberg", heisenberg()), ("abelian-3", abelian(3)), ("eng4", eng4())]
+    for seed in range(4):
+        base_name, base = bases[seed % len(bases)]
+        g = random_basis_change(random.Random(seed), base)
+        out[f"conjugate-{base_name}-seed{seed}"] = _record(
+            decompose_nilpotent(g, None, 5), 3
+        )
+    return out
+
+
+def _dump(data: dict) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_decompose_matches_goldens():
+    with open(GOLDEN) as fh:
+        want = fh.read()
+    assert _dump(compute_goldens()) == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_decompose_goldens.py --write")
+    with open(GOLDEN, "w") as fh:
+        fh.write(_dump(compute_goldens()))

@@ -3,6 +3,9 @@ the presentation over the kernel subalgebra."""
 
 from fractions import Fraction
 
+import pytest
+
+from liepoisson.errors import ComplementEliminated
 from liepoisson.invariants import (
     center_up_to_degree,
     ghat,
@@ -144,6 +147,24 @@ def test_present_over_ghat_matches():
     assert res.matches and len(res.derivation_names) == 2
 
 
+def test_present_over_ghat_with_restricted_ideal():
+    # the ideal x -> 1 lies inside the kernel subalgebra <x, y>; its rule
+    # images must be restricted to that subalgebra's variables
+    g = verify_lie("t x y", {(0, 2): {2: 1}})
+    res = present_over_ghat(g, ideal_from_pairs(g.basis, [("x", "1")]), 3)
+    assert res.matches and res.derivation_names == ("t",)
+    [(v, img)] = res.data.restricted_ideal.rules
+    assert v.name == "x" and str(img) == "1"
+    assert [u.name for u in img.ctx] == ["x", "y"]
+
+
+def test_present_over_ghat_kernel_not_aligned():
+    # [t,y] = y, [s,y] = y: the weight kernel is spanned by t - s
+    g = verify_lie("t s y", {(0, 2): {2: 1}, (1, 2): {2: 1}})
+    with pytest.raises(ComplementEliminated):
+        present_over_ghat(g, None, 3)
+
+
 def test_present_over_ghat_rebuild_table():
     res = present_over_ghat(aff2(), None, 3)
     rebuilt = res.rebuilt
@@ -258,3 +279,37 @@ def test_kernel_of_operators_with_denominators():
         assert all(L.bracket(v.name, k).is_zero() for v in L.vars)
     # the decomposition's central choice solves the same kind of system
     assert L.format(_central_choice(L, basis[3:], 2)) == "1/z^2"
+
+
+def test_independent_subset_is_rank_increasing_prefix():
+    from liepoisson import linalg
+    from liepoisson.poisson import LocalElement, localize
+    from liepoisson.polys import Poly
+    from liepoisson.spaces import SliceIndex, independent, independent_subset
+
+    # the Heisenberg algebra with z inverted; the elements mix denominators
+    A = canonical_from_lie(heisenberg())
+    L = localize(A, [Poly.var(A.vars, "z")])
+    terms = [
+        ("x", 1), ("x", 0), ("x*z", 2), ("y", 2), ("x*z^2 + y", 2),
+        ("1", 1), ("z", 2), ("y*z", 1), ("x*y", 0), ("z^3", 2), ("x*y*z", 1),
+    ]
+    elements = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in terms]
+    z = Poly.var(L.vars, "z")
+
+    def rank(els):
+        # reference: every element over the fixed denominator z^3
+        index = SliceIndex()
+        return linalg.rank([index.row_of(el.num * z ** (3 - el.den[0])) for el in els])
+
+    want = [
+        el for i, el in enumerate(elements)
+        if rank(elements[: i + 1]) > rank(elements[:i])
+    ]
+    got = independent_subset(L, elements)
+    assert got == want
+    # dropped: x*z/z^2 = x/z, (x*z^2 + y)/z^2, z/z^2 = 1/z, x*y*z/z = x*y
+    assert [terms[elements.index(el)] for el in got] == [
+        ("x", 1), ("x", 0), ("y", 2), ("1", 1), ("y*z", 1), ("x*y", 0), ("z^3", 2)
+    ]
+    assert independent(L, got) and not independent(L, elements)

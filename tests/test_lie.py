@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepoisson.errors import EigenvalueNotRational, JacobiViolation
+from liepoisson.errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
 from liepoisson.lie import (
     Subspace,
     basis_vec,
@@ -73,6 +73,13 @@ def test_nilradical_examples():
     assert n2.dim == 4
     assert n2.contains((1, 0, 0, 0, 0)) and n2.contains((0, 0, 0, 0, 1))
     assert not n2.contains((0, 0, 0, 1, 0))
+
+
+def test_nilradical_undecided_on_sl2():
+    # sl2 is not solvable: the heuristic candidate is not a nilpotent ideal
+    sl2 = verify_lie("e f h", {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+    with pytest.raises(NilradicalUndecided):
+        nilradical(sl2)
 
 
 def test_jordan_holder_aff2():

@@ -234,6 +234,47 @@ def test_chi_target_keeps_table_denominators():
     assert T.inverted == (Poly.var(T.vars, "s"),)
 
 
+def _localized_chi_ctx():
+    # {p, q} = 1 with s inverted and delta = {a: 1, q: 1/s}: delta^n(p)
+    # carries denominators, which chi must keep
+    ctx = make_vars("a p q s")
+    A = poisson_algebra(
+        ctx,
+        {(1, 2): LocalElement(Poly.const(ctx, 1), (0,))},
+        inverted=[Poly.var(ctx, "s")],
+    )
+    delta = Derivation({"a": A.one(), "q": A.invert(A.gen("s"))})
+    return A, chi_context(A, delta, "a")
+
+
+def test_chi_keeps_denominators():
+    A, C = _localized_chi_ctx()
+    fwd = chi_forward(C, A.gen("q"))
+    assert C.target.format(fwd) == "(q*s + Y)/s"
+    assert chi_inverse(C, fwd) == A.gen("q")
+    res = chi_tensor(C)
+    assert res.table_matches
+    assert res.target.format(res.x_image) == "X1"
+
+
+def test_chi_localized_roundtrips_random(rng):
+    A, C = _localized_chi_ctx()
+    for _ in range(30):
+        p = A.element(random_poly(rng, A.vars, max_degree=4))
+        assert chi_inverse(C, chi_forward(C, p)) == p
+
+
+def test_chi_localized_is_bracket_homomorphism(rng):
+    A, C = _localized_chi_ctx()
+    T = C.target
+    for _ in range(25):
+        p = A.element(random_poly(rng, A.vars, max_degree=3))
+        q = A.element(random_poly(rng, A.vars, max_degree=3))
+        lhs = chi_forward(C, A.bracket(p, q))
+        rhs = T.bracket(chi_forward(C, p), chi_forward(C, q))
+        assert T.sub(lhs, rhs).is_zero()
+
+
 def test_chi_tensor_cases():
     # A = Q[alpha]: the extension is exactly one Weyl pair
     ctx_a = make_vars("alpha")
