@@ -57,10 +57,9 @@ from .poisson import (
 )
 from .polys import Poly
 from .spaces import (
+    Span,
     basis_monomials,
     combination,
-    covers,
-    independent,
     independent_subset,
     kernel_of_operators,
     monomials_up_to,
@@ -170,9 +169,14 @@ def _center_with_denominators(quotient_alg, localized, d, den_cap):
     return independent_subset(localized, cands)
 
 
-def _pair_monomials(alg, pairs, d):
+def _pair_monomials(alg, pairs, d, low=0):
+    """Monomials in the flattened pairs of degree low..d, ascending."""
     flat = [el for pr in pairs for el in pr]
-    return [alg.monomial(flat, expo) for expo in monomials_up_to(len(flat), d)]
+    return [
+        alg.monomial(flat, expo)
+        for expo in monomials_up_to(len(flat), d)
+        if sum(expo) >= low
+    ]
 
 
 def _expand_in_pairs(alg, center_list, pairs, target, dmax):
@@ -574,25 +578,33 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     ]
     # generators can carry pair-degree and center-degree above their
     # polynomial degree (a generator may expand as center * pair^2), so the
-    # bookkeeping uses its own window, escalating the pair bound as needed
+    # bookkeeping uses its own window, escalating the pair bound as needed.
+    # One span serves the whole escalation: rows sit over the fixed
+    # denominator s^window per inverted s (products are filtered to den <=
+    # window, targets have den <= check_degree), so each bound adds only
+    # the products of its new pair monomials.  The map is injective iff
+    # every added row raises the rank; it is surjective once the span
+    # contains every target.
     window = 2 * check_degree
     center_list = _center_with_denominators(alg, alg, window, window)
+    span = Span(alg, (window,) * nden)
+    pending = targets
     report["mult_map_injective"] = False
     report["mult_map_surjective"] = False
     for pair_bound in range(check_degree, window + 1):
-        products = []
-        monomials = _pair_monomials(alg, res.pairs, pair_bound)
-        for c in center_list:
-            for w in monomials:
-                prod = alg.mul(c, w)
-                if prod.num.degree() <= 3 * check_degree and all(
-                    e <= window for e in prod.den
-                ):
-                    products.append(prod)
-        report["mult_map_injective"] = independent(alg, products)
+        low = 0 if pair_bound == check_degree else pair_bound
+        monomials = _pair_monomials(alg, res.pairs, pair_bound, low)
+        products = [alg.mul(c, w) for c in center_list for w in monomials]
+        report["mult_map_injective"] = all(
+            span.add(prod)
+            for prod in products
+            if prod.num.degree() <= 3 * check_degree
+            and all(e <= window for e in prod.den)
+        )
         if not report["mult_map_injective"]:
             break
-        if covers(alg, products, targets):
+        pending = [t for t in pending if not span.contains(t)]
+        if not pending:
             report["mult_map_surjective"] = True
             report["pair_degree_used"] = pair_bound
             break

@@ -306,21 +306,29 @@ class PoissonAlgebra:
         e = self.table.get((j, i))
         return self.scale(-1, e) if e is not None else self.zero()
 
+    def _partials(self, a: LocalElement) -> dict[int, LocalElement]:
+        """Nonzero partials of a by variable index.  Only the variables of
+        the numerator can give one, and by the quotient rule those of each
+        inverted element with a nonzero power in the denominator."""
+        used = a.num.variable_indices()
+        for s, k in zip(self.inverted, a.den):
+            if k:
+                used |= s.variable_indices()
+        out = {}
+        for i in sorted(used):
+            d = self.partial(a, self.vars[i])
+            if not d.is_zero():
+                out[i] = d
+        return out
+
     def bracket(self, p: Poly | LocalElement | str, q: Poly | LocalElement | str) -> LocalElement:
         """Leibniz/biderivation extension of the generator table; a Poly or
         string argument is coerced through ``element``."""
         a = self.element(p) if not isinstance(p, LocalElement) else p
         b = self.element(q) if not isinstance(q, LocalElement) else q
         out = self.zero()
-        parts_a = {}
-        parts_b = {}
-        for i, v in enumerate(self.vars):
-            da = self.partial(a, v)
-            if not da.is_zero():
-                parts_a[i] = da
-            db = self.partial(b, v)
-            if not db.is_zero():
-                parts_b[i] = db
+        parts_a = self._partials(a)
+        parts_b = self._partials(b)
         for (i, j), t in self.table.items():
             if t.is_zero():
                 continue

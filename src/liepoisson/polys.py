@@ -114,13 +114,12 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
+    def variable_indices(self) -> set[int]:
+        """Context positions of the variables that occur."""
+        return {i for m in self.terms for i, e in enumerate(m) if e}
+
     def variables_used(self) -> set[str]:
-        used = set()
-        for m in self.terms:
-            for e, v in zip(m, self.ctx):
-                if e != 0:
-                    used.add(v.name)
-        return used
+        return {self.ctx[i].name for i in self.variable_indices()}
 
     def is_unit_monomial(self) -> bool:
         """One term whose variables are all invertible (a Laurent unit)."""

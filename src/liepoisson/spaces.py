@@ -4,6 +4,12 @@ Everything here reduces questions about finite slices of an algebra to exact
 sparse linear algebra: enumerate the monomials of the slice, expand elements
 over a common denominator, and hand rows to ``linalg``.
 
+A slice is checked by one growing ``Span``: rows are written over fixed
+denominator caps chosen up front, so a loop that enlarges its spanning set
+(the pair-bound escalation of ``verify_decomposition``) adds each new element
+once and keeps every earlier row valid.  Rank tests ask whether each added
+row raises the rank; membership tests ask ``Span.contains``.
+
 Kernels of operators are solved in two steps: ``operator_rows`` applies each
 operator to the slice basis once, and ``kernel_of_operators`` solves from
 those rows.  A search that solves many related systems on one slice (the
@@ -75,41 +81,82 @@ class SliceIndex:
         return {self.col(m): c for m, c in sorted(p.terms.items())}
 
 
-def common_denominator_rows(
-    alg: PoissonAlgebra, elements: Sequence[LocalElement], index: SliceIndex | None = None
-) -> tuple[list[dict[int, Fraction]], SliceIndex, tuple[int, ...]]:
-    """Rewrite elements over the maximal denominator appearing among them and
-    return their numerator rows (same order)."""
-    nden = len(alg.inverted)
-    caps = tuple(
-        max((el.den[i] for el in elements), default=0) for i in range(nden)
+def max_denominator(
+    alg: PoissonAlgebra, elements: Sequence[LocalElement]
+) -> tuple[int, ...]:
+    """Per inverted element, the largest power of it among the denominators."""
+    return tuple(
+        max((el.den[i] for el in elements), default=0)
+        for i in range(len(alg.inverted))
     )
+
+
+def common_denominator_rows(
+    alg: PoissonAlgebra,
+    elements: Sequence[LocalElement],
+    index: SliceIndex | None = None,
+    caps: tuple[int, ...] | None = None,
+    powers: dict[tuple[int, int], Poly] | None = None,
+) -> tuple[list[dict[int, Fraction]], SliceIndex, tuple[int, ...]]:
+    """Rewrite elements over the denominator prod s_i^caps_i (default: the
+    maximal denominator among them) and return their numerator rows (same
+    order).  ``powers`` caches s_i^k across calls.  ValueError when an
+    element's denominator exceeds the caps."""
+    if caps is None:
+        caps = max_denominator(alg, elements)
     index = index if index is not None else SliceIndex()
+    powers = powers if powers is not None else {}
     rows = []
     for el in elements:
         num = el.num
         for i, s in enumerate(alg.inverted):
             k = caps[i] - el.den[i]
+            if k < 0:
+                raise ValueError(f"denominator {el.den} exceeds the caps {caps}")
             if k:
-                num = num * s**k
+                if (i, k) not in powers:
+                    powers[(i, k)] = s**k
+                num = num * powers[(i, k)]
         rows.append(index.row_of(num))
     return rows, index, caps
+
+
+class Span:
+    """A growing row space of elements over fixed denominator caps.
+
+    Every element is written over prod s_i^caps_i, so rows added at
+    different times share one column index and one denominator, and each
+    power s_i^k is computed once.  Multiplying by a denominator is
+    injective, so rank and membership do not depend on the caps chosen."""
+
+    def __init__(self, alg: PoissonAlgebra, caps: tuple[int, ...]):
+        self.alg = alg
+        self.caps = tuple(caps)
+        self.index = SliceIndex()
+        self.echelon = linalg.Echelon()
+        self.powers: dict[tuple[int, int], Poly] = {}
+
+    def _row(self, el: LocalElement) -> dict[int, Fraction]:
+        rows, _, _ = common_denominator_rows(
+            self.alg, [el], self.index, self.caps, self.powers
+        )
+        return rows[0]
+
+    def add(self, el: LocalElement) -> bool:
+        """Add el; True iff it raised the rank."""
+        return self.echelon.add(self._row(el))
+
+    def contains(self, el: LocalElement) -> bool:
+        return self.echelon.contains(self._row(el))
 
 
 def independent_subset(
     alg: PoissonAlgebra, elements: Sequence[LocalElement]
 ) -> list[LocalElement]:
     """Greedy echelon filter: the elements that raise the rank of those
-    accepted before them, in order.  Rows are taken over the common
-    denominator; any common denominator accepts the same elements, because
-    multiplying by a denominator is injective."""
-    rows, _, _ = common_denominator_rows(alg, elements)
-    ech = linalg.Echelon()
-    return [el for el, row in zip(elements, rows) if ech.add(row)]
-
-
-def independent(alg: PoissonAlgebra, elements: Sequence[LocalElement]) -> bool:
-    return len(independent_subset(alg, elements)) == len(elements)
+    accepted before them, in order."""
+    span = Span(alg, max_denominator(alg, elements))
+    return [el for el in elements if span.add(el)]
 
 
 def combination(
@@ -121,19 +168,6 @@ def combination(
         if a != 0:
             acc = alg.add(acc, alg.scale(a, el))
     return acc
-
-
-def covers(
-    alg: PoissonAlgebra,
-    spanners: Sequence[LocalElement],
-    targets: Sequence[LocalElement],
-) -> bool:
-    """True iff every target lies in the span of the spanners."""
-    rows, index, caps = common_denominator_rows(alg, list(spanners) + list(targets))
-    ech = linalg.Echelon()
-    for r in rows[: len(spanners)]:
-        ech.add(r)
-    return all(ech.contains(r) for r in rows[len(spanners) :])
 
 
 def _columns(rows: Sequence[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:

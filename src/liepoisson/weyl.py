@@ -40,7 +40,7 @@ from .poisson import (
     tensor,
 )
 from .polys import Context, Poly, VarSpec
-from .spaces import basis_monomials, covers, independent, monomials_up_to
+from .spaces import Span, basis_monomials, max_denominator, monomials_up_to
 
 DEFAULT_NILPOTENCY_CAP = 64
 
@@ -332,10 +332,18 @@ def _by_last_power(el: LocalElement, base: PoissonAlgebra) -> dict[int, LocalEle
 
 def chi_forward(ctx: ChiContext, p: Poly | LocalElement) -> LocalElement:
     """chi(p) = sum 1/n! [delta^n(p) mod alpha] Y^n; a P-isomorphism onto
-    the quotient extended by the central variable Y."""
-    el = ctx.algebra.element(p) if not isinstance(p, LocalElement) else p
-    if not el.is_polynomial():
-        raise ValueError("the exponential transform acts on polynomial elements")
+    the quotient extended by the central variable Y.
+
+    A denominator s is accepted when delta(s) = 0: then delta^n(p / s^k) =
+    delta^n(p) / s^k, so exp(delta) is a ring map of the localization and
+    the series stays finite.  ValueError otherwise."""
+    alg = ctx.algebra
+    el = alg.element(p) if not isinstance(p, LocalElement) else p
+    for s, k in zip(alg.inverted, el.den):
+        if k and not ctx.delta.apply(alg, alg.element(s)).is_zero():
+            raise ValueError(
+                f"the exponential transform needs delta({s}) = 0 to act on 1/{s}"
+            )
     return _series(ctx, el, ctx.target, ctx.y_var.name)
 
 
@@ -433,9 +441,11 @@ def tensor_presentation_check(
         base = alg.monomial(commuting_part, bexp)
         for pexp in monomials_up_to(2 * len(pairs), d - sum(bexp)):
             products.append(alg.monomial(flat_pairs, pexp, start=base))
-    if not independent(alg, products):
+    # the targets are polynomial, so the products' caps serve them too
+    span = Span(alg, max_denominator(alg, products))
+    if not all(span.add(prod) for prod in products):
         return False
     targets = [alg.element(m) for m in basis_monomials(alg, d)]
-    if not covers(alg, products, targets):
+    if not all(span.contains(t) for t in targets):
         raise NotGenerating(f"(degree-{d} slice not covered)")
     return True

@@ -62,9 +62,9 @@ def test_eng4_center_and_pair():
     # the degree-2 Casimir generates the nontrivial center part
     alg = res.algebra
     casimir = alg.element("e3^2 - 2*e2*e4")
-    from liepoisson.spaces import covers
+    from liepoisson.spaces import solve_in_span
 
-    assert covers(alg, list(res.center_basis), [casimir])
+    assert solve_in_span(alg, list(res.center_basis), casimir) is not None
 
 
 def test_family_n2_both_ideals():
@@ -193,3 +193,58 @@ def test_flag_computed_once(monkeypatch):
     res = decompose(eng4(), None, 6)
     assert res.n == 1
     assert len(calls) == 1
+
+
+def test_verify_reports_a_repeated_pair_as_not_injective():
+    # the heisenberg z=1 pair listed twice: every product with the second
+    # copy repeats one with the first, and {x_1, y_2} = 1, not 0
+    import dataclasses
+
+    g = heisenberg()
+    res = decompose(g, _ideal(g, [("z", "1")]), 6)
+    twice = dataclasses.replace(res, pairs=res.pairs * 2)
+    assert verify_decomposition(twice, 3) == {
+        "pair_relations": False,
+        "centrality": True,
+        "mult_map_injective": False,
+        "mult_map_surjective": False,
+        "ok": False,
+    }
+
+
+def test_verify_adds_each_product_row_once(monkeypatch):
+    # the eng4-type algebra [e1,e2] = e3/2, [e1,e3] = e4 with e4 inverted:
+    # across the whole pair-bound escalation, verification adds at most one
+    # echelon row per distinct product (beyond the center search's rows)
+    import importlib
+
+    from liepoisson import linalg
+
+    dec = importlib.import_module("liepoisson.decompose")
+    g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: F(1, 2)}, (0, 2): {3: 1}})
+    res = decompose(g, None, 6)
+    alg = res.algebra
+    assert alg.inverted
+    adds = []
+    original = linalg.Echelon.add
+
+    def counted(self, row):
+        adds.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    report = verify_decomposition(res, 3)
+    verify_adds = len(adds)
+    del adds[:]
+    window = 6
+    center_list = dec._center_with_denominators(alg, alg, window, window)
+    center_adds = len(adds)
+    monkeypatch.undo()
+    assert report["ok"] and report["pair_degree_used"] == 6
+    products = set()
+    for c in center_list:
+        for w in dec._pair_monomials(alg, res.pairs, report["pair_degree_used"]):
+            prod = alg.mul(c, w)
+            if prod.num.degree() <= 9 and all(e <= window for e in prod.den):
+                products.add(prod)
+    assert verify_adds - center_adds <= len(products)

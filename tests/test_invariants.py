@@ -45,9 +45,9 @@ def test_center_of_eng4():
     assert A.bracket("e1", c).is_zero() and A.bracket("e2", c).is_zero()
     basis = center_up_to_degree(A, 2)
     assert len(basis) == 4
-    from liepoisson.spaces import covers
+    from liepoisson.spaces import solve_in_span
 
-    assert covers(A, basis, [A.element(c)])
+    assert solve_in_span(A, basis, A.element(c)) is not None
 
 
 def test_semi_invariants_aff2():
@@ -111,9 +111,9 @@ def test_semi_invariant_weights_direct_and_multiplicative():
     b = by_weight[(F(2), F(0))][0]
     prod = alg.mul(a, b)
     target = by_weight[(F(3), F(0))]
-    from liepoisson.spaces import covers
+    from liepoisson.spaces import solve_in_span
 
-    assert covers(alg, list(target), [prod])
+    assert solve_in_span(alg, list(target), prod) is not None
 
 
 def test_semi_invariants_monotone_in_degree():
@@ -285,7 +285,7 @@ def test_independent_subset_is_rank_increasing_prefix():
     from liepoisson import linalg
     from liepoisson.poisson import LocalElement, localize
     from liepoisson.polys import Poly
-    from liepoisson.spaces import SliceIndex, independent, independent_subset
+    from liepoisson.spaces import SliceIndex, independent_subset
 
     # the Heisenberg algebra with z inverted; the elements mix denominators
     A = canonical_from_lie(heisenberg())
@@ -312,4 +312,5 @@ def test_independent_subset_is_rank_increasing_prefix():
     assert [terms[elements.index(el)] for el in got] == [
         ("x", 1), ("x", 0), ("y", 2), ("1", 1), ("y*z", 1), ("x*y", 0), ("z^3", 2)
     ]
-    assert independent(L, got) and not independent(L, elements)
+    assert len(independent_subset(L, got)) == len(got)
+    assert len(independent_subset(L, elements)) != len(elements)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from liepoisson import linalg
 
 F = Fraction
@@ -93,3 +95,71 @@ def test_echelon_fully_reduced():
         for other in ech.rows:
             if other != piv:
                 assert other not in row
+
+
+def _random_sparse_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.3:
+                c = F(rng.randint(-5, 5), rng.randint(1, 4))
+                if c:
+                    row[j] = c
+        rows.append(row)
+    # duplicate a combination of two rows now and then, so rank drops
+    if nrows >= 3 and rng.random() < 0.5:
+        a, b = rng.sample(range(nrows - 1), 2)
+        k = F(rng.randint(-3, 3), rng.randint(1, 3))
+        combo = {j: rows[a].get(j, 0) + k * rows[b].get(j, 0) for j in range(ncols)}
+        rows[-1] = {j: c for j, c in combo.items() if c}
+    return rows
+
+
+def test_linear_algebra_matches_sympy():
+    # independent oracle: sympy's exact rational matrices
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+
+    def matrix(rows, ncols):
+        return sympy.Matrix(
+            [[sympy.Rational(r.get(j, F(0))) for j in range(ncols)] for r in rows]
+        )
+
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_sparse_rows(rng, nrows, ncols)
+        m = matrix(rows, ncols)
+        rank = m.rank()
+        ech = linalg.echelon_of(rows)
+        assert ech.rank == rank == linalg.rank(rows)
+        # membership: a random vector, and a combination of the rows
+        probe = _random_sparse_rows(rng, 1, ncols)[0]
+        inside = {}
+        for r in rows:
+            k = F(rng.randint(-2, 2))
+            for j, c in r.items():
+                inside[j] = inside.get(j, 0) + k * c
+        inside = {j: c for j, c in inside.items() if c}
+        for vec in (probe, inside):
+            grown = matrix(rows + [vec], ncols).rank()
+            assert ech.contains(vec) == (grown == rank)
+        # nullspace: annihilated by every row, ncols - rank vectors
+        kernel = linalg.nullspace(rows, ncols)
+        assert len(kernel) == ncols - rank
+        for v in kernel:
+            for r in rows:
+                assert sum((c * v[j] for j, c in r.items()), F(0)) == 0
+        # solve: a solution exactly when [rows | rhs] has the rank of rows;
+        # the second right-hand side is consistent by construction
+        x0 = [F(j + 1) for j in range(ncols)]
+        for rhs in (
+            [F(rng.randint(-3, 3)) for _ in range(nrows)],
+            [sum((c * x0[j] for j, c in r.items()), F(0)) for r in rows],
+        ):
+            aug = m.row_join(sympy.Matrix([sympy.Rational(b) for b in rhs]))
+            sol = linalg.solve(rows, rhs, ncols)
+            assert (sol is not None) == (aug.rank() == rank)
+            if sol is not None:
+                for r, b in zip(rows, rhs):
+                    assert sum((c * sol[j] for j, c in r.items()), F(0)) == b

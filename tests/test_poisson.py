@@ -362,3 +362,20 @@ def test_bracket_of_elements_skips_ideal_normal_form(monkeypatch):
     assert Q.bracket(p, q) == want
     assert Q.format(want) == "4*x^2*y - y^2"  # {x^2 + y, x*y^2 - 1}
     assert calls == []
+
+
+def test_bracket_takes_partials_only_in_occurring_variables(monkeypatch):
+    # {x*z, y^2} on Heisenberg: x*z needs d/dx and d/dz, y^2 only d/dy; the
+    # other partials are exactly zero (all 3 + 3 were taken before)
+    A = canonical_from_lie(heisenberg())
+    a, b = A.element("x*z"), A.element("y^2")
+    calls = []
+    partial = Poly.partial
+
+    def counted(self, v):
+        calls.append(v)
+        return partial(self, v)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    assert A.format(A.bracket(a, b)) == "2*y*z^2"
+    assert len(calls) == 3

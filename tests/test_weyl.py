@@ -264,6 +264,28 @@ def test_chi_localized_roundtrips_random(rng):
         assert chi_inverse(C, chi_forward(C, p)) == p
 
 
+def test_chi_localized_roundtrips_from_the_target(rng):
+    # delta kills s, so chi accepts denominators in s and inverts chi_inverse
+    A, C = _localized_chi_ctx()
+    T = C.target
+    assert A.format(chi_inverse(C, T.gen("q"))) == "(q*s - a)/s"
+    for _ in range(30):
+        q = T.element(
+            LocalElement(random_poly(rng, T.vars, max_degree=4), (rng.randint(0, 2),))
+        )
+        assert chi_forward(C, chi_inverse(C, q)) == q
+
+
+def test_chi_refuses_a_denominator_delta_moves():
+    # delta(u) = 1: exp(delta) does not act on 1/u
+    ctx = make_vars("alpha u")
+    A = poisson_algebra(ctx, {}, inverted=[Poly.var(ctx, "u")])
+    C = chi_context(A, Derivation({"alpha": A.one(), "u": A.one()}), "alpha")
+    assert C.target.format(chi_forward(C, A.gen("u"))) == "u + Y"
+    with pytest.raises(ValueError):
+        chi_forward(C, A.invert(A.gen("u")))
+
+
 def test_chi_localized_is_bracket_homomorphism(rng):
     A, C = _localized_chi_ctx()
     T = C.target
