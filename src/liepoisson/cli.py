@@ -45,13 +45,25 @@ MATH_NEGATIVE = (
 )
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
 def _shaped(value, kind: type, what: str):
-    """``value`` when it is a JSON object (dict) or array (list), else a
-    ValueError naming the offending field."""
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
-        raise ValueError(f"{what} must be a JSON {name}")
+    """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
+    a boolean is not an integer), else a ValueError naming the field."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
     return value
+
+
+def _names(value, what: str) -> list[str]:
+    """A JSON array of name strings."""
+    return [_shaped(name, str, f"{what} entry") for name in _shaped(value, list, what)]
+
+
+def _rows(value, what: str) -> list[list]:
+    """A JSON array of arrays (a rational matrix)."""
+    return [_shaped(row, list, f"{what} row") for row in _shaped(value, list, what)]
 
 
 class ProblemFile:
@@ -61,7 +73,7 @@ class ProblemFile:
         _shaped(data, dict, "problem file")
         self.name = data.get("name", "problem")
         opts = _shaped(data.get("options", {}), dict, "options")
-        self.max_degree = int(opts.get("max_degree", 6))
+        self.max_degree = _shaped(opts.get("max_degree", 6), int, "options.max_degree")
         self.lie: LieAlgebra | None = None
         self.ideal: SubstitutionIdeal | None = None
         self.bvwg: bvwg_mod.BVWG | None = None
@@ -69,15 +81,14 @@ class ProblemFile:
             raise ValueError("problem file needs exactly one of 'lie' or 'bvwg'")
         if "lie" in data:
             lie = _shaped(data["lie"], dict, "lie")
-            basis = _shaped(lie["basis"], list, "lie.basis")
-            if not all(isinstance(name, str) for name in basis):
-                raise ValueError("lie.basis must list generator names as strings")
-            if int(lie.get("dim", len(basis))) != len(basis):
+            basis = _names(lie["basis"], "lie.basis")
+            if _shaped(lie.get("dim", len(basis)), int, "lie.dim") != len(basis):
                 raise ValueError("dim does not match basis length")
             structure = {}
             for entry in _shaped(lie.get("brackets", []), list, "lie.brackets"):
                 entry = _shaped(entry, dict, "lie.brackets entry")
-                i, j = int(entry["i"]), int(entry["j"])
+                i = _shaped(entry["i"], int, "lie.brackets i")
+                j = _shaped(entry["j"], int, "lie.brackets j")
                 coeffs = {
                     int(k): Fraction(str(v))
                     for k, v in _shaped(entry["coeffs"], dict, "coeffs").items()
@@ -89,12 +100,16 @@ class ProblemFile:
                 pairs = []
                 for r in rules:
                     r = _shaped(r, dict, "ideal entry")
-                    pairs.append((r["var"], r["value"]))
+                    var = _shaped(r["var"], str, "ideal var")
+                    pairs.append((var, _shaped(r["value"], str, "ideal value")))
                 self.ideal = ideal_from_pairs(self.lie.basis, pairs)
         else:
             b = _shaped(data["bvwg"], dict, "bvwg")
             self.bvwg = bvwg_mod.make_spec(
-                b["v_names"], b["omega"], b["g_names"], b["weights"]
+                _names(b["v_names"], "bvwg.v_names"),
+                _rows(b["omega"], "bvwg.omega"),
+                _names(b["g_names"], "bvwg.g_names"),
+                _rows(b["weights"], "bvwg.weights"),
             )
             bvwg_mod.validate(self.bvwg)
 

@@ -19,6 +19,13 @@ inspected degree slice.  Each flag step adjoins one generator z and either
       x = z - b commutes with the previous pairs, {x, y} = 1 gives a new
       canonical pair, and v joins the denominators (e picks up the factor).
 
+The potential b is ``weyl``'s derivation splitting in formal pair
+coordinates: {z, x_j} and {z, y_j} are expanded as polynomials in X_j, Y_j
+whose coefficients are formal central variables C_k (one per element of
+the degree-bounded center), ``weyl.integrate_potential`` integrates them
+with the signs of ``weyl.split_derivation``, and b is that potential
+evaluated at X_j = x_j, Y_j = y_j, C_k = center[k].
+
 All searches are degree-bounded and use ordered enumeration, so identical
 inputs yield identical traces.  ``SearchExhausted`` is a legitimate outcome:
 the theory guarantees the objects exist, not that they appear below any
@@ -34,6 +41,7 @@ from . import linalg
 from .errors import (
     EigenvalueNotRational,
     HypothesisFailed,
+    NotClosed,
     NotNilpotent,
     SearchExhausted,
     UnsupportedChain,
@@ -46,6 +54,8 @@ from .lie import (
     is_nilpotent,
     jordan_holder,
     module_eigenspaces,
+    span_subalgebra,
+    verify_lie,
 )
 from .poisson import (
     LocalElement,
@@ -55,7 +65,7 @@ from .poisson import (
     localize,
     quotient,
 )
-from .polys import Poly
+from .polys import Poly, make_vars
 from .spaces import (
     Span,
     basis_monomials,
@@ -66,6 +76,7 @@ from .spaces import (
     operator_rows,
     solve_in_span,
 )
+from .weyl import WeylPresentation, integrate_potential, pair_relation_failure
 
 DEFAULT_DEGREE_BOUND = 6
 
@@ -103,23 +114,8 @@ def _chain_order(flag, ideal: SubstitutionIdeal | None):
 
 def _rebase_to_flag(g: LieAlgebra, flag) -> LieAlgebra:
     """Re-present g on the flag generators (fresh names c1..cm)."""
-    from .lie import verify_lie
-    from .polys import make_vars
-
-    m = g.dim
-    vecs = list(flag.generators)
-    mat = [[vecs[j][i] for j in range(m)] for i in range(m)]
-    inv = linalg.mat_inverse(mat)
-    assert inv is not None
-    structure = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = g.bracket_vec(vecs[a], vecs[b])
-            coords = linalg.mat_vec(inv, w)
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                structure[(a, b)] = entry
-    return verify_lie(make_vars([f"c{i+1}" for i in range(m)]), structure)
+    sub = span_subalgebra(g, flag.generators, [f"c{i+1}" for i in range(g.dim)])
+    return verify_lie(sub.basis, sub.structure)
 
 
 def _level_algebras(g, ideal, order, level, inverted):
@@ -144,7 +140,7 @@ def _level_algebras(g, ideal, order, level, inverted):
     return quotient_only, alg
 
 
-def _center_with_denominators(quotient_alg, localized, d, den_cap):
+def _center_with_denominators(quotient_alg, localized, d):
     """Degree-bounded center basis of the localized algebra: the plain
     center times powers of the (central) inverted elements, canonicalized
     and reduced to a linearly independent family."""
@@ -152,7 +148,7 @@ def _center_with_denominators(quotient_alg, localized, d, den_cap):
     nden = len(localized.inverted)
     cands = []
     seen = set()
-    for caps in (monomials_up_to(nden, den_cap) if nden else [()]):
+    for caps in (monomials_up_to(nden, d) if nden else [()]):
         for c in plain:
             el = localized.element(LocalElement(c.num, caps))
             key = (tuple(sorted(el.num.terms.items())), el.den)
@@ -179,10 +175,13 @@ def _pair_monomials(alg, pairs, d, low=0):
     ]
 
 
-def _expand_in_pairs(alg, center_list, pairs, target, dmax):
+def _expand_in_pairs(alg, pres, center_list, flat, target, dmax):
     """Write target as sum c_{ab} x^a y^b with coefficients spanned by the
-    center list; escalates the pair degree until the solve succeeds."""
-    flat = [el for pr in pairs for el in pr]
+    center list, escalating the pair degree until the solve succeeds: a Poly
+    over ``pres`` in which X_j, Y_j stand for the flat pairs x_1, y_1, x_2,
+    y_2, ... and C_k for center_list[k]; None when no degree up to dmax
+    works."""
+    width = len(center_list)
     for deg in range(dmax + 1):
         expos = monomials_up_to(len(flat), deg)
         spanners = []
@@ -193,93 +192,14 @@ def _expand_in_pairs(alg, center_list, pairs, target, dmax):
         sol = solve_in_span(alg, spanners, target)
         if sol is None:
             continue
-        coeffs = {}
-        width = len(center_list)
+        terms = {}
         for k, expo in enumerate(expos):
-            acc = combination(alg, sol[k * width : (k + 1) * width], center_list)
-            if not acc.is_zero():
-                coeffs[expo] = acc
-        return coeffs
+            xy = tuple(expo[0::2]) + tuple(expo[1::2])
+            for m, c in enumerate(sol[k * width : (k + 1) * width]):
+                if c != 0:
+                    terms[xy + tuple(int(t == m) for t in range(width))] = c
+        return Poly(pres.context, terms)
     return None
-
-
-def _formal_partial(alg, coeffs, j):
-    out = {}
-    for expo, c in coeffs.items():
-        if expo[j]:
-            e2 = list(expo)
-            e2[j] -= 1
-            out[tuple(e2)] = alg.scale(expo[j], c)
-    return out
-
-
-def _integrate_pair_potential(alg, n, dx_targets, dy_targets):
-    """Formal potential b (exponent dict over the flat pair layout
-    x_1, y_1, x_2, y_2, ...) with db/dx_j and db/dy_j prescribed; None when
-    the data does not close."""
-    width = 2 * n
-
-    def norm(coeffs):
-        return {
-            tuple(expo) + (0,) * (width - len(expo)): v for expo, v in coeffs.items()
-        }
-
-    def combine(a, c, sign):
-        out = dict(a)
-        for expo, el in c.items():
-            nxt = alg.add(out.get(expo, alg.zero()), alg.scale(sign, el))
-            if nxt.is_zero():
-                out.pop(expo, None)
-            else:
-                out[expo] = nxt
-        return out
-
-    def antiderive(coeffs, j):
-        out = {}
-        for expo, el in coeffs.items():
-            e2 = list(expo)
-            e2[j] += 1
-            out[tuple(e2)] = alg.scale(Fraction(1, e2[j]), el)
-        return out
-
-    b: dict[tuple, LocalElement] = {}
-    targets = []
-    for j in range(n):
-        targets.append((2 * j, norm(dx_targets[j])))
-        targets.append((2 * j + 1, norm(dy_targets[j])))
-    for j, tgt in targets:
-        rem = combine(tgt, _formal_partial(alg, b, j), -1)
-        b = combine(b, antiderive(rem, j), 1)
-    for j, tgt in targets:
-        if combine(tgt, _formal_partial(alg, b, j), -1):
-            return None
-    return b
-
-
-def _eval_pair_poly(alg, coeffs, pairs):
-    flat = [el for pr in pairs for el in pr]
-    acc = alg.zero()
-    for expo, c in sorted(coeffs.items()):
-        acc = alg.add(acc, alg.monomial(flat, expo, start=c))
-    return acc
-
-
-def _split_against_pairs(alg, center_list, pairs, z_el, d):
-    """Potential b (pair-coordinate dict) with d_b = {z, .} on every pair
-    element; pair coordinates obey db/dy_j = -delta(x_j), db/dx_j =
-    delta(y_j)."""
-    if not pairs:
-        return {}
-    dx_targets = []
-    dy_targets = []
-    for x_el, y_el in pairs:
-        ex = _expand_in_pairs(alg, center_list, pairs, alg.bracket(z_el, x_el), d)
-        ey = _expand_in_pairs(alg, center_list, pairs, alg.bracket(z_el, y_el), d)
-        if ex is None or ey is None:
-            return None
-        dy_targets.append({k: alg.scale(-1, v) for k, v in ex.items()})
-        dx_targets.append(ey)
-    return _integrate_pair_potential(alg, len(pairs), dx_targets, dy_targets)
 
 
 def _pair_potential(cur_l, prev_q, pairs, z_el, d):
@@ -287,11 +207,28 @@ def _pair_potential(cur_l, prev_q, pairs, z_el, d):
     every pair element; zero when there are no pairs yet."""
     if not pairs:
         return cur_l.zero()
-    exp_center = _center_with_denominators(prev_q, cur_l, d, d)
-    bexp = _split_against_pairs(cur_l, exp_center, pairs, z_el, d)
-    if bexp is None:
-        raise SearchExhausted(d, "(pair splitting failed)")
-    return _eval_pair_poly(cur_l, bexp, pairs)
+    center = _center_with_denominators(prev_q, cur_l, d)
+    n = len(pairs)
+    pres = WeylPresentation(n, make_vars([f"C{k+1}" for k in range(len(center))]))
+    flat = [el for pr in pairs for el in pr]
+    ps, qs = [], []
+    for x_el, y_el in pairs:
+        ex = _expand_in_pairs(cur_l, pres, center, flat, cur_l.bracket(z_el, x_el), d)
+        ey = _expand_in_pairs(cur_l, pres, center, flat, cur_l.bracket(z_el, y_el), d)
+        if ex is None or ey is None:
+            raise SearchExhausted(d, "(pair splitting failed)")
+        ps.append(ey)
+        qs.append(-ex)
+    try:
+        b = integrate_potential(pres, ps, qs)
+    except NotClosed:
+        raise SearchExhausted(d, "(pair splitting failed)") from None
+    acc = cur_l.zero()
+    for mono, c in sorted(b.terms.items()):
+        expo = [e for xy in zip(mono[:n], mono[n : 2 * n]) for e in xy]
+        start = cur_l.scale(c, center[mono.index(1, 2 * n) - 2 * n])
+        acc = cur_l.add(acc, cur_l.monomial(flat, expo, start=start))
+    return acc
 
 
 def _central_choice(full_alg, candidates, d):
@@ -522,7 +459,7 @@ def decompose(
         trace["levels"].append(step)
         prev_q = cur_q
 
-    center = _center_with_denominators(cur_q, cur_l, d, d)
+    center = _center_with_denominators(cur_q, cur_l, d)
     e = Poly.const(cur_l.vars, 1)
     for v in inverted:
         e = e * v.extend(cur_l.vars)
@@ -555,14 +492,10 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     degree-slice bookkeeping for the multiplication map
     (center tensor Weyl -> localized quotient)."""
     alg = res.algebra
-    report = {"pair_relations": True, "centrality": True}
-    for i, (xi, yi) in enumerate(res.pairs):
-        for j, (xj, yj) in enumerate(res.pairs):
-            want = alg.one() if i == j else alg.zero()
-            if not alg.sub(alg.bracket(xi, yj), want).is_zero():
-                report["pair_relations"] = False
-            if not alg.bracket(xi, xj).is_zero() or not alg.bracket(yi, yj).is_zero():
-                report["pair_relations"] = False
+    report = {
+        "pair_relations": pair_relation_failure(alg, res.pairs) is None,
+        "centrality": True,
+    }
     for c in res.center_basis:
         for v in alg.vars:
             if not alg.bracket(alg.gen(v.name), c).is_zero():
@@ -586,7 +519,7 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     # every added row raises the rank; it is surjective once the span
     # contains every target.
     window = 2 * check_degree
-    center_list = _center_with_denominators(alg, alg, window, window)
+    center_list = _center_with_denominators(alg, alg, window)
     span = Span(alg, (window,) * nden)
     pending = targets
     report["mult_map_injective"] = False

@@ -198,6 +198,25 @@ def coordinate_subalgebra(g: LieAlgebra, idx: Sequence[int]) -> LieAlgebra | Non
     return LieAlgebra(tuple(g.basis[k] for k in idx), structure)
 
 
+def span_subalgebra(
+    g: LieAlgebra, vectors: Sequence[Sequence[Fraction]], names: Sequence[str]
+) -> LieAlgebra | None:
+    """The span of the independent ``vectors``, presented on them in that
+    order under ``names``; None when a bracket leaves the span."""
+    rows = [{k: v[i] for k, v in enumerate(vectors) if v[i] != 0} for i in range(g.dim)]
+    structure = {}
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            w = g.bracket_vec(vectors[a], vectors[b])
+            coords = linalg.solve(rows, w, len(vectors))
+            if coords is None:
+                return None
+            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                structure[(a, b)] = entry
+    return LieAlgebra(make_vars(names), structure)
+
+
 # ---------------------------------------------------------------------------
 # series and flags
 
@@ -249,38 +268,6 @@ def _is_nilpotent_matrix(mat) -> bool:
     return all(c == 0 for c in cp[:-1])
 
 
-def _subalgebra_on(g: LieAlgebra, space: Subspace) -> LieAlgebra | None:
-    """Lie algebra structure induced on a bracket-closed subspace, expressed
-    on the echelon basis; None if the subspace is not closed."""
-    vecs = list(space.basis)
-    structure = {}
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            w = g.bracket_vec(vecs[a], vecs[b])
-            coords = _coords_in(space, w)
-            if coords is None:
-                return None
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                structure[(a, b)] = entry
-    sub_basis = make_vars([f"u{i}" for i in range(len(vecs))])
-    return LieAlgebra(sub_basis, structure)
-
-
-def _coords_in(space: Subspace, vec) -> list[Fraction] | None:
-    if not space.contains(vec):
-        return None
-    v = list(map(Fraction, vec))
-    coords = []
-    for row in space.basis:
-        piv = next(j for j, c in enumerate(row) if c == 1)
-        c = v[piv]
-        coords.append(c)
-        if c != 0:
-            v = [a - c * b for a, b in zip(v, row)]
-    return coords
-
-
 def nilradical(g: LieAlgebra) -> Subspace:
     """Largest nilpotent ideal, via the ad-nilpotent candidate heuristic.
 
@@ -299,7 +286,7 @@ def nilradical(g: LieAlgebra) -> Subspace:
         for v in n.basis:
             if not n.contains(g.bracket_vec(basis_vec(i, g.dim), v)):
                 raise NilradicalUndecided("candidate span is not an ideal")
-    sub = _subalgebra_on(g, n)
+    sub = span_subalgebra(g, n.basis, [f"u{i}" for i in range(n.dim)])
     if sub is None:
         raise NilradicalUndecided("candidate span not closed under bracket")
     if not is_nilpotent(sub):

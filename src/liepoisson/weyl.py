@@ -181,24 +181,28 @@ def integrate_potential(
             if qs[i].partial(pres.x_names[j]) != ps[j].partial(pres.y_names[i]):
                 raise NotClosed("dq_i/dX_j = dp_j/dY_i", i + 1, j + 1)
     b = Poly.zero(ctx)
-    order = [(pres.x_names[i], ps[i]) for i in range(n)] + [
-        (pres.y_names[i], qs[i]) for i in range(n)
+    order = [(i, pres.x_names[i], ps[i]) for i in range(n)] + [
+        (i, pres.y_names[i], qs[i]) for i in range(n)
     ]
-    for name, target in order:
+    for i, name, target in order:
         rem = target - b.partial(name)
-        b = b + _antiderivative(rem, ctx, name)
+        b = b + _antiderivative(rem, ctx, name, i + 1)
     for i in range(n):
         if b.partial(pres.x_names[i]) != ps[i] or b.partial(pres.y_names[i]) != qs[i]:
             raise NotClosed("(residual after integration)", i + 1, i + 1)
     return b
 
 
-def _antiderivative(p: Poly, ctx: Context, name: str) -> Poly:
+def _antiderivative(p: Poly, ctx: Context, name: str, pair: int) -> Poly:
+    """A polynomial with d/d(name) equal to p; NotClosed when p has a
+    name^-1 term, whose antiderivative is a logarithm."""
     idx = next(i for i, v in enumerate(ctx) if v.name == name)
     out = {}
     for mono, c in p.terms.items():
         m2 = list(mono)
         m2[idx] += 1
+        if m2[idx] == 0:
+            raise NotClosed(f"(no polynomial antiderivative of {name}^-1)", pair, pair)
         out[tuple(m2)] = c / m2[idx]
     return Poly(ctx, out)
 
@@ -413,6 +417,22 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
 # tensor presentation recognition
 
 
+def pair_relation_failure(
+    alg: PoissonAlgebra, pairs: list[tuple[LocalElement, LocalElement]]
+) -> tuple[int, int, str] | None:
+    """The first (i, j, kind) at which the pairs break {x_i, y_j} = delta_ij
+    (kind "xy") or {x_i, x_j} = {y_i, y_j} = 0 (kind "commute"); None when
+    every canonical relation holds."""
+    for i, (x1, y1) in enumerate(pairs):
+        for j, (x2, y2) in enumerate(pairs):
+            want = alg.one() if i == j else alg.zero()
+            if not alg.sub(alg.bracket(x1, y2), want).is_zero():
+                return i, j, "xy"
+            if not alg.bracket(x1, x2).is_zero() or not alg.bracket(y1, y2).is_zero():
+                return i, j, "commute"
+    return None
+
+
 def tensor_presentation_check(
     alg: PoissonAlgebra,
     commuting_part: list[LocalElement],
@@ -430,12 +450,11 @@ def tensor_presentation_check(
             res = alg.bracket(b, c)
             if not res.is_zero():
                 raise NotCommuting(alg.format(b), alg.format(c), alg.format(res))
-    for i, (x1, y1) in enumerate(pairs):
-        for j, (x2, y2) in enumerate(pairs):
-            if not alg.sub(alg.bracket(x1, y2), alg.one() if i == j else alg.zero()).is_zero():
-                raise NotCommuting(f"x{i+1}", f"y{j+1}", "(pair relation fails)")
-            if not alg.bracket(x1, x2).is_zero() or not alg.bracket(y1, y2).is_zero():
-                raise NotCommuting(f"pair {i+1}", f"pair {j+1}", "(pair relation fails)")
+    failure = pair_relation_failure(alg, pairs)
+    if failure is not None:
+        i, j, kind = failure
+        a, b = (f"x{i+1}", f"y{j+1}") if kind == "xy" else (f"pair {i+1}", f"pair {j+1}")
+        raise NotCommuting(a, b, "(pair relation fails)")
     products = []
     for bexp in monomials_up_to(len(commuting_part), d):
         base = alg.monomial(commuting_part, bexp)

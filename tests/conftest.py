@@ -69,11 +69,9 @@ def random_poly(
     return Poly(ctx, {m: c for m, c in terms.items() if c})
 
 
-def random_basis_change(rng: random.Random, g: LieAlgebra) -> LieAlgebra:
-    """Conjugate the structure constants by a random unimodular matrix."""
-    from liepoisson import linalg
-
-    m = g.dim
+def random_unimodular(rng: random.Random, m: int) -> list[list[Fraction]]:
+    """A random m x m integer matrix of determinant 1 (column operations on
+    the identity)."""
     mat = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     for _ in range(m):
         i, j = rng.randrange(m), rng.randrange(m)
@@ -81,6 +79,15 @@ def random_basis_change(rng: random.Random, g: LieAlgebra) -> LieAlgebra:
             c = Fraction(rng.randint(-2, 2))
             for k in range(m):
                 mat[k][j] += c * mat[k][i]
+    return mat
+
+
+def random_basis_change(rng: random.Random, g: LieAlgebra) -> LieAlgebra:
+    """Conjugate the structure constants by a random unimodular matrix."""
+    from liepoisson import linalg
+
+    m = g.dim
+    mat = random_unimodular(rng, m)
     inv = linalg.mat_inverse(mat)
     cols = [[mat[i][j] for i in range(m)] for j in range(m)]
     structure = {}

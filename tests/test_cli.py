@@ -314,10 +314,18 @@ def _heisenberg_data():
         return json.load(fh)
 
 
-def _malformed(mutate):
-    data = _heisenberg_data()
+def _malformed(mutate, load=_heisenberg_data):
+    data = load()
     mutate(data)
     return data
+
+
+def _malformed_bvwg(mutate):
+    def load():
+        with open(path("bvwg-simple.json")) as fh:
+            return json.load(fh)
+
+    return _malformed(mutate, load)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +341,15 @@ def _malformed(mutate):
         _malformed(lambda d: d["lie"]["brackets"][0].update(coeffs={"-1": "1"})),
         _malformed(lambda d: d["lie"].update(basis=["x", "x", "z"])),
         _malformed(lambda d: d.update(ideal=[{"var": "w", "value": "1"}])),
+        _malformed(lambda d: d["lie"]["brackets"][0].update(i=0.9)),
+        _malformed(lambda d: d["lie"].update(dim=3.5)),
+        _malformed(lambda d: d["options"].update(max_degree=2.5)),
+        _malformed(lambda d: d["options"].update(max_degree=True)),
+        _malformed(lambda d: d.update(ideal=[{"var": "z", "value": 1}])),
+        _malformed_bvwg(lambda d: d["bvwg"].update(omega=[0])),
+        _malformed_bvwg(lambda d: d["bvwg"].update(weights=[1])),
+        _malformed_bvwg(lambda d: d["bvwg"].update(v_names="v")),
+        _malformed_bvwg(lambda d: d["bvwg"].update(g_names="g")),
     ],
     ids=[
         "list",
@@ -345,12 +362,22 @@ def _malformed(mutate):
         "index-negative",
         "duplicate-names",
         "unknown-ideal-variable",
+        "index-float",
+        "dim-float",
+        "max-degree-float",
+        "max-degree-bool",
+        "ideal-value-number",
+        "omega-row-number",
+        "weights-row-number",
+        "v-names-string",
+        "g-names-string",
     ],
 )
 def test_malformed_problem_is_input_error(tmp_path, data):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    for command in ("verify", "center"):
+    is_bvwg = isinstance(data, dict) and "bvwg" in data
+    for command in ("verify", "bvwg-simple" if is_bvwg else "center"):
         code, out, _ = _capture([command, str(bad), "--json"])
         assert code == 2, command
         report = json.loads(out)

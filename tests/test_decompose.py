@@ -237,7 +237,7 @@ def test_verify_adds_each_product_row_once(monkeypatch):
     verify_adds = len(adds)
     del adds[:]
     window = 6
-    center_list = dec._center_with_denominators(alg, alg, window, window)
+    center_list = dec._center_with_denominators(alg, alg, window)
     center_adds = len(adds)
     monkeypatch.undo()
     assert report["ok"] and report["pair_degree_used"] == 6

@@ -50,6 +50,9 @@ def compute_goldens() -> dict:
     # Heisenberg on (x, y, x + z): the flag is not coordinate-aligned
     g = verify_lie("b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}})
     out["rebase-b1b2b3"] = _record(decompose(g, None, 5), 3)
+    # L5: [e1,e2]=e3, [e1,e3]=e4, [e2,e3]=e5; nonzero pair potential
+    g = verify_lie("e1 e2 e3 e4 e5", {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
+    out["l5"] = _record(decompose(g, None, 6), 3)
     bases = [("heisenberg", heisenberg()), ("abelian-3", abelian(3)), ("eng4", eng4())]
     for seed in range(4):
         base_name, base = bases[seed % len(bases)]

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from liepoisson.errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
@@ -15,10 +17,11 @@ from liepoisson.lie import (
     jordan_holder,
     nilradical,
     series,
+    span_subalgebra,
     verify_lie,
 )
 
-from conftest import abelian, aff2, eng4, heisenberg, random_solvable
+from conftest import abelian, aff2, eng4, heisenberg, random_solvable, random_unimodular
 
 F = Fraction
 
@@ -157,3 +160,25 @@ def test_coordinate_subalgebra():
     sub = coordinate_subalgebra(eng4(), [0, 2, 3])
     assert sub.names() == ["e1", "e3", "e4"]
     assert sub.structure == {(0, 1): {2: 1}}
+
+
+def test_span_subalgebra_on_a_random_basis():
+    g = eng4()
+    mat = random_unimodular(random.Random(2), g.dim)
+    vecs = [tuple(row[j] for row in mat) for j in range(g.dim)]
+    # neither in echelon form nor coordinate-aligned
+    assert Subspace(g.dim, vecs).basis != tuple(vecs)
+    assert any(sum(c != 0 for c in v) > 1 for v in vecs)
+    names = [f"c{i+1}" for i in range(g.dim)]
+    sub = span_subalgebra(g, vecs, names)
+    assert sub.names() == names
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            combo = [F(0)] * g.dim
+            for k, c in sub.bracket_basis(a, b).items():
+                combo = [x + c * y for x, y in zip(combo, vecs[k])]
+            assert tuple(combo) == g.bracket_vec(vecs[a], vecs[b])
+    assert sub.structure  # eng4 is not abelian in any basis
+    verify_lie(sub.basis, sub.structure)
+    # [x + z, y] = z leaves span{x + z, y}
+    assert span_subalgebra(heisenberg(), [(1, 0, 1), (0, 1, 0)], ["a", "b"]) is None

@@ -31,6 +31,7 @@ from liepoisson.weyl import (
     chi_tensor,
     extract_core,
     integrate_potential,
+    pair_relation_failure,
     split_derivation,
     tensor_presentation_check,
     weyl_bracket_via_partials,
@@ -99,6 +100,17 @@ def test_integrate_potential_examples():
     assert str(b) == "X1*Y1"
     assert integrate_potential(pres, [Poly.zero(ctx)], [Poly.zero(ctx)]).is_zero()
     assert str(integrate_potential(pres, [Poly.const(ctx, 1)], [Poly.zero(ctx)])) == "X1"
+
+
+def test_integrate_potential_inverse_power():
+    pres = WeylPresentation(1, primed=True)
+    ctx = pres.context
+    zero = Poly.zero(ctx)
+    # X1^-2 integrates to -X1^-1, but X1^-1 only to a logarithm
+    b = integrate_potential(pres, [Poly.monomial(ctx, (-2, 0))], [zero])
+    assert b == Poly.monomial(ctx, (-1, 0), -1)
+    with pytest.raises(NotClosed):
+        integrate_potential(pres, [Poly.monomial(ctx, (-1, 0))], [zero])
 
 
 def test_integrate_potential_not_closed():
@@ -311,6 +323,21 @@ def test_chi_tensor_cases():
     assert res.table_matches
     # chi(X) is exactly the fresh pair variable
     assert res.target.format(res.x_image) == "X2"
+
+
+def test_pair_relation_failures_are_named():
+    B = WeylPresentation(2).algebra()
+    X1, Y1, X2, Y2 = (B.gen(name) for name in ("X1", "Y1", "X2", "Y2"))
+    assert pair_relation_failure(B, [(X1, Y1), (X2, Y2)]) is None
+    cases = [
+        ([(X1, Y1), (Y2, X2)], (1, 1, "xy"), "{x2, y2}"),
+        ([(X1, Y1), (Y1, X1)], (0, 1, "commute"), "{pair 1, pair 2}"),
+    ]
+    for pairs, failure, where in cases:
+        assert pair_relation_failure(B, pairs) == failure
+        with pytest.raises(NotCommuting) as err:
+            tensor_presentation_check(B, [], pairs, d=2)
+        assert str(err.value) == f"subalgebras do not commute: {where} = (pair relation fails)"
 
 
 def test_tensor_presentation_check_cases():
