@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import linalg
 from .errors import ComplementEliminated
@@ -81,17 +80,24 @@ class SemiInvariantReport:
 
 def candidate_weights(flag: JordanHolderData, d: int) -> list[Weight]:
     """Distinct natural-number combinations of the flag weights with
-    coefficient sum <= d, sorted by their value tuples."""
+    coefficient sum <= d, sorted by their value tuples.
+
+    Enumerated level by level: level t holds the sums of t flag weights
+    whose values are new; a value reached again later adds nothing, since
+    its successors were already reached one level after its first visit."""
     m = len(flag.weights)
-    seen = {}
     zero = Weight(tuple(Fraction(0) for _ in range(m)))
-    seen[zero.values] = zero
-    for total in range(1, d + 1):
-        for combo in combinations_with_replacement(range(m), total):
-            w = zero
-            for i in combo:
-                w = w + flag.weights[i]
-            seen.setdefault(w.values, w)
+    seen = {zero.values: zero}
+    level = [zero]
+    for _ in range(d):
+        new = []
+        for w in level:
+            for f in flag.weights:
+                s = w + f
+                if s.values not in seen:
+                    seen[s.values] = s
+                    new.append(s)
+        level = new
     return [seen[k] for k in sorted(seen)]
 
 

@@ -10,14 +10,23 @@ Every element an algebra hands out is in normal form (no eliminated
 variable, no cancellable denominator power).  ``element`` is the one
 coercion point that applies the ideal; the arithmetic keeps normal form by
 cancelling denominators only, so a ``LocalElement`` passed to an operation
-must come from that algebra.
+must come from that algebra.  Cancelling works in the Laurent ring of the
+context: a numerator with negative exponents, or an inverted element with a
+Laurent-unit factor, still loses every power the ring can divide out.
 
-The bracket of arbitrary elements is computed as the biderivation
+The bracket is the unique Leibniz extension of the table,
 
-    {p, q} = sum_{i<j} {v_i, v_j} (d_i p d_j q - d_j p d_i q),
+    {a, b} = sum_i d_i a {x_i, b},    {x_i, b} = sum_k T_ik d_k b,
 
-with quotient-rule partials on denominators; this is the unique Leibniz
-extension of the table and agrees with the classical localization formula
+where row i of the Hamiltonian rows holds the nonzero T_ik = {x_i, x_k}
+(built once, when the table is complete), the partials are quotient-rule
+partials, and each d_k b is taken once per bracket and only where T_ik != 0
+and b can depend on x_k.  When a is a generator x_j the sum is row j alone.
+When b and the row are free of denominators, {x_i, b} is one sum of
+products T_ik d_k b collected into a single polynomial: it is in normal form
+by construction, because neither T_ik nor b contains an eliminated
+variable, a partial introduces none, and there is no denominator to cancel.
+This agrees with the classical localization formula
 
     {p s^-1, q t^-1} = {p,q} s^-1 t^-1 - {p,t} q s^-1 t^-2
                        - {q,s} p s^-2 t^-1 + {s,t} p q s^-2 t^-2,
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -39,7 +49,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .lie import LieAlgebra
-from .polys import Context, Poly, VarSpec
+from .polys import Context, Mono, Poly, VarSpec
 
 # ---------------------------------------------------------------------------
 # substitution ideals
@@ -158,6 +168,26 @@ class PoissonAlgebra:
     table: dict[tuple[int, int], LocalElement] = field(default_factory=dict)
     ideal: SubstitutionIdeal | None = None
     inverted: tuple[Poly, ...] = ()
+    # per generator i: ((k, {x_i, x_k}) for the nonzero entries, k ascending;
+    # True iff none of them has a denominator).  Set by ``poisson_algebra``
+    # once the table is complete.
+    rows: tuple[tuple[tuple[tuple[int, LocalElement], ...], bool], ...] = field(
+        default=(), init=False, repr=False
+    )
+    # per inverted s: (content, core) with s = content * core, content the
+    # Laurent-unit monomial factor of s; content is None when the context
+    # has no Laurent variable (then core is s).
+    cores: tuple[tuple[Mono | None, Poly], ...] = field(
+        default=(), init=False, repr=False
+    )
+
+    def __post_init__(self):
+        laurent = any(v.invertible for v in self.vars)
+        object.__setattr__(
+            self,
+            "cores",
+            tuple(_split_content(s) if laurent else (None, s) for s in self.inverted),
+        )
 
     # -- element helpers ----------------------------------------------------
 
@@ -198,14 +228,33 @@ class PoissonAlgebra:
         if num.is_zero():
             return LocalElement(num, (0,) * len(self.inverted))
         den = list(den)
-        for i, s in enumerate(self.inverted):
+        for i in range(len(self.inverted)):
             while den[i] > 0:
-                q = num.divide_exact(s)
+                q = self._divide(num, i)
                 if q is None:
                     break
                 num = q
                 den[i] -= 1
         return LocalElement(num, tuple(den))
+
+    def _divide(self, num: Poly, i: int) -> Poly | None:
+        """num / inverted[i] in the Laurent ring of the context, or None.
+
+        With content c and core r (s = c r): clear the negative exponents of
+        num with a unit monomial u, divide num u by the polynomial r, and
+        shift back by u^-1 c^-1.  r has no Laurent-variable factor, so the
+        quotient of num u by r, when it exists, is a polynomial."""
+        content, core = self.cores[i]
+        if content is None or num.is_zero():
+            return num.divide_exact(core)
+        low = tuple(min(0, *col) for col in zip(*num.terms))
+        if any(low):
+            num = num * Poly.monomial(self.vars, [-e for e in low])
+        q = num.divide_exact(core)
+        if q is None:
+            return None
+        back = [e - c for e, c in zip(low, content)]
+        return q * Poly.monomial(self.vars, back) if any(back) else q
 
     def effective_vars(self) -> Context:
         """Generators that survive the quotient (non-eliminated variables)."""
@@ -241,9 +290,11 @@ class PoissonAlgebra:
         inverted denominators.  Raises ZeroDenominator otherwise."""
         num = a.num
         extra = [0] * len(self.inverted)
-        for i, s in enumerate(self.inverted):
+        for i, (_, core) in enumerate(self.cores):
+            if core.is_constant():
+                continue  # a unit already: dividing by it never ends
             while True:
-                q = num.divide_exact(s)
+                q = self._divide(num, i)
                 if q is None or q.is_zero():
                     break
                 num = q
@@ -306,40 +357,67 @@ class PoissonAlgebra:
         e = self.table.get((j, i))
         return self.scale(-1, e) if e is not None else self.zero()
 
-    def _partials(self, a: LocalElement) -> dict[int, LocalElement]:
-        """Nonzero partials of a by variable index.  Only the variables of
-        the numerator can give one, and by the quotient rule those of each
-        inverted element with a nonzero power in the denominator."""
+    def _support(self, a: LocalElement) -> set[int]:
+        """Variables a can have a nonzero partial in: those of the
+        numerator, and by the quotient rule those of each inverted element
+        with a nonzero power in the denominator."""
         used = a.num.variable_indices()
         for s, k in zip(self.inverted, a.den):
             if k:
                 used |= s.variable_indices()
-        out = {}
-        for i in sorted(used):
-            d = self.partial(a, self.vars[i])
-            if not d.is_zero():
-                out[i] = d
-        return out
+        return used
 
     def bracket(self, p: Poly | LocalElement | str, q: Poly | LocalElement | str) -> LocalElement:
-        """Leibniz/biderivation extension of the generator table; a Poly or
-        string argument is coerced through ``element``."""
+        """{a, b} = sum_i d_i a {x_i, b} (see the module docstring); a Poly
+        or string argument is coerced through ``element``."""
         a = self.element(p) if not isinstance(p, LocalElement) else p
         b = self.element(q) if not isinstance(q, LocalElement) else q
+        support = self._support(b)
+        parts: dict[int, LocalElement] = {}
+        j = _generator_index(a)
+        if j is not None:
+            return self._hamiltonian(j, b, support, parts)
         out = self.zero()
-        parts_a = self._partials(a)
-        parts_b = self._partials(b)
-        for (i, j), t in self.table.items():
-            if t.is_zero():
+        for i in sorted(self._support(a)):
+            da = self.partial(a, self.vars[i])
+            if da.is_zero():
                 continue
-            term = self.zero()
-            if i in parts_a and j in parts_b:
-                term = self.mul(parts_a[i], parts_b[j])
-            if j in parts_a and i in parts_b:
-                term = self.sub(term, self.mul(parts_a[j], parts_b[i]))
-            if not term.is_zero():
-                out = self.add(out, self.mul(t, term))
+            h = self._hamiltonian(i, b, support, parts)
+            if not h.is_zero():
+                out = self.add(out, self.mul(da, h))
         return out
+
+    def _hamiltonian(
+        self, i: int, b: LocalElement, support: set[int], parts: dict[int, LocalElement]
+    ) -> LocalElement:
+        """{x_i, b} = sum_k T_ik d_k b over row i; ``parts`` caches the
+        partials d_k b of this bracket."""
+        entries, den_free = self.rows[i]
+        if den_free and not any(b.den):
+            acc: dict[Mono, Fraction] = {}
+            for k, t in entries:
+                if k not in support:
+                    continue
+                for m2, c2 in self._partial_of(b, k, parts).num.terms.items():
+                    for m1, c1 in t.num.terms.items():
+                        m = tuple(map(add, m1, m2))
+                        acc[m] = acc.get(m, 0) + c1 * c2
+            return LocalElement(Poly(self.vars, acc), b.den)
+        out = self.zero()
+        for k, t in entries:
+            if k in support:
+                d = self._partial_of(b, k, parts)
+                if not d.is_zero():
+                    out = self.add(out, self.mul(t, d))
+        return out
+
+    def _partial_of(self, b: LocalElement, k: int, parts: dict[int, LocalElement]) -> LocalElement:
+        d = parts.get(k)
+        if d is None:
+            v = self.vars[k]
+            d = self.partial(b, v) if any(b.den) else LocalElement(b.num.partial(v), b.den)
+            parts[k] = d
+        return d
 
     def jacobi_check(self):
         """None when the Jacobi identity holds on every generator triple
@@ -407,7 +485,37 @@ def poisson_algebra(
         el = alg.element(val)
         if not el.is_zero():
             table[(i, j)] = el
+    rows = []
+    for i in range(len(vars)):
+        entries = tuple(
+            (k, alg.table_entry(i, k))
+            for k in range(len(vars))
+            if (min(i, k), max(i, k)) in table
+        )
+        rows.append((entries, not any(any(t.den) for _, t in entries)))
+    object.__setattr__(alg, "rows", tuple(rows))
     return alg
+
+
+def _generator_index(a: LocalElement) -> int | None:
+    """j when a is the generator x_j (no denominator, one term, coefficient
+    1, degree 1), else None."""
+    if any(a.den) or len(a.num.terms) != 1:
+        return None
+    ((mono, c),) = a.num.terms.items()
+    if c != 1 or mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
+        return None
+    return mono.index(1)
+
+
+def _split_content(s: Poly) -> tuple[Mono, Poly]:
+    """(content, core): content is the largest Laurent-unit monomial
+    dividing s (lowest exponents over the invertible variables), core is
+    s / content."""
+    low = tuple(
+        min(m[j] for m in s.terms) if v.invertible else 0 for j, v in enumerate(s.ctx)
+    )
+    return low, s * Poly.monomial(s.ctx, [-e for e in low]) if any(low) else s
 
 
 def canonical_from_lie(g: LieAlgebra) -> PoissonAlgebra:

@@ -239,6 +239,8 @@ class Poly:
                 raise CyclicSubstitution(clash)
             if self.ctx[i].invertible and not img.is_unit_monomial():
                 raise NonUnitImageForInvertible(self.ctx[i].name, str(img))
+        if not any(m[i] for m in self.terms for i in bound):
+            return self  # no bound variable occurs
         result = Poly.zero(self.ctx)
         for m, c in self.terms.items():
             residual = list(m)

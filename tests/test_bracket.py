@@ -1,0 +1,201 @@
+"""The bracket {a, b} = sum_i d_i a {x_i, b} against independent references:
+the pairwise biderivation over the table, sympy, and call-count guards on
+the slice actions."""
+
+from fractions import Fraction
+
+import pytest
+
+from liepoisson.invariants import semi_invariants
+from liepoisson.lie import verify_lie
+from liepoisson.poisson import (
+    Derivation,
+    LocalElement,
+    PoissonAlgebra,
+    canonical_from_lie,
+    ideal_from_pairs,
+    inner_derivation,
+    localize,
+    poisson_algebra,
+    quotient,
+    skew_extend,
+)
+from liepoisson.polys import Poly, make_vars, parse_poly
+from liepoisson.spaces import basis_monomials, operator_rows
+from liepoisson.weyl import chi_context
+
+from conftest import eng4, family_n, heisenberg, random_poly
+
+F = Fraction
+
+
+def pairwise_bracket(alg, a, b):
+    """Reference: sum_{i<j} T_ij (d_i a d_j b - d_j a d_i b), with the
+    quotient-rule partial of each argument in every variable."""
+    pa = [alg.partial(a, v) for v in alg.vars]
+    pb = [alg.partial(b, v) for v in alg.vars]
+    out = alg.zero()
+    for (i, j), t in alg.table.items():
+        term = alg.sub(alg.mul(pa[i], pb[j]), alg.mul(pa[j], pb[i]))
+        out = alg.add(out, alg.mul(t, term))
+    return out
+
+
+def _family_mod_z():
+    A = canonical_from_lie(family_n(2))
+    return quotient(A, ideal_from_pairs(A.vars, [("z", "3/2")]))
+
+
+def _eng4_at_e4():
+    A = canonical_from_lie(eng4())
+    return localize(A, [Poly.var(A.vars, "e4")])
+
+
+def _chi_target():
+    # {p, q} = 1/s with s inverted: a table entry with a denominator
+    ctx = make_vars("a p q s")
+    A = poisson_algebra(
+        ctx,
+        {(1, 2): LocalElement(Poly.const(ctx, 1), (1,))},
+        inverted=[Poly.var(ctx, "s")],
+    )
+    return chi_context(A, Derivation({"a": A.one()}), "a").target
+
+
+def _skew_extended():
+    # {w, p} = {x*y, p} on Heisenberg: quadratic table entries
+    A = canonical_from_lie(heisenberg())
+    return skew_extend(A, inner_derivation(A, parse_poly("x*y", A.vars)), "w")
+
+
+def _laurent_localized():
+    ctx = make_vars("X", invertible=True) + make_vars("Y")
+    A = poisson_algebra(ctx, {(0, 1): Poly.var(ctx, "X")})
+    return localize(A, [parse_poly("X*Y + X", ctx)])
+
+
+ALGEBRAS = {
+    "heisenberg": canonical_from_lie(heisenberg()),
+    "family_n(2) mod z=3/2": _family_mod_z(),
+    "eng4 at e4": _eng4_at_e4(),
+    "chi target of a p q s": _chi_target(),
+    "skew extension": _skew_extended(),
+    "Laurent X at X*Y + X": _laurent_localized(),
+}
+
+
+def _random_element(rng, alg):
+    """A random numerator over a random power of each inverted element."""
+    el = alg.element(random_poly(rng, alg.vars, 3, laurent=True))
+    for s in alg.inverted:
+        k = rng.randint(0, 2)
+        if k:
+            el = alg.mul(el, alg.power(alg.invert(alg.element(s)), k))
+    return el
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_bracket_matches_pairwise_biderivation(rng, name):
+    alg = ALGEBRAS[name]
+    gens = [alg.gen(v.name) for v in alg.effective_vars()]
+    denominators = 0
+    for _ in range(15):
+        a, b = _random_element(rng, alg), _random_element(rng, alg)
+        denominators += not (a.is_polynomial() and b.is_polynomial())
+        assert alg.bracket(a, b) == pairwise_bracket(alg, a, b)
+        for g in gens:
+            assert alg.bracket(g, b) == pairwise_bracket(alg, g, b)
+            assert alg.bracket(b, g) == pairwise_bracket(alg, b, g)
+    assert denominators > 0 if alg.inverted else denominators == 0
+
+
+def test_hamiltonian_rows_are_the_table():
+    for alg in ALGEBRAS.values():
+        n = len(alg.vars)
+        for i in range(n):
+            entries, den_free = alg.rows[i]
+            want = [(k, alg.table_entry(i, k)) for k in range(n)]
+            assert list(entries) == [(k, t) for k, t in want if not t.is_zero()]
+            assert den_free == all(t.is_polynomial() for _, t in entries)
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle on denominator-free brackets
+
+
+def _to_sympy(sp, p, syms):
+    out = sp.Integer(0)
+    for mono, c in p.terms.items():
+        term = sp.Rational(c.numerator, c.denominator)
+        for s, e in zip(syms, mono):
+            term *= s**e
+        out += term
+    return out
+
+
+def _from_sympy(sp, expr, alg, syms):
+    poly = sp.Poly(sp.expand(expr), *syms)
+    return Poly(alg.vars, {m: F(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "family_n(2) mod z=3/2", "skew extension"])
+def test_bracket_matches_sympy(rng, name):
+    sp = pytest.importorskip("sympy")
+    alg = ALGEBRAS[name]
+    syms = sp.symbols([v.name for v in alg.vars])
+    table = {k: _to_sympy(sp, t.num, syms) for k, t in alg.table.items()}
+    for _ in range(10):
+        a = alg.element(random_poly(rng, alg.vars, 4))
+        b = alg.element(random_poly(rng, alg.vars, 4))
+        fa, fb = _to_sympy(sp, a.num, syms), _to_sympy(sp, b.num, syms)
+        want = sum(
+            (
+                t * (sp.diff(fa, syms[i]) * sp.diff(fb, syms[j])
+                     - sp.diff(fa, syms[j]) * sp.diff(fb, syms[i]))
+                for (i, j), t in table.items()
+            ),
+            sp.Integer(0),
+        )
+        got = alg.bracket(a, b)
+        assert got.is_polynomial()
+        assert got.num == _from_sympy(sp, want, alg, syms)
+
+
+# ---------------------------------------------------------------------------
+# call-count guards
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "family_n(2) mod z=3/2", "skew extension"])
+def test_slice_actions_make_no_element_arithmetic(monkeypatch, name):
+    # generator actions on a denominator-free slice are one product sum each
+    alg = ALGEBRAS[name]
+    basis = [alg.element(m) for m in basis_monomials(alg, 3)]
+    gens = [alg.gen(v.name) for v in alg.effective_vars()]
+    ops = [lambda el, gen=gen: alg.bracket(gen, el) for gen in gens]
+    muls = _count_calls(monkeypatch, PoissonAlgebra, "mul")
+    adds = _count_calls(monkeypatch, PoissonAlgebra, "add")
+    brackets = _count_calls(monkeypatch, PoissonAlgebra, "bracket")
+    operator_rows(alg, basis, ops)
+    assert muls == [] and adds == []
+    assert len(brackets) == len(gens) * len(basis)
+
+
+def test_weight_search_slice_makes_504_brackets(monkeypatch):
+    # t s x y at degree 5: 4 generators times 126 monomials, one bracket each
+    g = verify_lie("t s x y", {(0, 2): {2: 2}, (1, 3): {3: F(-1, 3)}, (0, 3): {3: 5}})
+    brackets = _count_calls(monkeypatch, PoissonAlgebra, "bracket")
+    report = semi_invariants(g, None, 5)
+    assert len(brackets) == 504
+    assert len(report.entries) == 21

@@ -314,3 +314,44 @@ def test_independent_subset_is_rank_increasing_prefix():
     ]
     assert len(independent_subset(L, got)) == len(got)
     assert len(independent_subset(L, elements)) != len(elements)
+
+
+# ---------------------------------------------------------------------------
+# candidate weights against the multiset enumeration
+
+
+def _candidate_weights_per_multiset(flag, d):
+    """Reference: one sum per multiset of at most d flag weights."""
+    from itertools import combinations_with_replacement
+
+    from liepoisson.lie import Weight
+
+    m = len(flag.weights)
+    zero = Weight(tuple(F(0) for _ in range(m)))
+    seen = {zero.values: zero}
+    for total in range(1, d + 1):
+        for combo in combinations_with_replacement(range(m), total):
+            w = zero
+            for i in combo:
+                w = w + flag.weights[i]
+            seen.setdefault(w.values, w)
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_candidate_weights_match_multiset_reference(rng):
+    from liepoisson.invariants import candidate_weights
+    from liepoisson.lie import JordanHolderData, Weight
+
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        # a small pool, so that flags repeat weights and contain zero ones
+        pool = [Weight(tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)))
+                for _ in range(rng.randint(1, 3))]
+        pool.append(Weight(tuple(F(0) for _ in range(m))))
+        weights = tuple(rng.choice(pool) for _ in range(m))
+        flag = JordanHolderData((), weights, ())
+        d = rng.randint(0, 5)
+        assert candidate_weights(flag, d) == _candidate_weights_per_multiset(flag, d)
+    # all-zero flag: only the zero weight, at every bound
+    zero = Weight((F(0), F(0)))
+    assert candidate_weights(JordanHolderData((), (zero, zero), ()), 6) == [zero]

@@ -379,3 +379,39 @@ def test_bracket_takes_partials_only_in_occurring_variables(monkeypatch):
     monkeypatch.setattr(Poly, "partial", counted)
     assert A.format(A.bracket(a, b)) == "2*y*z^2"
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# cancelling in the Laurent ring: X invertible, Y ordinary, {X, Y} = X
+
+
+def _laurent_localized(den: str):
+    ctx = make_vars("X", invertible=True) + make_vars("Y")
+    A = poisson_algebra(ctx, {(0, 1): Poly.var(ctx, "X")})
+    return localize(A, [parse_poly(den, ctx)])
+
+
+def test_cancel_clears_negative_exponents_before_dividing():
+    L = _laurent_localized("X + 1")
+    s = L.element("X + 1")
+    r = L.mul(L.mul(L.element("X^-1"), s), L.invert(s))
+    assert L.format(r) == "X^-1"
+    assert r == L.element("X^-1")
+
+
+def test_cancel_divides_by_a_unit_denominator():
+    L = _laurent_localized("X")
+    el = L.element(LocalElement(parse_poly("X^-1", L.vars), (1,)))
+    assert L.format(el) == "X^-2"
+    assert el == LocalElement(parse_poly("X^-2", L.vars), (0,))
+
+
+def test_cancel_takes_out_the_laurent_content_of_the_denominator():
+    L = _laurent_localized("X*Y + X")
+    el = L.element(LocalElement(parse_poly("Y + 1", L.vars), (1,)))
+    assert L.format(el) == "X^-1"
+    assert el == L.element("X^-1")
+    # Y + 1 = (X*Y + X) X^-1 is a unit, with inverse X/(X*Y + X)
+    inv = L.invert(L.element("Y + 1"))
+    assert L.format(inv) == "X/(X*Y + X)"
+    assert L.mul(inv, L.element("Y + 1")) == L.one()

@@ -91,6 +91,19 @@ def test_substitute_invertible_needs_unit():
     assert (g**-2).substitute({"g": h.scale(2)}) == (h**-2).scale(Fraction(1, 4))
 
 
+def test_substitute_without_bound_variable_returns_self_after_validation():
+    # no term has a nonzero exponent on x: the polynomial itself comes back
+    p = Y * Y + Poly.const(CTX, 3)
+    assert p.substitute({"x": Y + Poly.const(CTX, 1)}) is p
+    # the bindings are still validated first, even when nothing would change
+    with pytest.raises(CyclicSubstitution):
+        Poly.const(CTX, 3).substitute({"x": Y, "y": X})
+    ctx = make_vars("x") + make_vars("g", invertible=True)
+    x = Poly.var(ctx, "x")
+    with pytest.raises(NonUnitImageForInvertible):
+        x.substitute({"g": x + Poly.const(ctx, 1)})
+
+
 def test_parse_basic_and_roundtrip():
     p = parse_poly("2/3*x^2*y - x", CTX)
     assert p == (X**2 * Y).scale(Fraction(2, 3)) - X
