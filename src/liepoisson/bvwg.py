@@ -456,7 +456,7 @@ def symplectic_basis(spec: BVWG) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
             break
         i, j, val = found
         u = working[i]
-        w = tuple(c / val for c in working[j])
+        w = tuple(Fraction(c, val) for c in working[j])
         pairs.append((u, w))
         rest = []
         for k, z in enumerate(working):

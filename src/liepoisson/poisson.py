@@ -49,7 +49,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .lie import LieAlgebra
-from .polys import Context, Mono, Poly, VarSpec
+from .polys import Coef, Context, Mono, Poly, VarSpec
 
 # ---------------------------------------------------------------------------
 # substitution ideals
@@ -394,7 +394,7 @@ class PoissonAlgebra:
         partials d_k b of this bracket."""
         entries, den_free = self.rows[i]
         if den_free and not any(b.den):
-            acc: dict[Mono, Fraction] = {}
+            acc: dict[Mono, Coef] = {}
             for k, t in entries:
                 if k not in support:
                     continue

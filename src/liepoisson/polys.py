@@ -2,22 +2,34 @@
 
 A polynomial lives in a fixed *context*: an ordered tuple of variables, each
 optionally invertible (Laurent).  Terms are stored as a dictionary mapping
-exponent tuples to ``fractions.Fraction`` coefficients; zero coefficients are
-never stored, so equality of dictionaries is equality of polynomials.
+exponent tuples to exact rational coefficients; zero coefficients are never
+stored, so equality of dictionaries is equality of polynomials.
 
   exponents : tuple[int, ...]      one entry per context variable
-  terms     : {exponents: Fraction}
+  terms     : {exponents: int | Fraction}
 
-Negative exponents are allowed only at invertible positions.  The canonical
-term order is graded lexicographic on the exponent tuple; printing lists
-terms in descending order, which makes string output (and everything derived
-from it, e.g. CLI reports) deterministic.
+A coefficient is an ``int`` when it is integral and a ``fractions.Fraction``
+with denominator > 1 otherwise.  ``Poly.__init__`` is the one place that
+establishes this (a float raises ``TypeError``); since ``Fraction(3) == 3``
+and both hash alike, equality, hashing and printing do not see the
+difference, but integer sums and products skip ``Fraction`` arithmetic.
+
+Negative exponents are allowed only at invertible positions.  ``__init__``
+checks this once, for every polynomial built from outside this module.  The
+results of ``+``, ``-``, negation, ``*``, ``scale``, ``partial``, ``extend``
+and ``divide_exact`` satisfy it by construction and are built with
+``_checked=True``, which skips that check (never the coefficient
+normalization); no other caller passes it.  The canonical term order is
+graded lexicographic on the exponent tuple; printing lists terms in
+descending order, which makes string output (and everything derived from
+it, e.g. CLI reports) deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -29,6 +41,7 @@ from .errors import (
 )
 
 Mono = tuple[int, ...]
+Coef = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -53,20 +66,49 @@ def _index(ctx: Context) -> dict[str, int]:
     return {v.name: i for i, v in enumerate(ctx)}
 
 
+def _coef(c) -> Coef:
+    """c as an int when integral, else as a Fraction; a float is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Coef, b: Coef) -> Coef:
+    """Exact a / b (int / int would be a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class Poly:
-    """Immutable multivariate Laurent polynomial with exact coefficients."""
+    """Immutable multivariate Laurent polynomial with exact coefficients.
+
+    Invariant (see the module docstring): every coefficient is a nonzero
+    ``int``, or a ``Fraction`` whose denominator is not 1, and a negative
+    exponent sits only at an invertible variable.  Every ``Poly`` is built
+    by ``__init__``; ``_checked=True`` (passed only inside this module, for
+    results that keep the exponent rule by construction) skips the
+    exponent check."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: Mapping[Mono, Fraction]):
-        clean: dict[Mono, Fraction] = {}
+    def __init__(self, ctx: Context, terms: Mapping[Mono, Coef], *, _checked: bool = False):
+        clean: dict[Mono, Coef] = {}
         for mono, c in terms.items():
-            if c == 0:
-                continue
-            for e, v in zip(mono, ctx):
-                if e < 0 and not v.invertible:
-                    raise NegativePowerOfNonUnit(f"{v.name}^{e}")
-            clean[mono] = c if isinstance(c, Fraction) else Fraction(c)
+            if type(c) is not int:
+                c = _coef(c)
+            if c:
+                clean[mono] = c
+        if not _checked:
+            for mono in clean:
+                for e, v in zip(mono, ctx):
+                    if e < 0 and not v.invertible:
+                        raise NegativePowerOfNonUnit(f"{v.name}^{e}")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
@@ -81,7 +123,7 @@ class Poly:
 
     @staticmethod
     def const(ctx: Context, c) -> "Poly":
-        return Poly(ctx, {(0,) * len(ctx): Fraction(c)})
+        return Poly(ctx, {(0,) * len(ctx): c})
 
     @staticmethod
     def var(ctx: Context, name: str) -> "Poly":
@@ -90,11 +132,11 @@ class Poly:
             raise UnknownVariable(name)
         mono = [0] * len(ctx)
         mono[idx[name]] = 1
-        return Poly(ctx, {tuple(mono): Fraction(1)})
+        return Poly(ctx, {tuple(mono): 1})
 
     @staticmethod
     def monomial(ctx: Context, mono: Mono, c=1) -> "Poly":
-        return Poly(ctx, {tuple(mono): Fraction(c)})
+        return Poly(ctx, {tuple(mono): c})
 
     # -- basic queries ------------------------------------------------------
 
@@ -104,9 +146,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coef:
         zero = (0,) * len(self.ctx)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
     def degree(self) -> int:
         """Total degree (sum of exponents); -1 for the zero polynomial."""
@@ -128,8 +170,8 @@ class Poly:
         (mono,) = self.terms
         return all(e == 0 or v.invertible for e, v in zip(mono, self.ctx))
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Mono) -> Coef:
+        return self.terms.get(tuple(mono), 0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -149,31 +191,31 @@ class Poly:
         self._check_ctx(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.ctx, out)
+            out[m] = out.get(m, 0) + c
+        return Poly(self.ctx, out, _checked=True)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Poly(self.ctx, out)
+            out[m] = out.get(m, 0) - c
+        return Poly(self.ctx, out, _checked=True)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, _checked=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coef] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.ctx, out)
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly(self.ctx, out, _checked=True)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.ctx, {m: c * v for m, v in self.terms.items()})
+        c = _coef(c)
+        return Poly(self.ctx, {m: c * v for m, v in self.terms.items()}, _checked=True)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -201,7 +243,7 @@ class Poly:
         if name not in idx:
             raise UnknownVariable(name)
         i = idx[name]
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coef] = {}
         for m, c in self.terms.items():
             e = m[i]
             if e == 0:
@@ -209,8 +251,8 @@ class Poly:
             m2 = list(m)
             m2[i] = e - 1
             m2 = tuple(m2)
-            out[m2] = out.get(m2, Fraction(0)) + c * e
-        return Poly(self.ctx, out)
+            out[m2] = out.get(m2, 0) + c * e
+        return Poly(self.ctx, out, _checked=True)
 
     def substitute(self, bindings: Mapping[VarSpec | str, "Poly"]) -> "Poly":
         """Simultaneous triangular substitution.
@@ -254,7 +296,7 @@ class Poly:
             result = result + factor * term
         return result
 
-    def shift(self, offsets: Mapping[VarSpec | str, Fraction]) -> "Poly":
+    def shift(self, offsets: Mapping[VarSpec | str, Coef]) -> "Poly":
         """Affine translation v -> v + c (the exponential of a constant
         derivation); unlike ``substitute`` this allows v in its own image."""
         idx = _index(self.ctx)
@@ -263,7 +305,7 @@ class Poly:
             name = key if isinstance(key, str) else key.name
             if name not in idx:
                 raise UnknownVariable(name)
-            c = Fraction(c)
+            c = _coef(c)
             if c != 0:
                 if self.ctx[idx[name]].invertible:
                     raise NegativePowerOfNonUnit(f"shift of Laurent variable {name}")
@@ -281,7 +323,7 @@ class Poly:
                     base = Poly(
                         self.ctx,
                         {
-                            tuple(1 if j == i else 0 for j in range(len(self.ctx))): Fraction(1),
+                            tuple(1 if j == i else 0 for j in range(len(self.ctx))): 1,
                             (0,) * len(self.ctx): off,
                         },
                     )
@@ -292,7 +334,10 @@ class Poly:
     # -- context surgery -------------------------------------------------------
 
     def extend(self, new_ctx: Context) -> "Poly":
-        """Re-express in a larger context containing every used variable."""
+        """Re-express in a larger context containing every used variable;
+        the polynomial itself when the context is its own."""
+        if new_ctx == self.ctx:
+            return self
         pos = _index(new_ctx)
         mapping = []
         for v in self.ctx:
@@ -307,7 +352,7 @@ class Poly:
             for e, j in zip(m, mapping):
                 m2[j] = e
             out[tuple(m2)] = c
-        return Poly(new_ctx, out)
+        return Poly(new_ctx, out, _checked=True)
 
     def restrict(self, new_ctx: Context) -> "Poly":
         """Re-express in a smaller context; fails if a dropped variable occurs."""
@@ -326,7 +371,12 @@ class Poly:
     def divide_exact(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor, or None when division leaves a
         remainder.  Both operands must be denominator-free (no negative
-        exponents); used to cancel localization denominators."""
+        exponents); used to cancel localization denominators.
+
+        A single-term divisor c*x^m divides in one pass: the quotient exists
+        iff every exponent vector is >= m componentwise, and is then the
+        shifted terms over c.  A divisor with several terms goes through
+        long division on a remainder dictionary, in graded-lex order."""
         self._check_ctx(divisor)
         if divisor.is_zero():
             return None
@@ -336,19 +386,34 @@ class Poly:
             e < 0 for m in divisor.terms for e in m
         ):
             return None
+        quotient: dict[Mono, Coef] = {}
+        if len(divisor.terms) == 1:
+            ((lead_d, cd),) = divisor.terms.items()
+            for m, c in self.terms.items():
+                diff = tuple(map(sub, m, lead_d))
+                if any(e < 0 for e in diff):
+                    return None
+                quotient[diff] = _div(c, cd)
+            return Poly(self.ctx, quotient, _checked=True)
         lead_d = max(divisor.terms, key=_order_key)
         cd = divisor.terms[lead_d]
-        quotient: dict[Mono, Fraction] = {}
-        rem = self
-        while not rem.is_zero():
-            lead_r = max(rem.terms, key=_order_key)
-            diff = tuple(a - b for a, b in zip(lead_r, lead_d))
+        tail = [(m, c) for m, c in divisor.terms.items() if m != lead_d]
+        rem = dict(self.terms)
+        while rem:
+            lead_r = max(rem, key=_order_key)
+            diff = tuple(map(sub, lead_r, lead_d))
             if any(e < 0 for e in diff):
                 return None
-            c = rem.terms[lead_r] / cd
+            c = _div(rem.pop(lead_r), cd)
             quotient[diff] = c
-            rem = rem - Poly.monomial(self.ctx, diff, c) * divisor
-        return Poly(self.ctx, quotient)
+            for md, cm in tail:
+                m = tuple(map(add, diff, md))
+                v = rem.get(m, 0) - c * cm
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
+        return Poly(self.ctx, quotient, _checked=True)
 
     # -- printing ----------------------------------------------------------------
 
@@ -364,7 +429,7 @@ def _order_key(mono: Mono):
     return (sum(mono), mono)
 
 
-def sorted_terms(p: Poly) -> list[tuple[Mono, Fraction]]:
+def sorted_terms(p: Poly) -> list[tuple[Mono, Coef]]:
     """Terms in descending graded-lex order (the canonical print order)."""
     return sorted(p.terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
 

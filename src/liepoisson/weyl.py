@@ -203,7 +203,7 @@ def _antiderivative(p: Poly, ctx: Context, name: str, pair: int) -> Poly:
         m2[idx] += 1
         if m2[idx] == 0:
             raise NotClosed(f"(no polynomial antiderivative of {name}^-1)", pair, pair)
-        out[tuple(m2)] = c / m2[idx]
+        out[tuple(m2)] = Fraction(c, m2[idx])
     return Poly(ctx, out)
 
 

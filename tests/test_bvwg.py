@@ -172,6 +172,14 @@ def test_symplectic_basis_normal_form(rng):
         assert 2 * len(pairs) + len(kernel) == spec.n
 
 
+def test_symplectic_basis_scales_exactly():
+    # omega(v1, v2) = 2 with integer entries: w = v2 / 2, exactly
+    spec = make_spec(["v1", "v2"], [[0, 2], [-2, 0]], ["g1"], [[1, 0]])
+    pairs, kernel = symplectic_basis(spec)
+    assert pairs == [((1, 0), (0, Fraction(1, 2)))] and kernel == []
+    assert all(type(c) is Fraction for u, w in pairs for c in u + w)
+
+
 def test_embed_in_weyl_examples():
     emb = embed_in_weyl(SPEC_LINE)
     assert emb.sym_rank == 0 and emb.lattice_rank == 1

@@ -13,10 +13,12 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 from liepoisson.decompose import decompose, decompose_nilpotent, verify_decomposition
 from liepoisson.lie import Subspace, verify_lie
 from liepoisson.poisson import ideal_from_pairs
+from liepoisson.polys import Poly
 
 from conftest import abelian, eng4, heisenberg, random_basis_change
 from test_acceptance import DECOMP_FIXTURES
@@ -71,6 +73,23 @@ def test_decompose_matches_goldens():
     with open(GOLDEN) as fh:
         want = fh.read()
     assert _dump(compute_goldens()) == want
+
+
+def test_decompositions_store_int_or_proper_fraction(monkeypatch):
+    # every polynomial built while decomposing and verifying the fixtures
+    # keeps an integral coefficient as an int and any other as a Fraction
+    kinds = set()
+    init = Poly.__init__
+
+    def checked(self, *args, **kw):
+        init(self, *args, **kw)
+        for c in self.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+            kinds.add(type(c))
+
+    monkeypatch.setattr(Poly, "__init__", checked)
+    compute_goldens()
+    assert kinds == {int, Fraction}
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ import pytest
 
 from liepoisson import linalg
 
+from conftest import random_unimodular
+
 F = Fraction
 
 
@@ -163,3 +165,33 @@ def test_linear_algebra_matches_sympy():
             if sol is not None:
                 for r, b in zip(rows, rhs):
                     assert sum((c * sol[j] for j, c in r.items()), F(0)) == b
+
+
+def test_charpoly_and_rational_roots_match_sympy():
+    # independent oracle: sympy's characteristic polynomial and its roots
+    # over QQ; every other matrix is a conjugate of a triangular one, so
+    # that rational eigenvalues (repeated ones included) occur
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    t = sympy.Symbol("t")
+    rooted = 0
+
+    def entry():
+        return sympy.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for trial in range(40):
+        n = rng.randint(1, 4)
+        m = sympy.Matrix(n, n, lambda i, j: entry())
+        if trial % 2:
+            tri = sympy.Matrix(n, n, lambda i, j: entry() if i <= j else 0)
+            tri[0, 0] = tri[n - 1, n - 1]  # a repeated eigenvalue
+            p = sympy.Matrix(random_unimodular(rng, n))
+            m = p * tri * p.inv()
+        mat = [[F(int(c.p), int(c.q)) for c in m.row(i)] for i in range(n)]
+        coeffs = linalg.charpoly(mat)
+        want = m.charpoly(t)
+        assert [sympy.Rational(c) for c in reversed(coeffs)] == want.all_coeffs()
+        roots = linalg.rational_roots(coeffs)
+        assert [sympy.Rational(r) for r in roots] == sorted(want.ground_roots())
+        rooted += bool(roots)
+    assert rooted >= 20

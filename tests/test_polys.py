@@ -187,3 +187,203 @@ def test_substitute_is_ring_hom(p, q):
     }
     assert (p * q).substitute(image) == p.substitute(image) * q.substitute(image)
     assert (p + q).substitute(image) == p.substitute(image) + q.substitute(image)
+
+
+# ---------------------------------------------------------------------------
+# coefficients: an int when integral, a Fraction otherwise, never a float
+
+
+def _assert_int_or_proper_fraction(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = Poly(CTX, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): 3})
+    assert [type(p.coefficient(m)) for m in ((1, 0), (0, 1), (0, 0))] == [int, Fraction, int]
+    half = X.scale(Fraction(1, 2))
+    assert type((half + half).coefficient((1, 0))) is int
+    # equality, hashing and printing cannot tell 3 from Fraction(3)
+    assert Poly.const(CTX, Fraction(3)) == Poly.const(CTX, 3)
+    assert hash(Poly.const(CTX, Fraction(3))) == hash(Poly.const(CTX, 3))
+    assert str(X.scale(Fraction(6, 2)) - Y.scale(Fraction(1, 2))) == "3*x - 1/2*y"
+
+
+def test_float_coefficient_raises():
+    with pytest.raises(TypeError):
+        Poly(CTX, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Poly.const(CTX, 2.0)
+    with pytest.raises(TypeError):
+        X.scale(0.5)
+    with pytest.raises(TypeError):
+        X.shift({"x": 0.5})
+
+
+def test_divide_exact_by_integer_coefficients_is_exact():
+    # int / int would be the float 0.5
+    got = X.scale(2).divide_exact(Poly.const(CTX, 4))
+    assert got == X.scale(Fraction(1, 2))
+    assert type(got.coefficient((1, 0))) is Fraction
+    # several terms: long division by the leading coefficient 4
+    got = (X.scale(2) + Y).divide_exact(X.scale(4) + Y.scale(2))
+    assert got.coefficient((0, 0)) == Fraction(1, 2)
+    _assert_int_or_proper_fraction(got)
+
+
+def test_divide_exact_single_term_divisor():
+    p = (X**2 * Y).scale(6) + (X * Y**3).scale(Fraction(3, 2))
+    assert p.divide_exact((X * Y).scale(3)) == X.scale(2) + (Y**2).scale(Fraction(1, 2))
+    # one term falls short of the divisor's exponent in x
+    assert (p + Y**4).divide_exact(X * Y) is None
+
+
+def test_single_term_division_builds_one_poly(monkeypatch):
+    # a quotient is built at once, never term by term
+    rng = random.Random(9)
+    d = Poly.monomial(CTX, (1, 2), 3)
+    for _ in range(10):
+        q = _nonzero_poly(rng, CTX, max_degree=4, max_terms=6)
+        p, stuck = q * d, q * d + Poly.const(CTX, 1)
+        calls = []
+        init = Poly.__init__
+
+        def counted(self, *args, **kw):
+            calls.append(1)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        assert p.divide_exact(d) == q  # == builds nothing
+        assert len(calls) == 1
+        del calls[:]
+        assert stuck.divide_exact(d) is None
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_extend_to_own_context_returns_input():
+    p = X * Y + Poly.const(CTX, 1)
+    assert p.extend(CTX) is p
+    assert p.extend(make_vars("x y")) is p  # an equal context, not the same object
+    big = p.extend(make_vars("x y z"))
+    assert big.terms == {(1, 1, 0): 1, (0, 0, 0): 1}
+    with pytest.raises(ValueError):
+        p.extend(make_vars("x") + make_vars("y", invertible=True))
+
+
+@st.composite
+def laurent_polys(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**9))
+    return random_poly(random.Random(seed), LCTX, max_degree=3, max_terms=4, laurent=True)
+
+
+@st.composite
+def plain_polys(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**9))
+    return random_poly(random.Random(seed), LCTX, max_degree=3, max_terms=4)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+@given(laurent_polys(), laurent_polys(), plain_polys(), plain_polys(), coefficients)
+@settings(max_examples=80, deadline=None)
+def test_every_operation_stores_int_or_proper_fraction(p, q, a, b, c):
+    g = Poly.var(LCTX, "g")
+    term = Poly.monomial(LCTX, (1, 0, 0), 4)
+    results = [
+        p + q,
+        p - q,
+        -p,
+        p * q,
+        p.scale(c),
+        p.partial("x"),
+        p.partial("g"),
+        p.substitute({"x": Poly.var(LCTX, "y").scale(c), "g": Poly.const(LCTX, 2)}),
+        p.shift({"x": c, "y": Fraction(1, 2)}),
+        (a * b).divide_exact(b),
+        a.divide_exact(b),
+        (a * term).divide_exact(term),
+        a.divide_exact(Poly.const(LCTX, 4)),
+        p.divide_exact(g),
+    ]
+    for r in results:
+        if r is not None:
+            _assert_int_or_proper_fraction(r)
+    if not b.is_zero():
+        assert (a * b).divide_exact(b) == a
+    assert (a * term).divide_exact(term) == a
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: sympy's polynomial arithmetic
+
+
+def _sympy_expr(sympy, p, gens):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**e for s, e in zip(gens, m)))
+            for m, c in p.terms.items()
+        )
+    )
+
+
+def _nonzero_poly(rng, ctx, min_terms=1, **kw):
+    while True:
+        p = random_poly(rng, ctx, **kw)
+        if len(p.terms) >= min_terms:
+            return p
+
+
+def test_poly_core_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    gens = sympy.symbols("x y g")
+
+    def expr(p):
+        return _sympy_expr(sympy, p, gens)
+
+    def same(p, e):
+        return sympy.expand(expr(p) - e) == 0
+
+    g = Poly.var(LCTX, "g")
+    for _ in range(40):
+        # products and substitutions, Laurent in g
+        p, q = (random_poly(rng, LCTX, max_degree=3, laurent=True) for _ in range(2))
+        assert same(p * q, expr(p) * expr(q))
+        img_x = random_poly(rng, make_vars("y"), max_degree=2).extend(LCTX)
+        img_g = Poly.const(LCTX, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        want = expr(p).subs({gens[0]: expr(img_x), gens[2]: expr(img_g)}, simultaneous=True)
+        assert same(p.substitute({"x": img_x, "g": img_g}), want)
+        assert same(p.substitute({"x": img_x}), expr(p).subs(gens[0], expr(img_x)))
+        assert same(p.substitute({"g": g}), expr(p))  # identity binding
+
+    outcomes = {(single, exact): 0 for single in (True, False) for exact in (True, False)}
+    for trial in range(120):
+        single = trial % 2 == 0
+        if single:
+            mono = tuple(rng.randint(0, 2) for _ in LCTX)
+            d = Poly.monomial(LCTX, mono, Fraction(rng.choice([-4, -1, 1, 3]), rng.randint(1, 3)))
+        else:
+            d = _nonzero_poly(rng, LCTX, min_terms=2, max_degree=2, max_terms=3)
+        a = _nonzero_poly(rng, LCTX, max_degree=3)
+        kind = trial % 4
+        if kind < 2:
+            f = a * d  # exact
+        elif kind == 2:
+            f = a * d + _nonzero_poly(rng, LCTX, max_degree=2)
+        else:
+            f = a
+        quo, rem = sympy.div(expr(f), expr(d), *gens, domain="QQ")
+        got = f.divide_exact(d)
+        assert (got is None) == (rem != 0)
+        if got is not None:
+            assert same(got, quo)
+        outcomes[(single, got is not None)] += 1
+    # every case occurred: single-term and several-term divisors, exact
+    # quotients and divisions with a remainder
+    assert all(outcomes.values()), outcomes

@@ -102,6 +102,16 @@ def test_integrate_potential_examples():
     assert str(integrate_potential(pres, [Poly.const(ctx, 1)], [Poly.zero(ctx)])) == "X1"
 
 
+def test_integrate_potential_halves_exactly():
+    # d/dX1 of X1^2/2 is X1: the antiderivative divides 1 by 2, exactly
+    pres = WeylPresentation(1)
+    ctx = pres.context
+    b = integrate_potential(pres, [parse_poly("X1", ctx)], [Poly.zero(ctx)])
+    assert str(b) == "1/2*X1^2"
+    assert [type(c) for c in b.terms.values()] == [Fraction]
+    assert b.terms == {(2, 0): Fraction(1, 2)}
+
+
 def test_integrate_potential_inverse_power():
     pres = WeylPresentation(1, primed=True)
     ctx = pres.context
