@@ -376,7 +376,7 @@ class Poly:
         A single-term divisor c*x^m divides in one pass: the quotient exists
         iff every exponent vector is >= m componentwise, and is then the
         shifted terms over c.  A divisor with several terms goes through
-        long division on a remainder dictionary, in graded-lex order."""
+        long division in graded-lex order."""
         self._check_ctx(divisor)
         if divisor.is_zero():
             return None
@@ -397,22 +397,15 @@ class Poly:
             return Poly(self.ctx, quotient, _checked=True)
         lead_d = max(divisor.terms, key=_order_key)
         cd = divisor.terms[lead_d]
-        tail = [(m, c) for m, c in divisor.terms.items() if m != lead_d]
-        rem = dict(self.terms)
-        while rem:
-            lead_r = max(rem, key=_order_key)
-            diff = tuple(map(sub, lead_r, lead_d))
+        rem = self
+        while not rem.is_zero():
+            lead_r = max(rem.terms, key=_order_key)
+            diff = tuple(a - b for a, b in zip(lead_r, lead_d))
             if any(e < 0 for e in diff):
                 return None
-            c = _div(rem.pop(lead_r), cd)
+            c = _div(rem.terms[lead_r], cd)
             quotient[diff] = c
-            for md, cm in tail:
-                m = tuple(map(add, diff, md))
-                v = rem.get(m, 0) - c * cm
-                if v:
-                    rem[m] = v
-                else:
-                    del rem[m]
+            rem = rem - Poly.monomial(self.ctx, diff, c) * divisor
         return Poly(self.ctx, quotient, _checked=True)
 
     # -- printing ----------------------------------------------------------------
