@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -55,11 +56,14 @@ class Subspace:
         for v in vectors:
             ech.add({j: Fraction(c) for j, c in enumerate(v) if c != 0})
         rows = []
+        zero = Fraction(0)
         for p in ech.pivots():
             row = ech.rows[p]
-            piv = Fraction(row[p])
             rows.append(
-                tuple(Fraction(row.get(j, 0)) / piv for j in range(ambient_dim))
+                tuple(
+                    Fraction(row[j], row[p]) if j in row else zero
+                    for j in range(ambient_dim)
+                )
             )
         self.ambient_dim = ambient_dim
         self.basis = tuple(rows)
@@ -298,6 +302,52 @@ def nilradical(g: LieAlgebra) -> Subspace:
 # common eigenvectors and Jordan-Hoelder flags
 
 
+def _eigen_kernel(mat, c: Fraction, cur: Subspace) -> Subspace:
+    """The vectors of ``cur`` that ``mat - c`` maps to zero."""
+    dim = cur.ambient_dim
+    rows = []
+    for v in cur.basis:
+        img = linalg.mat_vec(mat, v)
+        rows.append(tuple(a - c * b if b else a for a, b in zip(img, v)))
+    # solve for combos of cur.basis mapped to zero by (op - c)
+    coeff_rows = [
+        {i: rows[i][j] for i in range(len(rows)) if rows[i][j] != 0}
+        for j in range(dim)
+    ]
+    vecs = []
+    for combo in linalg.nullspace(coeff_rows, len(rows)):
+        w = [Fraction(0)] * dim
+        for a, v in zip(combo, cur.basis):
+            if a != 0:
+                w = [x + a * y if y else x for x, y in zip(w, v)]
+        vecs.append(tuple(w))
+    return Subspace(dim, vecs)
+
+
+def _joint_eigenspaces(ops, space: Subspace, candidates):
+    """Lazily, depth first: the (values, space) pairs of the joint
+    eigenspaces inside ``space``.  ``candidates(level)`` lists, ascending,
+    the rational roots of the characteristic polynomial of ``ops[level]``;
+    branches with empty intersection are pruned."""
+
+    def descend(level: int, vals: tuple[Fraction, ...], cur: Subspace):
+        if cur.dim == 0:
+            return
+        if level == len(ops):
+            yield vals, cur
+            return
+        for c in candidates(level):
+            sub = _eigen_kernel(ops[level], c, cur)
+            yield from descend(level + 1, vals + (c,), sub)
+
+    return descend(0, (), space)
+
+
+def _roots_on_first_use(ops):
+    """``level -> rational_roots(charpoly(ops[level]))``, each computed once."""
+    return cache(lambda level: linalg.rational_roots(linalg.charpoly(ops[level])))
+
+
 def module_eigenspaces(
     ops: Sequence[Sequence[Sequence[Fraction]]], dim: int, restrict: Subspace | None = None
 ) -> list[tuple[tuple[Fraction, ...], Subspace]]:
@@ -309,38 +359,7 @@ def module_eigenspaces(
     pairs in deterministic order.
     """
     space = restrict if restrict is not None else Subspace(dim, [basis_vec(i, dim) for i in range(dim)])
-    results: list[tuple[tuple[Fraction, ...], Subspace]] = []
-
-    def descend(level: int, vals: tuple[Fraction, ...], cur: Subspace):
-        if cur.dim == 0:
-            return
-        if level == len(ops):
-            results.append((vals, cur))
-            return
-        mat = ops[level]
-        for c in linalg.rational_roots(linalg.charpoly(mat)):
-            rows = []
-            for v in cur.basis:
-                img = linalg.mat_vec(mat, v)
-                rows.append(tuple(a - c * b for a, b in zip(img, v)))
-            # solve for combos of cur.basis mapped to zero by (op - c)
-            coeff_rows = [
-                {i: rows[i][j] for i in range(len(rows)) if rows[i][j] != 0}
-                for j in range(dim)
-            ]
-            kernel = linalg.nullspace(coeff_rows, len(rows))
-            vecs = []
-            for combo in kernel:
-                w = [Fraction(0)] * dim
-                for a, v in zip(combo, cur.basis):
-                    if a != 0:
-                        w = [x + a * y for x, y in zip(w, v)]
-                vecs.append(tuple(w))
-            sub = Subspace(dim, vecs)
-            descend(level + 1, vals + (c,), sub)
-
-    descend(0, (), space)
-    return results
+    return list(_joint_eigenspaces(ops, space, _roots_on_first_use(ops)))
 
 
 def common_eigenvector(
@@ -357,9 +376,7 @@ def common_eigenvector(
     if space.dim == 0:
         return None
     ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
-    found = module_eigenspaces(ops, g.dim, space)
-    if found:
-        vals, sub = found[0]
+    for vals, sub in _joint_eigenspaces(ops, space, _roots_on_first_use(ops)):
         return Weight(vals), sub.basis[0]
     invariant = all(
         space.contains(linalg.mat_vec(op, v)) for op in ops for v in space.basis
@@ -381,29 +398,45 @@ class JordanHolderData:
 
 def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     """Flag of ideals built by repeated rational common-eigenvector search
-    on the quotient of the adjoint module."""
+    on the quotient of the adjoint module.
+
+    Each chain member g_j is an ideal, so the characteristic polynomial of
+    ad x on g is that on g_j times that on g/g_j, and the roots on g_j are
+    the weights found so far.  The roots on the quotient are therefore the
+    roots on g less those weights, counted with multiplicity (a subset of
+    the roots on g): one characteristic polynomial per generator serves
+    every step."""
     m = g.dim
     current = Subspace(m, [])
     chain = [current]
     weights: list[Weight] = []
     gens: list[Vec] = []
     ops_full = [g.ad_matrix(basis_vec(i, m)) for i in range(m)]
+    # root -> multiplicity on the current quotient, for each ad x_i
+    remaining = cache(
+        lambda level: linalg.rational_root_multiplicities(
+            linalg.charpoly(ops_full[level])
+        )
+    )
+
+    def candidates(level: int) -> list[Fraction]:
+        return [r for r, k in remaining(level).items() if k]
+
     while current.dim < m:
         free = current.free_columns()
         # induced operators on the quotient, in free-column coordinates
-        qdim = len(free)
         qops = []
         for op in ops_full:
-            cols = []
-            for f in free:
-                img = linalg.mat_vec(op, basis_vec(f, m))
-                red = current.reduce(img)
-                cols.append([red[j] for j in free])
-            qops.append([[cols[j][i] for j in range(qdim)] for i in range(qdim)])
-        found = module_eigenspaces(qops, qdim)
-        if not found:
+            cols = [current.reduce([row[f] for row in op]) for f in free]
+            qops.append([[col[i] for col in cols] for i in free])
+        qdim = len(free)
+        qspace = Subspace(qdim, [basis_vec(i, qdim) for i in range(qdim)])
+        found = next(_joint_eigenspaces(qops, qspace, candidates), None)
+        if found is None:
             raise EigenvalueNotRational("(while building the ideal flag)")
-        vals, sub = found[0]
+        vals, sub = found
+        for level, c in enumerate(vals):
+            remaining(level)[c] -= 1
         coords = sub.basis[0]
         lift = [Fraction(0)] * m
         for c, f in zip(coords, free):

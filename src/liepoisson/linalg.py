@@ -5,7 +5,10 @@ eliminated with integer cross-multiplication and gcd normalization.  Rows are
 stored sparsely (column -> integer), which matters because the constraint
 matrices produced by bracket conditions are extremely sparse.
 
-Fractions appear only at the boundary (inputs, solution vectors).
+The dense helpers for small operator matrices clear denominators as well:
+``charpoly`` scales the matrix to integers once and runs its recursion over
+the integers, and ``mat_vec``/``mat_mul`` skip zero entries.  Fractions
+appear only at the boundary (inputs, solution vectors, coefficients).
 """
 
 from __future__ import annotations
@@ -163,15 +166,23 @@ def solve(rows: Sequence[dict[int, Fraction] | Row], rhs: Sequence[Fraction], nc
 
 
 def mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum((r[j] * vec[j] for j in range(len(vec))), Fraction(0)) for r in mat)
+    nz = [(j, v) for j, v in enumerate(vec) if v]
+    return tuple(Fraction(sum(r[j] * v for j, v in nz if r[j])) for r in mat)
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
+    """Dense product; integral inputs give integral entries."""
+    m = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * m
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def identity(n) -> list[list[Fraction]]:
@@ -198,22 +209,27 @@ def mat_inverse(mat: Sequence[Sequence[Fraction]]):
 
 def charpoly(mat: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Characteristic polynomial det(tI - A), coefficients low degree first,
-    monic.  Faddeev-LeVerrier recursion; exact over the rationals."""
+    monic.  Faddeev-LeVerrier recursion over the integers: with D the lcm of
+    the entries' denominators and B = D*A, the coefficient of t^(n-k) is
+    c_k(B) / D^k, and the recursion's division by k is exact over Z."""
     n = len(mat)
     if n == 0:
         return [Fraction(1)]
-    a = [[Fraction(v) for v in row] for row in mat]
+    den = 1
+    for row in mat:
+        for v in row:
+            den = den // gcd(den, v.denominator) * v.denominator
+    b = [[int(v * den) for v in row] for row in mat]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    m = identity(n)
-    prod = a
+    prod = [row[:] for row in b]
     for k in range(1, n + 1):
         if k > 1:
-            prod = mat_mul(a, m)
-        trace = sum((prod[i][i] for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs[n - k] = c
-        m = [[prod[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            prod = mat_mul(b, prod)
+        c = -sum(prod[i][i] for i in range(n)) // k
+        coeffs[n - k] = Fraction(c, den**k)
+        for i in range(n):
+            prod[i][i] += c
     return coeffs
 
 
@@ -259,3 +275,21 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
                     if acc == 0:
                         roots.add(cand)
     return sorted(roots)
+
+
+def rational_root_multiplicities(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
+    """Each rational root of the nonzero polynomial (coefficients low degree
+    first) with its multiplicity, in ascending order of the roots."""
+    out = {}
+    for r in rational_roots(coeffs):
+        cs, k = list(coeffs), 0
+        while True:
+            acc, quot = Fraction(0), []
+            for c in reversed(cs):  # Horner: synthetic division by t - r
+                acc = acc * r + c
+                quot.append(acc)
+            if quot.pop() != 0:
+                break
+            cs, k = quot[::-1], k + 1
+        out[r] = k
+    return out

@@ -355,12 +355,16 @@ class Poly:
         return Poly(new_ctx, out, _checked=True)
 
     def restrict(self, new_ctx: Context) -> "Poly":
-        """Re-express in a smaller context; fails if a dropped variable occurs."""
+        """Re-express in a smaller context; fails if a dropped variable occurs
+        or a kept one changes invertibility."""
         keep = {v.name for v in new_ctx}
         for name in self.variables_used():
             if name not in keep:
                 raise UnknownVariable(name)
         pos = _index(self.ctx)
+        for v in new_ctx:
+            if v.name in pos and self.ctx[pos[v.name]] != v:
+                raise ValueError(f"variable {v.name} changes invertibility")
         out = {}
         for m, c in self.terms.items():
             out[tuple(m[pos[v.name]] for v in new_ctx)] = c

@@ -1,10 +1,15 @@
 """Lie layer: table validation, series, nilradical, flags, eigenvectors."""
 
+import json
+import os
+import random
+from collections import Counter
 from fractions import Fraction
 
-import random
-
 import pytest
+
+from liepoisson import linalg
+from liepoisson.cli import ProblemFile
 
 from liepoisson.errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
 from liepoisson.lie import (
@@ -15,13 +20,22 @@ from liepoisson.lie import (
     is_nilpotent,
     is_solvable,
     jordan_holder,
+    module_eigenspaces,
     nilradical,
     series,
     span_subalgebra,
     verify_lie,
 )
 
-from conftest import abelian, aff2, eng4, heisenberg, random_solvable, random_unimodular
+from conftest import (
+    abelian,
+    aff2,
+    eng4,
+    family_n,
+    heisenberg,
+    random_solvable,
+    random_unimodular,
+)
 
 F = Fraction
 
@@ -182,3 +196,121 @@ def test_span_subalgebra_on_a_random_basis():
     verify_lie(sub.basis, sub.structure)
     # [x + z, y] = z leaves span{x + z, y}
     assert span_subalgebra(heisenberg(), [(1, 0, 1), (0, 1, 0)], ["a", "b"]) is None
+
+
+# ---------------------------------------------------------------------------
+# the ideal flag against an independent oracle, its cost and its order
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _nonzero_rational(rng):
+    num = rng.choice([n for n in range(-6, 7) if n])
+    return F(num, rng.randint(1, 4))
+
+
+def _workload_algebras(seed):
+    """The Lie algebras of the ideal-decompose, weight-search and
+    localized-certify benchmark workloads, built as the benchmark does."""
+    rng = random.Random(seed)
+    c1, c2, _ = (_nonzero_rational(rng) for _ in range(3))
+    fam = verify_lie("x1 y1 x2 y2 z", {(0, 1): {4: c1}, (2, 3): {4: c2}})
+    rng = random.Random(seed)
+    a, b, c = (_nonzero_rational(rng) for _ in range(3))
+    ws = verify_lie("t s x y", {(0, 2): {2: a}, (1, 3): {3: b}, (0, 3): {3: c}})
+    rng = random.Random(seed)
+    a, b = (_nonzero_rational(rng) for _ in range(2))
+    lc = verify_lie("e1 e2 e3 e4", {(0, 1): {2: a}, (0, 2): {3: b}})
+    return [fam, ws, lc]
+
+
+def _flag_algebras():
+    algs = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "lie" in data:
+            algs.append(ProblemFile(data).lie)
+    assert len(algs) >= 5
+    return algs + _workload_algebras(11) + _workload_algebras(23)
+
+
+def test_jordan_holder_weights_are_the_ad_eigenvalues():
+    # oracle: sympy's eigenvalues of each ad x_i, with algebraic
+    # multiplicity; a full flag of ideals triangularizes every ad x_i, so
+    # the flag weights at x_i are exactly those eigenvalues
+    sympy = pytest.importorskip("sympy")
+    for g in _flag_algebras():
+        jh = jordan_holder(g)
+        assert [s.dim for s in jh.chain] == list(range(g.dim + 1))
+        for i in range(g.dim):
+            ad = g.ad_matrix(basis_vec(i, g.dim))
+            ad = sympy.Matrix([[sympy.Rational(str(c)) for c in row] for row in ad])
+            got = Counter(sympy.Rational(str(w.values[i])) for w in jh.weights)
+            assert got == Counter(ad.eigenvals()), g.names()
+        for member in jh.chain:
+            for v in member.basis:
+                for i in range(g.dim):
+                    assert member.contains(g.bracket_vec(basis_vec(i, g.dim), v))
+        vectors = [w.values for w in jh.weights] + list(jh.generators)
+        vectors += [v for member in jh.chain for v in member.basis]
+        assert all(isinstance(c, Fraction) for v in vectors for c in v)
+
+
+@pytest.mark.parametrize(
+    "g", [family_n(2), _workload_algebras(11)[1]], ids=["family_n(2)", "weight-search"]
+)
+def test_jordan_holder_takes_one_charpoly_per_generator(g, monkeypatch):
+    # one characteristic polynomial of ad x_i on g serves every flag step
+    # (25 calls on family_n(2) and 27 on the weight-search algebra when each
+    # step took its own)
+    calls = []
+    charpoly = linalg.charpoly
+
+    def counted(mat):
+        calls.append(len(mat))
+        return charpoly(mat)
+
+    monkeypatch.setattr(linalg, "charpoly", counted)
+    jordan_holder(g)
+    assert len(calls) <= g.dim
+    assert set(calls) == {g.dim}
+
+
+def _diag(*entries):
+    n = len(entries)
+    return [[F(entries[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
+
+
+def test_module_eigenspaces_lists_every_joint_eigenspace_in_order():
+    # depth first, each operator's eigenvalues ascending
+    ops = [_diag(1, 0, 1, 2, 1), _diag(0, 0, 3, 0, 0)]
+    found = module_eigenspaces(ops, 5)
+    assert [vals for vals, _ in found] == [(0, 0), (1, 0), (1, 3), (2, 0)]
+    e = [basis_vec(i, 5) for i in range(5)]
+    assert [space for _, space in found] == [
+        Subspace(5, [e[1]]),
+        Subspace(5, [e[0], e[4]]),
+        Subspace(5, [e[2]]),
+        Subspace(5, [e[3]]),
+    ]
+    # restricted to <e0 + e2, e4>: only the part of (1, 0) inside it
+    sub = Subspace(5, [(1, 0, 1, 0, 0), e[4]])
+    assert [(v, s.dim) for v, s in module_eigenspaces(ops, 5, sub)] == [((1, 0), 1)]
+    # the same operators in another basis keep the order of the values
+    mat = random_unimodular(random.Random(5), 5)
+    inv = linalg.mat_inverse(mat)
+    conj = [linalg.mat_mul(linalg.mat_mul(mat, op), inv) for op in ops]
+    found_conj = module_eigenspaces(conj, 5)
+    assert [v for v, _ in found_conj] == [v for v, _ in found]
+    assert [s.dim for _, s in found_conj] == [1, 2, 1, 1]
+
+
+def test_common_eigenvector_and_first_flag_step_take_the_first_eigenspace():
+    for g in _flag_algebras() + [heisenberg(), aff2(), eng4(), abelian(3)]:
+        ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
+        vals, space = module_eigenspaces(ops, g.dim)[0]
+        lam, vec = common_eigenvector(g)
+        assert lam.values == vals and vec == space.basis[0]
+        jh = jordan_holder(g)
+        assert jh.weights[0] == lam and jh.generators[0] == vec

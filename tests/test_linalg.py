@@ -195,3 +195,48 @@ def test_charpoly_and_rational_roots_match_sympy():
         assert [sympy.Rational(r) for r in roots] == sorted(want.ground_roots())
         rooted += bool(roots)
     assert rooted >= 20
+
+
+def test_charpoly_with_denominators_matches_sympy():
+    # charpoly scales A by the lcm D of its denominators and divides the
+    # coefficient of t^(n-k) by D^k; oracle: sympy's charpoly over QQ, on
+    # matrices with denominators up to 12 as well as integral and zero ones
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    t = sympy.Symbol("t")
+    kinds = {"fractional": 0, "integral": 0, "zero": 0}
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        kind = ("fractional", "fractional", "integral", "zero")[trial % 4]
+        kinds[kind] += 1
+
+        def entry():
+            if kind == "zero" or rng.random() < 0.3:
+                return F(0)
+            den = 1 if kind == "integral" else rng.randint(1, 12)
+            return F(rng.randint(-9, 9), den)
+
+        mat = [[entry() for _ in range(n)] for _ in range(n)]
+        coeffs = linalg.charpoly(mat)
+        m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(mat[i][j])))
+        want = m.charpoly(t).all_coeffs()
+        assert [sympy.Rational(str(c)) for c in reversed(coeffs)] == want
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        if kind == "zero":
+            assert coeffs == [F(0)] * n + [F(1)]
+    assert min(kinds.values()) >= 15
+    assert linalg.charpoly([]) == [F(1)]
+
+
+def test_rational_root_multiplicities():
+    # (t - 1/2)^2 (t + 3) t^3 (t^2 + 1): the irreducible quadratic adds nothing
+    poly = [F(1)]
+    for root in (F(1, 2), F(1, 2), F(-3), F(0), F(0), F(0)):
+        poly = [F(0)] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= root * poly[i + 1]
+    poly = [a + b for a, b in zip([F(0), F(0)] + poly, poly + [F(0), F(0)])]
+    got = linalg.rational_root_multiplicities(poly)
+    assert list(got.items()) == [(F(-3), 1), (F(0), 3), (F(1, 2), 2)]
+    assert list(got) == linalg.rational_roots(poly)
+    assert linalg.rational_root_multiplicities([F(1), F(0), F(1)]) == {}

@@ -271,6 +271,17 @@ def test_extend_to_own_context_returns_input():
         p.extend(make_vars("x") + make_vars("y", invertible=True))
 
 
+def test_restrict_refuses_a_change_of_invertibility():
+    # restrict, like extend, keeps each variable as it is declared
+    with pytest.raises(ValueError, match="variable x changes invertibility"):
+        X.restrict(make_vars("x", invertible=True))
+    with pytest.raises(ValueError, match="variable g changes invertibility"):
+        Poly.var(LCTX, "g").restrict(make_vars("g"))
+    assert X.restrict(make_vars("x")).terms == {(1,): 1}
+    with pytest.raises(UnknownVariable):
+        X.restrict(make_vars("y"))
+
+
 @st.composite
 def laurent_polys(draw):
     seed = draw(st.integers(min_value=0, max_value=10**9))
