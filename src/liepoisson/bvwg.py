@@ -21,7 +21,7 @@ from math import comb, log
 
 from . import linalg
 from .errors import ConditionFailed, NotSimple
-from .lie import LieAlgebra, Subspace, basis_vec
+from .lie import LieAlgebra, Subspace, Weight, basis_vec, verify_lie
 from .poisson import (
     LocalElement,
     PoissonAlgebra,
@@ -31,7 +31,7 @@ from .poisson import (
     poisson_algebra,
     quotient,
 )
-from .polys import Poly, VarSpec
+from .polys import Poly, VarSpec, make_vars
 from .spaces import monomials_up_to
 
 Vec = tuple[Fraction, ...]
@@ -87,8 +87,7 @@ def validate(spec: BVWG):
     # n = 0 case (a plain Laurent algebra) is allowed as an algebra even
     # though the structure theory needs the faithful pairing.
     if n > 0:
-        rows = [{j: c for j, c in enumerate(r) if c != 0} for r in spec.weights]
-        if linalg.rank(rows) != p:
+        if linalg.rank(map(linalg.sparse, spec.weights)) != p:
             raise ValueError("weight rows must be linearly independent (free lattice)")
 
 
@@ -203,60 +202,33 @@ def phi_g(spec: BVWG, gvec, r: Poly) -> Poly:
 
 
 def omega_kernel(spec: BVWG) -> Subspace:
-    rows = [
-        {j: spec.omega[i][j] for j in range(spec.n) if spec.omega[i][j] != 0}
-        for i in range(spec.n)
-    ]
+    rows = [linalg.sparse(r) for r in spec.omega]
     return Subspace(spec.n, linalg.nullspace(rows, spec.n))
 
 
 def lattice_kernel(spec: BVWG) -> Subspace:
-    rows = [
-        {j: c for j, c in enumerate(r) if c != 0} for r in spec.weights
-    ]
+    rows = [linalg.sparse(r) for r in spec.weights]
     return Subspace(spec.n, linalg.nullspace(rows, spec.n))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection via the kernel of the stacked coordinate solve."""
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.ambient_dim, [])
-    rows = []
-    for coord in range(a.ambient_dim):
-        row = {}
-        for i, v in enumerate(a.basis):
-            if v[coord] != 0:
-                row[i] = v[coord]
-        for j, w in enumerate(b.basis):
-            if w[coord] != 0:
-                row[a.dim + j] = -w[coord]
-        if row:
-            rows.append(row)
-    combos = linalg.nullspace(rows, a.dim + b.dim)
-    vecs = []
-    for combo in combos:
-        vec = [Fraction(0)] * a.ambient_dim
-        for c, v in zip(combo[: a.dim], a.basis):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, v)]
-        vecs.append(tuple(vec))
-    return Subspace(a.ambient_dim, vecs)
 
 
 def is_simple(spec: BVWG) -> tuple[bool, Subspace]:
     """Simplicity criterion: the kernels of omega and of the lattice meet
     only in 0.  The second component is the certificate intersection."""
-    cert = intersect(omega_kernel(spec), lattice_kernel(spec))
+    cert = omega_kernel(spec).intersect(lattice_kernel(spec))
     return cert.dim == 0, cert
+
+
+def _require_simple(spec: BVWG) -> None:
+    simple, cert = is_simple(spec)
+    if not simple:
+        raise NotSimple([tuple(map(str, v)) for v in cert.basis])
 
 
 def centralizer_center(spec: BVWG) -> tuple[BVWG, BVWG]:
     """Presentations of the centralizer of the lattice part (on the lattice
     kernel) and of its center (on the kernel of omega restricted there).
     Only defined for simple algebras."""
-    simple, cert = is_simple(spec)
-    if not simple:
-        raise NotSimple([tuple(map(str, v)) for v in cert.basis])
+    _require_simple(spec)
     vg = lattice_kernel(spec)
     c_spec = _sub_spec(spec, vg, "c")
     d_spec = _sub_spec(spec, _omega_kernel_in(spec, vg), "d")
@@ -265,23 +237,9 @@ def centralizer_center(spec: BVWG) -> tuple[BVWG, BVWG]:
 
 def _omega_kernel_in(spec: BVWG, space: Subspace) -> Subspace:
     """Kernel of omega restricted to the subspace, in ambient coordinates."""
-    rows = []
-    for u in space.basis:
-        row = {}
-        for j, w in enumerate(space.basis):
-            val = _omega_apply(spec, u, w)
-            if val != 0:
-                row[j] = val
-        if row:
-            rows.append(row)
-    vecs = []
-    for combo in linalg.nullspace(rows, space.dim):
-        vec = [Fraction(0)] * spec.n
-        for c, w in zip(combo, space.basis):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, w)]
-        vecs.append(tuple(vec))
-    return Subspace(spec.n, vecs)
+    return space.kernel(
+        [[_omega_apply(spec, u, w) for u in space.basis] for w in space.basis]
+    )
 
 
 def _omega_apply(spec: BVWG, u, w) -> Fraction:
@@ -300,13 +258,7 @@ def _sub_spec(spec: BVWG, space: Subspace, prefix: str) -> BVWG:
     om = tuple(
         tuple(_omega_apply(spec, u, w) for w in space.basis) for u in space.basis
     )
-    wt = tuple(
-        tuple(
-            sum((row[i] * u[i] for i in range(spec.n)), Fraction(0))
-            for u in space.basis
-        )
-        for row in spec.weights
-    )
+    wt = tuple(tuple(Weight(row)(u) for u in space.basis) for row in spec.weights)
     return BVWG(names, om, spec.g_names, wt)
 
 
@@ -368,16 +320,11 @@ def fixed_ring_is_trivial(spec: BVWG, d: int = 6) -> bool:
     vw = omega_kernel(spec)
     if vw.dim == 0:
         return True
-    from .polys import make_vars
-
     monos = monomials_up_to(vw.dim, d)
     wctx = make_vars([f"w{i+1}" for i in range(vw.dim)])
     eq: dict[tuple[int, tuple], dict[int, Fraction]] = {}
     for gi, row in enumerate(spec.weights):
-        offsets = {
-            f"w{i+1}": sum((row[k] * u[k] for k in range(spec.n)), Fraction(0))
-            for i, u in enumerate(vw.basis)
-        }
+        offsets = {f"w{i+1}": Weight(row)(u) for i, u in enumerate(vw.basis)}
         for k, m in enumerate(monos):
             moved = Poly.monomial(wctx, m).shift(offsets) - Poly.monomial(wctx, m)
             for mono2, c in moved.terms.items():
@@ -397,25 +344,12 @@ def stable_monomial_ideal_exists(spec: BVWG, d: int = 6) -> bool:
     vw = omega_kernel(spec)
     if vw.dim == 0:
         return False
-    inter = intersect(vw, lattice_kernel(spec))
-    basis = list(inter.basis)
-    for v in vw.basis:
-        cand = Subspace(spec.n, basis + [v])
-        if cand.dim > len(basis):
-            basis.append(v)
-    from .polys import make_vars
-
+    basis = _lattice_adapted_basis(vw, lattice_kernel(spec))
     wctx = make_vars([f"w{i+1}" for i in range(len(basis))])
-    shifts = []
-    for row in spec.weights:
-        shifts.append(
-            {
-                f"w{i+1}": sum(
-                    (row[k] * u[k] for k in range(spec.n)), Fraction(0)
-                )
-                for i, u in enumerate(basis)
-            }
-        )
+    shifts = [
+        {f"w{i+1}": Weight(row)(u) for i, u in enumerate(basis)}
+        for row in spec.weights
+    ]
     for m in monomials_up_to(len(basis), d):
         if sum(m) == 0:
             continue
@@ -429,6 +363,14 @@ def stable_monomial_ideal_exists(spec: BVWG, d: int = 6) -> bool:
         if stable:
             return True
     return False
+
+
+def _lattice_adapted_basis(vw: Subspace, vg: Subspace) -> list[Vec]:
+    """A basis of vw: that of vw meet vg first, then the vectors of vw's
+    own basis that raise the rank."""
+    basis = list(vw.intersect(vg).basis)
+    ech = linalg.echelon_of(map(linalg.sparse, basis))
+    return basis + [v for v in vw.basis if ech.add(linalg.sparse(v))]
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +414,20 @@ def symplectic_basis(spec: BVWG) -> tuple[list[tuple[Vec, Vec]], list[Vec]]:
     return pairs, kernel
 
 
+def _symplectic_frame(spec: BVWG):
+    """``symplectic_basis`` with its vectors as one frame (the x_i, then the
+    y_i, then the kernel) and the coordinates of each e_i of V in it."""
+    pairs, kernel = symplectic_basis(spec)
+    frame = [u for u, _ in pairs] + [w for _, w in pairs] + list(kernel)
+    rows = [linalg.sparse([v[coord] for v in frame]) for coord in range(spec.n)]
+    coords = []
+    for i in range(spec.n):
+        sol = linalg.solve(rows, basis_vec(i, spec.n), len(frame))
+        assert sol is not None
+        coords.append(sol)
+    return pairs, kernel, frame, coords
+
+
 @dataclass(frozen=True)
 class WeylEmbedding:
     target: PoissonAlgebra
@@ -488,10 +444,8 @@ def embed_in_weyl(spec: BVWG) -> WeylEmbedding:
     weight-matched combination of the T_j; psi sends lattice generators to
     the Z_j.  Injectivity follows from simplicity (the kernel is a bracket
     ideal missing 1)."""
-    simple, cert = is_simple(spec)
-    if not simple:
-        raise NotSimple([tuple(map(str, v)) for v in cert.basis])
-    pairs, kernel = symplectic_basis(spec)
+    _require_simple(spec)
+    pairs, kernel, frame, coords = _symplectic_frame(spec)
     ell, m = len(pairs), spec.p
     ctx = (
         tuple(VarSpec(f"X{i+1}") for i in range(ell))
@@ -512,42 +466,24 @@ def embed_in_weyl(spec: BVWG) -> WeylEmbedding:
 
     # v maps to its Weyl image in symplectic coordinates plus the
     # weight-matched combination of the T_j; kernel vectors carry only T's
-    basis_vectors = [u for u, _ in pairs] + [w for _, w in pairs] + list(kernel)
     images = (
         [Poly.var(ctx, f"X{i+1}") for i in range(ell)]
         + [Poly.var(ctx, f"Y{i+1}") for i in range(ell)]
         + [Poly.zero(ctx) for _ in kernel]
     )
-    rows = [
-        {
-            k: basis_vectors[k][coord]
-            for k in range(len(basis_vectors))
-            if basis_vectors[k][coord] != 0
-        }
-        for coord in range(spec.n)
-    ]
-
-    def chi_vec(vec: Vec) -> Poly:
-        sol = linalg.solve(rows, list(vec), len(basis_vectors))
-        assert sol is not None
+    chi = {}
+    for name, sol in zip(spec.v_names, coords):
         acc = Poly.zero(ctx)
-        for c, bvec, img in zip(sol, basis_vectors, images):
+        for c, bvec, img in zip(sol, frame, images):
             if c == 0:
                 continue
             lam_t = Poly.zero(ctx)
             for j in range(m):
-                lam = sum(
-                    (spec.weights[j][i] * bvec[i] for i in range(spec.n)),
-                    Fraction(0),
-                )
+                lam = Weight(spec.weights[j])(bvec)
                 if lam != 0:
                     lam_t = lam_t + Poly.var(ctx, f"T{j+1}").scale(lam)
             acc = acc + (img + lam_t).scale(c)
-        return acc
-
-    chi = {
-        name: chi_vec(basis_vec(i, spec.n)) for i, name in enumerate(spec.v_names)
-    }
+        chi[name] = acc
     psi = {name: Poly.var(ctx, f"Z{j+1}") for j, name in enumerate(spec.g_names)}
     hom = universal_hom(spec, target, chi, psi)
     return WeylEmbedding(target, hom, ell, m)
@@ -571,10 +507,8 @@ def realize_from_lie(spec: BVWG) -> LieRealization:
     quotient sends w to 1 and the localization inverts the lattice images.
     The roundtrip is certified by the universal-map conditions holding for
     the generator images, which pins the whole bracket table."""
-    simple, cert = is_simple(spec)
-    if not simple:
-        raise NotSimple([tuple(map(str, v)) for v in cert.basis])
-    pairs, kernel = symplectic_basis(spec)
+    _require_simple(spec)
+    pairs, kernel, frame, coords = _symplectic_frame(spec)
     ell, t, m = len(pairs), len(kernel), spec.p
     names = (
         ["w"]
@@ -583,19 +517,13 @@ def realize_from_lie(spec: BVWG) -> LieRealization:
         + [f"s{i+1}" for i in range(t)]
         + [f"g{i+1}" for i in range(m)]
     )
-    sym_vectors = (
-        [u for u, _ in pairs] + [w for _, w in pairs] + list(kernel)
-    )
-    dim = 1 + 2 * ell + t + m
     structure: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(ell):
         structure[(1 + i, 1 + ell + i)] = {0: Fraction(1)}  # [a_i, b_i] = w
     for a in range(m):
         g_idx = 1 + 2 * ell + t + a
-        for k, vec in enumerate(sym_vectors):
-            lam = sum(
-                (spec.weights[a][i] * vec[i] for i in range(spec.n)), Fraction(0)
-            )
+        for k, vec in enumerate(frame):
+            lam = Weight(spec.weights[a])(vec)
             if lam != 0:
                 v_idx = 1 + k
                 # [g_a, v] = lam g_a  stored on ordered pair (v, g)
@@ -603,8 +531,6 @@ def realize_from_lie(spec: BVWG) -> LieRealization:
                     structure.get((v_idx, g_idx), {})
                 )
                 structure[(v_idx, g_idx)][g_idx] = -lam
-    from .lie import verify_lie
-
     g_lie = verify_lie(" ".join(names), structure)
     alg = canonical_from_lie(g_lie)
     ideal = SubstitutionIdeal(((g_lie.basis[0], Poly.const(alg.vars, 1)),))
@@ -612,19 +538,8 @@ def realize_from_lie(spec: BVWG) -> LieRealization:
     loc = localize(quo, [Poly.var(quo.vars, f"g{i+1}") for i in range(m)])
 
     # map original V basis through the symplectic coordinates
-    rows = []
-    for coord in range(spec.n):
-        rows.append(
-            {
-                k: sym_vectors[k][coord]
-                for k in range(len(sym_vectors))
-                if sym_vectors[k][coord] != 0
-            }
-        )
     chi = {}
-    for i, name in enumerate(spec.v_names):
-        sol = linalg.solve(rows, list(basis_vec(i, spec.n)), len(sym_vectors))
-        assert sol is not None
+    for name, sol in zip(spec.v_names, coords):
         acc = Poly.zero(loc.vars)
         for c, lname in zip(sol, names[1 : 1 + 2 * ell + t]):
             if c != 0:

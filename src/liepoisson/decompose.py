@@ -148,7 +148,7 @@ def _center_with_denominators(quotient_alg, localized, d):
     nden = len(localized.inverted)
     cands = []
     seen = set()
-    for caps in (monomials_up_to(nden, d) if nden else [()]):
+    for caps in monomials_up_to(nden, d):
         for c in plain:
             el = localized.element(LocalElement(c.num, caps))
             key = (tuple(sorted(el.num.terms.items())), el.den)
@@ -507,7 +507,7 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     targets = [
         alg.element(LocalElement(m, caps))
         for m in basis_monomials(alg, check_degree)
-        for caps in (monomials_up_to(nden, check_degree) if nden else [()])
+        for caps in monomials_up_to(nden, check_degree)
     ]
     # generators can carry pair-degree and center-degree above their
     # polynomial degree (a generator may expand as center * pair^2), so the

@@ -19,7 +19,6 @@ from .lie import (
     LieAlgebra,
     Subspace,
     Weight,
-    basis_vec,
     coordinate_subalgebra,
     jordan_holder,
 )
@@ -166,19 +165,11 @@ def ghat(
     """Intersection of the kernels of all reported weights, certified only
     relative to the degree bound (a larger bound can only shrink it)."""
     report = semi_invariants(g, ideal, d)
-    rows = []
-    for w in report.weights():
-        if not w.is_zero():
-            rows.append({j: v for j, v in enumerate(w.values) if v != 0})
-    kernel = linalg.nullspace(rows, g.dim)
-    sub = Subspace(g.dim, kernel)
-    complement = []
-    cur = sub
-    for i in range(g.dim):
-        cand = cur.sum_with(Subspace(g.dim, [basis_vec(i, g.dim)]))
-        if cand.dim > cur.dim:
-            complement.append(i)
-            cur = cand
+    rows = [linalg.sparse(w.values) for w in report.weights() if not w.is_zero()]
+    sub = Subspace(g.dim, linalg.nullspace(rows, g.dim))
+    # the standard basis vectors that raise the rank over sub, in order
+    ech = linalg.echelon_of(map(linalg.sparse, sub.basis))
+    complement = [i for i in range(g.dim) if ech.add({i: 1})]
     restricted = _restrict_ideal(g, ideal, sub, complement)
     return GhatData(sub, tuple(complement), restricted, d)
 

@@ -5,6 +5,12 @@ into the storage), Jacobi is verified when an algebra is built through
 ``verify_lie``, and all eigenvalue searches are restricted to rational roots:
 an input whose flag construction would need an irrational eigenvalue is
 rejected with ``EigenvalueNotRational`` rather than approximated.
+
+Subspaces of Q^n are held in reduced row echelon form, so a subspace has
+exactly one stored basis whatever vectors spanned it.  Kernels and
+intersections may therefore be taken from any spanning set and still come
+out identical; ``Subspace.kernel`` is the one dense kernel (eigenspaces,
+``Subspace.intersect``, and the kernels of the skew forms in ``bvwg``).
 """
 
 from __future__ import annotations
@@ -47,17 +53,20 @@ class Weight:
 
 class Subspace:
     """Subspace of Q^n held in reduced row echelon form, so equality of
-    subspaces is equality of the stored bases."""
+    subspaces is equality of the stored bases.  The form is unique, so
+    ``kernel`` and ``intersect`` give the same subspace, basis and all,
+    from whichever spanning set they are computed."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Fraction]] = ()):
         ech = linalg.Echelon()
         for v in vectors:
-            ech.add({j: Fraction(c) for j, c in enumerate(v) if c != 0})
+            ech.add(linalg.sparse(v))
         rows = []
         zero = Fraction(0)
-        for p in ech.pivots():
+        self.pivots = tuple(ech.pivots())
+        for p in self.pivots:
             row = ech.rows[p]
             rows.append(
                 tuple(
@@ -67,6 +76,10 @@ class Subspace:
             )
         self.ambient_dim = ambient_dim
         self.basis = tuple(rows)
+
+    @classmethod
+    def whole(cls, dim: int) -> "Subspace":
+        return cls(dim, [basis_vec(i, dim) for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -85,8 +98,7 @@ class Subspace:
     def reduce(self, vec: Sequence[Fraction]) -> Vec:
         """Residual of vec modulo the subspace (pivot coordinates cleared)."""
         v = list(map(Fraction, vec))
-        for row in self.basis:
-            piv = next(j for j, c in enumerate(row) if c == 1)
+        for piv, row in zip(self.pivots, self.basis):
             c = v[piv]
             if c != 0:
                 v = [a - c * b for a, b in zip(v, row)]
@@ -99,8 +111,31 @@ class Subspace:
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def free_columns(self) -> list[int]:
-        pivots = {next(j for j, c in enumerate(row) if c == 1) for row in self.basis}
+        pivots = set(self.pivots)
         return [j for j in range(self.ambient_dim) if j not in pivots]
+
+    def kernel(self, images: Sequence[Sequence[Fraction]]) -> "Subspace":
+        """The vectors sum a_i basis[i] with sum a_i images[i] = 0, where
+        ``images[i]`` is the image of ``basis[i]`` under a linear map (in
+        any coordinates)."""
+        if self.dim == 0:
+            return self
+        rows = [linalg.sparse([img[j] for img in images]) for j in range(len(images[0]))]
+        vecs = []
+        for combo in linalg.nullspace(rows, self.dim):
+            w = [Fraction(0)] * self.ambient_dim
+            for a, v in zip(combo, self.basis):
+                if a != 0:
+                    w = [x + a * y if y else x for x, y in zip(w, v)]
+            vecs.append(w)
+        return Subspace(self.ambient_dim, vecs)
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        """The kernel of the map sending each vector to its residual
+        modulo ``other``."""
+        if other.dim == 0:
+            return Subspace(self.ambient_dim)
+        return self.kernel([other.reduce(v) for v in self.basis])
 
 
 @dataclass(frozen=True)
@@ -207,7 +242,7 @@ def span_subalgebra(
 ) -> LieAlgebra | None:
     """The span of the independent ``vectors``, presented on them in that
     order under ``names``; None when a bracket leaves the span."""
-    rows = [{k: v[i] for k, v in enumerate(vectors) if v[i] != 0} for i in range(g.dim)]
+    rows = [linalg.sparse([v[i] for v in vectors]) for i in range(g.dim)]
     structure = {}
     for a in range(len(vectors)):
         for b in range(a + 1, len(vectors)):
@@ -215,7 +250,7 @@ def span_subalgebra(
             coords = linalg.solve(rows, w, len(vectors))
             if coords is None:
                 return None
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            entry = linalg.sparse(coords)
             if entry:
                 structure[(a, b)] = entry
     return LieAlgebra(make_vars(names), structure)
@@ -230,15 +265,11 @@ def _bracket_spaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace(g.dim, vecs)
 
 
-def full_space(g: LieAlgebra) -> Subspace:
-    return Subspace(g.dim, [basis_vec(i, g.dim) for i in range(g.dim)])
-
-
 def series(g: LieAlgebra, kind: str) -> list[Subspace]:
     """Derived or lower-central series, from g down to stabilization."""
     if kind not in ("derived", "lower_central"):
         raise ValueError(kind)
-    chain = [full_space(g)]
+    chain = [Subspace.whole(g.dim)]
     while True:
         prev = chain[-1]
         nxt = (
@@ -263,7 +294,7 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    full = full_space(g)
+    full = Subspace.whole(g.dim)
     return _bracket_spaces(g, full, full)
 
 
@@ -302,28 +333,6 @@ def nilradical(g: LieAlgebra) -> Subspace:
 # common eigenvectors and Jordan-Hoelder flags
 
 
-def _eigen_kernel(mat, c: Fraction, cur: Subspace) -> Subspace:
-    """The vectors of ``cur`` that ``mat - c`` maps to zero."""
-    dim = cur.ambient_dim
-    rows = []
-    for v in cur.basis:
-        img = linalg.mat_vec(mat, v)
-        rows.append(tuple(a - c * b if b else a for a, b in zip(img, v)))
-    # solve for combos of cur.basis mapped to zero by (op - c)
-    coeff_rows = [
-        {i: rows[i][j] for i in range(len(rows)) if rows[i][j] != 0}
-        for j in range(dim)
-    ]
-    vecs = []
-    for combo in linalg.nullspace(coeff_rows, len(rows)):
-        w = [Fraction(0)] * dim
-        for a, v in zip(combo, cur.basis):
-            if a != 0:
-                w = [x + a * y if y else x for x, y in zip(w, v)]
-        vecs.append(tuple(w))
-    return Subspace(dim, vecs)
-
-
 def _joint_eigenspaces(ops, space: Subspace, candidates):
     """Lazily, depth first: the (values, space) pairs of the joint
     eigenspaces inside ``space``.  ``candidates(level)`` lists, ascending,
@@ -337,8 +346,12 @@ def _joint_eigenspaces(ops, space: Subspace, candidates):
             yield vals, cur
             return
         for c in candidates(level):
-            sub = _eigen_kernel(ops[level], c, cur)
-            yield from descend(level + 1, vals + (c,), sub)
+            # images of cur's basis under ops[level] - c
+            images = [
+                [a - c * b if b else a for a, b in zip(linalg.mat_vec(ops[level], v), v)]
+                for v in cur.basis
+            ]
+            yield from descend(level + 1, vals + (c,), cur.kernel(images))
 
     return descend(0, (), space)
 
@@ -358,7 +371,7 @@ def module_eigenspaces(
     branches with empty intersection are pruned.  Returns (values, space)
     pairs in deterministic order.
     """
-    space = restrict if restrict is not None else Subspace(dim, [basis_vec(i, dim) for i in range(dim)])
+    space = restrict if restrict is not None else Subspace.whole(dim)
     return list(_joint_eigenspaces(ops, space, _roots_on_first_use(ops)))
 
 
@@ -372,7 +385,7 @@ def common_eigenvector(
     is found; raises ``EigenvalueNotRational`` when invariance guarantees a
     common eigenvector over the algebraic closure but none is rational.
     """
-    space = restrict_to if restrict_to is not None else full_space(g)
+    space = restrict_to if restrict_to is not None else Subspace.whole(g.dim)
     if space.dim == 0:
         return None
     ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
@@ -429,8 +442,7 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
         for op in ops_full:
             cols = [current.reduce([row[f] for row in op]) for f in free]
             qops.append([[col[i] for col in cols] for i in free])
-        qdim = len(free)
-        qspace = Subspace(qdim, [basis_vec(i, qdim) for i in range(qdim)])
+        qspace = Subspace.whole(len(free))
         found = next(_joint_eigenspaces(qops, qspace, candidates), None)
         if found is None:
             raise EigenvalueNotRational("(while building the ideal flag)")

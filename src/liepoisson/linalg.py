@@ -33,6 +33,11 @@ def _to_int_row(row: dict[int, Fraction] | Row) -> Row:
     return out
 
 
+def sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {j: c for j, c in enumerate(vec) if c != 0}
+
+
 def _normalize(row: Row) -> Row:
     g = 0
     for v in row.values():

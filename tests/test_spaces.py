@@ -4,7 +4,7 @@ import pytest
 
 from liepoisson.poisson import LocalElement, canonical_from_lie, localize
 from liepoisson.polys import Poly, parse_poly
-from liepoisson.spaces import Span, independent_subset
+from liepoisson.spaces import Span, independent_subset, monomials_up_to
 
 from conftest import heisenberg
 
@@ -45,3 +45,8 @@ def test_span_rejects_a_denominator_above_the_caps():
     with pytest.raises(ValueError):
         span.contains(over)
     assert span.echelon.rank == 1
+
+
+def test_monomials_up_to_over_no_variables_is_the_empty_monomial():
+    for d in range(4):
+        assert monomials_up_to(0, d) == [()]
