@@ -2,21 +2,29 @@
 
 One problem per JSON file; reports are JSON on stdout (deterministic: keys
 and lists are explicitly ordered, rationals are "p/q" strings), a short
-human summary goes to stderr unless --json is given.  Exit codes:
+human summary goes to stderr unless --json is given.  Every subcommand takes
+a problem file and --json; its other flags are its own (the ``COMMANDS``
+table): -p/-q on bracket, --max-degree on semi-invariants, center, ghat,
+decompose and check84, --trace on decompose, --dmax on bvwg-invariants.
+Exit codes:
 
   0  success
   1  mathematical negative (not simple, hypothesis failed, invalid table,
      irrational eigenvalue, undecided nilradical)
   2  input error (bad JSON, parse errors, unknown variables, unstable ideal)
+     or usage error (unknown subcommand or flag, missing or malformed flag
+     value); stdout is then one JSON {"error", "detail"} line
   3  degree-bounded search exhausted
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import bvwg as bvwg_mod
 from .decompose import check_84 as run_check_84
@@ -116,56 +124,18 @@ class ProblemFile:
 
 def _load(path: str) -> ProblemFile:
     with open(path) as fh:
-        return ProblemFile(json.load(fh))
-
-
-def _lie_problem(args) -> ProblemFile:
-    """The problem file of a Lie subcommand; ValueError on a lattice spec."""
-    prob = _load(args.file)
-    if prob.lie is None:
-        raise ValueError(f"{args.command} needs a Lie problem file")
-    return prob
-
-
-def _bvwg_problem(args) -> ProblemFile:
-    """The problem file of a bvwg-* subcommand; ValueError on a Lie algebra."""
-    prob = _load(args.file)
-    if prob.bvwg is None:
-        raise ValueError(f"{args.command} needs a bvwg problem file")
-    return prob
-
-
-def _degree_bound(args, prob: ProblemFile) -> int:
-    """The --max-degree flag when given, else options.max_degree; at least 1."""
-    d = prob.max_degree if args.max_degree is None else args.max_degree
-    if d < 1:
-        raise ValueError(f"degree bound must be at least 1, got {d}")
-    return d
-
-
-def _emit(report: dict, summary: str, args) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-    if not args.json:
-        sys.stderr.write(summary + "\n")
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("problem file nested too deeply") from None
+    return ProblemFile(data)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: handler(args, prob) -> (report, summary[, exit code if not 0])
 
 
-def cmd_verify(args) -> int:
-    try:
-        prob = _load(args.file)
-    except JacobiViolation as exc:
-        report = {
-            "valid": False,
-            "jacobi_violation": {
-                "triple": list(exc.triple),
-                "residual": [str(c) for c in exc.residual],
-            },
-        }
-        _emit(report, "invalid: Jacobi identity fails", args)
-        return 1
+def cmd_verify(args, prob):
     if prob.lie is not None:
         report = {
             "valid": True,
@@ -178,7 +148,7 @@ def cmd_verify(args) -> int:
             f"solvable={report['solvable']}, nilpotent={report['nilpotent']}"
         )
     else:
-        simple, cert = bvwg_mod.is_simple(prob.bvwg)
+        simple, _ = bvwg_mod.is_simple(prob.bvwg)
         report = {
             "valid": True,
             "dim_v": prob.bvwg.n,
@@ -186,54 +156,42 @@ def cmd_verify(args) -> int:
             "simple": simple,
         }
         summary = f"{prob.name}: valid lattice spec, simple={simple}"
-    _emit(report, summary, args)
-    return 0
+    return report, summary
 
 
-def cmd_bracket(args) -> int:
-    prob = _lie_problem(args)
+def cmd_bracket(args, prob):
     alg = reduced_algebra(prob.lie, prob.ideal)
     p = alg.element(args.p)
     q = alg.element(args.q)
     res = alg.bracket(p, q)
     report = {"bracket": alg.format(res)}
-    _emit(report, f"{{{args.p}, {args.q}}} = {alg.format(res)}", args)
-    return 0
+    return report, f"{{{args.p}, {args.q}}} = {alg.format(res)}"
 
 
-def cmd_semi_invariants(args) -> int:
-    prob = _lie_problem(args)
-    d = _degree_bound(args, prob)
+def cmd_semi_invariants(args, prob):
+    d = args.max_degree
     rep = semi_invariants(prob.lie, prob.ideal, d)
     entries = [
         {
             "weight": [str(v) for v in w.values],
-            "basis": [rep_alg_format(b) for b in basis],
+            "basis": [str(b) for b in basis],
         }
         for w, basis in rep.entries
     ]
     report = {"bound": d, "entries": entries}
-    _emit(report, f"{len(entries)} weight space(s) up to degree {d}", args)
-    return 0
+    return report, f"{len(entries)} weight space(s) up to degree {d}"
 
 
-def rep_alg_format(el) -> str:
-    return str(el.num) if el.is_polynomial() else str(el)
-
-
-def cmd_center(args) -> int:
-    prob = _lie_problem(args)
-    d = _degree_bound(args, prob)
+def cmd_center(args, prob):
+    d = args.max_degree
     alg = reduced_algebra(prob.lie, prob.ideal)
     basis = center_up_to_degree(alg, d)
     report = {"bound": d, "basis": [str(b.num) for b in basis]}
-    _emit(report, f"center dimension {len(basis)} up to degree {d}", args)
-    return 0
+    return report, f"center dimension {len(basis)} up to degree {d}"
 
 
-def cmd_ghat(args) -> int:
-    prob = _lie_problem(args)
-    d = _degree_bound(args, prob)
+def cmd_ghat(args, prob):
+    d = args.max_degree
     data = ghat(prob.lie, prob.ideal, d)
     report = {
         "bound": d,
@@ -243,17 +201,11 @@ def cmd_ghat(args) -> int:
             {"var": v.name, "value": str(img)} for v, img in data.restricted_ideal.rules
         ],
     }
-    _emit(
-        report,
-        f"kernel dim {data.subalgebra.dim}, complement {report['complement']}",
-        args,
-    )
-    return 0
+    return report, f"kernel dim {data.subalgebra.dim}, complement {report['complement']}"
 
 
-def cmd_decompose(args) -> int:
-    prob = _lie_problem(args)
-    d = _degree_bound(args, prob)
+def cmd_decompose(args, prob):
+    d = args.max_degree
     res = decompose(prob.lie, prob.ideal, d)
     alg = res.algebra
     report = {
@@ -266,37 +218,29 @@ def cmd_decompose(args) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             json.dump(res.trace, fh, sort_keys=True, indent=1)
-    _emit(report, f"e = {report['e']}, {res.n} canonical pair(s)", args)
-    return 0
+    return report, f"e = {report['e']}, {res.n} canonical pair(s)"
 
 
-def cmd_check84(args) -> int:
-    prob = _lie_problem(args)
-    d = _degree_bound(args, prob)
+def cmd_check84(args, prob):
+    d = args.max_degree
     report = run_check_84(prob.lie, prob.ideal, d)
-    _emit(
-        report,
-        f"center trivial: {report['center_trivial']}, agree: {report['agree']}",
-        args,
+    return report, (
+        f"center trivial: {report['center_trivial']}, agree: {report['agree']}"
     )
-    return 0
 
 
-def cmd_bvwg_simple(args) -> int:
-    prob = _bvwg_problem(args)
+def cmd_bvwg_simple(args, prob):
     simple, cert = bvwg_mod.is_simple(prob.bvwg)
     report = {
         "simple": simple,
         "certificate": [[str(c) for c in v] for v in cert.basis],
     }
-    _emit(report, f"simple: {simple}", args)
-    return 0 if simple else 1
+    return report, f"simple: {simple}", 0 if simple else 1
 
 
-def cmd_bvwg_invariants(args) -> int:
+def cmd_bvwg_invariants(args, prob):
     if args.dmax is not None and args.dmax < 2:
         raise ValueError(f"--dmax must be at least 2, got {args.dmax}")
-    prob = _bvwg_problem(args)
     inv = bvwg_mod.invariants(prob.bvwg)
     report = {
         "gk_total": inv.gk_total,
@@ -311,12 +255,10 @@ def cmd_bvwg_invariants(args) -> int:
         report["growth_group"] = str(
             bvwg_mod.growth_exponent(prob.bvwg, args.dmax, "group")
         )
-    _emit(report, f"gk dimensions {inv}", args)
-    return 0
+    return report, f"gk dimensions {inv}"
 
 
-def cmd_bvwg_embed(args) -> int:
-    prob = _bvwg_problem(args)
+def cmd_bvwg_embed(args, prob):
     emb = bvwg_mod.embed_in_weyl(prob.bvwg)
     report = {
         "weyl_pairs": emb.sym_rank,
@@ -328,12 +270,10 @@ def cmd_bvwg_embed(args) -> int:
             name: emb.target.format(el) for name, el in sorted(emb.hom.psi.items())
         },
     }
-    _emit(report, f"embedded with {emb.sym_rank} Weyl pair(s)", args)
-    return 0
+    return report, f"embedded with {emb.sym_rank} Weyl pair(s)"
 
 
-def cmd_bvwg_realize(args) -> int:
-    prob = _bvwg_problem(args)
+def cmd_bvwg_realize(args, prob):
     real = bvwg_mod.realize_from_lie(prob.bvwg)
     g = real.lie
     report = {
@@ -355,49 +295,98 @@ def cmd_bvwg_realize(args) -> int:
             for name, el in sorted(real.hom.chi.items())
         },
     }
-    _emit(report, f"realized on a Lie algebra of dim {g.dim}", args)
-    return 0
+    return report, f"realized on a Lie algebra of dim {g.dim}"
 
+
+class Command(NamedTuple):
+    handler: Callable
+    kind: str | None  # the problem file it needs: "lie", "bvwg", or None for either
+    flags: tuple[str, ...] = ()  # its own flags, keys of FLAGS; --json is on all
+
+
+FLAGS = {
+    "-p": {"required": True, "help": "left argument of the bracket"},
+    "-q": {"required": True, "help": "right argument of the bracket"},
+    "--max-degree": {"type": int, "help": "degree bound (default options.max_degree)"},
+    "--trace": {"help": "write the decomposition trace here"},
+    "--dmax": {"type": int, "help": "also estimate growth up to this degree (>= 2)"},
+}
 
 COMMANDS = {
-    "verify": cmd_verify,
-    "bracket": cmd_bracket,
-    "semi-invariants": cmd_semi_invariants,
-    "center": cmd_center,
-    "ghat": cmd_ghat,
-    "decompose": cmd_decompose,
-    "check84": cmd_check84,
-    "bvwg-simple": cmd_bvwg_simple,
-    "bvwg-invariants": cmd_bvwg_invariants,
-    "bvwg-embed": cmd_bvwg_embed,
-    "bvwg-realize": cmd_bvwg_realize,
+    "verify": Command(cmd_verify, None),
+    "bracket": Command(cmd_bracket, "lie", ("-p", "-q")),
+    "semi-invariants": Command(cmd_semi_invariants, "lie", ("--max-degree",)),
+    "center": Command(cmd_center, "lie", ("--max-degree",)),
+    "ghat": Command(cmd_ghat, "lie", ("--max-degree",)),
+    "decompose": Command(cmd_decompose, "lie", ("--max-degree", "--trace")),
+    "check84": Command(cmd_check84, "lie", ("--max-degree",)),
+    "bvwg-simple": Command(cmd_bvwg_simple, "bvwg"),
+    "bvwg-invariants": Command(cmd_bvwg_invariants, "bvwg", ("--dmax",)),
+    "bvwg-embed": Command(cmd_bvwg_embed, "bvwg"),
+    "bvwg-realize": Command(cmd_bvwg_realize, "bvwg"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError (a JSON error with exit 2 through
+    ``run``) instead of printing usage and exiting; -h still prints help."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liepoisson",
         description="Exact Poisson-algebra computations for solvable Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file", help="problem JSON file")
-        p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--json", action="store_true", help="suppress the stderr summary")
-        p.add_argument("--trace", default=None, help="write the decomposition trace here")
-        if name == "bracket":
-            p.add_argument("-p", required=True)
-            p.add_argument("-q", required=True)
-        if name == "bvwg-invariants":
-            p.add_argument("--dmax", type=int, default=None)
+        for flag in command.flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() on first use, then the same parser for every run."""
+    return build_parser()
+
+
+def _dispatch(args) -> tuple:
+    """Load and check the problem file and run the subcommand on it."""
+    command = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](args)
+        prob = _load(args.file)
+    except JacobiViolation as exc:
+        if args.command != "verify":
+            raise
+        report = {
+            "valid": False,
+            "jacobi_violation": {
+                "triple": list(exc.triple),
+                "residual": [str(c) for c in exc.residual],
+            },
+        }
+        return report, "invalid: Jacobi identity fails", 1
+    if command.kind is not None and getattr(prob, command.kind) is None:
+        kind = "Lie" if command.kind == "lie" else command.kind
+        raise ValueError(f"{args.command} needs a {kind} problem file")
+    if "--max-degree" in command.flags:  # the flag, else options.max_degree
+        d = prob.max_degree if args.max_degree is None else args.max_degree
+        if d < 1:
+            raise ValueError(f"degree bound must be at least 1, got {d}")
+        args.max_degree = d
+    return command.handler(args, prob)
+
+
+def run(argv: list[str]) -> int:
+    try:
+        args = _parser().parse_args(argv)
+        report, summary, *code = _dispatch(args)
     except SearchExhausted as exc:
         sys.stdout.write(
             json.dumps({"error": "search-exhausted", "detail": str(exc)}) + "\n"
@@ -407,6 +396,10 @@ def run(argv: list[str]) -> int:
         report = {"error": type(exc).__name__, "detail": str(exc)}
         sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
         return 1 if isinstance(exc, MATH_NEGATIVE) else 2
+    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    if not args.json:
+        sys.stderr.write(summary + "\n")
+    return code[0] if code else 0
 
 
 def main() -> None:  # console entry point

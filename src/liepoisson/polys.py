@@ -463,12 +463,18 @@ def format_poly(p: Poly) -> str:
 # term   := factor ('*' factor)*
 # factor := '-' factor | atom ('^' signed_int)?
 # atom   := INT ('/' INT)? | NAME | '(' expr ')'
+#
+# Unary minus is read in a loop; each open parenthesis costs four stack
+# frames, so nesting is capped well below Python's recursion limit.
+
+_MAX_NESTING = 100
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text.replace("−", "-")  # tolerate unicode minus
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -535,9 +541,10 @@ def _parse_term(toks: _Tokens, ctx: Context) -> Poly:
 
 
 def _parse_factor(toks: _Tokens, ctx: Context) -> Poly:
-    if toks.peek() == "-":
+    negate = False
+    while toks.peek() == "-":
         toks.pos += 1
-        return -_parse_factor(toks, ctx)
+        negate = not negate
     p = _parse_atom(toks, ctx)
     if toks.peek() == "^":
         toks.pos += 1
@@ -547,15 +554,19 @@ def _parse_factor(toks: _Tokens, ctx: Context) -> Poly:
             neg = True
         k = toks.take_int()
         p = p ** (-k if neg else k)
-    return p
+    return -p if negate else p
 
 
 def _parse_atom(toks: _Tokens, ctx: Context) -> Poly:
     ch = toks.peek()
     if ch == "(":
+        if toks.depth == _MAX_NESTING:
+            raise PolyParseError("expression nested too deeply", toks.pos)
+        toks.depth += 1
         toks.pos += 1
         p = _parse_expr(toks, ctx)
         toks.expect(")")
+        toks.depth -= 1
         return p
     if ch.isdigit():
         num = toks.take_int()

@@ -1,17 +1,22 @@
 """CLI: schema handling, subcommand reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from liepoisson.cli import run
+from liepoisson import cli
+from liepoisson.cli import COMMANDS, build_parser, run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _capture(argv):
@@ -404,4 +409,162 @@ def test_python_dash_m_entry_point():
         "dim": 3,
         "solvable": True,
         "nilpotent": True,
+    }
+
+
+def test_deeply_nested_polynomial_is_input_error(tmp_path):
+    deep = "(" * 400 + "x" + ")" * 400
+    code, out, _ = _capture(["bracket", path("heisenberg.json"), "-p", deep, "-q", "z"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "PolyParseError",
+        "detail": "expression nested too deeply (at byte 100)",
+    }
+    data = _heisenberg_data()
+    data["ideal"] = [{"var": "z", "value": "(" * 400 + "1" + ")" * 400}]
+    problem = tmp_path / "deep-ideal.json"
+    problem.write_text(json.dumps(data))
+    code2, out2, _ = _capture(["center", str(problem), "--json"])
+    assert code2 == 2
+    assert json.loads(out2)["error"] == "PolyParseError"
+
+
+def test_deeply_nested_problem_file_is_input_error(tmp_path):
+    problem = tmp_path / "deep.json"
+    problem.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, _ = _capture(["verify", str(problem)])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError",
+        "detail": "problem file nested too deeply",
+    }
+
+
+# The flags each subcommand reads besides the problem file and --json.
+OWN_FLAGS = {
+    "verify": (),
+    "bracket": ("-p", "-q"),
+    "semi-invariants": ("--max-degree",),
+    "center": ("--max-degree",),
+    "ghat": ("--max-degree",),
+    "decompose": ("--max-degree", "--trace"),
+    "check84": ("--max-degree",),
+    "bvwg-simple": (),
+    "bvwg-invariants": ("--dmax",),
+    "bvwg-embed": (),
+    "bvwg-realize": (),
+}
+FLAG_VALUES = {"-p": "x", "-q": "y", "--max-degree": "0", "--trace": "F", "--dmax": "3"}
+
+
+def test_own_flags_cover_every_subcommand():
+    assert set(OWN_FLAGS) == set(COMMANDS)
+    for name, command in COMMANDS.items():
+        assert command.flags == OWN_FLAGS[name], name
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in COMMANDS for f in FLAG_VALUES if f not in OWN_FLAGS[c]],
+)
+def test_undeclared_flag_is_usage_error(tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    fixture = "bvwg-simple.json" if command.startswith("bvwg") else "heisenberg.json"
+    argv = [command, path(fixture), "--json"]
+    if command == "bracket":
+        argv += ["-p", "x", "-q", "y"]
+    value = FLAG_VALUES[flag]
+    code, out, err = _capture(argv + [flag, value])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError",
+        "detail": f"unrecognized arguments: {flag} {value}",
+    }
+    assert err == ""
+    assert os.listdir(tmp_path) == []  # in particular, no trace file F
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", path("heisenberg.json"), "-p", "x"],
+        ["frobnicate", path("heisenberg.json")],
+        ["center", path("heisenberg.json"), "--frobnicate"],
+        ["center", path("heisenberg.json"), "--max-degree", "two"],
+        ["bvwg-invariants", path("bvwg-symp.json"), "--dmax", "x"],
+        [],
+    ],
+    ids=[
+        "missing-q",
+        "unknown-subcommand",
+        "unknown-flag",
+        "degree-word",
+        "dmax-word",
+        "empty",
+    ],
+)
+def test_usage_error_is_json_error_not_system_exit(argv):
+    code, out, err = _capture(argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert set(report) == {"error", "detail"} and report["error"] == "ValueError"
+    assert err == ""
+
+
+def test_help_still_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["center", "-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--max-degree" in text and "--dmax" not in text
+
+
+def test_run_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for argv in (["verify", path("heisenberg.json")], ["frobnicate"], []) * 2:
+        _capture(argv)
+    # one top-level parser and one per subcommand, all from the first call
+    assert len(built) == 1 + len(COMMANDS)
+
+
+def _readme_command_section():
+    with open(README) as fh:
+        text = fh.read().split("\n## Command line\n", 1)[1]
+    return text.split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = _readme_command_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    parser = build_parser()
+    for argv in lines:
+        assert argv[0] == "liepoisson"
+        parser.parse_args(argv[1:])  # a usage error raises ValueError
+    assert {argv[1] for argv in lines} == set(COMMANDS)
+
+
+def test_readme_flag_table_matches_commands():
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in _readme_command_section().splitlines()
+        if line.startswith("| `")
+    ]
+    listed = {}
+    for names, kind, flags in rows:
+        own = tuple(re.findall(r"(?<![\w-])-{1,2}[a-z][a-z-]*", flags))
+        for name in re.findall(r"`([a-z0-9-]+)`", names):
+            listed[name] = (kind, own)
+    kinds = {"lie": "`lie`", "bvwg": "`bvwg`", None: "`lie` or `bvwg`"}
+    assert listed == {
+        name: (kinds[command.kind], command.flags) for name, command in COMMANDS.items()
     }

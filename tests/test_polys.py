@@ -131,6 +131,19 @@ def test_parse_errors_carry_offsets():
         parse_poly("x * q", CTX)
 
 
+def test_deep_nesting_is_a_parse_error():
+    # 100 open parentheses parse; one more is an error, not a RecursionError
+    assert parse_poly("(" * 100 + "x" + ")" * 100, CTX) == X
+    for depth in (101, 400, 5000):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("(" * depth + "x" + ")" * depth, CTX)
+        assert err.value.message == "expression nested too deeply"
+        assert err.value.offset == 100
+    # unary minus is read in a loop, at any depth
+    assert parse_poly("-" * 5001 + "x^2", CTX) == -(X**2)
+    assert parse_poly("-" * 5000 + "(-x)", CTX) == -X
+
+
 def test_shift_translation():
     assert (X**2).shift({"x": 1}) == X**2 + X.scale(2) + Poly.const(CTX, 1)
     assert (X * Y).shift({"x": 0}) == X * Y
