@@ -29,7 +29,6 @@ from .invariants import (
     center_up_to_degree,
     ghat,
     present_over_ghat,
-    reduced_algebra,
     semi_invariants,
 )
 from .lie import (
@@ -59,6 +58,7 @@ from .poisson import (
     localize,
     poisson_algebra,
     quotient,
+    reduced_algebra,
     skew_extend,
     tensor,
 )

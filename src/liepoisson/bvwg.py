@@ -243,14 +243,8 @@ def _omega_kernel_in(spec: BVWG, space: Subspace) -> Subspace:
 
 
 def _omega_apply(spec: BVWG, u, w) -> Fraction:
-    acc = Fraction(0)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(w):
-            if b != 0:
-                acc += a * b * spec.omega[i][j]
-    return acc
+    """omega(u, w) = u . (omega w)."""
+    return Weight(linalg.mat_vec(spec.omega, w))(u)
 
 
 def _sub_spec(spec: BVWG, space: Subspace, prefix: str) -> BVWG:

@@ -11,9 +11,12 @@ Exit codes:
   0  success
   1  mathematical negative (not simple, hypothesis failed, invalid table,
      irrational eigenvalue, undecided nilradical)
-  2  input error (bad JSON, parse errors, unknown variables, unstable ideal)
-     or usage error (unknown subcommand or flag, missing or malformed flag
-     value); stdout is then one JSON {"error", "detail"} line
+  2  input error (bad JSON, parse errors, unknown variables, unstable ideal,
+     a polynomial expanding past the parser's term bound, a degree slice
+     C(d + dim g, dim g) past SLICE_BUDGET, a --dmax past DMAX_CAP, a JSON
+     float where a rational is due) or usage error (unknown subcommand or
+     flag, missing or malformed flag value); stdout is then one JSON
+     {"error", "detail"} line
   3  degree-bounded search exhausted
 """
 
@@ -24,6 +27,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple
 
 from . import bvwg as bvwg_mod
@@ -39,9 +43,9 @@ from .errors import (
     NotSimple,
     SearchExhausted,
 )
-from .invariants import center_up_to_degree, ghat, reduced_algebra, semi_invariants
+from .invariants import center_up_to_degree, ghat, semi_invariants
 from .lie import LieAlgebra, is_nilpotent, is_solvable, verify_lie
-from .poisson import SubstitutionIdeal, ideal_from_pairs
+from .poisson import SubstitutionIdeal, ideal_from_pairs, reduced_algebra
 
 MATH_NEGATIVE = (
     JacobiViolation,
@@ -52,6 +56,13 @@ MATH_NEGATIVE = (
     NotNilpotent,
 )
 
+
+# Largest slice C(d + dim g, dim g) a degree bound d may ask for: family_n(3)
+# at d = 8 (6,435 monomials) fits; the Heisenberg center at d = 36 (9,139)
+# takes about 12 s on a 2-core x86 machine.  growth_exponent at DMAX_CAP
+# takes about 20 ms.
+SLICE_BUDGET = 10_000
+DMAX_CAP = 10_000
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
 
@@ -69,9 +80,17 @@ def _names(value, what: str) -> list[str]:
     return [_shaped(name, str, f"{what} entry") for name in _shaped(value, list, what)]
 
 
-def _rows(value, what: str) -> list[list]:
-    """A JSON array of arrays (a rational matrix)."""
-    return [_shaped(row, list, f"{what} row") for row in _shaped(value, list, what)]
+def _rational(value, what: str) -> Fraction:
+    """A JSON integer or "p/q" string; a JSON float would be rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be a JSON integer or a rational string")
+    return Fraction(value)
+
+
+def _rows(value, what: str) -> list[list[Fraction]]:
+    """A JSON array of arrays of rationals (a rational matrix)."""
+    rows = [_shaped(row, list, f"{what} row") for row in _shaped(value, list, what)]
+    return [[_rational(c, f"{what} entry") for c in row] for row in rows]
 
 
 class ProblemFile:
@@ -98,7 +117,7 @@ class ProblemFile:
                 i = _shaped(entry["i"], int, "lie.brackets i")
                 j = _shaped(entry["j"], int, "lie.brackets j")
                 coeffs = {
-                    int(k): Fraction(str(v))
+                    int(k): _rational(v, "coeffs value")
                     for k, v in _shaped(entry["coeffs"], dict, "coeffs").items()
                 }
                 structure[(i, j)] = coeffs
@@ -239,8 +258,8 @@ def cmd_bvwg_simple(args, prob):
 
 
 def cmd_bvwg_invariants(args, prob):
-    if args.dmax is not None and args.dmax < 2:
-        raise ValueError(f"--dmax must be at least 2, got {args.dmax}")
+    if args.dmax is not None and not 2 <= args.dmax <= DMAX_CAP:
+        raise ValueError(f"--dmax must lie in 2..{DMAX_CAP}, got {args.dmax}")
     inv = bvwg_mod.invariants(prob.bvwg)
     report = {
         "gk_total": inv.gk_total,
@@ -379,6 +398,12 @@ def _dispatch(args) -> tuple:
         d = prob.max_degree if args.max_degree is None else args.max_degree
         if d < 1:
             raise ValueError(f"degree bound must be at least 1, got {d}")
+        n = prob.lie.dim
+        if comb(d + n, n) > SLICE_BUDGET:
+            raise ValueError(
+                f"degree bound {d} needs a slice of C({d} + {n}, {n}) monomials, "
+                f"more than the budget of {SLICE_BUDGET}"
+            )
         args.max_degree = d
     return command.handler(args, prob)
 

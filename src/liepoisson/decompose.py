@@ -46,7 +46,7 @@ from .errors import (
     SearchExhausted,
     UnsupportedChain,
 )
-from .invariants import center_up_to_degree, reduced_algebra, semi_invariants
+from .invariants import center_up_to_degree, centralizer, semi_invariants
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -55,6 +55,7 @@ from .lie import (
     jordan_holder,
     module_eigenspaces,
     span_subalgebra,
+    unit_index,
     verify_lie,
 )
 from .poisson import (
@@ -62,8 +63,10 @@ from .poisson import (
     PoissonAlgebra,
     SubstitutionIdeal,
     canonical_from_lie,
+    epsilon_derivation,
     localize,
     quotient,
+    reduced_algebra,
 )
 from .polys import Poly, make_vars
 from .spaces import (
@@ -71,9 +74,7 @@ from .spaces import (
     basis_monomials,
     combination,
     independent_subset,
-    kernel_of_operators,
     monomials_up_to,
-    operator_rows,
     solve_in_span,
 )
 from .weyl import WeylPresentation, integrate_potential, pair_relation_failure
@@ -98,10 +99,7 @@ class DecompositionResult:
 def _chain_order(flag, ideal: SubstitutionIdeal | None):
     """Flag generators as a variable ordering.  Only coordinate-aligned
     flags can thread a nonempty substitution ideal through the levels."""
-    order = []
-    for gen in flag.generators:
-        nz = [j for j, c in enumerate(gen) if c != 0]
-        order.append(nz[0] if len(nz) == 1 and gen[nz[0]] == 1 else None)
+    order = [unit_index(gen) for gen in flag.generators]
     if all(k is not None for k in order):
         return order
     if ideal is not None and not ideal.is_empty():
@@ -235,17 +233,7 @@ def _central_choice(full_alg, candidates, d):
     """Deterministic nonzero g-central element in the span of the
     candidates; HypothesisFailed with a weight certificate when only a
     nonzero-weight eigenvector exists, EigenvalueNotRational otherwise."""
-    ops = []
-    for v in full_alg.vars:
-        gen = full_alg.gen(v.name)
-        ops.append(lambda el, gen=gen: full_alg.bracket(gen, el))
-    central = [
-        c
-        for c in kernel_of_operators(
-            full_alg, candidates, operator_rows(full_alg, candidates, ops)
-        )
-        if not c.is_zero()
-    ]
+    central = [c for c in centralizer(full_alg, candidates) if not c.is_zero()]
     if central:
         central.sort(key=lambda el: (el.num.degree(), sorted(el.num.terms)))
         v = central[0]
@@ -312,23 +300,15 @@ def _assert_commutes(alg, el, pairs, center, d):
 # semisimple-action helpers (only active when s is supplied)
 
 
-def _s_op(full_l, g, t_vec):
-    """Action of an s-element, computed in the full localized algebra (the
-    s-generators usually live outside the current flag prefix)."""
-    p = Poly.zero(full_l.vars)
-    for c, v in zip(t_vec, g.basis):
-        if c != 0:
-            p = p + Poly.var(full_l.vars, v.name).scale(c)
-    gen = full_l.element(p)
-    return lambda el: full_l.bracket(gen, el)
-
-
-def _project_s_weight(cur_l, full_l, g, s: Subspace, el, theta_values):
-    """Spectral projection inside the full algebra, pushed back to the
-    level algebra (flag prefixes are ideals, so the action stays inside)."""
+def _project_s_weight(cur_l, full_l, s: Subspace, el, theta_values):
+    """Spectral projection inside the full localized algebra (the
+    s-generators usually live outside the current flag prefix), pushed back
+    to the level algebra (flag prefixes are ideals, so the action stays
+    inside)."""
     lifted = full_l.element(el)
     for t_vec, th in zip(s.basis, theta_values):
-        lifted = _krylov_projection(full_l, _s_op(full_l, g, t_vec), lifted, th)
+        eps = epsilon_derivation(full_l, t_vec)
+        lifted = _krylov_projection(full_l, lambda x: eps.apply(full_l, x), lifted, th)
     return cur_l.element(
         LocalElement(lifted.num.restrict(cur_l.vars), lifted.den)
     )
@@ -393,7 +373,7 @@ def decompose(
         z_el = cur_l.gen(g.basis[z_idx].name)
         if s is not None:
             z_el = _project_s_weight(
-                cur_l, full_l, g, s, z_el, list(theta_by_level[level - 1])
+                cur_l, full_l, s, z_el, list(theta_by_level[level - 1])
             )
             if z_el.is_zero():
                 raise SearchExhausted(d, "(flag generator lost its weight component)")
@@ -424,7 +404,7 @@ def decompose(
             u = combination(cur_l, combo, [c for c, _ in nonzero])
             if s is not None:
                 theta = theta_by_level[level - 1]
-                u = _project_s_weight(cur_l, full_l, g, s, u, [-t for t in theta])
+                u = _project_s_weight(cur_l, full_l, s, u, [-t for t in theta])
                 if not cur_l.sub(cur_l.bracket(z_el, u), v_cur).is_zero():
                     raise SearchExhausted(d, "(weight projection broke the preimage)")
             step["v"] = str(v_poly)
@@ -446,7 +426,7 @@ def decompose(
             b_el = _pair_potential(cur_l, prev_q, pairs, z_el, d)
             if s is not None:
                 b_el = _project_s_weight(
-                    cur_l, full_l, g, s, b_el, list(theta_by_level[level - 1])
+                    cur_l, full_l, s, b_el, list(theta_by_level[level - 1])
                 )
             x_new = cur_l.sub(z_el, b_el)
             if not cur_l.sub(cur_l.bracket(x_new, y_new), cur_l.one()).is_zero():

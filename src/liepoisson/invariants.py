@@ -5,6 +5,11 @@ All searches are semi-decision procedures: they are exact and complete up to
 the stated degree bound, and every report carries that bound.  Candidate
 weights are enumerated inside the natural-number span of the flag weights,
 which is exactly the lattice bound that makes the enumeration finite.
+
+``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
+finite span that commute with every generator.  The degree-bounded center
+is the centralizer of a monomial slice, and the semi-invariant search solves
+from the rows of the same generator actions, shifted by each weight.
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ from .lie import (
     Weight,
     coordinate_subalgebra,
     jordan_holder,
+    unit_index,
 )
 from .poisson import (
     Derivation,
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
-    canonical_from_lie,
-    quotient,
+    reduced_algebra,
     skew_extend,
 )
 from .polys import Poly
@@ -43,22 +48,19 @@ from .spaces import (
 DEFAULT_DEGREE_BOUND = 6
 
 
-def reduced_algebra(g: LieAlgebra, ideal: SubstitutionIdeal | None) -> PoissonAlgebra:
-    """The quotient of the canonical linear Poisson structure by the ideal."""
-    alg = canonical_from_lie(g)
-    if ideal is not None and not ideal.is_empty():
-        alg = quotient(alg, ideal)
-    return alg
+def _generator_actions(alg: PoissonAlgebra) -> list:
+    """The operators {v, .}, one per generator v of the algebra."""
+    return [lambda el, gen=alg.gen(v.name): alg.bracket(gen, el) for v in alg.vars]
+
+
+def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[LocalElement]:
+    """Basis of the elements of span(basis) commuting with every generator."""
+    return kernel_of_operators(alg, basis, operator_rows(alg, basis, _generator_actions(alg)))
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     """Basis of {p : deg p <= d, {v, p} = 0 for all generators v}."""
-    basis = [alg.element(m) for m in basis_monomials(alg, d)]
-    ops = []
-    for v in alg.vars:
-        gen = alg.gen(v.name)
-        ops.append(lambda el, gen=gen: alg.bracket(gen, el))
-    return kernel_of_operators(alg, basis, operator_rows(alg, basis, ops))
+    return centralizer(alg, [alg.element(m) for m in basis_monomials(alg, d)])
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,8 @@ def semi_invariants(
     flag = jordan_holder(g)
     alg = reduced_algebra(g, ideal)
     basis = [alg.element(m) for m in basis_monomials(alg, d)]
-    ops = [lambda el, gen=alg.gen(v.name): alg.bracket(gen, el) for v in g.basis]
     index = SliceIndex()
-    actions = operator_rows(alg, basis, ops, index)
+    actions = operator_rows(alg, basis, _generator_actions(alg), index)
     # the reduced algebra inverts nothing, so every row is over denominator 1
     identity, _, _ = common_denominator_rows(alg, basis, index)
     entries = []
@@ -201,13 +202,10 @@ def _restrict_ideal(
 def _aligned_names(g: LieAlgebra, sub: Subspace) -> set[str] | None:
     """Names of standard basis vectors spanning the subspace, or None when it
     is not coordinate-aligned."""
-    names = set()
-    for row in sub.basis:
-        nz = [j for j, c in enumerate(row) if c != 0]
-        if len(nz) != 1 or row[nz[0]] != 1:
-            return None
-        names.add(g.basis[nz[0]].name)
-    return names
+    idx = [unit_index(row) for row in sub.basis]
+    if None in idx:
+        return None
+    return {g.basis[k].name for k in idx}
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,9 @@ def present_over_ghat(
         raise ComplementEliminated("(kernel subalgebra is not closed under the bracket)")
     base = reduced_algebra(sub_lie, data.restricted_ideal if data.restricted_ideal.rules else None)
 
-    full = reduced_algebra(g, ideal)
+    # g re-presented with rebuilt's generator order, so that the two tables
+    # compare position by position
+    full = reduced_algebra(coordinate_subalgebra(g, sub_idx + list(data.complement)), ideal)
     rebuilt = base
     added: list[str] = []
     deltas: list[Derivation] = []
@@ -260,31 +260,5 @@ def present_over_ghat(
         added.append(name)
         deltas.append(delta)
 
-    matches = _tables_match(full, rebuilt)
+    matches = full.table_signature() == rebuilt.table_signature()
     return GhatPresentation(data, base, tuple(deltas), tuple(added), rebuilt, matches)
-
-
-def _tables_match(a: PoissonAlgebra, b: PoissonAlgebra) -> bool:
-    """Compare effective bracket tables under generator-name identification."""
-    sig_a = _named_signature(a)
-    sig_b = _named_signature(b)
-    return sig_a == sig_b
-
-
-def _named_signature(alg: PoissonAlgebra):
-    eff = alg.effective_vars()
-    names = sorted(v.name for v in eff)
-    pos = {v.name: i for i, v in enumerate(alg.vars)}
-    sig = {}
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            el = alg.table_entry(pos[names[a]], pos[names[b]])
-            terms = []
-            for mono, c in sorted(el.num.terms.items()):
-                named = tuple(
-                    (alg.vars[k].name, e) for k, e in enumerate(mono) if e != 0
-                )
-                terms.append((named, c))
-            if terms:
-                sig[(names[a], names[b])] = tuple(sorted(terms))
-    return sig

@@ -35,6 +35,14 @@ def basis_vec(i: int, dim: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
+def unit_index(vec: Sequence) -> int | None:
+    """i when vec is the standard basis vector e_i (one entry 1, the rest
+    0), else None."""
+    if vec.count(1) != 1 or vec.count(0) != len(vec) - 1:
+        return None
+    return vec.index(1)
+
+
 @dataclass(frozen=True)
 class Weight:
     """Rational linear form given by its values on the ambient basis."""
@@ -209,14 +217,12 @@ def verify_lie(basis: Context | str | Sequence[str], structure) -> LieAlgebra:
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
+                # [e_a, [e_b, e_c]] summed cyclically, over the sparse constants
                 res = [Fraction(0)] * m
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.bracket_basis(b, c)
-                    vecb = [Fraction(0)] * m
-                    for t, v in inner.items():
-                        vecb[t] = v
-                    outer = g.bracket_vec(basis_vec(a, m), vecb)
-                    res = [x + y for x, y in zip(res, outer)]
+                    for t, v in g.bracket_basis(b, c).items():
+                        for s, w in g.bracket_basis(a, t).items():
+                            res[s] += v * w
                 if any(v != 0 for v in res):
                     raise JacobiViolation(i, j, k, tuple(res))
     return g

@@ -26,7 +26,9 @@ When b and the row are free of denominators, {x_i, b} is one sum of
 products T_ik d_k b collected into a single polynomial: it is in normal form
 by construction, because neither T_ik nor b contains an eliminated
 variable, a partial introduces none, and there is no denominator to cancel.
-This agrees with the classical localization formula
+A derivation is the same row sum over the row of its images,
+D(b) = sum_k D(x_k) d_k b, so ``Derivation.apply`` and the bracket share it.
+The bracket agrees with the classical localization formula
 
     {p s^-1, q t^-1} = {p,q} s^-1 t^-1 - {p,t} q s^-1 t^-2
                        - {q,s} p s^-2 t^-1 + {s,t} p q s^-2 t^-2,
@@ -48,7 +50,7 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
-from .lie import LieAlgebra
+from .lie import LieAlgebra, unit_index
 from .polys import Coef, Context, Mono, Poly, VarSpec
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,16 @@ def format_local(el: LocalElement, algebra: "PoissonAlgebra | None") -> str:
     return f"{num}/{den}"
 
 
+# a derivation row: the nonzero (k, D(x_k)), k ascending, and True iff none
+# of them has a denominator
+Row = tuple[tuple[tuple[int, LocalElement], ...], bool]
+
+
+def _row(entries: Iterable[tuple[int, LocalElement]]) -> Row:
+    kept = tuple((k, t) for k, t in entries if not t.is_zero())
+    return kept, not any(any(t.den) for _, t in kept)
+
+
 # ---------------------------------------------------------------------------
 # the algebra
 
@@ -168,12 +180,9 @@ class PoissonAlgebra:
     table: dict[tuple[int, int], LocalElement] = field(default_factory=dict)
     ideal: SubstitutionIdeal | None = None
     inverted: tuple[Poly, ...] = ()
-    # per generator i: ((k, {x_i, x_k}) for the nonzero entries, k ascending;
-    # True iff none of them has a denominator).  Set by ``poisson_algebra``
-    # once the table is complete.
-    rows: tuple[tuple[tuple[tuple[int, LocalElement], ...], bool], ...] = field(
-        default=(), init=False, repr=False
-    )
+    # per generator i, the row (see ``_row``) of the nonzero {x_i, x_k}.
+    # Set by ``poisson_algebra`` once the table is complete.
+    rows: tuple[Row, ...] = field(default=(), init=False, repr=False)
     # per inverted s: (content, core) with s = content * core, content the
     # Laurent-unit monomial factor of s; content is None when the context
     # has no Laurent variable (then core is s).
@@ -376,23 +385,24 @@ class PoissonAlgebra:
         parts: dict[int, LocalElement] = {}
         j = _generator_index(a)
         if j is not None:
-            return self._hamiltonian(j, b, support, parts)
+            return self._apply_row(self.rows[j], b, support, parts)
         out = self.zero()
         for i in sorted(self._support(a)):
             da = self.partial(a, self.vars[i])
             if da.is_zero():
                 continue
-            h = self._hamiltonian(i, b, support, parts)
+            h = self._apply_row(self.rows[i], b, support, parts)
             if not h.is_zero():
                 out = self.add(out, self.mul(da, h))
         return out
 
-    def _hamiltonian(
-        self, i: int, b: LocalElement, support: set[int], parts: dict[int, LocalElement]
+    def _apply_row(
+        self, row: Row, b: LocalElement, support: set[int], parts: dict[int, LocalElement]
     ) -> LocalElement:
-        """{x_i, b} = sum_k T_ik d_k b over row i; ``parts`` caches the
-        partials d_k b of this bracket."""
-        entries, den_free = self.rows[i]
+        """sum_k t_k d_k b over a derivation row ((k, t_k), ...): {x_i, b}
+        for row i of ``rows``, D(b) for the row of D's images.  ``support``
+        is ``_support(b)``; ``parts`` caches the partials d_k b."""
+        entries, den_free = row
         if den_free and not any(b.den):
             acc: dict[Mono, Coef] = {}
             for k, t in entries:
@@ -485,15 +495,12 @@ def poisson_algebra(
         el = alg.element(val)
         if not el.is_zero():
             table[(i, j)] = el
-    rows = []
-    for i in range(len(vars)):
-        entries = tuple(
-            (k, alg.table_entry(i, k))
-            for k in range(len(vars))
-            if (min(i, k), max(i, k)) in table
-        )
-        rows.append((entries, not any(any(t.den) for _, t in entries)))
-    object.__setattr__(alg, "rows", tuple(rows))
+    n = len(vars)
+    rows = tuple(
+        _row((k, alg.table_entry(i, k)) for k in range(n) if (min(i, k), max(i, k)) in table)
+        for i in range(n)
+    )
+    object.__setattr__(alg, "rows", rows)
     return alg
 
 
@@ -503,9 +510,7 @@ def _generator_index(a: LocalElement) -> int | None:
     if any(a.den) or len(a.num.terms) != 1:
         return None
     ((mono, c),) = a.num.terms.items()
-    if c != 1 or mono.count(1) != 1 or mono.count(0) != len(mono) - 1:
-        return None
-    return mono.index(1)
+    return unit_index(mono) if c == 1 else None
 
 
 def _split_content(s: Poly) -> tuple[Mono, Poly]:
@@ -527,6 +532,14 @@ def canonical_from_lie(g: LieAlgebra) -> PoissonAlgebra:
         p = Poly(ctx, {tuple(1 if t == k else 0 for t in range(len(ctx))): c for k, c in vec.items()})
         entries[(i, j)] = p
     return poisson_algebra(ctx, entries)
+
+
+def reduced_algebra(g: LieAlgebra, ideal: SubstitutionIdeal | None) -> PoissonAlgebra:
+    """The quotient of the canonical linear Poisson structure by the ideal."""
+    alg = canonical_from_lie(g)
+    if ideal is not None and not ideal.is_empty():
+        alg = quotient(alg, ideal)
+    return alg
 
 
 def _unstable_witness(alg: PoissonAlgebra, ideal: SubstitutionIdeal):
@@ -583,9 +596,7 @@ def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebr
         if any(e < 0 for m in s.terms for e in m):
             raise ValueError("denominators must be ordinary polynomials")
         new.append(s)
-    pad = (0,) * (len(new) - len(alg.inverted))
-    entries = {k: LocalElement(val.num, val.den + pad) for k, val in alg.table.items()}
-    return poisson_algebra(alg.vars, entries, alg.ideal, new)
+    return poisson_algebra(alg.vars, alg.table, alg.ideal, new)
 
 
 def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
@@ -602,9 +613,7 @@ def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
         rules += [(v, img.extend(ctx)) for v, img in b.ideal.rules]
     ideal = SubstitutionIdeal(tuple(rules)) if rules else None
     inverted = [s.extend(ctx) for s in a.inverted + b.inverted]
-    entries = {}
-    for (i, j), val in a.table.items():
-        entries[(i, j)] = LocalElement(val.num.extend(ctx), val.den + (0,) * len(b.inverted))
+    entries = dict(a.table)
     for (i, j), val in b.table.items():
         entries[(i + off, j + off)] = LocalElement(
             val.num.extend(ctx), (0,) * len(a.inverted) + val.den
@@ -628,19 +637,14 @@ class Derivation:
         return alg.element(el) if el is not None else alg.zero()
 
     def apply(self, alg: PoissonAlgebra, p: Poly | LocalElement | str) -> LocalElement:
+        """sum_k D(x_k) d_k p, the bracket's row sum over the images."""
         el = alg.element(p) if not isinstance(p, LocalElement) else p
-        out = alg.zero()
-        for v in alg.vars:
-            img = self.images.get(v.name)
-            if img is None:
-                continue
-            img = alg.element(img)
-            if img.is_zero():
-                continue
-            d = alg.partial(el, v)
-            if not d.is_zero():
-                out = alg.add(out, alg.mul(d, img))
-        return out
+        row = _row(
+            (k, self.image_of(alg, v.name))
+            for k, v in enumerate(alg.vars)
+            if v.name in self.images
+        )
+        return alg._apply_row(row, el, alg._support(el), {})
 
 
 def inner_derivation(alg: PoissonAlgebra, a: Poly | LocalElement) -> Derivation:
@@ -687,11 +691,10 @@ def skew_extend(
         else None
     )
     inverted = [s.extend(ctx) for s in alg.inverted]
-    entries = {k: LocalElement(val.num.extend(ctx), val.den) for k, val in alg.table.items()}
+    entries = dict(alg.table)
     for i, v in enumerate(alg.vars):
         # {v_i, X} = -delta(v_i)
-        img = delta.image_of(alg, v.name)
-        entries[(i, n)] = LocalElement(img.num.extend(ctx).scale(-1), img.den)
+        entries[(i, n)] = alg.scale(-1, delta.image_of(alg, v.name))
     return poisson_algebra(ctx, entries, ideal, inverted)
 
 
@@ -702,12 +705,9 @@ def epsilon_derivation(
 
     Accepts either the quotient algebra directly, or a Lie algebra plus an
     optional substitution ideal (the quotient is then built here)."""
+    alg = alg_or_lie
     if isinstance(alg_or_lie, LieAlgebra):
-        alg = canonical_from_lie(alg_or_lie)
-        if ideal is not None and not ideal.is_empty():
-            alg = quotient(alg, ideal)
-    else:
-        alg = alg_or_lie
+        alg = reduced_algebra(alg_or_lie, ideal)
     if isinstance(x, (Poly, str)):
         el = alg.element(x)
     else:

@@ -119,6 +119,54 @@ def test_hamiltonian_rows_are_the_table():
             assert den_free == all(t.is_polynomial() for _, t in entries)
 
 
+def per_variable_apply(alg, delta, el):
+    """Reference: the chain rule one variable at a time, sum_v d_v el D(v),
+    over every generator with a nonzero image."""
+    out = alg.zero()
+    for v in alg.vars:
+        img = delta.images.get(v.name)
+        if img is None:
+            continue
+        img = alg.element(img)
+        if img.is_zero():
+            continue
+        d = alg.partial(el, v)
+        if not d.is_zero():
+            out = alg.add(out, alg.mul(d, img))
+    return out
+
+
+def _heisenberg_z1():
+    A = canonical_from_lie(heisenberg())
+    return quotient(A, ideal_from_pairs(A.vars, [("z", "1")]))
+
+
+DERIVATION_ALGEBRAS = {
+    "heisenberg mod z=1": _heisenberg_z1(),
+    "Laurent X at X*Y + X": ALGEBRAS["Laurent X at X*Y + X"],
+    "eng4 at e4": ALGEBRAS["eng4 at e4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATION_ALGEBRAS))
+def test_derivation_apply_matches_per_variable_sum(rng, name):
+    alg = DERIVATION_ALGEBRAS[name]
+    images_with_denominators = 0
+    for _ in range(8):
+        # a random image (or none, or zero) per generator, eliminated ones too
+        images = {}
+        for v in alg.vars:
+            pick = rng.randint(0, 3)
+            if pick:
+                images[v.name] = alg.zero() if pick == 1 else _random_element(rng, alg)
+        images_with_denominators += any(not im.is_polynomial() for im in images.values())
+        delta = Derivation(images)
+        for _ in range(4):
+            el = _random_element(rng, alg)
+            assert delta.apply(alg, el) == per_variable_apply(alg, delta, el)
+    assert images_with_denominators > 0 if alg.inverted else images_with_denominators == 0
+
+
 # ---------------------------------------------------------------------------
 # sympy oracle on denominator-free brackets
 

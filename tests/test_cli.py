@@ -276,6 +276,52 @@ def test_dmax_must_be_at_least_two(dmax, want):
         assert report["dmax"] == 2
 
 
+def test_dmax_above_the_cap_is_input_error():
+    for dmax, want in [("100000000", 2), (str(cli.DMAX_CAP + 1), 2), (str(cli.DMAX_CAP), 0)]:
+        code, out, _ = _capture(
+            ["bvwg-invariants", path("bvwg-symp.json"), "--dmax", dmax, "--json"]
+        )
+        assert code == want, dmax
+        if want:
+            assert json.loads(out)["error"] == "ValueError"
+
+
+def test_infeasible_degree_bound_is_input_error(tmp_path):
+    code, out, _ = _capture(["center", path("heisenberg.json"), "--max-degree", "200"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "ValueError" and "C(200 + 3, 3)" in report["detail"]
+    # the same bound from options.max_degree
+    data = _heisenberg_data()
+    data["options"]["max_degree"] = 200
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    code2, out2, _ = _capture(["semi-invariants", str(big), "--json"])
+    assert code2 == 2 and json.loads(out2)["error"] == "ValueError"
+
+
+def test_slice_budget_is_inclusive(monkeypatch):
+    # heisenberg has dim 3: degree 6 spans C(9, 3) = 84 monomials, 7 spans 120
+    monkeypatch.setattr(cli, "SLICE_BUDGET", 84)
+    code, out, _ = _capture(["center", path("heisenberg.json"), "--max-degree", "6", "--json"])
+    assert code == 0 and json.loads(out)["bound"] == 6
+    code2, _, _ = _capture(["center", path("heisenberg.json"), "--max-degree", "7", "--json"])
+    assert code2 == 2
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(x+y+z)^200", "*".join(["(x+y+z)^40"] * 4)],
+    ids=["power", "product"],
+)
+def test_expression_too_large_is_input_error(expr):
+    code, out, _ = _capture(["bracket", path("heisenberg.json"), "-p", expr, "-q", "y"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "PolyParseError"
+    assert report["detail"].startswith("expression too large")
+
+
 def test_readme_commands_match_goldens(tmp_path):
     with open(os.path.join(PERFBENCH, "goldens.json")) as fh:
         goldens = json.load(fh)
@@ -355,6 +401,11 @@ def _malformed_bvwg(mutate):
         _malformed_bvwg(lambda d: d["bvwg"].update(weights=[1])),
         _malformed_bvwg(lambda d: d["bvwg"].update(v_names="v")),
         _malformed_bvwg(lambda d: d["bvwg"].update(g_names="g")),
+        _malformed(
+            lambda d: d["lie"]["brackets"][0].update(coeffs={"2": 1.00000000000000000001})
+        ),
+        _malformed_bvwg(lambda d: d["bvwg"].update(omega=[[0.0]])),
+        _malformed_bvwg(lambda d: d["bvwg"].update(weights=[[1.00000000000000000001]])),
     ],
     ids=[
         "list",
@@ -376,6 +427,9 @@ def _malformed_bvwg(mutate):
         "weights-row-number",
         "v-names-string",
         "g-names-string",
+        "coeff-float",
+        "omega-entry-float",
+        "weights-entry-float",
     ],
 )
 def test_malformed_problem_is_input_error(tmp_path, data):

@@ -2,8 +2,9 @@
 
 Subcommands, flags and values come from fixed lists, so no example can start
 an unbounded search: integer flags lie in -2..3 (``--dmax`` up to 40),
-exponents stay small, and ``-h``/``--help`` are left out (they exit through
-argparse by design).  Whatever the argv, ``run`` returns 0, 1, 2 or 3, its
+exponents stay small except in two expressions the parser refuses as too
+large, and ``-h``/``--help`` are left out (they exit through argparse by
+design).  Whatever the argv, ``run`` returns 0, 1, 2 or 3, its
 last stdout line is a JSON object, and no exception escapes.
 """
 
@@ -25,6 +26,7 @@ FILES.append(os.path.join(DATA, "missing.json"))
 DEEP = "(" * 300 + "x" + ")" * 300
 POLYS = ["x", "z", "x*y", "e4", "x^3", "x^-1", "e4^-2", "1/2*x - y", "1/0", "x +"]
 POLYS += ["((x)", "q", "", "2^3", "--x", DEEP]
+POLYS += ["(x+y+z)^200", "*".join(["(x+y+z)^40"] * 4)]  # refused: too many terms
 VALUES = {
     "-p": POLYS,
     "-q": POLYS,

@@ -147,6 +147,29 @@ def test_present_over_ghat_matches():
     assert res.matches and len(res.derivation_names) == 2
 
 
+@pytest.mark.parametrize(
+    "basis, structure, rules",
+    [
+        ("x y", {(0, 1): {1: 1}}, []),  # aff2: complement x, kernel y
+        ("t x y", {(0, 2): {2: 1}}, [("x", "1")]),
+        ("x1 y1 x2 y2", {(0, 1): {1: 1}, (2, 3): {3: 1}}, []),
+    ],
+)
+def test_present_over_ghat_matches_with_a_complement_before_the_kernel(
+    basis, structure, rules
+):
+    g = verify_lie(basis, structure)
+    ideal = ideal_from_pairs(g.basis, rules) if rules else None
+    res = present_over_ghat(g, ideal, 3)
+    kernel = [i for i in range(g.dim) if i not in res.data.complement]
+    # the premise: g's basis order is not the kernel-then-complement order
+    # of the rebuilt algebra, so the tables only agree once g is re-presented
+    assert min(res.data.complement) < max(kernel)
+    assert [v.name for v in res.rebuilt.vars] != [v.name for v in g.basis]
+    assert res.matches
+    assert reduced_algebra(g, ideal).table_signature() != res.rebuilt.table_signature()
+
+
 def test_present_over_ghat_with_restricted_ideal():
     # the ideal x -> 1 lies inside the kernel subalgebra <x, y>; its rule
     # images must be restricted to that subalgebra's variables

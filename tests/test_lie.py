@@ -13,6 +13,7 @@ from liepoisson.cli import ProblemFile
 
 from liepoisson.errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
 from liepoisson.lie import (
+    LieAlgebra,
     Subspace,
     basis_vec,
     common_eigenvector,
@@ -24,8 +25,10 @@ from liepoisson.lie import (
     nilradical,
     series,
     span_subalgebra,
+    unit_index,
     verify_lie,
 )
+from liepoisson.polys import make_vars
 
 from conftest import (
     abelian,
@@ -51,6 +54,80 @@ def test_verify_jacobi_violation_residual():
     with pytest.raises(JacobiViolation) as err:
         verify_lie("x y z", {(0, 1): {0: 1}, (1, 2): {1: 1}, (0, 2): {2: -1}})
     assert err.value.residual == (F(1), F(1), F(1))
+
+
+def dense_first_violation(basis, structure):
+    """Reference: the first triple whose Jacobiator, summed from dense
+    ``bracket_vec(basis_vec(a), [e_b, e_c])`` products, is nonzero, with
+    that residual; None when Jacobi holds."""
+    g = LieAlgebra(make_vars(basis), structure)
+    m = g.dim
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                res = [F(0)] * m
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    vecb = [F(0)] * m
+                    for t, v in g.bracket_basis(b, c).items():
+                        vecb[t] = v
+                    outer = g.bracket_vec(basis_vec(a, m), vecb)
+                    res = [x + y for x, y in zip(res, outer)]
+                if any(v != 0 for v in res):
+                    return (i, j, k), tuple(res)
+    return None
+
+
+def _random_table(rng, dim):
+    """Sparse random constants on ordered pairs; most violate Jacobi."""
+    structure = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rng.random() < 0.4:
+                vec = {k: F(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(dim)}
+                vec = {k: c for k, c in vec.items() if c and rng.random() < 0.5}
+                if vec:
+                    structure[(i, j)] = vec
+    return structure
+
+
+def test_verify_lie_matches_the_dense_jacobiator(rng):
+    outcomes = Counter()
+    for _ in range(60):
+        dim = rng.randint(3, 5)
+        if rng.random() < 0.3:
+            structure = dict(random_solvable(rng, dim).structure)
+        else:
+            structure = _random_table(rng, dim)
+        basis = " ".join(f"e{i}" for i in range(dim))
+        want = dense_first_violation(basis, structure)
+        outcomes[want is None] += 1
+        if want is None:
+            assert verify_lie(basis, structure).structure == structure
+            continue
+        with pytest.raises(JacobiViolation) as err:
+            verify_lie(basis, structure)
+        assert (err.value.triple, err.value.residual) == want
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize(
+    "vec, want",
+    [
+        ((F(0), F(1), F(0)), 1),
+        ((1, 0, 0, 0), 0),
+        ((0,), None),
+        ((), None),
+        ((0, 0, 0), None),
+        ((F(1, 2), 0), None),
+        ((1, 1), None),
+        ((0, -1), None),
+        ((0, 2, 0), None),
+        ((1, F(1, 3)), None),
+    ],
+)
+def test_unit_index(vec, want):
+    assert unit_index(vec) == want
+    assert unit_index(list(vec)) == want
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from liepoisson.errors import (
     PolyParseError,
     UnknownVariable,
 )
+from liepoisson import polys as polys_module
 from liepoisson.polys import Poly, make_vars, parse_poly
 
 from conftest import random_poly
@@ -142,6 +143,19 @@ def test_deep_nesting_is_a_parse_error():
     # unary minus is read in a loop, at any depth
     assert parse_poly("-" * 5001 + "x^2", CTX) == -(X**2)
     assert parse_poly("-" * 5000 + "(-x)", CTX) == -X
+
+
+def test_parse_bounds_the_expansion():
+    ctx = make_vars("x y z")
+    assert polys_module._MAX_TERMS == 300
+    accepted = ["(x+y)^299", "(x+y+z)^23", "2^300", "(x+y)^14*(x+y)^19", "(x+y+z)^0"]
+    for text in accepted:
+        assert len(parse_poly(text, ctx).terms) <= 300, text
+    refused = ["(x+y)^300", "(x+y+z)^24", "2^301", "(x+y)^14*(x+y)^20", "(x+y+z)^200"]
+    for text in refused:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ctx)
+        assert err.value.message == "expression too large", text
 
 
 def test_shift_translation():

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module
-(``__init__`` is exempt: its imports are the public re-exports)."""
+(``__init__`` is exempt: its imports are the public re-exports), and every
+private helper the package defines is used somewhere in it."""
 
 import ast
 import os
@@ -67,3 +68,50 @@ def test_no_module_imports_a_name_it_does_not_use():
         with open(path) as fh:
             unused += [f"{name}: {n}" for n in unused_imports(fh.read(), path)]
     assert unused == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dead_helpers(sources):
+    """Private functions and methods (``_name``, not dunder) defined in the
+    sources and referenced in none of them, as a name, an attribute or an
+    imported name."""
+    defined, referenced = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _is_private(node.name):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(name for name in defined if name not in referenced)
+
+
+def test_the_check_finds_a_dead_helper():
+    module = (
+        "def _used(): return 1\n"
+        "def _dead(): return _used()\n"
+        "class C:\n"
+        "    def __init__(self): self._method()\n"
+        "    def _method(self): pass\n"
+        "    def _orphan(self): pass\n"
+    )
+    other = "from .m import _imported\ndef _imported(): pass\n"
+    assert dead_helpers([module, other]) == ["_dead", "_orphan"]
+
+
+def test_every_private_helper_is_used():
+    sources = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                sources.append(fh.read())
+    assert len(sources) > 10
+    assert dead_helpers(sources) == []
