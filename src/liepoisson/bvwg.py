@@ -413,13 +413,9 @@ def _symplectic_frame(spec: BVWG):
     y_i, then the kernel) and the coordinates of each e_i of V in it."""
     pairs, kernel = symplectic_basis(spec)
     frame = [u for u, _ in pairs] + [w for _, w in pairs] + list(kernel)
-    rows = [linalg.sparse([v[coord] for v in frame]) for coord in range(spec.n)]
-    coords = []
-    for i in range(spec.n):
-        sol = linalg.solve(rows, basis_vec(i, spec.n), len(frame))
-        assert sol is not None
-        coords.append(sol)
-    return pairs, kernel, frame, coords
+    # the frame is a basis, so the coordinates of e_i are column i of its inverse
+    inverse = linalg.mat_inverse([[v[coord] for v in frame] for coord in range(spec.n)])
+    return pairs, kernel, frame, list(zip(*inverse))
 
 
 @dataclass(frozen=True)

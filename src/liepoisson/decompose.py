@@ -46,7 +46,7 @@ from .errors import (
     SearchExhausted,
     UnsupportedChain,
 )
-from .invariants import center_up_to_degree, centralizer, semi_invariants
+from .invariants import center_up_to_degree, centralizer, nonzero_candidates, weight_spaces
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -62,10 +62,8 @@ from .poisson import (
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
-    canonical_from_lie,
     epsilon_derivation,
     localize,
-    quotient,
     reduced_algebra,
 )
 from .polys import Poly, make_vars
@@ -122,20 +120,14 @@ def _level_algebras(g, ideal, order, level, inverted):
     sub = coordinate_subalgebra(g, order[:level])
     if sub is None:
         raise UnsupportedChain("flag members are not ideals")
-    alg = canonical_from_lie(sub)
-    ctx = alg.vars
-    rules = []
-    if ideal is not None:
-        names = {v.name for v in ctx}
-        for v, img in ideal.rules:
-            if v.name in names and img.variables_used() <= names:
-                rules.append((v, img.restrict(ctx)))
-    if rules:
-        alg = quotient(alg, SubstitutionIdeal(tuple(rules)))
-    quotient_only = alg
-    if inverted:
-        alg = localize(alg, [s.extend(ctx) for s in inverted])
-    return quotient_only, alg
+    names = {v.name for v in sub.basis}
+    rules = [
+        (v, img.restrict(sub.basis))
+        for v, img in (ideal.rules if ideal is not None else ())
+        if v.name in names and img.variables_used() <= names
+    ]
+    alg = reduced_algebra(sub, SubstitutionIdeal(tuple(rules)))
+    return alg, (localize(alg, [s.extend(sub.basis) for s in inverted]) if inverted else alg)
 
 
 def _center_with_denominators(quotient_alg, localized, d):
@@ -323,25 +315,30 @@ def decompose(
     ideal: SubstitutionIdeal | None = None,
     d: int = DEFAULT_DEGREE_BOUND,
     s: Subspace | None = None,
-    _skip_hypothesis: bool = False,
 ) -> DecompositionResult:
+    """The localized quotient of B(g) by ``ideal`` as center tensor Weyl.
+
+    The hypothesis check solves the weight spaces of the nonzero candidate
+    weights only and raises HypothesisFailed with the first that holds a
+    degree-<= d semi-invariant; for nilpotent g no weight is searched.  With
+    ``s``, a subspace of g acting semisimply, flag generators and preimages
+    are projected onto their s-weight components.  Raises NotStable,
+    HypothesisFailed, UnsupportedChain, EigenvalueNotRational, SearchExhausted.
+    Trace keys: degree_bound, hypothesis, basis_change (after a rebase), chain,
+    levels (level, generator, case, adjoined_central or v, u, pair; potential), e, n."""
     trace: dict = {"degree_bound": d, "levels": []}
-    if _skip_hypothesis:
-        trace["hypothesis"] = "nilpotent action (central semi-invariants automatic)"
-        flag = jordan_holder(g)
-    else:
-        report = semi_invariants(g, ideal, d)
-        for w, basis in report.entries:
-            if not w.is_zero():
-                raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
-        trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
-        flag = report.flag
+    flag = jordan_holder(g)
+    alg = reduced_algebra(g, ideal)
+    for w, basis in weight_spaces(alg, d, nonzero_candidates(flag, d)):
+        raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
+    trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
 
     order = _chain_order(flag, ideal)
     if order is None:
         g = _rebase_to_flag(g, flag)
         ideal = None
         flag = jordan_holder(g)
+        alg = reduced_algebra(g, ideal)
         order = _chain_order(flag, ideal)
         if order is None:  # pragma: no cover
             raise UnsupportedChain("flag re-presentation failed")
@@ -353,7 +350,7 @@ def decompose(
         else None
     )
 
-    full_alg = full_l = reduced_algebra(g, ideal)
+    full_alg = full_l = alg
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_q = None
@@ -462,9 +459,12 @@ def decompose(
 def decompose_nilpotent(
     g: LieAlgebra, ideal: SubstitutionIdeal | None = None, d: int = DEFAULT_DEGREE_BOUND
 ) -> DecompositionResult:
+    """``decompose`` for nilpotent g (NotNilpotent otherwise)."""
     if not is_nilpotent(g):
         raise NotNilpotent()
-    return decompose(g, ideal, d, s=None, _skip_hypothesis=True)
+    res = decompose(g, ideal, d)
+    res.trace["hypothesis"] = "nilpotent action (central semi-invariants automatic)"
+    return res
 
 
 def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dict:

@@ -8,8 +8,8 @@ which is exactly the lattice bound that makes the enumeration finite.
 
 ``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
 finite span that commute with every generator.  The degree-bounded center
-is the centralizer of a monomial slice, and the semi-invariant search solves
-from the rows of the same generator actions, shifted by each weight.
+is the centralizer of a monomial slice, and ``weight_spaces`` solves from
+the rows of the same generator actions, shifted by each weight it is given.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
 class SemiInvariantReport:
     degree_bound: int
     entries: tuple[tuple[Weight, tuple[LocalElement, ...]], ...]
-    flag: JordanHolderData
-
-    def weights(self) -> list[Weight]:
-        return [w for w, _ in self.entries]
 
     def weight_zero_basis(self) -> tuple[LocalElement, ...]:
         for w, basis in self.entries:
@@ -102,35 +98,42 @@ def candidate_weights(flag: JordanHolderData, d: int) -> list[Weight]:
     return [seen[k] for k in sorted(seen)]
 
 
+def nonzero_candidates(flag: JordanHolderData, d: int) -> list[Weight]:
+    """The candidate weights other than zero (none for nilpotent g)."""
+    return [w for w in candidate_weights(flag, d) if not w.is_zero()]
+
+
 def semi_invariants(
     g: LieAlgebra,
     ideal: SubstitutionIdeal | None = None,
     d: int = DEFAULT_DEGREE_BOUND,
 ) -> SemiInvariantReport:
-    """All weight spaces with a nonzero degree-<= d representative.
-
-    For each candidate weight lam the exact linear system
-    {x_j, a} = lam(x_j) a over the degree slice is solved; the weight-zero
-    entry is the degree-bounded center.  The action A_j of each generator on
-    the slice is computed once; each weight then solves one kernel from the
-    shifted rows A_j - lam(x_j) I.
-    """
+    """All weight spaces with a nonzero degree-<= d representative; the
+    weight-zero entry is the degree-bounded center."""
     flag = jordan_holder(g)
     alg = reduced_algebra(g, ideal)
+    return SemiInvariantReport(d, tuple(weight_spaces(alg, d, candidate_weights(flag, d))))
+
+
+def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
+    """Yield (lam, basis) for each listed weight lam, in order, whose space of
+    degree-<= d elements a with {x_j, a} = lam(x_j) a is nonzero.  The actions
+    A_j of the generators on the slice are computed once, on the first request
+    (never for an empty list); each weight solves one kernel of A_j - lam(x_j) I."""
+    if not weights:
+        return
     basis = [alg.element(m) for m in basis_monomials(alg, d)]
     index = SliceIndex()
     actions = operator_rows(alg, basis, _generator_actions(alg), index)
-    # the reduced algebra inverts nothing, so every row is over denominator 1
+    # alg is a reduced algebra: it inverts nothing, so every row is over denominator 1
     identity, _, _ = common_denominator_rows(alg, basis, index)
-    entries = []
-    for lam in candidate_weights(flag, d):
+    for lam in weights:
         shifted = [
             _shift_rows(rows, identity, c) for rows, c in zip(actions, lam.values)
         ]
         sol = kernel_of_operators(alg, basis, shifted)
         if sol:
-            entries.append((lam, tuple(sol)))
-    return SemiInvariantReport(d, tuple(entries), flag)
+            yield lam, tuple(sol)
 
 
 def _shift_rows(rows, identity, c):
@@ -165,8 +168,9 @@ def ghat(
 ) -> GhatData:
     """Intersection of the kernels of all reported weights, certified only
     relative to the degree bound (a larger bound can only shrink it)."""
-    report = semi_invariants(g, ideal, d)
-    rows = [linalg.sparse(w.values) for w in report.weights() if not w.is_zero()]
+    flag = jordan_holder(g)
+    spaces = weight_spaces(reduced_algebra(g, ideal), d, nonzero_candidates(flag, d))
+    rows = [linalg.sparse(w.values) for w, _ in spaces]
     sub = Subspace(g.dim, linalg.nullspace(rows, g.dim))
     # the standard basis vectors that raise the rank over sub, in order
     ech = linalg.echelon_of(map(linalg.sparse, sub.basis))

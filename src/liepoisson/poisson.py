@@ -699,21 +699,12 @@ def skew_extend(
 
 
 def epsilon_derivation(
-    alg_or_lie, x: Sequence[Fraction] | Poly | str, ideal: SubstitutionIdeal | None = None
+    alg: PoissonAlgebra, x: Sequence[Fraction] | Poly | str
 ) -> Derivation:
-    """The derivation induced by bracketing with (the image of) x.
-
-    Accepts either the quotient algebra directly, or a Lie algebra plus an
-    optional substitution ideal (the quotient is then built here)."""
-    alg = alg_or_lie
-    if isinstance(alg_or_lie, LieAlgebra):
-        alg = reduced_algebra(alg_or_lie, ideal)
-    if isinstance(x, (Poly, str)):
-        el = alg.element(x)
-    else:
-        p = Poly.zero(alg.vars)
-        for c, v in zip(x, alg.vars):
-            if c != 0:
-                p = p + Poly.var(alg.vars, v.name).scale(c)
-        el = alg.element(p)
-    return inner_derivation(alg, el)
+    """The derivation induced by bracketing with (the image of) x, given as
+    an element or as coefficients on the algebra's variables."""
+    if not isinstance(x, (Poly, str)):
+        n = len(alg.vars)
+        units = (tuple(int(j == i) for j in range(n)) for i in range(n))
+        x = Poly(alg.vars, dict(zip(units, x)))
+    return inner_derivation(alg, alg.element(x))

@@ -453,12 +453,19 @@ def format_poly(p: Poly) -> str:
 # Unary minus is read in a loop; each open parenthesis costs four stack
 # frames, so nesting is capped well below Python's recursion limit.
 # Expansion is bounded by _MAX_TERMS terms: len(p) * len(q) for a product,
-# C(k + t - 1, t - 1) for p^k with t terms, and k itself (a coefficient grows
-# with it).  The slowest power accepted, (3/2*a + 4/3*b)^299, parses in about
-# 0.5 s on a 2-core x86 machine.
+# C(k + t - 1, t - 1) for p^k with t terms, and k itself; and by _MAX_BITS of
+# _bits, summed over a product and times k for p^k (600 still takes 2^300).
+# The slowest power accepted, (1/3*x + 2/3*y)^299, takes 0.4-0.8 s (2 cores).
 
 _MAX_NESTING = 100
 _MAX_TERMS = 300
+_MAX_BITS = 600
+
+
+def _bits(p: Poly) -> int:
+    """Largest numerator or denominator bit length among p's coefficients."""
+    sizes = (max(abs(c.numerator), c.denominator) for c in p.terms.values())
+    return max(sizes, default=0).bit_length()
 
 
 class _Tokens:
@@ -528,7 +535,7 @@ def _parse_term(toks: _Tokens, ctx: Context) -> Poly:
     while toks.peek() == "*":
         toks.pos += 1
         q = _parse_factor(toks, ctx)
-        if len(p.terms) * len(q.terms) > _MAX_TERMS:
+        if len(p.terms) * len(q.terms) > _MAX_TERMS or _bits(p) + _bits(q) > _MAX_BITS:
             raise PolyParseError("expression too large", toks.pos)
         p = p * q
     return p
@@ -548,7 +555,8 @@ def _parse_factor(toks: _Tokens, ctx: Context) -> Poly:
             neg = True
         k = toks.take_int()
         t = len(p.terms)
-        if k > _MAX_TERMS or t and comb(k + t - 1, t - 1) > _MAX_TERMS:
+        too_many = k > _MAX_TERMS or t and comb(k + t - 1, t - 1) > _MAX_TERMS
+        if too_many or k * _bits(p) > _MAX_BITS:
             raise PolyParseError("expression too large", toks.pos)
         p = p ** (-k if neg else k)
     return -p if negate else p

@@ -15,8 +15,8 @@ operator to the slice basis once, and ``kernel_of_operators`` solves from
 those rows.  The bracket kernel built on them, ``invariants.centralizer``
 (the elements of a span that commute with every generator), serves both the
 degree-bounded center and the central choice of ``decompose``.  A search
-that solves many related systems on one slice (the semi-invariant search,
-one system per candidate weight) computes the actions once and solves one
+that solves many related systems on one slice (``invariants.weight_spaces``,
+one system per listed weight) computes the actions once and solves one
 kernel per system from shifted rows.
 """
 

@@ -17,6 +17,8 @@ from liepoisson.cli import COMMANDS, build_parser, run
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# 67-bit coefficients: the unbounded expansion of BIG^299 took about 43 s
+BIG = "12345678901234567890/98765432109876543211*x + 98765432109876543213/12345678901234567891*y"
 
 
 def _capture(argv):
@@ -311,8 +313,8 @@ def test_slice_budget_is_inclusive(monkeypatch):
 
 @pytest.mark.parametrize(
     "expr",
-    ["(x+y+z)^200", "*".join(["(x+y+z)^40"] * 4)],
-    ids=["power", "product"],
+    ["(x+y+z)^200", "*".join(["(x+y+z)^40"] * 4), f"({BIG})^299"],
+    ids=["power", "product", "coefficients"],
 )
 def test_expression_too_large_is_input_error(expr):
     code, out, _ = _capture(["bracket", path("heisenberg.json"), "-p", expr, "-q", "y"])
@@ -320,6 +322,17 @@ def test_expression_too_large_is_input_error(expr):
     report = json.loads(out)
     assert report["error"] == "PolyParseError"
     assert report["detail"].startswith("expression too large")
+
+
+def test_decompose_aff2_stdout_is_pinned():
+    # aff2 has the nonzero-weight semi-invariant y of weight (1, 0): the
+    # hypothesis check refuses it with exit 1
+    code, out, _ = _capture(["decompose", path("aff2.json"), "--json"])
+    assert code == 1
+    assert out == (
+        '{"detail": "nonzero-weight semi-invariant found: weight (\'1\', \'0\'), '
+        'element y", "error": "HypothesisFailed"}\n'
+    )
 
 
 def test_readme_commands_match_goldens(tmp_path):

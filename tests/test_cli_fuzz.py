@@ -2,7 +2,7 @@
 
 Subcommands, flags and values come from fixed lists, so no example can start
 an unbounded search: integer flags lie in -2..3 (``--dmax`` up to 40),
-exponents stay small except in two expressions the parser refuses as too
+exponents stay small except in three expressions the parser refuses as too
 large, and ``-h``/``--help`` are left out (they exit through argparse by
 design).  Whatever the argv, ``run`` returns 0, 1, 2 or 3, its
 last stdout line is a JSON object, and no exception escapes.
@@ -27,6 +27,10 @@ DEEP = "(" * 300 + "x" + ")" * 300
 POLYS = ["x", "z", "x*y", "e4", "x^3", "x^-1", "e4^-2", "1/2*x - y", "1/0", "x +"]
 POLYS += ["((x)", "q", "", "2^3", "--x", DEEP]
 POLYS += ["(x+y+z)^200", "*".join(["(x+y+z)^40"] * 4)]  # refused: too many terms
+POLYS += [  # refused: coefficients too large
+    "(12345678901234567890/98765432109876543211*x"
+    " + 98765432109876543213/12345678901234567891*y)^299"
+]
 VALUES = {
     "-p": POLYS,
     "-q": POLYS,

@@ -13,10 +13,12 @@ from liepoisson.decompose import (
     verify_decomposition,
 )
 from liepoisson.errors import HypothesisFailed, NotNilpotent, UnsupportedChain
+from liepoisson.invariants import semi_invariants
 from liepoisson.lie import Subspace, verify_lie
 from liepoisson.poisson import ideal_from_pairs
 
 from conftest import abelian, aff2, eng4, family_n, heisenberg
+from test_lie import _workload_algebras
 
 F = Fraction
 
@@ -173,7 +175,8 @@ def test_non_aligned_flag_with_ideal_unsupported():
 
 
 def test_flag_computed_once(monkeypatch):
-    # decompose reuses the flag that the semi-invariant search computed
+    # decompose builds the flag once and uses it for the hypothesis check
+    # and for the recursion
     import importlib
 
     from liepoisson import invariants
@@ -248,3 +251,59 @@ def test_verify_adds_each_product_row_once(monkeypatch):
             if prod.num.degree() <= 9 and all(e <= window for e in prod.den):
                 products.add(prod)
     assert verify_adds - center_adds <= len(products)
+
+
+# ---------------------------------------------------------------------------
+# the hypothesis check against the full semi-invariant search
+
+
+def _first_nonzero_entry(g, ideal, d):
+    """Reference: the check as written over the whole semi-invariant search,
+    the weight and element of its first nonzero-weight entry."""
+    for w, basis in semi_invariants(g, ideal, d).entries:
+        if not w.is_zero():
+            return tuple(map(str, w.values)), str(basis[0].num)
+    return None
+
+
+def test_hypothesis_failure_is_the_first_nonzero_semi_invariant():
+    # aff2, and the t s x y algebras of the weight-search benchmark, whose
+    # candidate weights all carry a semi-invariant
+    cases = [(aff2(), d) for d in (2, 3, 4)]
+    cases += [(_workload_algebras(seed)[1], 5) for seed in (5, 11, 23)]
+    for g, d in cases:
+        want = _first_nonzero_entry(g, None, d)
+        assert want is not None
+        with pytest.raises(HypothesisFailed) as err:
+            decompose(g, None, d)
+        assert (err.value.weight, err.value.element) == want, (g.names(), d)
+
+
+def test_nilpotent_decompose_solves_no_weight_space(monkeypatch):
+    # every candidate weight of a nilpotent algebra is zero, so the check
+    # lists no weight, and every kernel decompose solves is a centralizer
+    import importlib
+
+    from liepoisson import invariants
+
+    dec = importlib.import_module("liepoisson.decompose")
+    kernels, centralizers = [], []
+    kernel_of_operators, centralizer = invariants.kernel_of_operators, invariants.centralizer
+
+    def counted_kernel(*args):
+        kernels.append(1)
+        return kernel_of_operators(*args)
+
+    def counted_centralizer(*args):
+        centralizers.append(1)
+        return centralizer(*args)
+
+    monkeypatch.setattr(invariants, "kernel_of_operators", counted_kernel)
+    monkeypatch.setattr(invariants, "centralizer", counted_centralizer)
+    monkeypatch.setattr(dec, "centralizer", counted_centralizer)
+    h, f = heisenberg(), family_n(2)
+    cases = [(h, _ideal(h, [("z", "1")])), (f, _ideal(f, [("z", "3/2")])), (eng4(), None)]
+    for g, ideal in cases:
+        del kernels[:], centralizers[:]
+        decompose(g, ideal, 4)
+        assert kernels and len(kernels) == len(centralizers), g.names()

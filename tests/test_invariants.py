@@ -1,24 +1,35 @@
 """Degree-bounded searches: centers, semi-invariants, weight kernels, and
 the presentation over the kernel subalgebra."""
 
+import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from liepoisson.errors import ComplementEliminated
+from liepoisson import linalg
+from liepoisson.cli import ProblemFile
+from liepoisson.errors import ComplementEliminated, EigenvalueNotRational
 from liepoisson.invariants import (
+    candidate_weights,
     center_up_to_degree,
     ghat,
+    nonzero_candidates,
     present_over_ghat,
     reduced_algebra,
     semi_invariants,
+    weight_spaces,
 )
-from liepoisson.lie import verify_lie
+from liepoisson.lie import Subspace, jordan_holder, verify_lie
 from liepoisson.poisson import canonical_from_lie, ideal_from_pairs
 from liepoisson.polys import parse_poly
 from liepoisson.weyl import WeylPresentation
 
-from conftest import abelian, aff2, eng4, heisenberg
+from conftest import abelian, aff2, eng4, heisenberg, random_solvable
+from test_lie import _workload_algebras
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 F = Fraction
 
@@ -378,3 +389,71 @@ def test_candidate_weights_match_multiset_reference(rng):
     # all-zero flag: only the zero weight, at every bound
     zero = Weight((F(0), F(0)))
     assert candidate_weights(JordanHolderData((), (zero, zero), ()), 6) == [zero]
+
+
+# ---------------------------------------------------------------------------
+# weight_spaces: each caller lists only the weights it reads
+
+
+def _lie_fixtures():
+    out = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "lie" in data:
+            prob = ProblemFile(data)
+            out.append((prob.lie, prob.ideal))
+    assert len(out) >= 5
+    return out
+
+
+def _ghat_kernel_reference(g, ideal, d):
+    """Reference: the kernel of every nonzero weight that semi_invariants
+    reports, as ghat computed it from the whole search."""
+    report = semi_invariants(g, ideal, d)
+    rows = [linalg.sparse(w.values) for w, _ in report.entries if not w.is_zero()]
+    return Subspace(g.dim, linalg.nullspace(rows, g.dim))
+
+
+def test_ghat_is_the_kernel_of_the_reported_nonzero_weights():
+    cases = [(g, ideal, 3) for g, ideal in _lie_fixtures()]
+    cases += [(_workload_algebras(seed)[1], None, 4) for seed in (5, 11, 23)]
+    for seed in range(12):
+        rng = random.Random(seed)
+        cases.append((random_solvable(rng, rng.randint(2, 4)), None, 3))
+    compared = 0
+    for g, ideal, d in cases:
+        try:
+            want = _ghat_kernel_reference(g, ideal, d)
+        except EigenvalueNotRational:  # a flag weight is not rational
+            with pytest.raises(EigenvalueNotRational):
+                ghat(g, ideal, d)
+            continue
+        assert ghat(g, ideal, d).subalgebra.basis == want.basis, g.names()
+        compared += 1
+    assert compared >= 15
+
+
+def test_weight_spaces_solves_only_the_listed_weights(monkeypatch):
+    from liepoisson import invariants
+
+    g = _two_weight()
+    alg = reduced_algebra(g, None)
+    flag = jordan_holder(g)
+    kernels = []
+    kernel_of_operators = invariants.kernel_of_operators
+
+    def counted(*args):
+        kernels.append(1)
+        return kernel_of_operators(*args)
+
+    monkeypatch.setattr(invariants, "kernel_of_operators", counted)
+    assert list(weight_spaces(alg, 3, [])) == [] and kernels == []
+    # a caller that stops at the first hit solves up to that weight only
+    nonzero = nonzero_candidates(flag, 3)
+    first = next(weight_spaces(alg, 3, nonzero))
+    assert first[0] == nonzero[len(kernels) - 1]
+    assert len(kernels) < len(nonzero)
+    # every candidate, in order: the semi-invariant report
+    entries = list(weight_spaces(alg, 3, candidate_weights(flag, 3)))
+    assert _entries_text(entries) == _entries_text(semi_invariants(g, None, 3).entries)

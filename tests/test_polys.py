@@ -145,13 +145,22 @@ def test_deep_nesting_is_a_parse_error():
     assert parse_poly("-" * 5000 + "(-x)", CTX) == -X
 
 
+# two terms with 67-bit coefficients: the power p^k is estimated at 67 * k bits
+BIG = "12345678901234567890/98765432109876543211*x + 98765432109876543213/12345678901234567891*y"
+
+
 def test_parse_bounds_the_expansion():
     ctx = make_vars("x y z")
     assert polys_module._MAX_TERMS == 300
     accepted = ["(x+y)^299", "(x+y+z)^23", "2^300", "(x+y)^14*(x+y)^19", "(x+y+z)^0"]
+    # coefficient size, at most 600 bits: summed over a product, times k for p^k
+    accepted += ["(1/3*x + 2/3*y)^299", "(7/6*x + 7/5*y)^200", f"({BIG})^8"]
+    accepted += [f"({BIG})^4*({BIG})^4", "(3*x)^300", "(2^200)^2"]
     for text in accepted:
         assert len(parse_poly(text, ctx).terms) <= 300, text
     refused = ["(x+y)^300", "(x+y+z)^24", "2^301", "(x+y)^14*(x+y)^20", "(x+y+z)^200"]
+    refused += [f"({BIG})^299", f"({BIG})^9", f"({BIG})^8*({BIG})^2"]
+    refused += ["(7/6*x + 7/5*y)^201", "2^300*2^300", "(2^200)^3"]
     for text in refused:
         with pytest.raises(PolyParseError) as err:
             parse_poly(text, ctx)
