@@ -394,6 +394,12 @@ def decompose(
             images = [im for _, im in nonzero]
             v_full = _central_choice(full_alg, [full_alg.element(im) for im in images], d)
             v_poly = v_full.num  # plain central polynomial
+            later = sorted(v_poly.variables_used() - {v.name for v in cur_l.vars})
+            if later:
+                raise UnsupportedChain(
+                    f"central image {v_poly} at level {level} uses {later[0]!r}, "
+                    "which is not yet in the flag"
+                )
             v_cur = cur_l.element(v_poly.restrict(cur_l.vars))
             combo = solve_in_span(cur_l, images, v_cur)
             if combo is None:
@@ -545,7 +551,7 @@ def check_84(
     center = center_up_to_degree(alg, d)
     nonconstant = [c for c in center if not c.num.is_constant()]
     cond_i = not nonconstant
-    res = decompose_nilpotent(g, ideal, d)
+    res = decompose(g, ideal, d)
     no_localization = res.e.is_constant()
     nontrivial_center = [
         c

@@ -3,7 +3,8 @@
 Row reduction is fraction-free: rows are scaled to integers once, then
 eliminated with integer cross-multiplication and gcd normalization.  Rows are
 stored sparsely (column -> integer), which matters because the constraint
-matrices produced by bracket conditions are extremely sparse.
+matrices produced by bracket conditions are extremely sparse.  An ``Echelon``
+keeps echelon form on insert; its reduced form is computed once, when read.
 
 The dense helpers for small operator matrices clear denominators as well:
 ``charpoly`` scales the matrix to integers once and runs its recursion over
@@ -50,65 +51,72 @@ def _normalize(row: Row) -> Row:
     return row
 
 
+def _eliminate(r: Row, basis: dict[int, Row]) -> Row:
+    """Clear each entry of ``r`` at a pivot column of the echelon ``basis``,
+    lowest first; ``r`` itself if there is none, else a new unnormalized row."""
+    while r:
+        for hit in sorted(r):
+            if hit in basis:
+                break
+        else:
+            break
+        base = basis[hit]
+        a, b = base[hit], r[hit]
+        g = gcd(a, abs(b))
+        ma, mb = b // g, a // g
+        out = {j: v * mb for j, v in r.items()}
+        for j, v in base.items():
+            out[j] = out.get(j, 0) - v * ma
+        r = {j: v for j, v in out.items() if v}
+    return r
+
+
 class Echelon:
-    """Incrementally maintained reduced echelon basis of a row space.
+    """Incrementally built basis of a row space, pivot column -> normalized row.
 
     ``add`` reduces the new row against the basis and, if a residual is left,
-    inserts it (and back-reduces existing rows), returning True.
+    stores it under its pivot, returning True; it never touches a stored row,
+    so inserts keep echelon form.  ``rows`` is the fully reduced basis,
+    computed once, bottom-up, on the first read after an insert.
     """
 
     def __init__(self):
-        self.rows: dict[int, Row] = {}  # pivot column -> normalized row
+        self._rows: dict[int, Row] = {}
+        self._reduced = True
+
+    @property
+    def rows(self) -> dict[int, Row]:
+        if not self._reduced:
+            done: dict[int, Row] = {}
+            for p in sorted(self._rows, reverse=True):
+                row = _eliminate(self._rows[p], done)
+                done[p] = row if row is self._rows[p] else _normalize(row)
+            self._rows, self._reduced = done, True
+        return self._rows
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def reduce(self, row: dict[int, Fraction] | Row) -> Row:
         """Residual of ``row`` after full elimination by the current basis
         (no entry of the result sits at a pivot column)."""
-        r = _to_int_row(row)
-        while r:
-            hit = None
-            for j in sorted(r):
-                if j in self.rows:
-                    hit = j
-                    break
-            if hit is None:
-                return _normalize(r)
-            base = self.rows[hit]
-            a, b = base[hit], r[hit]
-            g = gcd(a, abs(b))
-            ma, mb = b // g, a // g
-            out = {j: v * mb for j, v in r.items()}
-            for j, v in base.items():
-                out[j] = out.get(j, 0) - v * ma
-            r = {j: v for j, v in out.items() if v}
-        return r
+        r = _eliminate(_to_int_row(row), self._rows)
+        return _normalize(r) if r else r
 
     def add(self, row: dict[int, Fraction] | Row) -> bool:
         r = self.reduce(row)
         if not r:
             return False
-        piv = min(r)
-        # back-reduce existing rows so the basis stays fully reduced
-        for p, base in list(self.rows.items()):
-            if piv in base:
-                a, b = r[piv], base[piv]
-                g = gcd(a, abs(b))
-                ma, mb = b // g, a // g
-                out = {j: v * mb for j, v in base.items()}
-                for j, v in r.items():
-                    out[j] = out.get(j, 0) - v * ma
-                self.rows[p] = _normalize({j: v for j, v in out.items() if v})
-        self.rows[piv] = r
+        self._rows[min(r)] = r
+        self._reduced = False
         return True
 
     def contains(self, row) -> bool:
         return not self.reduce(row)
 
     def pivots(self) -> list[int]:
-        return sorted(self.rows)
+        return sorted(self._rows)
 
 
 def echelon_of(rows: Iterable[dict[int, Fraction] | Row]) -> Echelon:
@@ -125,17 +133,14 @@ def rank(rows: Iterable[dict[int, Fraction] | Row]) -> int:
 def nullspace(rows: Iterable[dict[int, Fraction] | Row], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, one vector per free column, deterministic:
     free columns ascending, the free coordinate set to 1."""
-    ech = echelon_of(rows)
-    piv_cols = ech.pivots()
-    piv_set = set(piv_cols)
+    reduced = echelon_of(rows).rows
     basis = []
     for f in range(ncols):
-        if f in piv_set:
+        if f in reduced:
             continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for p in piv_cols:
-            row = ech.rows[p]
+        for p, row in reduced.items():
             if f in row:
                 vec[p] = Fraction(-row[f], row[p])
         basis.append(tuple(vec))
@@ -154,12 +159,10 @@ def solve(rows: Sequence[dict[int, Fraction] | Row], rhs: Sequence[Fraction], nc
         if b:
             r[aug] = b
         ech.add(r)
-    piv_cols = ech.pivots()
-    if aug in piv_cols:
+    if aug in ech.pivots():
         return None  # inconsistent
     vec = [Fraction(0)] * ncols
-    for p in piv_cols:
-        row = ech.rows[p]
+    for p, row in ech.rows.items():
         vec[p] = Fraction(row.get(aug, 0), row[p])
     # pivot rows may still reference free columns; with free vars at 0 the
     # remaining contribution is exactly the augmented column handled above
@@ -195,21 +198,15 @@ def identity(n) -> list[list[Fraction]]:
 
 
 def mat_inverse(mat: Sequence[Sequence[Fraction]]):
-    """Inverse of a small dense matrix, or None if singular."""
+    """Inverse of a small dense matrix, or None if singular: the reduced
+    rows of [mat | I] carry the inverse when every pivot lies in mat."""
     n = len(mat)
-    work = [list(map(Fraction, row)) + ident for row, ident in zip(mat, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        p = work[col][col]
-        work[col] = [v / p for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    rows = echelon_of({**sparse(row), n + i: 1} for i, row in enumerate(mat)).rows
+    if sorted(rows) != list(range(n)):
+        return None
+    return [
+        [Fraction(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)] for i in range(n)
+    ]
 
 
 def charpoly(mat: Sequence[Sequence[Fraction]]) -> list[Fraction]:

@@ -165,6 +165,29 @@ def test_unsupported_chain_exit_code(tmp_path):
     assert "not aligned" in report["detail"]
 
 
+def test_central_image_beyond_the_flag_prefix_exit_code(tmp_path):
+    # [x,y] = z with z = a: the flag z, x, y, a reaches the central image a
+    # before a itself; the error names the chain, not an unknown variable
+    problem = tmp_path / "late.json"
+    problem.write_text(
+        json.dumps(
+            {
+                "lie": {
+                    "dim": 4,
+                    "basis": ["x", "y", "z", "a"],
+                    "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}}],
+                },
+                "ideal": [{"var": "z", "value": "a"}],
+            }
+        )
+    )
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "6"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "UnsupportedChain"
+    assert "level 3 uses 'a'" in report["detail"]
+
+
 def test_mathematical_negative_exit_code(tmp_path):
     # invalid Jacobi table: verify reports validity false with exit 1
     bad = tmp_path / "lie.json"

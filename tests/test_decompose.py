@@ -92,15 +92,7 @@ def test_nilpotent_wrapper():
         decompose_nilpotent(aff2(), None, 4)
 
 
-def test_semisimple_action_weights():
-    # [x,y] = z, [t,x] = x, [t,y] = -y; s = <t> acts semisimply
-    g = verify_lie(
-        "x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}}
-    )
-    ideal = ideal_from_pairs(g.basis, [("z", "1")])
-    s = Subspace(4, [(0, 0, 0, 1)])
-    res = decompose(g, ideal, 6, s=s)
-    assert res.n == 1 and verify_decomposition(res, 4)["ok"]
+def _assert_t_eigenvectors(res):
     alg = res.algebra
     t_el = alg.gen("t")
     for x_el, y_el in res.pairs:
@@ -117,6 +109,33 @@ def test_semisimple_action_weights():
             assert len(ratios) == 1
 
 
+def test_semisimple_action_weights():
+    # [x,y] = z, [t,x] = x, [t,y] = -y; s = <t> acts semisimply
+    g = verify_lie(
+        "x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}}
+    )
+    ideal = ideal_from_pairs(g.basis, [("z", "1")])
+    s = Subspace(4, [(0, 0, 0, 1)])
+    res = decompose(g, ideal, 6, s=s)
+    assert res.n == 1 and verify_decomposition(res, 4)["ok"]
+    _assert_t_eigenvectors(res)
+    # [t,x] = x + y: the flag generator x is no t-eigenvector, so its weight
+    # projection runs over both roots of the minimal polynomial and moves
+    # the pair away from the one found without s
+    g = verify_lie(
+        "x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1, 1: -1}, (1, 3): {1: 1}}
+    )
+    ideal = ideal_from_pairs(g.basis, [("z", "1")])
+    pairs = {}
+    for key, sub in (("s", s), ("plain", None)):
+        res = decompose(g, ideal, 6, s=sub)
+        pairs[key] = [[res.algebra.format(el) for el in pair] for pair in res.pairs]
+    assert pairs == {"s": [["1/2*y + x", "y"]], "plain": [["x", "y"]]}
+    res = decompose(g, ideal, 6, s=s)
+    assert verify_decomposition(res, 4)["ok"]
+    _assert_t_eigenvectors(res)
+
+
 def test_check_84_reports():
     g = heisenberg()
     rep = check_84(g, _ideal(g, [("z", "1")]), 6)
@@ -126,6 +145,45 @@ def test_check_84_reports():
     assert rep0["agree"] and rep0["central_witness"] == "z"
     rep1 = check_84(abelian(1), None, 6)
     assert not rep1["center_trivial"] and rep1["agree"]
+
+
+def test_check_84_tests_nilpotency_once(monkeypatch):
+    import importlib
+
+    from liepoisson import lie
+
+    dec = importlib.import_module("liepoisson.decompose")
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return lie.is_nilpotent(g)
+
+    monkeypatch.setattr(dec, "is_nilpotent", counted)
+    assert check_84(heisenberg(), None, 6)["agree"]
+    assert len(calls) == 1
+
+
+def _late_central_image(ideal_rhs):
+    # [x,y] = z with z = rhs in the ideal; the bracket-stable flag starts at
+    # z, so the central image z, normal-formed to rhs, names a later variable
+    g = verify_lie("x y z a", {(0, 1): {2: 1}})
+    return g, ideal_from_pairs(g.basis, [("z", ideal_rhs)])
+
+
+def test_central_image_beyond_the_flag_prefix_is_unsupported_chain():
+    g, ideal = _late_central_image("a")
+    with pytest.raises(UnsupportedChain) as err:
+        decompose(g, ideal, 6)
+    assert "at level 3 uses 'a'" in str(err.value)
+    # with t acting, a comes before x in the flag, and the same ideals work
+    g = verify_lie(
+        "x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}}
+    )
+    for rhs in ("a", "a + 1"):
+        res = decompose(g, ideal_from_pairs(g.basis, [("z", rhs)]), 6)
+        assert res.n == 1 and str(res.e) == rhs
+        assert verify_decomposition(res, 3)["ok"]
 
 
 def test_trace_deterministic():

@@ -1,7 +1,10 @@
-"""Exact linear algebra: echelon, nullspace, solve, charpoly, roots."""
+"""Exact linear algebra: echelon, nullspace, solve, charpoly, roots, against
+the eagerly back-reducing echelon and the dense Gauss-Jordan inverse kept
+here as references, and against sympy."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -118,6 +121,146 @@ def _random_sparse_rows(rng, nrows, ncols):
     return rows
 
 
+class ReferenceEchelon:
+    """Reduced echelon basis kept fully reduced on every insert: each new
+    row back-reduces every stored row with an entry at its pivot."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, row):
+        r = linalg._to_int_row(row)
+        while r:
+            hit = None
+            for j in sorted(r):
+                if j in self.rows:
+                    hit = j
+                    break
+            if hit is None:
+                return linalg._normalize(r)
+            base = self.rows[hit]
+            a, b = base[hit], r[hit]
+            g = gcd(a, abs(b))
+            ma, mb = b // g, a // g
+            out = {j: v * mb for j, v in r.items()}
+            for j, v in base.items():
+                out[j] = out.get(j, 0) - v * ma
+            r = {j: v for j, v in out.items() if v}
+        return r
+
+    def add(self, row):
+        r = self.reduce(row)
+        if not r:
+            return False
+        piv = min(r)
+        for p, base in list(self.rows.items()):
+            if piv in base:
+                a, b = r[piv], base[piv]
+                g = gcd(a, abs(b))
+                ma, mb = b // g, a // g
+                out = {j: v * mb for j, v in base.items()}
+                for j, v in r.items():
+                    out[j] = out.get(j, 0) - v * ma
+                self.rows[p] = linalg._normalize({j: v for j, v in out.items() if v})
+        self.rows[piv] = r
+        return True
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+
+def reference_inverse(mat):
+    """Dense Gauss-Jordan on [mat | I] in Fractions, or None if singular."""
+    n = len(mat)
+    work = [list(map(F, row)) + ident for row, ident in zip(mat, linalg.identity(n))]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        p = work[col][col]
+        work[col] = [v / p for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def test_echelon_matches_reference_under_interleaving():
+    # add, reduce, contains and reads of rows in seeded order; "eager" reads
+    # its rows after every step, "lazy" only at the read steps, so several
+    # inserts can wait for one back-substitution
+    rng = random.Random(20261020)
+    lazy_reads = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 8)
+        pool = _random_sparse_rows(rng, rng.randint(1, 10), ncols)
+        ref, eager, lazy = ReferenceEchelon(), linalg.Echelon(), linalg.Echelon()
+        pending = 0
+        for _ in range(rng.randint(1, 25)):
+            op = rng.choice(("add", "add", "reduce", "contains", "rows"))
+            if op == "rows":
+                lazy_reads += pending > 1
+                pending = 0
+                assert lazy.rows == ref.rows
+                continue
+            row = rng.choice(pool + _random_sparse_rows(rng, 1, ncols))
+            want = getattr(ref, op)(row)
+            assert getattr(eager, op)(row) == getattr(lazy, op)(row) == want
+            pending += op == "add" and want
+            for ech in (eager, lazy):
+                assert ech.pivots() == ref.pivots() and ech.rank == ref.rank
+            assert eager.rows == ref.rows
+        assert lazy.rows == ref.rows
+    assert lazy_reads >= 20
+
+
+def _entry(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+
+
+def test_mat_inverse_matches_gauss_jordan():
+    rng = random.Random(20261021)
+    singular = 0
+    for trial in range(120):
+        n = trial % 5 + 1
+        mat = [[_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:  # the last row a combination of earlier ones
+            a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+            k = F(rng.randint(-3, 3), rng.randint(1, 3))
+            mat[-1] = [x + k * y for x, y in zip(mat[a], mat[b])]
+        want = reference_inverse(mat)
+        assert linalg.mat_inverse(mat) == want
+        singular += want is None
+    assert singular >= 30
+    assert linalg.mat_inverse([]) == reference_inverse([]) == []
+
+
+def test_insert_normalizes_once_per_accepted_row(monkeypatch):
+    # an insert stores the reduced new row and touches no stored row; the
+    # eager back-reduction would renormalize the rows it changed as well
+    calls = []
+    normalize = linalg._normalize
+
+    def counted(row):
+        calls.append(row)
+        return normalize(row)
+
+    monkeypatch.setattr(linalg, "_normalize", counted)
+    ech = linalg.Echelon()
+    for row in ({0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1}):
+        assert ech.add(row)
+    assert len(calls) == 3
+
+
 def test_linear_algebra_matches_sympy():
     # independent oracle: sympy's exact rational matrices
     sympy = pytest.importorskip("sympy")
@@ -146,6 +289,13 @@ def test_linear_algebra_matches_sympy():
         for vec in (probe, inside):
             grown = matrix(rows + [vec], ncols).rank()
             assert ech.contains(vec) == (grown == rank)
+        # reduced rows, scaled to pivot 1: sympy's reduced row echelon form
+        rref, piv = m.rref()
+        assert tuple(ech.pivots()) == piv
+        for i, p in enumerate(piv):
+            row = ech.rows[p]
+            want = [F(int(c.p), int(c.q)) for c in rref.row(i)]
+            assert [F(row.get(j, 0), row[p]) for j in range(ncols)] == want
         # nullspace: annihilated by every row, ncols - rank vectors
         kernel = linalg.nullspace(rows, ncols)
         assert len(kernel) == ncols - rank
