@@ -2,20 +2,23 @@
 presentation over the common weight kernel.
 
 All searches are semi-decision procedures: they are exact and complete up to
-the stated degree bound, and every report carries that bound.  Candidate
-weights are enumerated inside the natural-number span of the flag weights,
-which is exactly the lattice bound that makes the enumeration finite.
+the degree bound they are given, and the CLI report of each search carries
+that bound.  Candidate weights are enumerated inside the natural-number span
+of the flag weights, which is exactly the lattice bound that makes the
+enumeration finite.
 
 ``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
 finite span that commute with every generator.  The degree-bounded center
-is the centralizer of a monomial slice, and ``weight_spaces`` solves from
-the rows of the same generator actions, shifted by each weight it is given.
+is the centralizer of a monomial slice.  ``weight_spaces`` brackets the
+slice once, solves the generators that every listed weight sends to zero
+once, and solves each weight only for the other generators, on that kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import ComplementEliminated
@@ -40,7 +43,9 @@ from .polys import Poly
 from .spaces import (
     SliceIndex,
     basis_monomials,
+    combination,
     common_denominator_rows,
+    kernel_coordinates,
     kernel_of_operators,
     operator_rows,
 )
@@ -65,7 +70,6 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
 
 @dataclass(frozen=True)
 class SemiInvariantReport:
-    degree_bound: int
     entries: tuple[tuple[Weight, tuple[LocalElement, ...]], ...]
 
     def weight_zero_basis(self) -> tuple[LocalElement, ...]:
@@ -112,14 +116,28 @@ def semi_invariants(
     weight-zero entry is the degree-bounded center."""
     flag = jordan_holder(g)
     alg = reduced_algebra(g, ideal)
-    return SemiInvariantReport(d, tuple(weight_spaces(alg, d, candidate_weights(flag, d))))
+    return SemiInvariantReport(tuple(weight_spaces(alg, d, candidate_weights(flag, d))))
 
 
 def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     """Yield (lam, basis) for each listed weight lam, in order, whose space of
-    degree-<= d elements a with {x_j, a} = lam(x_j) a is nonzero.  The actions
-    A_j of the generators on the slice are computed once, on the first request
-    (never for an empty list); each weight solves one kernel of A_j - lam(x_j) I."""
+    degree-<= d elements a with {x_j, a} = lam(x_j) a is nonzero.
+
+    On the first request (never for an empty list) the actions A_j of the
+    generators on the slice are computed once.  A generator x_j with
+    lam(x_j) = 0 for every listed lam gives the equations A_j a = 0 for every
+    weight, so the joint kernel K0 of those A_j is solved once, in its
+    canonical ``nullspace`` basis.  The rows of the other A_j, and of I, are
+    restricted to K0 by combining the rows already computed and scaled to
+    integers once.  Each weight then solves one kernel on K0, of the rows
+    q A_j - p I for lam(x_j) = p/q.
+
+    The bases are those of the kernel of every A_j - lam(x_j) I on the whole
+    slice: each K0 basis vector has its last nonzero at its own free
+    coordinate and is zero at the others, so the canonical kernel in K0
+    coordinates is the canonical kernel in slice coordinates.  With no such
+    generator K0 is the slice; for nilpotent g every weight is zero and its
+    space is K0."""
     if not weights:
         return
     basis = [alg.element(m) for m in basis_monomials(alg, d)]
@@ -127,24 +145,54 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     actions = operator_rows(alg, basis, _generator_actions(alg), index)
     # alg is a reduced algebra: it inverts nothing, so every row is over denominator 1
     identity, _, _ = common_denominator_rows(alg, basis, index)
+    fixed = [all(lam.values[j] == 0 for lam in weights) for j in range(len(actions))]
+    moving = [j for j, f in enumerate(fixed) if not f]
+    if any(fixed):
+        k0 = kernel_coordinates([rows for rows, f in zip(actions, fixed) if f], len(basis))
+        basis = [combination(alg, v, basis) for v in k0]
+        k0 = [linalg.sparse(v) for v in k0]
+        actions = [[_combine_rows(v, actions[j]) for v in k0] for j in moving]
+        identity = [_combine_rows(v, identity) for v in k0]
+    *actions, identity = _to_integers(actions + [identity])
     for lam in weights:
         shifted = [
-            _shift_rows(rows, identity, c) for rows, c in zip(actions, lam.values)
+            _shift_rows(rows, identity, lam.values[j]) for j, rows in zip(moving, actions)
         ]
         sol = kernel_of_operators(alg, basis, shifted)
         if sol:
             yield lam, tuple(sol)
 
 
-def _shift_rows(rows, identity, c):
-    """Rows of A - c I, given the rows of A and of I on one index."""
+def _combine_rows(coeffs: dict[int, Fraction], rows):
+    """The row sum(a_i rows_i) over the nonzero coefficients a_i."""
+    out: dict = {}
+    for i, a in coeffs.items():
+        for col, c in rows[i].items():
+            out[col] = out.get(col, 0) + a * c
+    return {col: c for col, c in out.items() if c}
+
+
+def _to_integers(tables):
+    """The row tables times the lcm of all their denominators, as integer rows
+    (scaling every equation by one constant leaves each kernel unchanged)."""
+    den = lcm(*[c.denominator for rows in tables for row in rows for c in row.values()])
+    return [
+        [{col: c.numerator * (den // c.denominator) for col, c in row.items()} for row in rows]
+        for rows in tables
+    ]
+
+
+def _shift_rows(rows, identity, c: Fraction):
+    """Integer rows of q A - p I for c = p/q, given the integer rows of A and
+    of I on one index: the equations of A - c I, each scaled by q."""
     if c == 0:
         return rows
+    p, q = c.numerator, c.denominator
     out = []
     for row, ident in zip(rows, identity):
-        shifted = dict(row)
+        shifted = {col: q * v for col, v in row.items()}
         for col, v in ident.items():
-            x = shifted.get(col, 0) - c * v
+            x = shifted.get(col, 0) - p * v
             if x:
                 shifted[col] = x
             else:
@@ -158,7 +206,6 @@ class GhatData:
     subalgebra: Subspace
     complement: tuple[int, ...]  # indices of standard basis vectors
     restricted_ideal: SubstitutionIdeal
-    degree_bound: int
 
 
 def ghat(
@@ -176,7 +223,7 @@ def ghat(
     ech = linalg.echelon_of(map(linalg.sparse, sub.basis))
     complement = [i for i in range(g.dim) if ech.add({i: 1})]
     restricted = _restrict_ideal(g, ideal, sub, complement)
-    return GhatData(sub, tuple(complement), restricted, d)
+    return GhatData(sub, tuple(complement), restricted)
 
 
 def _restrict_ideal(

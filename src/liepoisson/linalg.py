@@ -15,28 +15,21 @@ appear only at the boundary (inputs, solution vectors, coefficients).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Row = dict[int, int]
 
 
 def _to_int_row(row: dict[int, Fraction] | Row) -> Row:
-    lcm = 1
-    for c in row.values():
-        d = c.denominator if isinstance(c, Fraction) else 1
-        lcm = lcm // gcd(lcm, d) * d
-    out = {}
-    for j, c in row.items():
-        v = int(c * lcm) if isinstance(c, Fraction) else c * lcm
-        if v:
-            out[j] = v
-    return out
+    # ints and Fractions alike: an int is its own numerator over 1
+    den = lcm(*[c.denominator for c in row.values()])
+    return {j: v for j, c in row.items() if (v := c.numerator * (den // c.denominator))}
 
 
 def sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
     """The nonzero entries of a dense vector, keyed by position."""
-    return {j: c for j, c in enumerate(vec) if c != 0}
+    return {j: c for j, c in enumerate(vec) if c}
 
 
 def _normalize(row: Row) -> Row:

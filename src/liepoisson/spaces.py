@@ -12,12 +12,15 @@ row raises the rank; membership tests ask ``Span.contains``.
 
 Kernels of operators are solved in two steps: ``operator_rows`` applies each
 operator to the slice basis once, and ``kernel_of_operators`` solves from
-those rows.  The bracket kernel built on them, ``invariants.centralizer``
-(the elements of a span that commute with every generator), serves both the
-degree-bounded center and the central choice of ``decompose``.  A search
-that solves many related systems on one slice (``invariants.weight_spaces``,
-one system per listed weight) computes the actions once and solves one
-kernel per system from shifted rows.
+those rows (``kernel_coordinates`` gives the coefficient vectors).  The
+bracket kernel built on them, ``invariants.centralizer`` (the elements of a
+span that commute with every generator), serves both the degree-bounded
+center and the central choice of ``decompose``.  A search that solves many
+related systems on one slice (``invariants.weight_spaces``, one system per
+listed weight) computes the actions once and solves the operators shared by
+every system once, to a kernel K0.  It restricts the other operators' rows
+to K0 by combining rows, and solves each system on K0 from those rows,
+shifted.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def combination(
     """sum(a_i elements_i), added in order, skipping zero coefficients."""
     acc = alg.zero()
     for a, el in zip(coeffs, elements):
-        if a != 0:
+        if a:
             acc = alg.add(acc, alg.scale(a, el))
     return acc
 
@@ -223,21 +226,31 @@ def operator_rows(
     ]
 
 
-def kernel_of_operators(
-    alg: PoissonAlgebra,
-    basis: Sequence[LocalElement],
-    images: Sequence[Sequence[dict[int, Fraction]]],
-) -> list[LocalElement]:
-    """Elements sum(a_i basis_i) killed by every operator, given per operator
-    the rows of its images of the basis (see ``operator_rows``); exact
-    sparse nullspace.
+def kernel_coordinates(
+    images: Sequence[Sequence[dict[int, Fraction] | linalg.Row]], n: int
+) -> list[tuple[Fraction, ...]]:
+    """The coefficient vectors (a_1 .. a_n) of the combinations of n basis
+    elements killed by every operator, given per operator the rows of its
+    images of the basis (see ``operator_rows``): the canonical ``nullspace``
+    basis, one vector per free coefficient.
 
     One equation per operator and column, columns ascending, built in one
     pass over the nonzero entries.
     """
-    eq_rows: list[dict[int, Fraction]] = []
+    eq_rows: list[dict[int, Fraction] | linalg.Row] = []
     for rows in images:
         by_col = _columns(rows)
         eq_rows.extend(by_col[col] for col in sorted(by_col))
-    combos = linalg.nullspace(eq_rows, len(basis))
+    return linalg.nullspace(eq_rows, n)
+
+
+def kernel_of_operators(
+    alg: PoissonAlgebra,
+    basis: Sequence[LocalElement],
+    images: Sequence[Sequence[dict[int, Fraction] | linalg.Row]],
+) -> list[LocalElement]:
+    """Elements sum(a_i basis_i) killed by every operator, given per operator
+    the rows of its images of the basis (see ``operator_rows``); exact
+    sparse nullspace (``kernel_coordinates``)."""
+    combos = kernel_coordinates(images, len(basis))
     return [combination(alg, combo, basis) for combo in combos]

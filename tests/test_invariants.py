@@ -21,7 +21,7 @@ from liepoisson.invariants import (
     semi_invariants,
     weight_spaces,
 )
-from liepoisson.lie import Subspace, jordan_holder, verify_lie
+from liepoisson.lie import Subspace, Weight, jordan_holder, verify_lie
 from liepoisson.poisson import canonical_from_lie, ideal_from_pairs
 from liepoisson.polys import parse_poly
 from liepoisson.weyl import WeylPresentation
@@ -440,20 +440,171 @@ def test_weight_spaces_solves_only_the_listed_weights(monkeypatch):
     g = _two_weight()
     alg = reduced_algebra(g, None)
     flag = jordan_holder(g)
-    kernels = []
+    kernels, k0_solves = [], []
     kernel_of_operators = invariants.kernel_of_operators
+    kernel_coordinates = invariants.kernel_coordinates
 
     def counted(*args):
         kernels.append(1)
         return kernel_of_operators(*args)
 
+    def counted_k0(*args):
+        k0_solves.append(1)
+        return kernel_coordinates(*args)
+
     monkeypatch.setattr(invariants, "kernel_of_operators", counted)
-    assert list(weight_spaces(alg, 3, [])) == [] and kernels == []
-    # a caller that stops at the first hit solves up to that weight only
+    monkeypatch.setattr(invariants, "kernel_coordinates", counted_k0)
+    assert list(weight_spaces(alg, 3, [])) == [] and kernels == [] and k0_solves == []
+    # a caller that stops at the first hit solves up to that weight only;
+    # x and y have weight zero on every candidate, so K0 is solved, once
     nonzero = nonzero_candidates(flag, 3)
     first = next(weight_spaces(alg, 3, nonzero))
     assert first[0] == nonzero[len(kernels) - 1]
     assert len(kernels) < len(nonzero)
+    assert len(k0_solves) == 1
     # every candidate, in order: the semi-invariant report
+    kernels.clear()
     entries = list(weight_spaces(alg, 3, candidate_weights(flag, 3)))
+    assert len(kernels) == len(candidate_weights(flag, 3))
+    assert len(k0_solves) == 2
     assert _entries_text(entries) == _entries_text(semi_invariants(g, None, 3).entries)
+
+
+# ---------------------------------------------------------------------------
+# weight_spaces against the whole-slice solve of every weight
+
+
+def _weight_spaces_whole_slice(alg, d, weights):
+    """Reference: the slice actions computed once, then per weight one
+    kernel of the stacked A_j - lam(x_j) I over the whole slice."""
+    from liepoisson.invariants import _generator_actions
+    from liepoisson.spaces import (
+        SliceIndex,
+        basis_monomials,
+        common_denominator_rows,
+        kernel_of_operators,
+        operator_rows,
+    )
+
+    basis = [alg.element(m) for m in basis_monomials(alg, d)]
+    index = SliceIndex()
+    actions = operator_rows(alg, basis, _generator_actions(alg), index)
+    identity, _, _ = common_denominator_rows(alg, basis, index)
+    out = []
+    for lam in weights:
+        shifted = []
+        for rows, c in zip(actions, lam.values):
+            shifted.append([
+                {
+                    col: x
+                    for col in row.keys() | ident.keys()
+                    if (x := row.get(col, 0) - c * ident.get(col, 0))
+                }
+                for row, ident in zip(rows, identity)
+            ])
+        sol = kernel_of_operators(alg, basis, shifted)
+        if sol:
+            out.append((lam, tuple(sol)))
+    return out
+
+
+def _assert_whole_slice_entries(alg, d, weights):
+    got = _entries_text(weight_spaces(alg, d, weights))
+    assert got == _entries_text(_weight_spaces_whole_slice(alg, d, weights)), alg
+    return got
+
+
+def _assert_semi_invariants_whole_slice(g, ideal, d):
+    flag = jordan_holder(g)
+    alg = reduced_algebra(g, ideal)
+    weights = candidate_weights(flag, d)
+    got = _assert_whole_slice_entries(alg, d, weights)
+    assert got == _entries_text(semi_invariants(g, ideal, d).entries)
+    return weights, got
+
+
+def _fixed_generators(weights):
+    return [j for j in range(len(weights[0].values)) if all(w.values[j] == 0 for w in weights)]
+
+
+def test_weight_spaces_match_whole_slice_on_random_solvable():
+    several = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = random_solvable(rng, rng.randint(2, 5))
+        try:
+            weights, _ = _assert_semi_invariants_whole_slice(g, None, 3)
+        except EigenvalueNotRational:
+            continue
+        several += len(weights) >= 3
+    assert several >= 10
+
+
+def test_weight_spaces_match_whole_slice_on_the_weight_search_algebra():
+    for seed in (5, 11, 23):
+        g = _workload_algebras(seed)[1]
+        weights, got = _assert_semi_invariants_whole_slice(g, None, 4)
+        assert _fixed_generators(weights) == [2, 3]  # x and y
+        assert len(got) == len(weights)  # x^i y^j spans every weight space
+
+
+def test_weight_spaces_match_whole_slice_on_the_lie_fixtures():
+    for g, ideal in _lie_fixtures():
+        for d in (3, 4, 5):
+            try:
+                _assert_semi_invariants_whole_slice(g, ideal, d)
+            except EigenvalueNotRational:
+                break
+
+
+def test_weight_spaces_with_no_weight_independent_generator():
+    # a = t, b = t + x with [t, x] = x: every flag weight is nonzero at a and b
+    g = verify_lie("a b", {(0, 1): {0: -1, 1: 1}})
+    weights, got = _assert_semi_invariants_whole_slice(g, None, 4)
+    assert _fixed_generators(weights) == [] and len(weights) == 5
+    # a listed weight nonzero at every generator of the two-weight algebra
+    alg = reduced_algebra(_two_weight(), None)
+    listed = [Weight((F(2), F(-3, 2), F(1), F(5, 4))), Weight((F(1), F(1), F(1), F(1)))]
+    _assert_whole_slice_entries(alg, 3, listed)
+
+
+def test_weight_spaces_of_nilpotent_algebras_are_k0():
+    for g in (heisenberg(), eng4(), abelian(3)):
+        weights, got = _assert_semi_invariants_whole_slice(g, None, 4)
+        assert [w.is_zero() for w in weights] == [True]
+        assert len(got) == 1  # the center up to degree 4
+        alg = reduced_algebra(g, None)
+        assert got[0][1] == [str(b) for b in center_up_to_degree(alg, 4)]
+
+
+def test_weight_spaces_with_k0_the_constants():
+    # [t, x] = x, [t, y] = y: with t and x fixed, K0 solves (x d_x + y d_y) p = 0
+    # and x d_t p = 0, so only the constants; every bracket kills 1, so K0 is
+    # never zero
+    g = verify_lie("t x y", {(0, 1): {1: 1}, (0, 2): {2: 1}})
+    alg = reduced_algebra(g, None)
+    listed = [Weight((F(0), F(0), F(0))), Weight((F(0), F(0), F(1)))]
+    assert _fixed_generators(listed) == [0, 1]
+    assert _assert_whole_slice_entries(alg, 4, listed) == [(["0", "0", "0"], ["1"])]
+    # every nonzero weight space of aff2 is zero, with K0 its center
+    assert _assert_whole_slice_entries(
+        reduced_algebra(aff2(), None), 4, [Weight((F(0), F(0))), Weight((F(0), F(1)))]
+    ) == [(["0", "0"], ["1"])]
+
+
+def test_weight_search_feeds_few_rows_to_nullspace(monkeypatch):
+    # a count, not a timing: the whole-slice solve of every weight fed 7,430
+    # rows; K0 plus the restricted systems feed under 1,000
+    rows_in = []
+    nullspace = linalg.nullspace
+
+    def counted(rows, ncols):
+        rows = list(rows)
+        rows_in.append(len(rows))
+        return nullspace(rows, ncols)
+
+    g = _workload_algebras(11)[1]
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    rep = semi_invariants(g, None, 5)
+    assert len(rep.entries) == 21
+    assert sum(rows_in) <= 1500
