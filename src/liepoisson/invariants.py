@@ -9,9 +9,12 @@ enumeration finite.
 
 ``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
 finite span that commute with every generator.  The degree-bounded center
-is the centralizer of a monomial slice.  ``weight_spaces`` brackets the
-slice once, solves the generators that every listed weight sends to zero
-once, and solves each weight only for the other generators, on that kernel.
+is the centralizer of a monomial slice, solved once per algebra and degree
+bound: ``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
+``localize`` hands that memo to the localized algebra, whose polynomial
+center is the same.  ``weight_spaces`` brackets the slice once, solves the
+generators that every listed weight sends to zero once, and solves each
+weight only for the other generators, on that kernel.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from .poisson import (
 from .polys import Poly
 from .spaces import (
     SliceIndex,
-    basis_monomials,
     combination,
     common_denominator_rows,
     kernel_coordinates,
     kernel_of_operators,
     operator_rows,
+    slice_basis,
 )
 
 DEFAULT_DEGREE_BOUND = 6
@@ -64,8 +67,18 @@ def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[LocalEle
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
-    """Basis of {p : deg p <= d, {v, p} = 0 for all generators v}."""
-    return centralizer(alg, [alg.element(m) for m in basis_monomials(alg, d)])
+    """Basis of {p : deg p <= d, {v, p} = 0 for all generators v}.
+
+    Solved once per degree bound and kept in ``alg.centers``, which
+    ``localize`` shares: a localization is injective and adds no bracket
+    between polynomials, so the polynomial center of each slice is the same.
+    Every call returns a new list of elements with denominator 1."""
+    nums = alg.centers.get(d)
+    if nums is None:
+        nums = tuple(c.num for c in centralizer(alg, slice_basis(alg, d)))
+        alg.centers[d] = nums
+    den = (0,) * len(alg.inverted)
+    return [LocalElement(num, den) for num in nums]
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     space is K0."""
     if not weights:
         return
-    basis = [alg.element(m) for m in basis_monomials(alg, d)]
+    basis = slice_basis(alg, d)
     index = SliceIndex()
     actions = operator_rows(alg, basis, _generator_actions(alg), index)
     # alg is a reduced algebra: it inverts nothing, so every row is over denominator 1

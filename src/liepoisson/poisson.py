@@ -189,6 +189,10 @@ class PoissonAlgebra:
     cores: tuple[tuple[Mono | None, Poly], ...] = field(
         default=(), init=False, repr=False
     )
+    # degree bound -> center numerators (see invariants.center_up_to_degree)
+    centers: dict[int, tuple[Poly, ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         laurent = any(v.invertible for v in self.vars)
@@ -585,7 +589,8 @@ def quotient(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> PoissonAlgebra:
 def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebra:
     """Invert the listed nonzero polynomials (ZeroDenominator if one dies in
     the quotient).  Elements of the original algebra coerce via
-    ``element``."""
+    ``element``.  The new algebra shares ``alg.centers`` (see
+    ``invariants.center_up_to_degree``)."""
     new = list(alg.inverted)
     for s in denominators:
         s = s.extend(alg.vars)
@@ -596,7 +601,9 @@ def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebr
         if any(e < 0 for m in s.terms for e in m):
             raise ValueError("denominators must be ordinary polynomials")
         new.append(s)
-    return poisson_algebra(alg.vars, alg.table, alg.ideal, new)
+    out = poisson_algebra(alg.vars, alg.table, alg.ideal, new)
+    object.__setattr__(out, "centers", alg.centers)
+    return out
 
 
 def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:

@@ -4,6 +4,10 @@ Everything here reduces questions about finite slices of an algebra to exact
 sparse linear algebra: enumerate the monomials of the slice, expand elements
 over a common denominator, and hand rows to ``linalg``.
 
+``slice_basis`` gives the monomials of a degree slice as elements without
+the coercion of ``PoissonAlgebra.element``: they use no eliminated variable
+and carry no denominator, so they are in normal form as built.
+
 A slice is checked by one growing ``Span``: rows are written over fixed
 denominator caps chosen up front, so a loop that enlarges its spanning set
 (the pair-bound escalation of ``verify_decomposition``) adds each new element
@@ -70,6 +74,12 @@ def basis_monomials(alg: PoissonAlgebra, d: int) -> list[Poly]:
             mono[i] = e
         out.append(Poly.monomial(alg.vars, tuple(mono)))
     return out
+
+
+def slice_basis(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
+    """``basis_monomials`` as elements of alg, already in normal form."""
+    den = (0,) * len(alg.inverted)
+    return [LocalElement(m, den) for m in basis_monomials(alg, d)]
 
 
 class SliceIndex:

@@ -40,7 +40,7 @@ from .poisson import (
     tensor,
 )
 from .polys import Context, Poly, VarSpec
-from .spaces import Span, basis_monomials, max_denominator, monomials_up_to
+from .spaces import Span, max_denominator, monomials_up_to, slice_basis
 
 DEFAULT_NILPOTENCY_CAP = 64
 
@@ -464,7 +464,7 @@ def tensor_presentation_check(
     span = Span(alg, max_denominator(alg, products))
     if not all(span.add(prod) for prod in products):
         return False
-    targets = [alg.element(m) for m in basis_monomials(alg, d)]
+    targets = slice_basis(alg, d)
     if not all(span.contains(t) for t in targets):
         raise NotGenerating(f"(degree-{d} slice not covered)")
     return True

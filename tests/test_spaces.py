@@ -1,10 +1,22 @@
-"""The growing span: rank-raising adds and membership over fixed caps."""
+"""The growing span: rank-raising adds and membership over fixed caps; the
+slice basis is in normal form as built."""
+
+import json
+import os
 
 import pytest
 
-from liepoisson.poisson import LocalElement, canonical_from_lie, localize
+from liepoisson.cli import ProblemFile
+from liepoisson.invariants import center_up_to_degree
+from liepoisson.poisson import LocalElement, canonical_from_lie, localize, reduced_algebra
 from liepoisson.polys import Poly, parse_poly
-from liepoisson.spaces import Span, independent_subset, monomials_up_to
+from liepoisson.spaces import (
+    Span,
+    basis_monomials,
+    independent_subset,
+    monomials_up_to,
+    slice_basis,
+)
 
 from conftest import heisenberg
 
@@ -50,3 +62,38 @@ def test_span_rejects_a_denominator_above_the_caps():
 def test_monomials_up_to_over_no_variables_is_the_empty_monomial():
     for d in range(4):
         assert monomials_up_to(0, d) == [()]
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _fixture_algebras():
+    """Every Lie fixture in tests/data, with and without its ideal, each also
+    localized at one element: a nonconstant central one of degree <= 2 where
+    there is one, else the first surviving generator."""
+    algs = []
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            data = json.load(fh)
+        if not (isinstance(data, dict) and "lie" in data):
+            continue
+        prob = ProblemFile(data)
+        for ideal in [None, prob.ideal] if prob.ideal else [None]:
+            alg = reduced_algebra(prob.lie, ideal)
+            central = [c.num for c in center_up_to_degree(alg, 2) if not c.num.is_constant()]
+            s = central[0] if central else Poly.var(alg.vars, alg.effective_vars()[0].name)
+            algs += [alg, localize(alg, [s])]
+    return algs
+
+
+def test_slice_basis_is_the_normal_form_of_each_monomial():
+    algs = _fixture_algebras()
+    assert len(algs) == 14 and any(alg.ideal for alg in algs)
+    for alg in algs:
+        for d in range(5):
+            got = slice_basis(alg, d)
+            want = [alg.element(m) for m in basis_monomials(alg, d)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.num.ctx == b.num.ctx
+                assert a.num.terms == b.num.terms and a.den == b.den
