@@ -26,6 +26,12 @@ the degree-bounded center), ``weyl.integrate_potential`` integrates them
 with the signs of ``weyl.split_derivation``, and b is that potential
 evaluated at X_j = x_j, Y_j = y_j, C_k = center[k].
 
+The flag is searched once.  When its generators are not coordinate vectors
+(and no ideal is given), g is re-presented on them as the basis c1..cm, so
+the flag becomes the coordinate flag in that order, and the semisimple
+subspace s moves into the new coordinates through the inverse of the
+generator matrix; its weights are read off the original flag.
+
 All searches are degree-bounded and use ordered enumeration, so identical
 inputs yield identical traces.  ``SearchExhausted`` is a legitimate outcome:
 the theory guarantees the objects exist, not that they appear below any
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .errors import (
@@ -114,9 +121,9 @@ def _rebase_to_flag(g: LieAlgebra, flag) -> LieAlgebra:
     return verify_lie(sub.basis, sub.structure)
 
 
-def _level_algebras(g, ideal, order, level, inverted):
-    """Quotient-only and localized algebras on the first ``level`` flag
-    variables."""
+def _level_algebra(g, ideal, order, level, inverted):
+    """The quotient on the first ``level`` flag variables, localized at the
+    denominators inverted so far."""
     sub = coordinate_subalgebra(g, order[:level])
     if sub is None:
         raise UnsupportedChain("flag members are not ideals")
@@ -127,14 +134,14 @@ def _level_algebras(g, ideal, order, level, inverted):
         if v.name in names and img.variables_used() <= names
     ]
     alg = reduced_algebra(sub, SubstitutionIdeal(tuple(rules)))
-    return alg, (localize(alg, [s.extend(sub.basis) for s in inverted]) if inverted else alg)
+    return localize(alg, [s.extend(sub.basis) for s in inverted]) if inverted else alg
 
 
-def _center_with_denominators(quotient_alg, localized, d):
+def _center_with_denominators(base, localized, d):
     """Degree-bounded center basis of the localized algebra: the plain
-    center times powers of the (central) inverted elements, canonicalized
-    and reduced to a linearly independent family."""
-    plain = center_up_to_degree(quotient_alg, d)
+    center of ``base`` times powers of the (central) inverted elements,
+    canonicalized and reduced to a linearly independent family."""
+    plain = center_up_to_degree(base, d)
     nden = len(localized.inverted)
     cands = []
     seen = set()
@@ -165,50 +172,50 @@ def _pair_monomials(alg, pairs, d, low=0):
     ]
 
 
-def _expand_in_pairs(alg, pres, center_list, flat, target, dmax):
-    """Write target as sum c_{ab} x^a y^b with coefficients spanned by the
-    center list, escalating the pair degree until the solve succeeds: a Poly
-    over ``pres`` in which X_j, Y_j stand for the flat pairs x_1, y_1, x_2,
-    y_2, ... and C_k for center_list[k]; None when no degree up to dmax
-    works."""
-    width = len(center_list)
-    for deg in range(dmax + 1):
-        expos = monomials_up_to(len(flat), deg)
-        spanners = []
-        for expo in expos:
-            mono = alg.monomial(flat, expo)
-            for c in center_list:
-                spanners.append(alg.mul(c, mono))
-        sol = solve_in_span(alg, spanners, target)
-        if sol is None:
-            continue
+def _pair_potential(cur_l, prev_l, pairs, z_el, d):
+    """The potential b, evaluated on the pairs, with {b, .} = {z, .} on
+    every pair element; zero when there are no pairs yet.
+
+    Each bracket {z, x_j}, {z, y_j} is written as sum c_ab x^a y^b over the
+    center of ``prev_l`` (a Poly over ``pres``: X_j, Y_j for x_j, y_j, C_k
+    for center[k]), escalating the pair degree until the solve succeeds.
+    All 2n brackets share one spanner list center[k] * x^a y^b, grown on
+    demand: pair monomials in ``monomials_up_to`` order over the flat pairs
+    x_1, y_1, x_2, y_2, ..., the center list inside each.  That order is
+    graded, so pair degree <= deg takes the first comb(deg + 2n, 2n) * width."""
+    if not pairs:
+        return cur_l.zero()
+    center = _center_with_denominators(prev_l, cur_l, d)
+    n = len(pairs)
+    width = len(center)
+    pres = WeylPresentation(n, make_vars([f"C{k+1}" for k in range(width)]))
+    flat = [el for pr in pairs for el in pr]
+    expos = monomials_up_to(2 * n, d)
+    spanners: list[LocalElement] = []
+    ps, qs = [], []
+    for j, el in enumerate(flat):
+        target = cur_l.bracket(z_el, el)
+        for deg in range(d + 1):
+            size = comb(deg + 2 * n, 2 * n)
+            for expo in expos[len(spanners) // width : size]:
+                mono = cur_l.monomial(flat, expo)
+                spanners.extend(cur_l.mul(c, mono) for c in center)
+            sol = solve_in_span(cur_l, spanners[: size * width], target)
+            if sol is not None:
+                break
+        else:
+            raise SearchExhausted(d, "(pair splitting failed)")
         terms = {}
-        for k, expo in enumerate(expos):
+        for k, expo in enumerate(expos[:size]):
             xy = tuple(expo[0::2]) + tuple(expo[1::2])
             for m, c in enumerate(sol[k * width : (k + 1) * width]):
                 if c != 0:
                     terms[xy + tuple(int(t == m) for t in range(width))] = c
-        return Poly(pres.context, terms)
-    return None
-
-
-def _pair_potential(cur_l, prev_q, pairs, z_el, d):
-    """The potential b, evaluated on the pairs, with {b, .} = {z, .} on
-    every pair element; zero when there are no pairs yet."""
-    if not pairs:
-        return cur_l.zero()
-    center = _center_with_denominators(prev_q, cur_l, d)
-    n = len(pairs)
-    pres = WeylPresentation(n, make_vars([f"C{k+1}" for k in range(len(center))]))
-    flat = [el for pr in pairs for el in pr]
-    ps, qs = [], []
-    for x_el, y_el in pairs:
-        ex = _expand_in_pairs(cur_l, pres, center, flat, cur_l.bracket(z_el, x_el), d)
-        ey = _expand_in_pairs(cur_l, pres, center, flat, cur_l.bracket(z_el, y_el), d)
-        if ex is None or ey is None:
-            raise SearchExhausted(d, "(pair splitting failed)")
-        ps.append(ey)
-        qs.append(-ex)
+        # {z, y_j} is p_j and {z, x_j} is -q_j (the signs of split_derivation)
+        if j % 2:
+            ps.append(Poly(pres.context, terms))
+        else:
+            qs.append(-Poly(pres.context, terms))
     try:
         b = integrate_potential(pres, ps, qs)
     except NotClosed:
@@ -221,23 +228,23 @@ def _pair_potential(cur_l, prev_q, pairs, z_el, d):
     return acc
 
 
-def _central_choice(full_alg, candidates, d):
+def _central_choice(alg, candidates, d):
     """Deterministic nonzero g-central element in the span of the
     candidates; HypothesisFailed with a weight certificate when only a
     nonzero-weight eigenvector exists, EigenvalueNotRational otherwise."""
-    central = [c for c in centralizer(full_alg, candidates) if not c.is_zero()]
+    central = [c for c in centralizer(alg, candidates) if not c.is_zero()]
     if central:
         central.sort(key=lambda el: (el.num.degree(), sorted(el.num.terms)))
         v = central[0]
         lead = max(v.num.terms, key=lambda m: (sum(m), m))
-        return full_alg.scale(Fraction(1) / v.num.terms[lead], v)
-    basis = independent_subset(full_alg, candidates)
+        return alg.scale(Fraction(1) / v.num.terms[lead], v)
+    basis = independent_subset(alg, candidates)
     mats = []
-    for v in full_alg.vars:
-        gen = full_alg.gen(v.name)
+    for v in alg.vars:
+        gen = alg.gen(v.name)
         cols = []
         for b in basis:
-            sol = solve_in_span(full_alg, basis, full_alg.bracket(gen, b))
+            sol = solve_in_span(alg, basis, alg.bracket(gen, b))
             if sol is None:
                 raise SearchExhausted(d, "(module not closed under the action)")
             cols.append(sol)
@@ -246,8 +253,8 @@ def _central_choice(full_alg, candidates, d):
         )
     for vals, space in module_eigenspaces(mats, len(basis)):
         if any(c != 0 for c in vals):
-            el = combination(full_alg, space.basis[0], basis)
-            raise HypothesisFailed(tuple(map(str, vals)), full_alg.format(el))
+            el = combination(alg, space.basis[0], basis)
+            raise HypothesisFailed(tuple(map(str, vals)), alg.format(el))
     raise EigenvalueNotRational("(no rational eigenvector in the derivation image)")
 
 
@@ -292,13 +299,13 @@ def _assert_commutes(alg, el, pairs, center, d):
 # semisimple-action helpers (only active when s is supplied)
 
 
-def _project_s_weight(cur_l, full_l, s: Subspace, el, theta_values):
+def _project_s_weight(cur_l, full_l, ts, el, theta_values):
     """Spectral projection inside the full localized algebra (the
-    s-generators usually live outside the current flag prefix), pushed back
-    to the level algebra (flag prefixes are ideals, so the action stays
-    inside)."""
+    s-generators ``ts``, coordinate vectors on its variables, usually live
+    outside the current flag prefix), pushed back to the level algebra (flag
+    prefixes are ideals, so the action stays inside)."""
     lifted = full_l.element(el)
-    for t_vec, th in zip(s.basis, theta_values):
+    for t_vec, th in zip(ts, theta_values):
         eps = epsilon_derivation(full_l, t_vec)
         lifted = _krylov_projection(full_l, lambda x: eps.apply(full_l, x), lifted, th)
     return cur_l.element(
@@ -333,45 +340,40 @@ def decompose(
         raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
     trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
 
+    ts = list(s.basis) if s is not None else []
+    theta_by_level = [tuple(w(t) for t in ts) for w in flag.weights]
     order = _chain_order(flag, ideal)
     if order is None:
         g = _rebase_to_flag(g, flag)
         ideal = None
-        flag = jordan_holder(g)
         alg = reduced_algebra(g, ideal)
-        order = _chain_order(flag, ideal)
-        if order is None:  # pragma: no cover
-            raise UnsupportedChain("flag re-presentation failed")
+        order = list(range(g.dim))
+        if ts:
+            to_flag = linalg.mat_inverse([list(row) for row in zip(*flag.generators)])
+            ts = [linalg.mat_vec(to_flag, t) for t in ts]
         trace["basis_change"] = "re-presented on the flag basis"
     trace["chain"] = [g.basis[k].name for k in order]
-    theta_by_level = (
-        [tuple(flag.weights[i](t) for t in s.basis) for i in range(g.dim)]
-        if s is not None
-        else None
-    )
 
-    full_alg = full_l = alg
+    full_l = alg
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
-    prev_q = None
-    cur_q = cur_l = None
+    prev_l = None
 
     for level in range(1, g.dim + 1):
         z_idx = order[level - 1]
+        theta = theta_by_level[level - 1]
         step = {"level": level, "generator": g.basis[z_idx].name}
-        cur_q, cur_l = _level_algebras(g, ideal, order, level, inverted)
+        cur_l = _level_algebra(g, ideal, order, level, inverted)
         pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
 
         # plain previous center: the domain where v and u are searched
-        if prev_q is None:
+        if prev_l is None:
             plain_center = [cur_l.one()]
         else:
-            plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_q, d)]
+            plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_l, d)]
         z_el = cur_l.gen(g.basis[z_idx].name)
         if s is not None:
-            z_el = _project_s_weight(
-                cur_l, full_l, s, z_el, list(theta_by_level[level - 1])
-            )
+            z_el = _project_s_weight(cur_l, full_l, ts, z_el, theta)
             if z_el.is_zero():
                 raise SearchExhausted(d, "(flag generator lost its weight component)")
 
@@ -384,7 +386,7 @@ def decompose(
             step["case"] = "a"
             x_new = z_el
             if pairs:
-                b_el = _pair_potential(cur_l, prev_q, pairs, z_el, d)
+                b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
                 x_new = cur_l.sub(z_el, b_el)
                 step["potential"] = cur_l.format(b_el)
             _assert_commutes(cur_l, x_new, pairs, plain_center, d)
@@ -392,8 +394,7 @@ def decompose(
         else:
             step["case"] = "b"
             images = [im for _, im in nonzero]
-            v_full = _central_choice(full_alg, [full_alg.element(im) for im in images], d)
-            v_poly = v_full.num  # plain central polynomial
+            v_poly = _central_choice(alg, [alg.element(im) for im in images], d).num
             later = sorted(v_poly.variables_used() - {v.name for v in cur_l.vars})
             if later:
                 raise UnsupportedChain(
@@ -401,13 +402,13 @@ def decompose(
                     "which is not yet in the flag"
                 )
             v_cur = cur_l.element(v_poly.restrict(cur_l.vars))
+            v_level = v_cur.num
             combo = solve_in_span(cur_l, images, v_cur)
             if combo is None:
                 raise SearchExhausted(d, "(no preimage for the central image)")
             u = combination(cur_l, combo, [c for c, _ in nonzero])
             if s is not None:
-                theta = theta_by_level[level - 1]
-                u = _project_s_weight(cur_l, full_l, s, u, [-t for t in theta])
+                u = _project_s_weight(cur_l, full_l, ts, u, [-t for t in theta])
                 if not cur_l.sub(cur_l.bracket(z_el, u), v_cur).is_zero():
                     raise SearchExhausted(d, "(weight projection broke the preimage)")
             step["v"] = str(v_poly)
@@ -415,7 +416,6 @@ def decompose(
             if v_poly.is_constant():
                 y_new = cur_l.scale(Fraction(1) / v_poly.constant_value(), u)
             else:
-                v_level = v_poly.restrict(cur_l.vars) if v_poly.ctx != cur_l.vars else v_poly
                 if not any(str(v_level) == str(w) for w in inverted):
                     inverted.append(v_level)
                     cur_l = localize(cur_l, [v_level])
@@ -423,14 +423,12 @@ def decompose(
                     u = cur_l.element(u)
                     z_el = cur_l.element(z_el)
                     if s is not None:
-                        full_l = localize(full_l, [v_level.extend(full_alg.vars)])
-                v_inv = cur_l.invert(cur_l.element(v_level.extend(cur_l.vars)))
+                        full_l = localize(full_l, [v_level.extend(alg.vars)])
+                v_inv = cur_l.invert(cur_l.element(v_level))
                 y_new = cur_l.mul(u, v_inv)
-            b_el = _pair_potential(cur_l, prev_q, pairs, z_el, d)
+            b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
             if s is not None:
-                b_el = _project_s_weight(
-                    cur_l, full_l, s, b_el, list(theta_by_level[level - 1])
-                )
+                b_el = _project_s_weight(cur_l, full_l, ts, b_el, theta)
             x_new = cur_l.sub(z_el, b_el)
             if not cur_l.sub(cur_l.bracket(x_new, y_new), cur_l.one()).is_zero():
                 raise SearchExhausted(d, "(canonical pair relation failed)")
@@ -440,9 +438,9 @@ def decompose(
                 step["potential"] = cur_l.format(b_el)
             step["pair"] = [cur_l.format(x_new), cur_l.format(y_new)]
         trace["levels"].append(step)
-        prev_q = cur_q
+        prev_l = cur_l
 
-    center = _center_with_denominators(cur_q, cur_l, d)
+    center = _center_with_denominators(cur_l, cur_l, d)
     e = Poly.const(cur_l.vars, 1)
     for v in inverted:
         e = e * v.extend(cur_l.vars)

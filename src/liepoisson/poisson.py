@@ -679,9 +679,7 @@ def is_p_derivation(alg: PoissonAlgebra, delta: Derivation) -> tuple[bool, tuple
     return True, None
 
 
-def skew_extend(
-    alg: PoissonAlgebra, delta: Derivation, name: str, invertible: bool = False
-) -> PoissonAlgebra:
+def skew_extend(alg: PoissonAlgebra, delta: Derivation, name: str) -> PoissonAlgebra:
     """Adjoin a variable X with {X, p} = delta(p); delta must be a
     P-derivation (checked), which is exactly what makes Jacobi survive."""
     ok, witness = is_p_derivation(alg, delta)
@@ -689,8 +687,7 @@ def skew_extend(
         raise NotPDerivation(witness[:2], str(witness[2]))
     if any(v.name == name for v in alg.vars):
         raise NameClash({name})
-    new_var = VarSpec(name, invertible)
-    ctx = alg.vars + (new_var,)
+    ctx = alg.vars + (VarSpec(name),)
     n = len(alg.vars)
     ideal = (
         SubstitutionIdeal(tuple((v, img.extend(ctx)) for v, img in alg.ideal.rules))

@@ -244,6 +244,38 @@ def test_search_exhausted_exit_code(tmp_path, command):
     assert "error" not in json.loads(out2)
 
 
+def test_decompose_rebases_a_conjugate_without_ideal(tmp_path):
+    # [x,y] = z, [t,x] = x, [t,y] = -y conjugated to b1..b4: the flag is not
+    # coordinate-aligned, and the file gives no ideal, so decompose
+    # re-presents the algebra on the flag basis c1..c4
+    brackets = {
+        (0, 1): {2: 1, 3: 1},
+        (0, 2): {0: 1},
+        (0, 3): {0: -1},
+        (1, 2): {0: 2, 1: -1, 2: 1, 3: 1},
+        (1, 3): {0: -2, 1: 1, 2: -1, 3: -1},
+    }
+    problem = tmp_path / "conjugate.json"
+    problem.write_text(
+        json.dumps(
+            {
+                "lie": {
+                    "dim": 4,
+                    "basis": ["b1", "b2", "b3", "b4"],
+                    "brackets": [
+                        {"i": i, "j": j, "coeffs": {str(k): str(c) for k, c in vec.items()}}
+                        for (i, j), vec in brackets.items()
+                    ],
+                }
+            }
+        )
+    )
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "4", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n"], report["e"]) == (1, "c1")
+
+
 def test_reports_byte_identical():
     commands = [
         ["verify", path("heisenberg.json")],

@@ -2,6 +2,7 @@
 wrapper, the center/Weyl equivalence, and determinism."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from liepoisson.decompose import (
 from liepoisson.errors import HypothesisFailed, NotNilpotent, UnsupportedChain
 from liepoisson.invariants import semi_invariants
 from liepoisson.lie import Subspace, verify_lie
-from liepoisson.poisson import ideal_from_pairs
+from liepoisson.poisson import epsilon_derivation, ideal_from_pairs
 
 from conftest import abelian, aff2, eng4, family_n, heisenberg
 from test_lie import _workload_algebras
@@ -92,21 +93,17 @@ def test_nilpotent_wrapper():
         decompose_nilpotent(aff2(), None, 4)
 
 
-def _assert_t_eigenvectors(res):
+def _assert_t_eigenvectors(res, t="t"):
+    # t as a generator name or as coordinates on the algebra's variables
     alg = res.algebra
-    t_el = alg.gen("t")
+    ad_t = epsilon_derivation(alg, t)
     for x_el, y_el in res.pairs:
         for el in (x_el, y_el):
-            img = alg.bracket(t_el, el)
             # eigenvector: the image is a rational multiple of the element
-            if img.is_zero():
-                continue
-            ratios = set()
-            for mono, c in img.num.terms.items():
-                base = el.num.terms.get(mono)
-                assert base is not None
-                ratios.add(c / base)
-            assert len(ratios) == 1
+            img = ad_t.apply(alg, el)
+            lead = max(el.num.terms)
+            ratio = Fraction(img.num.terms.get(lead, 0), el.num.terms[lead])
+            assert alg.sub(img, alg.scale(ratio, el)).is_zero(), alg.format(el)
 
 
 def test_semisimple_action_weights():
@@ -208,26 +205,40 @@ def test_random_nilpotent_conjugates(rng):
         assert verify_decomposition(res, 3)["ok"]
 
 
+# Heisenberg in the basis (x, y, x + z): the center is spanned by the
+# non-coordinate vector b3 - b1, so the flag forces a re-presentation
+_NON_ALIGNED_HEISENBERG = verify_lie(
+    "b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}}
+)
+
+
 def test_non_aligned_flag_rebased():
-    # Heisenberg in the basis (x, y, x + z): the center is spanned by the
-    # non-coordinate vector b3 - b1, so the flag forces a re-presentation
-    g = verify_lie(
-        "b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}}
-    )
     from liepoisson.lie import is_nilpotent
 
-    assert is_nilpotent(g)
-    res = decompose(g, None, 5)
-    assert res.n == 1
-    assert "basis_change" in res.trace
-    assert verify_decomposition(res, 3)["ok"]
+    assert is_nilpotent(_NON_ALIGNED_HEISENBERG)
+    # seed 10 of the conjugation of [x,y] = z, [t,x] = x, [t,y] = -y below:
+    # a second flag search on the re-presented basis would find c2 - c3 as
+    # its second generator, which is no coordinate
+    conjugate = verify_lie(
+        "b1 b2 b3 b4",
+        {
+            (0, 1): {2: 1, 3: 1},
+            (0, 2): {0: 1},
+            (0, 3): {0: -1},
+            (1, 2): {0: 2, 1: -1, 2: 1, 3: 1},
+            (1, 3): {0: -2, 1: 1, 2: -1, 3: -1},
+        },
+    )
+    for g, d, k in ((_NON_ALIGNED_HEISENBERG, 5, 3), (conjugate, 4, 2)):
+        res = decompose(g, None, d)
+        assert res.n == 1
+        assert "basis_change" in res.trace
+        assert verify_decomposition(res, k)["ok"]
 
 
 def test_non_aligned_flag_with_ideal_unsupported():
     # the same non-aligned Heisenberg cannot be re-presented with an ideal
-    g = verify_lie(
-        "b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}}
-    )
+    g = _NON_ALIGNED_HEISENBERG
     with pytest.raises(UnsupportedChain):
         decompose(g, ideal_from_pairs(g.basis, [("b3", "b1 + 1")]), 4)
 
@@ -254,6 +265,72 @@ def test_flag_computed_once(monkeypatch):
     res = decompose(eng4(), None, 6)
     assert res.n == 1
     assert len(calls) == 1
+    # a rebase re-presents the algebra on the flag it found, searching none
+    del calls[:]
+    res = decompose(_NON_ALIGNED_HEISENBERG, None, 5)
+    assert res.n == 1 and "basis_change" in res.trace
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# rebased flags: conjugates of [x,y] = z, [t,x] = x, [t,y] = -y
+
+
+def _xyzt():
+    return verify_lie("x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}})
+
+
+def test_random_conjugates_rebase():
+    from conftest import random_basis_change
+
+    for seed in range(20):
+        g = random_basis_change(random.Random(seed), _xyzt())
+        res = decompose(g, None, 3)
+        assert res.n == 1 and verify_decomposition(res, 3)["ok"], seed
+
+
+def test_semisimple_action_on_a_rebased_flag():
+    # seed 3 of the conjugation with s = <t>: the flag generators become
+    # the basis c1..c4, and every pair element is an eigenvector of ad t
+    from conftest import random_basis_change, random_unimodular
+
+    from liepoisson import linalg
+    from liepoisson.lie import jordan_holder
+
+    g = random_basis_change(random.Random(3), _xyzt())
+    to_b = linalg.mat_inverse(random_unimodular(random.Random(3), 4))
+    t_b = [row[3] for row in to_b]
+    res = decompose(g, None, 6, s=Subspace(4, [t_b]))
+    assert res.n == 1 and "basis_change" in res.trace
+    gens = jordan_holder(g).generators
+    _assert_t_eigenvectors(
+        res, linalg.mat_vec(linalg.mat_inverse([list(r) for r in zip(*gens)]), t_b)
+    )
+    assert verify_decomposition(res, 3)["ok"]
+
+
+def test_potential_spanners_are_built_once(monkeypatch):
+    # filiform-5 ([e1, e_j] = e_{j+1}) at d = 6: one pair whose potential
+    # needs pair degree 2; 459 products when each bracket and each pair
+    # degree rebuilt the center x pair-monomial spanners
+    from test_center_memo import _count_calls
+
+    from liepoisson.poisson import PoissonAlgebra
+
+    g = verify_lie("e1 e2 e3 e4 e5", {(0, j): {j + 1: 1} for j in (1, 2, 3)})
+    muls = []
+    original = PoissonAlgebra.mul
+
+    def counted(self, a, b):
+        muls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(PoissonAlgebra, "mul", counted)
+    solves = _count_calls(monkeypatch, "spaces", "solve_in_span")
+    res = decompose(g, None, 6)
+    assert res.n == 1
+    assert len(muls) <= 257
+    assert len(solves) == 5
 
 
 def test_verify_reports_a_repeated_pair_as_not_injective():
