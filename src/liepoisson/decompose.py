@@ -299,14 +299,14 @@ def _assert_commutes(alg, el, pairs, center, d):
 # semisimple-action helpers (only active when s is supplied)
 
 
-def _project_s_weight(cur_l, full_l, ts, el, theta_values):
-    """Spectral projection inside the full localized algebra (the
-    s-generators ``ts``, coordinate vectors on its variables, usually live
-    outside the current flag prefix), pushed back to the level algebra (flag
-    prefixes are ideals, so the action stays inside)."""
+def _project_s_weight(cur_l, full_l, epsilons, el, theta_values):
+    """Spectral projection inside the full localized algebra (the actions
+    ``epsilons`` of the s-generators, built on ``full_l`` by
+    ``epsilon_derivation``, usually reach outside the current flag prefix),
+    pushed back to the level algebra (flag prefixes are ideals, so the
+    action stays inside)."""
     lifted = full_l.element(el)
-    for t_vec, th in zip(ts, theta_values):
-        eps = epsilon_derivation(full_l, t_vec)
+    for eps, th in zip(epsilons, theta_values):
         lifted = _krylov_projection(full_l, lambda x: eps.apply(full_l, x), lifted, th)
     return cur_l.element(
         LocalElement(lifted.num.restrict(cur_l.vars), lifted.den)
@@ -355,6 +355,8 @@ def decompose(
     trace["chain"] = [g.basis[k].name for k in order]
 
     full_l = alg
+    # the s-actions on full_l, rebuilt only when full_l is localized
+    epsilons = [epsilon_derivation(full_l, t) for t in ts]
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_l = None
@@ -373,7 +375,7 @@ def decompose(
             plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_l, d)]
         z_el = cur_l.gen(g.basis[z_idx].name)
         if s is not None:
-            z_el = _project_s_weight(cur_l, full_l, ts, z_el, theta)
+            z_el = _project_s_weight(cur_l, full_l, epsilons, z_el, theta)
             if z_el.is_zero():
                 raise SearchExhausted(d, "(flag generator lost its weight component)")
 
@@ -408,7 +410,7 @@ def decompose(
                 raise SearchExhausted(d, "(no preimage for the central image)")
             u = combination(cur_l, combo, [c for c, _ in nonzero])
             if s is not None:
-                u = _project_s_weight(cur_l, full_l, ts, u, [-t for t in theta])
+                u = _project_s_weight(cur_l, full_l, epsilons, u, [-t for t in theta])
                 if not cur_l.sub(cur_l.bracket(z_el, u), v_cur).is_zero():
                     raise SearchExhausted(d, "(weight projection broke the preimage)")
             step["v"] = str(v_poly)
@@ -424,11 +426,12 @@ def decompose(
                     z_el = cur_l.element(z_el)
                     if s is not None:
                         full_l = localize(full_l, [v_level.extend(alg.vars)])
+                        epsilons = [epsilon_derivation(full_l, t) for t in ts]
                 v_inv = cur_l.invert(cur_l.element(v_level))
                 y_new = cur_l.mul(u, v_inv)
             b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
             if s is not None:
-                b_el = _project_s_weight(cur_l, full_l, ts, b_el, theta)
+                b_el = _project_s_weight(cur_l, full_l, epsilons, b_el, theta)
             x_new = cur_l.sub(z_el, b_el)
             if not cur_l.sub(cur_l.bracket(x_new, y_new), cur_l.one()).is_zero():
                 raise SearchExhausted(d, "(canonical pair relation failed)")
@@ -480,9 +483,10 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
         "pair_relations": pair_relation_failure(alg, res.pairs) is None,
         "centrality": True,
     }
+    gens = [alg.gen(v.name) for v in alg.vars]
     for c in res.center_basis:
-        for v in alg.vars:
-            if not alg.bracket(alg.gen(v.name), c).is_zero():
+        for gen in gens:
+            if not alg.bracket(gen, c).is_zero():
                 report["centrality"] = False
         for xi, yi in res.pairs:
             if not alg.bracket(c, xi).is_zero() or not alg.bracket(c, yi).is_zero():

@@ -21,14 +21,23 @@ The bracket is the unique Leibniz extension of the table,
 where row i of the Hamiltonian rows holds the nonzero T_ik = {x_i, x_k}
 (built once, when the table is complete), the partials are quotient-rule
 partials, and each d_k b is taken once per bracket and only where T_ik != 0
-and b can depend on x_k.  When a is a generator x_j the sum is row j alone.
-When b and the row are free of denominators, {x_i, b} is one sum of
-products T_ik d_k b collected into a single polynomial: it is in normal form
-by construction, because neither T_ik nor b contains an eliminated
-variable, a partial introduces none, and there is no denominator to cancel.
-A derivation is the same row sum over the row of its images,
+and b can depend on x_k.  When a is a generator x_j the sum is row j alone;
+when b is a generator x_j and a is not, antisymmetry gives {a, x_j} =
+-{x_j, a}, row j applied to a, with no partial of a taken one variable at a
+time.  A derivation is the same row sum over the row of its images,
 D(b) = sum_k D(x_k) d_k b, so ``Derivation.apply`` and the bracket share it.
-The bracket agrees with the classical localization formula
+
+When the row is free of denominators, D is applied to polynomials only:
+D(p) = sum_k T_ik d_k p is one sum of products collected into a single
+polynomial.  For b = n / prod s_i^k_i the quotient rule gives
+
+    D(b) = D(n) / prod s^k  -  sum_i k_i n D(s_i) / (prod s^k * s_i),
+
+over one common denominator that gains one power of s_i only for each s_i
+with k_i > 0 that D moves (D(s_i) != 0), and then one cancel.  When b has
+no denominator, D(n) is already in normal form: neither T_ik nor n contains
+an eliminated variable, a partial introduces none, and there is nothing to
+cancel.  The bracket agrees with the classical localization formula
 
     {p s^-1, q t^-1} = {p,q} s^-1 t^-1 - {p,t} q s^-1 t^-2
                        - {q,s} p s^-2 t^-1 + {s,t} p q s^-2 t^-2,
@@ -381,15 +390,19 @@ class PoissonAlgebra:
         return used
 
     def bracket(self, p: Poly | LocalElement | str, q: Poly | LocalElement | str) -> LocalElement:
-        """{a, b} = sum_i d_i a {x_i, b} (see the module docstring); a Poly
-        or string argument is coerced through ``element``."""
+        """{a, b} = sum_i d_i a {x_i, b}, one row when a or b is a generator
+        (see the module docstring); a Poly or string argument is coerced
+        through ``element``."""
         a = self.element(p) if not isinstance(p, LocalElement) else p
         b = self.element(q) if not isinstance(q, LocalElement) else q
-        support = self._support(b)
-        parts: dict[int, LocalElement] = {}
         j = _generator_index(a)
         if j is not None:
-            return self._apply_row(self.rows[j], b, support, parts)
+            return self._apply_row(self.rows[j], b, self._support(b), {})
+        j = _generator_index(b)
+        if j is not None:
+            return self.scale(-1, self._apply_row(self.rows[j], a, self._support(a), {}))
+        support = self._support(b)
+        parts: dict = {}
         out = self.zero()
         for i in sorted(self._support(a)):
             da = self.partial(a, self.vars[i])
@@ -405,18 +418,28 @@ class PoissonAlgebra:
     ) -> LocalElement:
         """sum_k t_k d_k b over a derivation row ((k, t_k), ...): {x_i, b}
         for row i of ``rows``, D(b) for the row of D's images.  ``support``
-        is ``_support(b)``; ``parts`` caches the partials d_k b."""
+        is ``_support(b)``.  ``parts`` caches, for one b, the quotient-rule
+        partial d_k b under k and the polynomial partial d_k of b.num
+        (i = -1) or of inverted[i] under (i, k).  A denominator-free row
+        takes the one-cancel quotient rule of the module docstring."""
         entries, den_free = row
-        if den_free and not any(b.den):
-            acc: dict[Mono, Coef] = {}
-            for k, t in entries:
-                if k not in support:
+        if den_free:
+            out = self._row_sum(entries, b.num, -1, support, parts)
+            if not any(b.den):
+                return LocalElement(out, b.den)
+            den = list(b.den)
+            moved = None  # the product of the s_i that D moves
+            for i, (s, k) in enumerate(zip(self.inverted, b.den)):
+                if not k:
                     continue
-                for m2, c2 in self._partial_of(b, k, parts).num.terms.items():
-                    for m1, c1 in t.num.terms.items():
-                        m = tuple(map(add, m1, m2))
-                        acc[m] = acc.get(m, 0) + c1 * c2
-            return LocalElement(Poly(self.vars, acc), b.den)
+                ds = self._row_sum(entries, s, i, s.variable_indices(), parts)
+                if ds.is_zero():
+                    continue
+                term = (b.num * ds).scale(-k)
+                out = out * s + (term if moved is None else term * moved)
+                moved = s if moved is None else moved * s
+                den[i] += 1
+            return self._cancel(out, tuple(den))
         out = self.zero()
         for k, t in entries:
             if k in support:
@@ -425,12 +448,32 @@ class PoissonAlgebra:
                     out = self.add(out, self.mul(t, d))
         return out
 
-    def _partial_of(self, b: LocalElement, k: int, parts: dict[int, LocalElement]) -> LocalElement:
+    def _partial_of(self, b: LocalElement, k: int, parts: dict) -> LocalElement:
         d = parts.get(k)
         if d is None:
-            v = self.vars[k]
-            d = self.partial(b, v) if any(b.den) else LocalElement(b.num.partial(v), b.den)
-            parts[k] = d
+            d = parts[k] = (
+                self.partial(b, self.vars[k])
+                if any(b.den)
+                else LocalElement(self._poly_partial(b.num, -1, k, parts), b.den)
+            )
+        return d
+
+    def _row_sum(self, entries, p: Poly, i: int, support, parts: dict) -> Poly:
+        """sum_k t_k d_k p over a denominator-free row, one polynomial."""
+        acc: dict[Mono, Coef] = {}
+        for k, t in entries:
+            if k not in support:
+                continue
+            for m2, c2 in self._poly_partial(p, i, k, parts).terms.items():
+                for m1, c1 in t.num.terms.items():
+                    m = tuple(map(add, m1, m2))
+                    acc[m] = acc.get(m, 0) + c1 * c2
+        return Poly(self.vars, acc)
+
+    def _poly_partial(self, p: Poly, i: int, k: int, parts: dict) -> Poly:
+        d = parts.get((i, k))
+        if d is None:
+            d = parts[(i, k)] = p.partial(self.vars[k])
         return d
 
     def jacobi_check(self):

@@ -16,13 +16,28 @@ difference, but integer sums and products skip ``Fraction`` arithmetic.
 
 Negative exponents are allowed only at invertible positions.  ``__init__``
 checks this once, for every polynomial built from outside this module.  The
-results of ``+``, ``-``, negation, ``*``, ``scale``, ``partial``, ``extend``
-and ``divide_exact`` satisfy it by construction and are built with
-``_checked=True``, which skips that check (never the coefficient
-normalization); no other caller passes it.  The canonical term order is
-graded lexicographic on the exponent tuple; printing lists terms in
-descending order, which makes string output (and everything derived from
-it, e.g. CLI reports) deterministic.
+results of ``+``, ``-``, ``*``, ``scale``, ``partial`` and ``divide_exact``
+satisfy it by construction and are built with ``_checked=True``, which skips
+that check (never the coefficient normalization).  A few results satisfy the
+whole invariant by construction and are built with ``_clean=True``, which
+stores the terms as given, without re-normalization:
+
+  * negation: -c of a nonzero int or proper Fraction is one too;
+  * ``extend``: the coefficients are kept and every exponent stays at its
+    variable, placed in a larger context with the same invertibility;
+  * the product by a single term with coefficient 1 (``e4^k``, a pair
+    monomial ``e1^a e3^b``), an exponent shift: the coefficients are kept,
+    the shift is injective, so no terms merge, and a sum of exponents is
+    negative only where one of them is, at an invertible variable;
+  * ``divide_exact`` by a single term with coefficient 1, the inverse
+    shift, kept only when every shifted exponent is nonnegative.
+
+No caller outside this module passes either flag, and every ``Poly`` is
+still built by ``__init__``.  By the exponent rule, ``divide_exact`` looks
+for negative exponents only in a context with an invertible variable.
+The canonical term order is graded lexicographic on the exponent tuple;
+printing lists terms in descending order, which makes string output (and
+everything derived from it, e.g. CLI reports) deterministic.
 """
 
 from __future__ import annotations
@@ -94,11 +109,23 @@ class Poly:
     exponent sits only at an invertible variable.  Every ``Poly`` is built
     by ``__init__``; ``_checked=True`` (passed only inside this module, for
     results that keep the exponent rule by construction) skips the
-    exponent check."""
+    exponent check; ``_clean=True`` (for a fresh dict that keeps the whole
+    invariant by construction) stores the terms as given."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: Mapping[Mono, Coef], *, _checked: bool = False):
+    def __init__(
+        self,
+        ctx: Context,
+        terms: Mapping[Mono, Coef],
+        *,
+        _checked: bool = False,
+        _clean: bool = False,
+    ):
+        if _clean:
+            object.__setattr__(self, "ctx", ctx)
+            object.__setattr__(self, "terms", terms)
+            return
         clean: dict[Mono, Coef] = {}
         for mono, c in terms.items():
             if type(c) is not int:
@@ -203,10 +230,16 @@ class Poly:
         return Poly(self.ctx, out, _checked=True)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, _checked=True)
+        return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
+        for p, q in ((self, other), (other, self)):
+            if len(q.terms) == 1:
+                ((shift, unit),) = q.terms.items()
+                if unit == 1:
+                    terms = {tuple(map(add, m, shift)): c for m, c in p.terms.items()}
+                    return Poly(self.ctx, terms, _clean=True)
         out: dict[Mono, Coef] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -338,7 +371,7 @@ class Poly:
             for e, j in zip(m, mapping):
                 m2[j] = e
             out[tuple(m2)] = c
-        return Poly(new_ctx, out, _checked=True)
+        return Poly(new_ctx, out, _clean=True)
 
     def restrict(self, new_ctx: Context) -> "Poly":
         """Re-express in a smaller context; fails if a dropped variable occurs
@@ -360,20 +393,24 @@ class Poly:
 
     def divide_exact(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor, or None when division leaves a
-        remainder.  Both operands must be denominator-free (no negative
-        exponents); used to cancel localization denominators.
+        remainder.  Both operands must be denominator-free: a negative
+        exponent, possible only in a context with an invertible variable
+        and looked for only there, gives None.  Used to cancel localization
+        denominators.
 
         A single-term divisor c*x^m divides in one pass: the quotient exists
         iff every exponent vector is >= m componentwise, and is then the
-        shifted terms over c.  A divisor with several terms goes through
-        long division in graded-lex order."""
+        shifted terms over c (the shifted terms as they are when c is 1).
+        A divisor with several terms goes through long division in
+        graded-lex order."""
         self._check_ctx(divisor)
         if divisor.is_zero():
             return None
         if self.is_zero():
             return self
-        if any(e < 0 for m in self.terms for e in m) or any(
-            e < 0 for m in divisor.terms for e in m
+        if any(v.invertible for v in self.ctx) and (
+            any(e < 0 for m in self.terms for e in m)
+            or any(e < 0 for m in divisor.terms for e in m)
         ):
             return None
         quotient: dict[Mono, Coef] = {}
@@ -383,7 +420,10 @@ class Poly:
                 diff = tuple(map(sub, m, lead_d))
                 if any(e < 0 for e in diff):
                     return None
-                quotient[diff] = _div(c, cd)
+                quotient[diff] = c
+            if cd == 1:
+                return Poly(self.ctx, quotient, _clean=True)
+            quotient = {m: _div(c, cd) for m, c in quotient.items()}
             return Poly(self.ctx, quotient, _checked=True)
         lead_d = max(divisor.terms, key=_order_key)
         cd = divisor.terms[lead_d]

@@ -46,11 +46,6 @@ def _family_mod_z():
     return quotient(A, ideal_from_pairs(A.vars, [("z", "3/2")]))
 
 
-def _eng4_at_e4():
-    A = canonical_from_lie(eng4())
-    return localize(A, [Poly.var(A.vars, "e4")])
-
-
 def _chi_target():
     # {p, q} = 1/s with s inverted: a table entry with a denominator
     ctx = make_vars("a p q s")
@@ -74,10 +69,19 @@ def _laurent_localized():
     return localize(A, [parse_poly("X*Y + X", ctx)])
 
 
+def _eng4_at(*denominators):
+    A = canonical_from_lie(eng4())
+    return localize(A, [parse_poly(s, A.vars) for s in denominators])
+
+
 ALGEBRAS = {
     "heisenberg": canonical_from_lie(heisenberg()),
     "family_n(2) mod z=3/2": _family_mod_z(),
-    "eng4 at e4": _eng4_at_e4(),
+    "eng4 at e4": _eng4_at("e4"),
+    # {e1, e2 + e3} = e3 + e4: the Hamiltonian row of e1 moves e2 + e3 but
+    # not the central e4, and moves both e3 and e2 + e3
+    "eng4 at e4 and e2 + e3": _eng4_at("e4", "e2 + e3"),
+    "eng4 at e3 and e2 + e3": _eng4_at("e3", "e2 + e3"),
     "chi target of a p q s": _chi_target(),
     "skew extension": _skew_extended(),
     "Laurent X at X*Y + X": _laurent_localized(),
@@ -145,6 +149,8 @@ DERIVATION_ALGEBRAS = {
     "heisenberg mod z=1": _heisenberg_z1(),
     "Laurent X at X*Y + X": ALGEBRAS["Laurent X at X*Y + X"],
     "eng4 at e4": ALGEBRAS["eng4 at e4"],
+    "eng4 at e4 and e2 + e3": ALGEBRAS["eng4 at e4 and e2 + e3"],
+    "eng4 at e3 and e2 + e3": ALGEBRAS["eng4 at e3 and e2 + e3"],
 }
 
 

@@ -53,6 +53,21 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_method_calls(monkeypatch, module, cls, name):
+    """Wrap the method ``cls.name`` of ``liepoisson.<module>``; returns the
+    list the wrapper appends to once per call."""
+    calls = []
+    owner = getattr(sys.modules[f"liepoisson.{module}"], cls)
+    original = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _count_brackets(monkeypatch):
     calls = []
     original = PoissonAlgebra.bracket
@@ -214,3 +229,33 @@ def test_no_memo_outlives_a_decompose_call(monkeypatch):
     first = len(brackets)
     decompose(g, ideal, 6)
     assert len(brackets) == 2 * first
+
+
+def test_localized_certificate_makes_no_redundant_division(monkeypatch):
+    # the localized-certify benchmark input at seed 11: [e1,e2] = e3/2,
+    # [e1,e3] = e4, e4 inverted.  2,575 divide_exact and 251 quotient-rule
+    # partials when localized arithmetic applied the quotient rule one
+    # variable at a time and cancelled after every partial, product and sum
+    g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
+    brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
+    divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
+    partials = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "partial")
+    res = decompose(g, None, 6)
+    rep = verify_decomposition(res, 3)
+    assert rep["ok"] and res.algebra.inverted
+    assert len(brackets) == 1545
+    assert len(divisions) <= 2300
+    assert len(partials) <= 120
+
+
+def test_semisimple_actions_are_built_once_per_full_algebra(monkeypatch):
+    # [x,y] = z, [t,x] = x, [t,y] = -y with s = <t>: z is inverted once, so
+    # the action of t is built on two full algebras (6 builds when every
+    # weight projection rebuilt it)
+    from liepoisson.lie import Subspace
+
+    g = verify_lie("x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}})
+    builds = _count_calls(monkeypatch, "poisson", "epsilon_derivation")
+    res = decompose(g, None, 6, s=Subspace(4, [(0, 0, 0, 1)]))
+    assert res.n == 1 and str(res.e) == "z"
+    assert len(builds) == 2

@@ -434,3 +434,75 @@ def test_poly_core_matches_sympy():
     # every case occurred: single-term and several-term divisors, exact
     # quotients and divisions with a remainder
     assert all(outcomes.values()), outcomes
+
+
+# ---------------------------------------------------------------------------
+# a single term with coefficient 1 multiplies and divides as an exponent shift
+
+
+def _term_by_term_product(p, mono, c):
+    """Reference: p * c x^mono, one Fraction product per term."""
+    out = {}
+    for m, v in p.terms.items():
+        key = tuple(a + b for a, b in zip(m, mono))
+        out[key] = out.get(key, 0) + Fraction(v) * Fraction(c)
+    return Poly(p.ctx, out)
+
+
+def _term_by_term_quotient(p, mono, c):
+    """Reference: p / (c x^mono) over nonnegative exponents, or None."""
+    if any(e < 0 for m in p.terms for e in m):
+        return None
+    out = {}
+    for m, v in p.terms.items():
+        key = tuple(a - b for a, b in zip(m, mono))
+        if any(e < 0 for e in key):
+            return None
+        out[key] = Fraction(v) / Fraction(c)
+    return Poly(p.ctx, out)
+
+
+laurent_monos = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+)
+plain_monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in LCTX))
+# 1 takes the shift; -1, 2 and 1/2 must take the general path
+term_coefficients = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+
+
+@given(laurent_polys(), plain_polys(), laurent_monos, plain_monos, term_coefficients)
+@settings(max_examples=120, deadline=None)
+def test_single_term_product_and_division_match_term_by_term(p, a, lmono, pmono, c):
+    # a coefficient 2 or 1/2 in p meets 1/2 or 2 in the term and becomes an int
+    p = p + Poly.monomial(LCTX, (1, 1, 0), Fraction(1, 2)) + Poly.monomial(LCTX, (0, 2, 1), 2)
+    term = Poly.monomial(LCTX, lmono, c)
+    want = _term_by_term_product(p, lmono, c)
+    for got in (p * term, term * p):
+        assert got == want
+        _assert_int_or_proper_fraction(got)
+    if c == 1:
+        # the shift keeps every coefficient object as it is
+        shifted = p * term
+        for m, v in p.terms.items():
+            assert shifted.terms[tuple(x + y for x, y in zip(m, lmono))] is v
+    divisor = Poly.monomial(LCTX, pmono, c)
+    for num in (a, a * divisor, p, p * divisor):
+        got = num.divide_exact(divisor)
+        assert got == _term_by_term_quotient(num, pmono, c)
+        if got is not None:
+            _assert_int_or_proper_fraction(got)
+    assert (a * divisor).divide_exact(divisor) == a
+    # a negative exponent on either side is no exact division (0 divides)
+    inverse = Poly.monomial(LCTX, (0, 0, -1 - pmono[2]), c)
+    assert a.divide_exact(inverse) is (a if a.is_zero() else None)
+    if any(m[2] < 0 for m in p.terms):
+        assert p.divide_exact(divisor) is None
+    # a context without an invertible variable skips the negative-exponent
+    # scan and divides the same way
+    plain = a.restrict(make_vars("x y")) if 2 not in a.variable_indices() else None
+    if plain is not None:
+        d2 = Poly.monomial(CTX, pmono[:2], c)
+        assert (plain * d2).divide_exact(d2) == plain
+        assert plain.divide_exact(d2) == _term_by_term_quotient(plain, pmono[:2], c)

@@ -3,6 +3,7 @@ slice basis is in normal form as built."""
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +14,14 @@ from liepoisson.polys import Poly, parse_poly
 from liepoisson.spaces import (
     Span,
     basis_monomials,
+    combination,
     independent_subset,
     monomials_up_to,
     slice_basis,
 )
 
-from conftest import heisenberg
+from conftest import heisenberg, random_poly
+from test_bracket import ALGEBRAS
 
 
 def _heisenberg_at_z():
@@ -97,3 +100,48 @@ def test_slice_basis_is_the_normal_form_of_each_monomial():
             for a, b in zip(got, want):
                 assert a.num.ctx == b.num.ctx
                 assert a.num.terms == b.num.terms and a.den == b.den
+
+
+# ---------------------------------------------------------------------------
+# combination: one sum and one cancel over a shared denominator
+
+
+def sequential_combination(alg, coeffs, elements):
+    """Reference: one ``alg.add`` per nonzero coefficient, in order."""
+    acc = alg.zero()
+    for a, el in zip(coeffs, elements):
+        if a:
+            acc = alg.add(acc, alg.scale(a, el))
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_combination_matches_the_sequential_sum(rng, name):
+    alg = ALGEBRAS[name]
+    nden = len(alg.inverted)
+    shared = cancelled = 0
+    for _ in range(30):
+        den = tuple(rng.randint(0, 2) for _ in range(nden))
+        elements = [
+            alg.element(LocalElement(random_poly(rng, alg.vars, 3, laurent=True), den))
+            for _ in range(rng.randint(1, 4))
+        ]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in elements]
+        if nden and rng.random() < 0.5:
+            # an element whose sum with the first leaves a multiple of s_0
+            first = elements[0]
+            r = random_poly(rng, alg.vars, 2)
+            rest = alg.inverted[0] ** first.den[0] * r - first.num
+            elements.append(alg.element(LocalElement(rest, first.den)))
+            coeffs[0] = Fraction(1)
+            coeffs.append(Fraction(1))
+        got = combination(alg, coeffs, elements)
+        want = sequential_combination(alg, coeffs, elements)
+        assert got.num.ctx == want.num.ctx
+        assert got.num.terms == want.num.terms and got.den == want.den
+        dens = {el.den for a, el in zip(coeffs, elements) if a}
+        if len(dens) == 1:
+            shared += 1
+            cancelled += got.den != next(iter(dens))
+    assert shared > 0
+    assert cancelled > 0 if nden else cancelled == 0
