@@ -32,7 +32,7 @@ from .poisson import (
     quotient,
 )
 from .polys import Poly, VarSpec, make_vars
-from .spaces import monomials_up_to
+from .spaces import combination, monomials_up_to
 
 Vec = tuple[Fraction, ...]
 
@@ -131,7 +131,7 @@ class UniversalHom:
     def apply(self, p: Poly) -> LocalElement:
         """Monomial-by-monomial image of an element of the source algebra."""
         tgt = self.target
-        out = tgt.zero()
+        terms = []
         for mono, c in sorted(p.terms.items()):
             term = tgt.element(Poly.const(tgt.vars, c))
             for e, name in zip(mono, self.spec.v_names + self.spec.g_names):
@@ -139,8 +139,8 @@ class UniversalHom:
                     continue
                 base = self.chi.get(name) or self.psi.get(name)
                 term = tgt.mul(term, tgt.power(base, e))
-            out = tgt.add(out, term)
-        return out
+            terms.append(term)
+        return combination(tgt, [1] * len(terms), terms)
 
 
 def universal_hom(

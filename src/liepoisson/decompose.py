@@ -220,12 +220,13 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
         b = integrate_potential(pres, ps, qs)
     except NotClosed:
         raise SearchExhausted(d, "(pair splitting failed)") from None
-    acc = cur_l.zero()
+    coeffs, terms = [], []
     for mono, c in sorted(b.terms.items()):
         expo = [e for xy in zip(mono[:n], mono[n : 2 * n]) for e in xy]
-        start = cur_l.scale(c, center[mono.index(1, 2 * n) - 2 * n])
-        acc = cur_l.add(acc, cur_l.monomial(flat, expo, start=start))
-    return acc
+        start = center[mono.index(1, 2 * n) - 2 * n]
+        coeffs.append(c)
+        terms.append(cur_l.monomial(flat, expo, start=start))
+    return combination(cur_l, coeffs, terms)
 
 
 def _central_choice(alg, candidates, d):

@@ -14,30 +14,32 @@ must come from that algebra.  Cancelling works in the Laurent ring of the
 context: a numerator with negative exponents, or an inverted element with a
 Laurent-unit factor, still loses every power the ring can divide out.
 
+Every sum of elements is one sum (``_sum``): each numerator is written over
+the largest power of each inverted element among the terms, the numerators
+are added into one polynomial, and that polynomial is cancelled once.
+``add``, ``combination``, the quotient rule and the bracket all take it.
+
 The bracket is the unique Leibniz extension of the table,
 
-    {a, b} = sum_i d_i a {x_i, b},    {x_i, b} = sum_k T_ik d_k b,
+    {a, b} = sum_k {a, x_k} d_k b,    {x_i, b} = sum_k T_ik d_k b.
 
-where row i of the Hamiltonian rows holds the nonzero T_ik = {x_i, x_k}
-(built once, when the table is complete), the partials are quotient-rule
-partials, and each d_k b is taken once per bracket and only where T_ik != 0
-and b can depend on x_k.  When a is a generator x_j the sum is row j alone;
-when b is a generator x_j and a is not, antisymmetry gives {a, x_j} =
--{x_j, a}, row j applied to a, with no partial of a taken one variable at a
-time.  A derivation is the same row sum over the row of its images,
-D(b) = sum_k D(x_k) d_k b, so ``Derivation.apply`` and the bracket share it.
+A derivation D is given by a row: its nonzero images D(x_k) = N_k / prod s^E
+as numerators over one common denominator E.  Row i of the Hamiltonian rows
+holds T_ik = {x_i, x_k} (built once, when the table is complete); the row of
+d/dv is the single image 1.  With D' = sum_k N_k d_k, applied to
+polynomials only, the quotient rule on b = n / prod s^k is
 
-When the row is free of denominators, D is applied to polynomials only:
-D(p) = sum_k T_ik d_k p is one sum of products collected into a single
-polynomial.  For b = n / prod s_i^k_i the quotient rule gives
+    D(b) = [D'(n) / prod s^k  -  sum_i k_i n D'(s_i) / (prod s^k * s_i)] / prod s^E,
 
-    D(b) = D(n) / prod s^k  -  sum_i k_i n D(s_i) / (prod s^k * s_i),
+one sum, in which s_i occurs only when k_i > 0 and D'(s_i) != 0, and each
+partial d_k is taken once per row and only where N_k != 0 and b can depend
+on x_k.  When a is a generator x_j, {a, b} is row j applied to b; when b is
+x_j, it is -(row j applied to a).  Otherwise {a, x_k} = -(row k applied to
+a) for each k that b can depend on, and {a, b} is that row applied to b.
+``Derivation.apply`` is the row of its images applied to b.
 
-over one common denominator that gains one power of s_i only for each s_i
-with k_i > 0 that D moves (D(s_i) != 0), and then one cancel.  When b has
-no denominator, D(n) is already in normal form: neither T_ik nor n contains
-an eliminated variable, a partial introduces none, and there is nothing to
-cancel.  The bracket agrees with the classical localization formula
+The cancelled form is canonical when no two inverted elements share a
+factor.  The bracket agrees with the classical localization formula
 
     {p s^-1, q t^-1} = {p,q} s^-1 t^-1 - {p,t} q s^-1 t^-2
                        - {q,s} p s^-2 t^-1 + {s,t} p q s^-2 t^-2,
@@ -166,14 +168,9 @@ def format_local(el: LocalElement, algebra: "PoissonAlgebra | None") -> str:
     return f"{num}/{den}"
 
 
-# a derivation row: the nonzero (k, D(x_k)), k ascending, and True iff none
-# of them has a denominator
-Row = tuple[tuple[tuple[int, LocalElement], ...], bool]
-
-
-def _row(entries: Iterable[tuple[int, LocalElement]]) -> Row:
-    kept = tuple((k, t) for k, t in entries if not t.is_zero())
-    return kept, not any(any(t.den) for _, t in kept)
+# a derivation row: the nonzero images D(x_k) = N_k / prod s^E as
+# ((k, N_k), ...), k ascending, and E (see ``PoissonAlgebra._row``)
+Row = tuple[tuple[tuple[int, Poly], ...], tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +244,8 @@ class PoissonAlgebra:
 
     def _cancel(self, num: Poly, den: tuple[int, ...]) -> LocalElement:
         """Cancel exact powers of the inverted denominators from num."""
+        if not any(den):
+            return LocalElement(num, den)
         if num.is_zero():
             return LocalElement(num, (0,) * len(self.inverted))
         den = list(den)
@@ -287,16 +286,36 @@ class PoissonAlgebra:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _sum(self, terms: Sequence[tuple[Coef, Poly, tuple[int, ...]]]) -> LocalElement:
+        """sum c * num / prod s^den over the (c, num, den) terms, c != 0:
+        each numerator over the largest power of each s among them, added
+        into one polynomial, cancelled once."""
+        if not terms:
+            return self.zero()
+        if len(terms) == 1:
+            ((c, num, den),) = terms
+            return self._cancel(num if c == 1 else num.scale(c), den)
+        den = self._common_den(d for _, _, d in terms)
+        acc: dict[Mono, Coef] = {}
+        for c, num, d in terms:
+            for m, v in self._lift(num, d, den).terms.items():
+                acc[m] = acc.get(m, 0) + (v if c == 1 else c * v)
+        return self._cancel(Poly(self.vars, acc), den)
+
+    def _common_den(self, dens: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+        return tuple(map(max, zip(*dens, (0,) * len(self.inverted))))
+
+    def _lift(self, num: Poly, den: tuple[int, ...], to: tuple[int, ...]) -> Poly:
+        """num / prod s^den rewritten over prod s^to (to >= den): its numerator."""
+        if den == to or num.is_zero():
+            return num
+        for s, k, e in zip(self.inverted, den, to):
+            if e > k:
+                num = num * (s if e - k == 1 else s ** (e - k))
+        return num
+
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:
-        den = tuple(max(x, y) for x, y in zip(a.den, b.den))
-        na = a.num
-        nb = b.num
-        for i, s in enumerate(self.inverted):
-            if den[i] - a.den[i]:
-                na = na * s ** (den[i] - a.den[i])
-            if den[i] - b.den[i]:
-                nb = nb * s ** (den[i] - b.den[i])
-        return self._cancel(na + nb, den)
+        return self._sum(((1, a.num, a.den), (1, b.num, b.den)))
 
     def sub(self, a: LocalElement, b: LocalElement) -> LocalElement:
         return self.add(a, self.scale(-1, b))
@@ -354,19 +373,10 @@ class PoissonAlgebra:
         return out
 
     def partial(self, a: LocalElement, v: VarSpec) -> LocalElement:
-        """Quotient-rule partial derivative d/dv."""
-        out = self._cancel(a.num.partial(v), a.den)
-        for i, s in enumerate(self.inverted):
-            k = a.den[i]
-            if k == 0:
-                continue
-            ds = s.partial(v)
-            if ds.is_zero():
-                continue
-            den = list(a.den)
-            den[i] += 1
-            out = self.add(out, self._cancel(a.num.scale(-k) * ds, tuple(den)))
-        return out
+        """Quotient-rule partial derivative d/dv: the row of the single
+        image 1 at v."""
+        row = (((self.vars.index(v), Poly.const(self.vars, 1)),), (0,) * len(self.inverted))
+        return self._apply_row(row, a, self._support(a), {})
 
     # -- the bracket ------------------------------------------------------------
 
@@ -390,9 +400,8 @@ class PoissonAlgebra:
         return used
 
     def bracket(self, p: Poly | LocalElement | str, q: Poly | LocalElement | str) -> LocalElement:
-        """{a, b} = sum_i d_i a {x_i, b}, one row when a or b is a generator
-        (see the module docstring); a Poly or string argument is coerced
-        through ``element``."""
+        """{a, b} by rows (see the module docstring); a Poly or string
+        argument is coerced through ``element``."""
         a = self.element(p) if not isinstance(p, LocalElement) else p
         b = self.element(q) if not isinstance(q, LocalElement) else q
         j = _generator_index(a)
@@ -401,71 +410,49 @@ class PoissonAlgebra:
         j = _generator_index(b)
         if j is not None:
             return self.scale(-1, self._apply_row(self.rows[j], a, self._support(a), {}))
-        support = self._support(b)
+        support, a_support = self._support(b), self._support(a)
+        if not support or not a_support:
+            return self.zero()
         parts: dict = {}
-        out = self.zero()
-        for i in sorted(self._support(a)):
-            da = self.partial(a, self.vars[i])
-            if da.is_zero():
-                continue
-            h = self._apply_row(self.rows[i], b, support, parts)
-            if not h.is_zero():
-                out = self.add(out, self.mul(da, h))
-        return out
+        row = self._row(
+            (k, self._apply_row(self.rows[k], a, a_support, parts)) for k in sorted(support)
+        )
+        return self.scale(-1, self._apply_row(row, b, support, {}))
+
+    def _row(self, images: Iterable[tuple[int, LocalElement]]) -> Row:
+        """The row of the derivation with the given images (k, D(x_k))."""
+        kept = [(k, t) for k, t in images if not t.is_zero()]
+        den = self._common_den(t.den for _, t in kept)
+        return tuple((k, self._lift(t.num, t.den, den)) for k, t in kept), den
 
     def _apply_row(
-        self, row: Row, b: LocalElement, support: set[int], parts: dict[int, LocalElement]
+        self, row: Row, b: LocalElement, support: set[int], parts: dict[tuple[int, int], Poly]
     ) -> LocalElement:
-        """sum_k t_k d_k b over a derivation row ((k, t_k), ...): {x_i, b}
-        for row i of ``rows``, D(b) for the row of D's images.  ``support``
-        is ``_support(b)``.  ``parts`` caches, for one b, the quotient-rule
-        partial d_k b under k and the polynomial partial d_k of b.num
-        (i = -1) or of inverted[i] under (i, k).  A denominator-free row
-        takes the one-cancel quotient rule of the module docstring."""
-        entries, den_free = row
-        if den_free:
-            out = self._row_sum(entries, b.num, -1, support, parts)
-            if not any(b.den):
-                return LocalElement(out, b.den)
-            den = list(b.den)
-            moved = None  # the product of the s_i that D moves
-            for i, (s, k) in enumerate(zip(self.inverted, b.den)):
-                if not k:
-                    continue
+        """D(b) for the derivation D of ``row``, by the quotient rule of the
+        module docstring.  ``support`` is ``_support(b)``.  ``parts`` caches,
+        for one b, the partial d_k of b.num (i = -1) or of inverted[i]
+        under (i, k)."""
+        entries, E = row
+        out = self._row_sum(entries, b.num, -1, support, parts)
+        if not any(b.den):  # b = n: D(b) = D'(n) / prod s^E
+            return self._cancel(out, E)
+        den = tuple(map(add, b.den, E))
+        terms = [(1, out, den)]
+        for i, (s, k) in enumerate(zip(self.inverted, b.den)):
+            if k:
                 ds = self._row_sum(entries, s, i, s.variable_indices(), parts)
-                if ds.is_zero():
-                    continue
-                term = (b.num * ds).scale(-k)
-                out = out * s + (term if moved is None else term * moved)
-                moved = s if moved is None else moved * s
-                den[i] += 1
-            return self._cancel(out, tuple(den))
-        out = self.zero()
-        for k, t in entries:
-            if k in support:
-                d = self._partial_of(b, k, parts)
-                if not d.is_zero():
-                    out = self.add(out, self.mul(t, d))
-        return out
-
-    def _partial_of(self, b: LocalElement, k: int, parts: dict) -> LocalElement:
-        d = parts.get(k)
-        if d is None:
-            d = parts[k] = (
-                self.partial(b, self.vars[k])
-                if any(b.den)
-                else LocalElement(self._poly_partial(b.num, -1, k, parts), b.den)
-            )
-        return d
+                if not ds.is_zero():
+                    terms.append((-k, b.num * ds, den[:i] + (den[i] + 1,) + den[i + 1 :]))
+        return self._sum(terms)
 
     def _row_sum(self, entries, p: Poly, i: int, support, parts: dict) -> Poly:
-        """sum_k t_k d_k p over a denominator-free row, one polynomial."""
+        """D'(p) = sum_k N_k d_k p over the row's numerators, one polynomial."""
         acc: dict[Mono, Coef] = {}
         for k, t in entries:
             if k not in support:
                 continue
             for m2, c2 in self._poly_partial(p, i, k, parts).terms.items():
-                for m1, c1 in t.num.terms.items():
+                for m1, c1 in t.terms.items():
                     m = tuple(map(add, m1, m2))
                     acc[m] = acc.get(m, 0) + c1 * c2
         return Poly(self.vars, acc)
@@ -544,7 +531,7 @@ def poisson_algebra(
             table[(i, j)] = el
     n = len(vars)
     rows = tuple(
-        _row((k, alg.table_entry(i, k)) for k in range(n) if (min(i, k), max(i, k)) in table)
+        alg._row((k, alg.table_entry(i, k)) for k in range(n) if (min(i, k), max(i, k)) in table)
         for i in range(n)
     )
     object.__setattr__(alg, "rows", rows)
@@ -689,7 +676,7 @@ class Derivation:
     def apply(self, alg: PoissonAlgebra, p: Poly | LocalElement | str) -> LocalElement:
         """sum_k D(x_k) d_k p, the bracket's row sum over the images."""
         el = alg.element(p) if not isinstance(p, LocalElement) else p
-        row = _row(
+        row = alg._row(
             (k, self.image_of(alg, v.name))
             for k, v in enumerate(alg.vars)
             if v.name in self.images

@@ -178,27 +178,9 @@ def independent_subset(
 def combination(
     alg: PoissonAlgebra, coeffs: Sequence[Fraction], elements: Sequence[LocalElement]
 ) -> LocalElement:
-    """sum(a_i elements_i), skipping zero coefficients.
-
-    When the terms share one denominator tuple d, their scaled numerators
-    are summed into one polynomial N and cancelled once.  Adding them in
-    order gives the same result: each ``alg.add`` rewrites over the larger
-    denominator, and the last one cancels the same N over the same d.
-    Otherwise the terms are added in order."""
-    terms = [(a, el) for a, el in zip(coeffs, elements) if a]
-    if not terms:
-        return alg.zero()
-    den = terms[0][1].den
-    if any(el.den != den for _, el in terms):
-        acc = alg.zero()
-        for a, el in terms:
-            acc = alg.add(acc, alg.scale(a, el))
-        return acc
-    sums: dict[Mono, Fraction] = {}
-    for a, el in terms:
-        for m, c in el.num.terms.items():
-            sums[m] = sums.get(m, 0) + a * c
-    return alg._cancel(Poly(alg.vars, sums), den)
+    """sum(a_i elements_i), skipping zero coefficients: one
+    ``PoissonAlgebra._sum``, whatever the denominators."""
+    return alg._sum([(a, el.num, el.den) for a, el in zip(coeffs, elements) if a])
 
 
 def _columns(rows: Sequence[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:

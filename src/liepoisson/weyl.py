@@ -40,7 +40,7 @@ from .poisson import (
     tensor,
 )
 from .polys import Context, Poly, VarSpec
-from .spaces import Span, max_denominator, monomials_up_to, slice_basis
+from .spaces import Span, combination, max_denominator, monomials_up_to, slice_basis
 
 DEFAULT_NILPOTENCY_CAP = 64
 
@@ -315,11 +315,12 @@ def _series(
     """sum 1/n! [delta^n(el) mod alpha] Y^n in ``target``, whose ideal kills
     alpha; each delta^n(el) keeps its denominator."""
     y = target.gen(y_name)
-    acc = target.zero()
-    for nn, dn in enumerate(_delta_powers(ctx, el)):
-        term = target.monomial([y], (nn,), start=target.element(dn))
-        acc = target.add(acc, target.scale(Fraction(1, factorial(nn)), term))
-    return acc
+    powers = _delta_powers(ctx, el)
+    return combination(
+        target,
+        [Fraction(1, factorial(nn)) for nn in range(len(powers))],
+        [target.monomial([y], (nn,), start=target.element(dn)) for nn, dn in enumerate(powers)],
+    )
 
 
 def _by_last_power(el: LocalElement, base: PoissonAlgebra) -> dict[int, LocalElement]:
@@ -356,14 +357,14 @@ def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
     inverse of chi_forward."""
     alg = ctx.algebra
     el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
-    acc = alg.zero()
+    coeffs, terms = [], []
     alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
     # target context minus Y is exactly alg's context (alpha kept, exponent 0)
     for ypow, lifted in _by_last_power(el, alg).items():
         for m, dm in enumerate(_delta_powers(ctx, lifted)):
-            term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
-            acc = alg.add(acc, alg.scale(Fraction((-1) ** m, factorial(m)), term))
-    return acc
+            coeffs.append(Fraction((-1) ** m, factorial(m)))
+            terms.append(alg.mul(dm, alg.element(alpha_poly ** (m + ypow))))
+    return combination(alg, coeffs, terms)
 
 
 @dataclass(frozen=True)
@@ -393,11 +394,11 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
     def fwd(p: Poly | LocalElement) -> LocalElement:
         el = skew.element(p) if not isinstance(p, LocalElement) else p
         x = target.gen(xn)
-        acc = target.zero()
-        for power, coeff in _by_last_power(el, ctx.algebra).items():
-            img = _series(ctx, coeff, target, yn)
-            acc = target.add(acc, target.monomial([x], (power,), start=img))
-        return acc
+        terms = [
+            target.monomial([x], (power,), start=_series(ctx, coeff, target, yn))
+            for power, coeff in _by_last_power(el, ctx.algebra).items()
+        ]
+        return combination(target, [1] * len(terms), terms)
 
     # verify the generator bracket table is carried onto the tensor table
     gens = [skew.gen(v.name) for v in skew.vars]

@@ -1,6 +1,13 @@
-"""The bracket {a, b} = sum_i d_i a {x_i, b} against independent references:
-the pairwise biderivation over the table, sympy, and call-count guards on
-the slice actions."""
+"""The bracket, the partials and the derivations against independent
+references: the pairwise biderivation over the table with quotient-rule
+partials taken one variable at a time, sympy, and call-count guards on the
+localized arithmetic.
+
+The references share no arithmetic with the rows and the one sum of
+``PoissonAlgebra`` they check: ``reference_sum`` adds numerators with
+``Poly`` arithmetic over their largest denominator, ``reference_partial``
+is the quotient rule one term at a time, and both reach normal form only
+through ``alg.element``."""
 
 from fractions import Fraction
 
@@ -21,7 +28,7 @@ from liepoisson.poisson import (
     skew_extend,
 )
 from liepoisson.polys import Poly, make_vars, parse_poly
-from liepoisson.spaces import basis_monomials, operator_rows
+from liepoisson.spaces import basis_monomials, combination, operator_rows
 from liepoisson.weyl import chi_context
 
 from conftest import eng4, family_n, heisenberg, random_poly
@@ -29,16 +36,49 @@ from conftest import eng4, family_n, heisenberg, random_poly
 F = Fraction
 
 
+def reference_sum(alg, *elements):
+    """Reference: the sum of the elements, each numerator written over the
+    largest power of each inverted element with ``Poly`` arithmetic, then
+    put in normal form by ``alg.element``."""
+    den = tuple(max((el.den[i] for el in elements), default=0) for i in range(len(alg.inverted)))
+    num = Poly.zero(alg.vars)
+    for el in elements:
+        lifted = el.num
+        for s, k, e in zip(alg.inverted, el.den, den):
+            lifted = lifted * s ** (e - k)
+        num = num + lifted
+    return alg.element(LocalElement(num, den))
+
+
+def reference_partial(alg, a, v):
+    """Reference: the quotient-rule partial d/dv, d(n / prod s^k) =
+    d(n) / prod s^k - sum_i k_i n d(s_i) / (prod s^k s_i), one normal form
+    per term."""
+    out = alg.element(LocalElement(a.num.partial(v), a.den))
+    for i, s in enumerate(alg.inverted):
+        k = a.den[i]
+        if k == 0:
+            continue
+        ds = s.partial(v)
+        if ds.is_zero():
+            continue
+        den = list(a.den)
+        den[i] += 1
+        term = alg.element(LocalElement(a.num.scale(-k) * ds, tuple(den)))
+        out = reference_sum(alg, out, term)
+    return out
+
+
 def pairwise_bracket(alg, a, b):
     """Reference: sum_{i<j} T_ij (d_i a d_j b - d_j a d_i b), with the
     quotient-rule partial of each argument in every variable."""
-    pa = [alg.partial(a, v) for v in alg.vars]
-    pb = [alg.partial(b, v) for v in alg.vars]
-    out = alg.zero()
+    pa = [reference_partial(alg, a, v) for v in alg.vars]
+    pb = [reference_partial(alg, b, v) for v in alg.vars]
+    terms = []
     for (i, j), t in alg.table.items():
-        term = alg.sub(alg.mul(pa[i], pb[j]), alg.mul(pa[j], pb[i]))
-        out = alg.add(out, alg.mul(t, term))
-    return out
+        terms.append(alg.mul(t, alg.mul(pa[i], pb[j])))
+        terms.append(alg.scale(-1, alg.mul(t, alg.mul(pa[j], pb[i]))))
+    return reference_sum(alg, *terms)
 
 
 def _family_mod_z():
@@ -114,13 +154,29 @@ def test_bracket_matches_pairwise_biderivation(rng, name):
 
 
 def test_hamiltonian_rows_are_the_table():
+    # row i: the numerators of the nonzero {x_i, x_k} over one denominator,
+    # the largest power of each inverted element among them
     for alg in ALGEBRAS.values():
         n = len(alg.vars)
         for i in range(n):
-            entries, den_free = alg.rows[i]
+            entries, den = alg.rows[i]
             want = [(k, alg.table_entry(i, k)) for k in range(n)]
-            assert list(entries) == [(k, t) for k, t in want if not t.is_zero()]
-            assert den_free == all(t.is_polynomial() for _, t in entries)
+            want = [(k, t) for k, t in want if not t.is_zero()]
+            assert [k for k, _ in entries] == [k for k, _ in want]
+            for (_, num), (_, t) in zip(entries, want):
+                assert alg.element(LocalElement(num, den)) == t
+            assert den == tuple(
+                max((t.den[s] for _, t in want), default=0) for s in range(len(alg.inverted))
+            )
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_partial_matches_the_quotient_rule(rng, name):
+    alg = ALGEBRAS[name]
+    for _ in range(10):
+        a = _random_element(rng, alg)
+        for v in alg.vars:
+            assert alg.partial(a, v) == reference_partial(alg, a, v)
 
 
 def per_variable_apply(alg, delta, el):
@@ -134,9 +190,9 @@ def per_variable_apply(alg, delta, el):
         img = alg.element(img)
         if img.is_zero():
             continue
-        d = alg.partial(el, v)
+        d = reference_partial(alg, el, v)
         if not d.is_zero():
-            out = alg.add(out, alg.mul(d, img))
+            out = reference_sum(alg, out, alg.mul(d, img))
     return out
 
 
@@ -231,19 +287,30 @@ def _count_calls(monkeypatch, cls, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "family_n(2) mod z=3/2", "skew extension"])
-def test_slice_actions_make_no_element_arithmetic(monkeypatch, name):
-    # generator actions on a denominator-free slice are one product sum each
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_slice_actions_make_no_element_arithmetic(monkeypatch, rng, name):
+    # generator actions on a slice, brackets of two non-generators, partials,
+    # derivations and combinations are one sum each, denominators included
     alg = ALGEBRAS[name]
-    basis = [alg.element(m) for m in basis_monomials(alg, 3)]
+    laurent = any(v.invertible for v in alg.effective_vars())
+    basis = [] if laurent else [alg.element(m) for m in basis_monomials(alg, 3)]
     gens = [alg.gen(v.name) for v in alg.effective_vars()]
     ops = [lambda el, gen=gen: alg.bracket(gen, el) for gen in gens]
+    elements = [_random_element(rng, alg) for _ in range(6)]
+    delta = Derivation({v.name: _random_element(rng, alg) for v in alg.vars})
+    coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in elements]
     muls = _count_calls(monkeypatch, PoissonAlgebra, "mul")
     adds = _count_calls(monkeypatch, PoissonAlgebra, "add")
     brackets = _count_calls(monkeypatch, PoissonAlgebra, "bracket")
     operator_rows(alg, basis, ops)
-    assert muls == [] and adds == []
     assert len(brackets) == len(gens) * len(basis)
+    for a, b in zip(elements, elements[1:]):
+        alg.bracket(a, b)
+        for v in alg.vars:
+            alg.partial(a, v)
+        delta.apply(alg, a)
+    combination(alg, coeffs, elements)
+    assert muls == [] and adds == []
 
 
 def test_weight_search_slice_makes_504_brackets(monkeypatch):

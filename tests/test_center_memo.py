@@ -235,7 +235,8 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # the localized-certify benchmark input at seed 11: [e1,e2] = e3/2,
     # [e1,e3] = e4, e4 inverted.  2,575 divide_exact and 251 quotient-rule
     # partials when localized arithmetic applied the quotient rule one
-    # variable at a time and cancelled after every partial, product and sum
+    # variable at a time and cancelled after every partial, product and sum;
+    # 2,268 and 115 when only denominator-free rows took one cancel
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
@@ -244,8 +245,8 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
     assert len(brackets) == 1545
-    assert len(divisions) <= 2300
-    assert len(partials) <= 120
+    assert len(divisions) <= 2113
+    assert partials == []
 
 
 def test_semisimple_actions_are_built_once_per_full_algebra(monkeypatch):

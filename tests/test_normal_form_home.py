@@ -1,0 +1,63 @@
+"""The normal form of a localized element has one home: ``poisson.py``.
+
+``PoissonAlgebra._cancel`` and ``_apply_row`` are used only inside
+``poisson.py``; ``_sum`` only there and in ``spaces.combination``, which
+every other sum of elements goes through."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "liepoisson")
+
+# private method -> the (module, function) pairs allowed to use it; None
+# allows the whole module
+HOMES = {
+    "_cancel": {("poisson.py", None)},
+    "_apply_row": {("poisson.py", None)},
+    "_sum": {("poisson.py", None), ("spaces.py", "combination")},
+}
+
+
+def _uses(tree):
+    """(attribute name, enclosing top-level function or class) for every
+    attribute access in the tree."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def stray_uses(sources):
+    """The uses of the ``HOMES`` methods outside their homes, as
+    "module: owner uses name" strings; ``sources`` maps module to text."""
+    out = []
+    for module, source in sorted(sources.items()):
+        for name, owner in _uses(ast.parse(source)):
+            homes = HOMES.get(name)
+            if homes is None or (module, None) in homes or (module, owner) in homes:
+                continue
+            out.append(f"{module}: {owner} uses {name}")
+    return out
+
+
+def test_the_check_finds_a_stray_use():
+    sources = {
+        "poisson.py": "def f(alg):\n    return alg._cancel(1, ()), alg._apply_row\n",
+        "spaces.py": (
+            "def combination(alg, terms):\n    return alg._sum(terms)\n"
+            "def other(alg, terms):\n    return alg._sum(terms)\n"
+        ),
+        "weyl.py": "class W:\n    def f(self, alg):\n        return alg._cancel(1, ())\n",
+    }
+    assert stray_uses(sources) == ["spaces.py: other uses _sum", "weyl.py: W uses _cancel"]
+
+
+def test_normal_form_is_built_only_in_poisson():
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                sources[name] = fh.read()
+    assert "poisson.py" in sources and "spaces.py" in sources
+    assert stray_uses(sources) == []

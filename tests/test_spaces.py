@@ -21,7 +21,7 @@ from liepoisson.spaces import (
 )
 
 from conftest import heisenberg, random_poly
-from test_bracket import ALGEBRAS
+from test_bracket import ALGEBRAS, reference_sum
 
 
 def _heisenberg_at_z():
@@ -103,15 +103,15 @@ def test_slice_basis_is_the_normal_form_of_each_monomial():
 
 
 # ---------------------------------------------------------------------------
-# combination: one sum and one cancel over a shared denominator
+# combination: one sum and one cancel over the largest denominator
 
 
 def sequential_combination(alg, coeffs, elements):
-    """Reference: one ``alg.add`` per nonzero coefficient, in order."""
+    """Reference: one ``reference_sum`` per nonzero coefficient, in order."""
     acc = alg.zero()
     for a, el in zip(coeffs, elements):
         if a:
-            acc = alg.add(acc, alg.scale(a, el))
+            acc = reference_sum(alg, acc, LocalElement(el.num.scale(a), el.den))
     return acc
 
 
@@ -119,11 +119,16 @@ def sequential_combination(alg, coeffs, elements):
 def test_combination_matches_the_sequential_sum(rng, name):
     alg = ALGEBRAS[name]
     nden = len(alg.inverted)
-    shared = cancelled = 0
-    for _ in range(30):
+    shared = cancelled = mixed = 0
+    for _ in range(40):
+        # one denominator tuple for every element, or one each
+        one_den = rng.random() < 0.5
         den = tuple(rng.randint(0, 2) for _ in range(nden))
         elements = [
-            alg.element(LocalElement(random_poly(rng, alg.vars, 3, laurent=True), den))
+            alg.element(LocalElement(
+                random_poly(rng, alg.vars, 3, laurent=True),
+                den if one_den else tuple(rng.randint(0, 2) for _ in range(nden)),
+            ))
             for _ in range(rng.randint(1, 4))
         ]
         coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in elements]
@@ -143,5 +148,7 @@ def test_combination_matches_the_sequential_sum(rng, name):
         if len(dens) == 1:
             shared += 1
             cancelled += got.den != next(iter(dens))
+        mixed += len(dens) > 1
     assert shared > 0
     assert cancelled > 0 if nden else cancelled == 0
+    assert mixed > 0 if nden else mixed == 0
