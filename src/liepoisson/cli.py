@@ -10,7 +10,8 @@ Exit codes:
 
   0  success
   1  mathematical negative (not simple, hypothesis failed, invalid table,
-     irrational eigenvalue, undecided nilradical)
+     irrational eigenvalue, not solvable, not nilpotent, undecided
+     nilradical)
   2  input error (bad JSON, parse errors, unknown variables, unstable ideal,
      a polynomial expanding past the parser's term bound, a degree slice
      C(d + dim g, dim g) past SLICE_BUDGET, a --dmax past DMAX_CAP, a JSON
@@ -41,6 +42,7 @@ from .errors import (
     NilradicalUndecided,
     NotNilpotent,
     NotSimple,
+    NotSolvable,
     SearchExhausted,
 )
 from .invariants import center_up_to_degree, ghat, semi_invariants
@@ -54,6 +56,7 @@ MATH_NEGATIVE = (
     HypothesisFailed,
     NotSimple,
     NotNilpotent,
+    NotSolvable,
 )
 
 

@@ -361,6 +361,7 @@ def decompose(
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_l = None
+    cur_l = alg  # the answer for g = 0, where no level runs
 
     for level in range(1, g.dim + 1):
         z_idx = order[level - 1]

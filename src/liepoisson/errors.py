@@ -187,6 +187,13 @@ class NotNilpotent(LiePoissonError):
         super().__init__("Lie algebra is not nilpotent")
 
 
+class NotSolvable(LiePoissonError):
+    """No flag of ideals exists: the derived series does not reach 0."""
+
+    def __init__(self):
+        super().__init__("Lie algebra is not solvable")
+
+
 class ComplementEliminated(LiePoissonError):
     def __init__(self, name):
         super().__init__(f"substitution ideal eliminates complement variable {name!r}")

@@ -44,7 +44,6 @@ from .poisson import (
 )
 from .polys import Poly
 from .spaces import (
-    SliceIndex,
     combination,
     common_denominator_rows,
     kernel_coordinates,
@@ -154,10 +153,9 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     if not weights:
         return
     basis = slice_basis(alg, d)
-    index = SliceIndex()
-    actions = operator_rows(alg, basis, _generator_actions(alg), index)
+    actions = operator_rows(alg, basis, _generator_actions(alg))
     # alg is a reduced algebra: it inverts nothing, so every row is over denominator 1
-    identity, _, _ = common_denominator_rows(alg, basis, index)
+    identity, _ = common_denominator_rows(alg, basis)
     fixed = [all(lam.values[j] == 0 for lam in weights) for j in range(len(actions))]
     moving = [j for j, f in enumerate(fixed) if not f]
     if any(fixed):
@@ -197,7 +195,7 @@ def _to_integers(tables):
 
 def _shift_rows(rows, identity, c: Fraction):
     """Integer rows of q A - p I for c = p/q, given the integer rows of A and
-    of I on one index: the equations of A - c I, each scaled by q."""
+    of I: the equations of A - c I, each scaled by q."""
     if c == 0:
         return rows
     p, q = c.numerator, c.denominator

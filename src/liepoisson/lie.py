@@ -4,7 +4,8 @@ The bracket is stored sparsely on ordered index pairs (antisymmetry is built
 into the storage), Jacobi is verified when an algebra is built through
 ``verify_lie``, and all eigenvalue searches are restricted to rational roots:
 an input whose flag construction would need an irrational eigenvalue is
-rejected with ``EigenvalueNotRational`` rather than approximated.
+rejected with ``EigenvalueNotRational`` rather than approximated, and a
+non-solvable input, which has no flag of ideals, with ``NotSolvable``.
 
 Subspaces of Q^n are held in reduced row echelon form, so a subspace has
 exactly one stored basis whatever vectors spanned it.  Kernels and
@@ -21,7 +22,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
+from .errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided, NotSolvable
 from .polys import Context, VarSpec, make_vars
 
 Vec = tuple[Fraction, ...]
@@ -424,7 +425,11 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     the weights found so far.  The roots on the quotient are therefore the
     roots on g less those weights, counted with multiplicity (a subset of
     the roots on g): one characteristic polynomial per generator serves
-    every step."""
+    every step.
+
+    When a quotient has no rational common eigenvector, raises NotSolvable
+    if g is not solvable (tested only then) and EigenvalueNotRational
+    otherwise."""
     m = g.dim
     current = Subspace(m, [])
     chain = [current]
@@ -451,6 +456,8 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
         qspace = Subspace.whole(len(free))
         found = next(_joint_eigenspaces(qops, qspace, candidates), None)
         if found is None:
+            if not is_solvable(g):
+                raise NotSolvable()
             raise EigenvalueNotRational("(while building the ideal flag)")
         vals, sub = found
         for level, c in enumerate(vals):

@@ -199,6 +199,10 @@ class PoissonAlgebra:
     centers: dict[int, tuple[Poly, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
+    # (i, k) -> inverted[i]^k, filled by ``_lift``
+    powers: dict[tuple[int, int], Poly] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         laurent = any(v.invertible for v in self.vars)
@@ -306,12 +310,17 @@ class PoissonAlgebra:
         return tuple(map(max, zip(*dens, (0,) * len(self.inverted))))
 
     def _lift(self, num: Poly, den: tuple[int, ...], to: tuple[int, ...]) -> Poly:
-        """num / prod s^den rewritten over prod s^to (to >= den): its numerator."""
+        """num / prod s^den rewritten over prod s^to (to >= den): its
+        numerator.  Each power s_i^k is computed once per algebra."""
         if den == to or num.is_zero():
             return num
-        for s, k, e in zip(self.inverted, den, to):
+        for i, (k, e) in enumerate(zip(den, to)):
             if e > k:
-                num = num * (s if e - k == 1 else s ** (e - k))
+                p = self.powers.get((i, e - k))
+                if p is None:
+                    s = self.inverted[i]
+                    p = self.powers[(i, e - k)] = s if e - k == 1 else s ** (e - k)
+                num = num * p
         return num
 
     def add(self, a: LocalElement, b: LocalElement) -> LocalElement:

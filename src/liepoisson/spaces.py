@@ -4,6 +4,13 @@ Everything here reduces questions about finite slices of an algebra to exact
 sparse linear algebra: enumerate the monomials of the slice, expand elements
 over a common denominator, and hand rows to ``linalg``.
 
+A row is the terms of an element's numerator over the common denominator,
+keyed by monomial (``common_denominator_rows``, through
+``PoissonAlgebra._lift``, which computes each power s^k once per algebra).
+Kernels and solves read the rows as they are: their answers depend only on
+the row space, not on how the monomials are numbered.  Only ``Span``
+numbers them, because its echelon pivots on integer columns.
+
 ``slice_basis`` gives the monomials of a degree slice as elements without
 the coercion of ``PoissonAlgebra.element``: they use no eliminated variable
 and carry no denominator, so they are in normal form as built.
@@ -30,11 +37,12 @@ shifted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from operator import gt
+from typing import Mapping, Sequence
 
 from . import linalg
 from .poisson import LocalElement, PoissonAlgebra
-from .polys import Mono, Poly
+from .polys import Coef, Mono, Poly
 
 
 def monomials_up_to(nvars: int, d: int) -> list[Mono]:
@@ -82,81 +90,45 @@ def slice_basis(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     return [LocalElement(m, den) for m in basis_monomials(alg, d)]
 
 
-class SliceIndex:
-    """Assigns stable column indices to monomials as they appear."""
-
-    def __init__(self):
-        self.index: dict[Mono, int] = {}
-
-    def col(self, mono: Mono) -> int:
-        if mono not in self.index:
-            self.index[mono] = len(self.index)
-        return self.index[mono]
-
-    def row_of(self, p: Poly) -> dict[int, Fraction]:
-        return {self.col(m): c for m, c in sorted(p.terms.items())}
-
-
-def max_denominator(
-    alg: PoissonAlgebra, elements: Sequence[LocalElement]
-) -> tuple[int, ...]:
-    """Per inverted element, the largest power of it among the denominators."""
-    return tuple(
-        max((el.den[i] for el in elements), default=0)
-        for i in range(len(alg.inverted))
-    )
-
-
 def common_denominator_rows(
     alg: PoissonAlgebra,
     elements: Sequence[LocalElement],
-    index: SliceIndex | None = None,
     caps: tuple[int, ...] | None = None,
-    powers: dict[tuple[int, int], Poly] | None = None,
-) -> tuple[list[dict[int, Fraction]], SliceIndex, tuple[int, ...]]:
+) -> tuple[list[Mapping[Mono, Coef]], tuple[int, ...]]:
     """Rewrite elements over the denominator prod s_i^caps_i (default: the
-    maximal denominator among them) and return their numerator rows (same
-    order).  ``powers`` caches s_i^k across calls.  ValueError when an
-    element's denominator exceeds the caps."""
+    largest denominator among them, ``PoissonAlgebra._common_den``) and
+    return, in the same order, the terms of their numerators (read-only),
+    with the caps.  ValueError when an element's denominator exceeds the
+    caps."""
     if caps is None:
-        caps = max_denominator(alg, elements)
-    index = index if index is not None else SliceIndex()
-    powers = powers if powers is not None else {}
+        caps = alg._common_den(el.den for el in elements)
     rows = []
     for el in elements:
-        num = el.num
-        for i, s in enumerate(alg.inverted):
-            k = caps[i] - el.den[i]
-            if k < 0:
-                raise ValueError(f"denominator {el.den} exceeds the caps {caps}")
-            if k:
-                if (i, k) not in powers:
-                    powers[(i, k)] = s**k
-                num = num * powers[(i, k)]
-        rows.append(index.row_of(num))
-    return rows, index, caps
+        if any(map(gt, el.den, caps)):
+            raise ValueError(f"denominator {el.den} exceeds the caps {caps}")
+        rows.append(alg._lift(el.num, el.den, caps).terms)
+    return rows, caps
 
 
 class Span:
     """A growing row space of elements over fixed denominator caps.
 
     Every element is written over prod s_i^caps_i, so rows added at
-    different times share one column index and one denominator, and each
-    power s_i^k is computed once.  Multiplying by a denominator is
-    injective, so rank and membership do not depend on the caps chosen."""
+    different times share one denominator.  Multiplying by a denominator is
+    injective, so rank and membership do not depend on the caps chosen.
+    The echelon needs integer columns: a monomial's column is its rank of
+    first appearance, over each row's sorted terms."""
 
     def __init__(self, alg: PoissonAlgebra, caps: tuple[int, ...]):
         self.alg = alg
         self.caps = tuple(caps)
-        self.index = SliceIndex()
+        self.cols: dict[Mono, int] = {}
         self.echelon = linalg.Echelon()
-        self.powers: dict[tuple[int, int], Poly] = {}
 
-    def _row(self, el: LocalElement) -> dict[int, Fraction]:
-        rows, _, _ = common_denominator_rows(
-            self.alg, [el], self.index, self.caps, self.powers
-        )
-        return rows[0]
+    def _row(self, el: LocalElement) -> dict[int, Coef]:
+        (terms,), _ = common_denominator_rows(self.alg, [el], self.caps)
+        cols = self.cols
+        return {cols.setdefault(m, len(cols)): c for m, c in sorted(terms.items())}
 
     def add(self, el: LocalElement) -> bool:
         """Add el; True iff it raised the rank."""
@@ -171,7 +143,7 @@ def independent_subset(
 ) -> list[LocalElement]:
     """Greedy echelon filter: the elements that raise the rank of those
     accepted before them, in order."""
-    span = Span(alg, max_denominator(alg, elements))
+    span = Span(alg, alg._common_den(el.den for el in elements))
     return [el for el in elements if span.add(el)]
 
 
@@ -183,9 +155,9 @@ def combination(
     return alg._sum([(a, el.num, el.den) for a, el in zip(coeffs, elements) if a])
 
 
-def _columns(rows: Sequence[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Sparse transpose, one pass: column -> {row number: entry}."""
-    by_col: dict[int, dict[int, Fraction]] = {}
+def _columns(rows: Sequence[Mapping]) -> dict:
+    """Sparse transpose, one pass: monomial -> {row number: entry}."""
+    by_col: dict = {}
     for i, row in enumerate(rows):
         for col, c in row.items():
             by_col.setdefault(col, {})[i] = c
@@ -198,63 +170,51 @@ def solve_in_span(
     target: LocalElement,
 ) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of spanners, or None."""
-    rows, index, caps = common_denominator_rows(alg, list(spanners) + [target])
-    # unknowns: coefficients a_i; equations: per monomial column
-    by_col = _columns(rows[:-1])
-    eq_rows = []
-    rhs = []
-    target_row = rows[-1]
-    for col in range(len(index.index)):
-        row = by_col.get(col, {})
-        b = target_row.get(col, Fraction(0))
-        if row or b:
-            eq_rows.append(row)
-            rhs.append(b)
+    (*rows, target_row), _ = common_denominator_rows(alg, [*spanners, target])
+    # unknowns: coefficients a_i; equations: one per monomial of the
+    # spanners or the target
+    by_col = _columns(rows)
+    monos = {**by_col, **target_row}
+    eq_rows = [by_col.get(m, {}) for m in monos]
+    rhs = [target_row.get(m, 0) for m in monos]
     sol = linalg.solve(eq_rows, rhs, len(spanners))
     return list(sol) if sol is not None else None
 
 
 def operator_rows(
-    alg: PoissonAlgebra,
-    basis: Sequence[LocalElement],
-    operators: Sequence,
-    index: SliceIndex | None = None,
-) -> list[list[dict[int, Fraction]]]:
+    alg: PoissonAlgebra, basis: Sequence[LocalElement], operators: Sequence
+) -> list[list[Mapping[Mono, Coef]]]:
     """Per operator (each maps a LocalElement to a LocalElement), the
-    numerator rows of its images of the basis, all over one shared index.
+    numerator rows of its images of the basis.
 
     The images must stay inside a finite monomial space, which they do for
     bracket actions on degree slices.
     """
-    index = index if index is not None else SliceIndex()
-    return [
-        common_denominator_rows(alg, [op(b) for b in basis], index)[0]
-        for op in operators
-    ]
+    return [common_denominator_rows(alg, [op(b) for b in basis])[0] for op in operators]
 
 
 def kernel_coordinates(
-    images: Sequence[Sequence[dict[int, Fraction] | linalg.Row]], n: int
+    images: Sequence[Sequence[Mapping]], n: int
 ) -> list[tuple[Fraction, ...]]:
     """The coefficient vectors (a_1 .. a_n) of the combinations of n basis
     elements killed by every operator, given per operator the rows of its
     images of the basis (see ``operator_rows``): the canonical ``nullspace``
     basis, one vector per free coefficient.
 
-    One equation per operator and column, columns ascending, built in one
-    pass over the nonzero entries.
+    One equation per operator and monomial, built in one pass over the
+    nonzero entries; the basis depends only on the row space, so not on
+    the order of the equations.
     """
-    eq_rows: list[dict[int, Fraction] | linalg.Row] = []
+    eq_rows: list[Mapping] = []
     for rows in images:
-        by_col = _columns(rows)
-        eq_rows.extend(by_col[col] for col in sorted(by_col))
+        eq_rows.extend(_columns(rows).values())
     return linalg.nullspace(eq_rows, n)
 
 
 def kernel_of_operators(
     alg: PoissonAlgebra,
     basis: Sequence[LocalElement],
-    images: Sequence[Sequence[dict[int, Fraction] | linalg.Row]],
+    images: Sequence[Sequence[Mapping]],
 ) -> list[LocalElement]:
     """Elements sum(a_i basis_i) killed by every operator, given per operator
     the rows of its images of the basis (see ``operator_rows``); exact

@@ -40,7 +40,7 @@ from .poisson import (
     tensor,
 )
 from .polys import Context, Poly, VarSpec
-from .spaces import Span, combination, max_denominator, monomials_up_to, slice_basis
+from .spaces import Span, combination, monomials_up_to, slice_basis
 
 DEFAULT_NILPOTENCY_CAP = 64
 
@@ -462,7 +462,7 @@ def tensor_presentation_check(
         for pexp in monomials_up_to(2 * len(pairs), d - sum(bexp)):
             products.append(alg.monomial(flat_pairs, pexp, start=base))
     # the targets are polynomial, so the products' caps serve them too
-    span = Span(alg, max_denominator(alg, products))
+    span = Span(alg, alg._common_den(p.den for p in products))
     if not all(span.add(prod) for prod in products):
         return False
     targets = slice_basis(alg, d)

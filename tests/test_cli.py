@@ -244,6 +244,53 @@ def test_search_exhausted_exit_code(tmp_path, command):
     assert "error" not in json.loads(out2)
 
 
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        ("decompose", {"bound": 6, "center_basis": ["1"], "e": "1", "n": 0, "pairs": []}),
+        (
+            "check84",
+            {
+                "agree": True,
+                "center_trivial": True,
+                "degree_bound": 6,
+                "weyl_presentation": True,
+                "weyl_rank": 0,
+            },
+        ),
+    ],
+)
+def test_zero_dimensional_algebra(tmp_path, command, want):
+    problem = tmp_path / "zero.json"
+    problem.write_text(json.dumps({"lie": {"dim": 0, "basis": [], "brackets": []}}))
+    code, out, _ = _capture([command, str(problem), "--json"])
+    assert code == 0
+    assert out.count("\n") == 1 and json.loads(out) == want
+
+
+SL2 = {
+    "lie": {
+        "dim": 3,
+        "basis": ["e", "h", "f"],
+        "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"0": "-2"}},
+            {"i": 0, "j": 2, "coeffs": {"1": "1"}},
+            {"i": 1, "j": 2, "coeffs": {"2": "-2"}},
+        ],
+    }
+}
+
+
+@pytest.mark.parametrize("command", ["semi-invariants", "decompose", "ghat"])
+def test_non_solvable_algebra_exit_code(tmp_path, command):
+    # sl2 has rational eigenvalues but no flag of ideals
+    problem = tmp_path / "sl2.json"
+    problem.write_text(json.dumps(SL2))
+    code, out, _ = _capture([command, str(problem), "--json"])
+    assert code == 1
+    assert json.loads(out) == {"error": "NotSolvable", "detail": "Lie algebra is not solvable"}
+
+
 def test_decompose_rebases_a_conjugate_without_ideal(tmp_path):
     # [x,y] = z, [t,x] = x, [t,y] = -y conjugated to b1..b4: the flag is not
     # coordinate-aligned, and the file gives no ideal, so decompose

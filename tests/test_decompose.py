@@ -35,6 +35,16 @@ def test_abelian_everything_central():
     assert verify_decomposition(res, 3)["ok"]
 
 
+def test_zero_dimensional_algebra_is_its_center():
+    # no level runs: the reduced algebra of g = 0 is the answer, Q = Q (x) W_0
+    g = verify_lie([], {})
+    res = decompose(g)
+    assert str(res.e) == "1" and res.n == 0 and res.pairs == ()
+    assert [res.algebra.format(c) for c in res.center_basis] == ["1"]
+    assert verify_decomposition(res, 3)["ok"]
+    assert check_84(g)["agree"]
+
+
 def test_heisenberg_quotient_is_one_pair():
     g = heisenberg()
     res = decompose(g, _ideal(g, [("z", "1")]), 6)

@@ -11,7 +11,12 @@ import pytest
 from liepoisson import linalg
 from liepoisson.cli import ProblemFile
 
-from liepoisson.errors import EigenvalueNotRational, JacobiViolation, NilradicalUndecided
+from liepoisson.errors import (
+    EigenvalueNotRational,
+    JacobiViolation,
+    NilradicalUndecided,
+    NotSolvable,
+)
 from liepoisson.lie import (
     LieAlgebra,
     Subspace,
@@ -208,6 +213,28 @@ def test_jordan_holder_irrational():
     rot = verify_lie("x y z", {(0, 1): {2: 1}, (0, 2): {1: -1}})
     assert is_solvable(rot)
     with pytest.raises(EigenvalueNotRational):
+        jordan_holder(rot)
+
+
+def test_jordan_holder_not_solvable():
+    # sl2: every eigenvalue of ad h is rational, but no flag of ideals exists
+    sl2 = verify_lie("e h f", {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}})
+    assert not is_solvable(sl2)
+    with pytest.raises(NotSolvable):
+        jordan_holder(sl2)
+
+
+def test_jordan_holder_tests_solvability_only_when_the_flag_fails(monkeypatch):
+    from liepoisson import lie
+
+    def unexpected(g):
+        raise AssertionError("is_solvable called")
+
+    monkeypatch.setattr(lie, "is_solvable", unexpected)
+    for g in (heisenberg(), aff2(), eng4(), family_n(2)):
+        jordan_holder(g)
+    rot = verify_lie("x y z", {(0, 1): {2: 1}, (0, 2): {1: -1}})
+    with pytest.raises(AssertionError):
         jordan_holder(rot)
 
 

@@ -2,7 +2,10 @@
 
 ``PoissonAlgebra._cancel`` and ``_apply_row`` are used only inside
 ``poisson.py``; ``_sum`` only there and in ``spaces.combination``, which
-every other sum of elements goes through."""
+every other sum of elements goes through.  The rewrite over a common
+denominator, ``_lift``, and the choice of that denominator,
+``_common_den``, are used only there and in the functions that write slice
+rows or set their caps."""
 
 import ast
 import os
@@ -15,6 +18,13 @@ HOMES = {
     "_cancel": {("poisson.py", None)},
     "_apply_row": {("poisson.py", None)},
     "_sum": {("poisson.py", None), ("spaces.py", "combination")},
+    "_lift": {("poisson.py", None), ("spaces.py", "common_denominator_rows")},
+    "_common_den": {
+        ("poisson.py", None),
+        ("spaces.py", "common_denominator_rows"),
+        ("spaces.py", "independent_subset"),
+        ("weyl.py", "tensor_presentation_check"),
+    },
 }
 
 
@@ -47,10 +57,23 @@ def test_the_check_finds_a_stray_use():
         "spaces.py": (
             "def combination(alg, terms):\n    return alg._sum(terms)\n"
             "def other(alg, terms):\n    return alg._sum(terms)\n"
+            "def common_denominator_rows(alg, n, d, c):\n    return alg._lift(n, d, c)\n"
+            "def solve_in_span(alg, n, d, c):\n    return alg._lift(n, d, c)\n"
         ),
-        "weyl.py": "class W:\n    def f(self, alg):\n        return alg._cancel(1, ())\n",
+        "weyl.py": (
+            "class W:\n    def f(self, alg):\n        return alg._cancel(1, ())\n"
+            "def tensor_presentation_check(alg, ds):\n    return alg._common_den(ds)\n"
+            "def chi_inverse(alg, ds):\n    return alg._common_den(ds)\n"
+        ),
+        "decompose.py": "def f(alg, ds):\n    return alg._common_den(ds)\n",
     }
-    assert stray_uses(sources) == ["spaces.py: other uses _sum", "weyl.py: W uses _cancel"]
+    assert stray_uses(sources) == [
+        "decompose.py: f uses _common_den",
+        "spaces.py: other uses _sum",
+        "spaces.py: solve_in_span uses _lift",
+        "weyl.py: W uses _cancel",
+        "weyl.py: chi_inverse uses _common_den",
+    ]
 
 
 def test_normal_form_is_built_only_in_poisson():

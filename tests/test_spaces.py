@@ -8,16 +8,20 @@ from fractions import Fraction
 import pytest
 
 from liepoisson.cli import ProblemFile
-from liepoisson.invariants import center_up_to_degree
+from liepoisson.invariants import _generator_actions, center_up_to_degree
 from liepoisson.poisson import LocalElement, canonical_from_lie, localize, reduced_algebra
 from liepoisson.polys import Poly, parse_poly
 from liepoisson.spaces import (
     Span,
     basis_monomials,
     combination,
+    common_denominator_rows,
     independent_subset,
+    kernel_coordinates,
     monomials_up_to,
+    operator_rows,
     slice_basis,
+    solve_in_span,
 )
 
 from conftest import heisenberg, random_poly
@@ -60,6 +64,79 @@ def test_span_rejects_a_denominator_above_the_caps():
     with pytest.raises(ValueError):
         span.contains(over)
     assert span.echelon.rank == 1
+
+
+def test_rows_compute_each_power_once_per_algebra(monkeypatch):
+    L = _heisenberg_at_z()
+    elements = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in TERMS]
+    z = Poly.var(L.vars, "z")
+    want = [(el.num * z ** (3 - el.den[0])).terms for el in elements]
+    assert L.powers == {}
+    exponents = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda p, k: exponents.append(k) or power(p, k))
+    for _ in range(2):
+        assert common_denominator_rows(L, elements, (3,)) == (want, (3,))
+    assert sorted(exponents) == [2, 3]  # z itself is s^1; z^2 and z^3 once each
+    assert localize(L, [Poly.var(L.vars, "x")]).powers == {}
+
+
+# ---------------------------------------------------------------------------
+# rows keyed by monomial: no answer depends on the order of the terms
+
+
+def _shuffled(rng, terms):
+    return dict(rng.sample(list(terms.items()), len(terms)))
+
+
+def _reordered(rng, el):
+    """el with the same terms, inserted in a random order."""
+    return LocalElement(Poly(el.num.ctx, _shuffled(rng, el.num.terms)), el.den)
+
+
+def test_kernel_coordinates_ignore_key_and_equation_order(rng):
+    L = _heisenberg_at_z()
+    basis = [L.element(LocalElement(m.num, (k,))) for m in slice_basis(L, 2) for k in (0, 2)]
+    images = operator_rows(L, basis, _generator_actions(L))
+    want = kernel_coordinates(images, len(basis))
+    assert 0 < len(want) < len(basis)
+    for _ in range(10):
+        shuffled = [[_shuffled(rng, row) for row in rows] for rows in images]
+        rng.shuffle(shuffled)  # the operators, and so the blocks of equations
+        assert kernel_coordinates(shuffled, len(basis)) == want
+
+
+def test_solve_in_span_ignores_term_order(rng):
+    L = _heisenberg_at_z()
+    spanners = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in TERMS]
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in spanners]
+    member = combination(L, coeffs, spanners)
+    outside = L.element(LocalElement(parse_poly("x*y*z + x", L.vars), (2,)))
+    want = solve_in_span(L, spanners, member)
+    assert want is not None and solve_in_span(L, spanners, outside) is None
+    # free coefficients are zero: the solution is canonical, not the input
+    assert want != coeffs and combination(L, want, spanners) == member
+    for _ in range(10):
+        reordered = [_reordered(rng, el) for el in spanners]
+        assert solve_in_span(L, reordered, _reordered(rng, member)) == want
+        assert solve_in_span(L, reordered, _reordered(rng, outside)) is None
+
+
+def test_independent_subset_ignores_term_order(rng):
+    L = _heisenberg_at_z()
+    # multi-term elements first, so that their terms get the first columns
+    terms = [("x^2*z + x*y + y^2 - z", 1), ("x*y^2 - y*z + 3", 0)] + TERMS
+    elements = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in terms]
+    want = independent_subset(L, elements)
+    span = Span(L, (2,))
+    assert [el for el in elements if span.add(el)] == want
+    for _ in range(10):
+        reordered = [_reordered(rng, el) for el in elements]
+        assert independent_subset(L, reordered) == want
+        # the columns follow each row's sorted terms, so the echelon is the same
+        again = Span(L, (2,))
+        assert [el for el, r in zip(elements, reordered) if again.add(r)] == want
+        assert again.cols == span.cols and again.echelon.rows == span.echelon.rows
 
 
 def test_monomials_up_to_over_no_variables_is_the_empty_monomial():
