@@ -285,16 +285,27 @@ def growth_count(spec: BVWG, d: int, part: str = "total") -> int:
     return comb(d + spec.n, spec.n) * (2 * d + 1) ** spec.p
 
 
+def _left_sum(values) -> float:
+    """The floats added left to right.  The built-in ``sum`` compensates the
+    rounding of float additions from Python 3.12 on, so its last bits, and
+    a fraction read off them, depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def growth_exponent(spec: BVWG, dmax: int, part: str = "total") -> Fraction:
     """Least-squares slope of log count vs log d over d = dmax/2 .. dmax
-    (the half-range suppresses low-degree transients)."""
+    (the half-range suppresses low-degree transients), with every float sum
+    taken left to right, so the result is the same on every Python."""
     ds = list(range(max(1, dmax // 2), dmax + 1))
     xs = [log(d) for d in ds]
     ys = [log(growth_count(spec, d, part)) for d in ds]
     nm = len(ds)
-    xbar = sum(xs) / nm
-    ybar = sum(ys) / nm
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+    xbar = _left_sum(xs) / nm
+    ybar = _left_sum(ys) / nm
+    slope = _left_sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / _left_sum(
         (x - xbar) ** 2 for x in xs
     )
     return Fraction(slope).limit_denominator(10**9)

@@ -10,8 +10,7 @@ Exit codes:
 
   0  success
   1  mathematical negative (not simple, hypothesis failed, invalid table,
-     irrational eigenvalue, not solvable, not nilpotent, undecided
-     nilradical)
+     irrational eigenvalue, not solvable, not nilpotent)
   2  input error (bad JSON, parse errors, unknown variables, unstable ideal,
      a polynomial expanding past the parser's term bound, a degree slice
      C(d + dim g, dim g) past SLICE_BUDGET, a --dmax past DMAX_CAP, a JSON
@@ -39,20 +38,18 @@ from .errors import (
     HypothesisFailed,
     JacobiViolation,
     LiePoissonError,
-    NilradicalUndecided,
     NotNilpotent,
     NotSimple,
     NotSolvable,
     SearchExhausted,
 )
-from .invariants import center_up_to_degree, ghat, semi_invariants
+from .invariants import DEFAULT_DEGREE_BOUND, center_up_to_degree, ghat, semi_invariants
 from .lie import LieAlgebra, is_nilpotent, is_solvable, verify_lie
 from .poisson import SubstitutionIdeal, ideal_from_pairs, reduced_algebra
 
 MATH_NEGATIVE = (
     JacobiViolation,
     EigenvalueNotRational,
-    NilradicalUndecided,
     HypothesisFailed,
     NotSimple,
     NotNilpotent,
@@ -68,6 +65,10 @@ SLICE_BUDGET = 10_000
 DMAX_CAP = 10_000
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+# The keys a problem file's "options" may hold.  No subcommand reads
+# nilpotency_cap; it is accepted because existing problem files carry it.
+OPTIONS = ("max_degree", "nilpotency_cap")
 
 
 def _shaped(value, kind: type, what: str):
@@ -103,7 +104,14 @@ class ProblemFile:
         _shaped(data, dict, "problem file")
         self.name = data.get("name", "problem")
         opts = _shaped(data.get("options", {}), dict, "options")
-        self.max_degree = _shaped(opts.get("max_degree", 6), int, "options.max_degree")
+        unknown = sorted(set(opts) - set(OPTIONS))
+        if unknown:
+            raise ValueError(
+                f"unknown option {unknown[0]!r} in options (known: {', '.join(OPTIONS)})"
+            )
+        self.max_degree = _shaped(
+            opts.get("max_degree", DEFAULT_DEGREE_BOUND), int, "options.max_degree"
+        )
         self.lie: LieAlgebra | None = None
         self.ideal: SubstitutionIdeal | None = None
         self.bvwg: bvwg_mod.BVWG | None = None

@@ -26,11 +26,15 @@ the degree-bounded center), ``weyl.integrate_potential`` integrates them
 with the signs of ``weyl.split_derivation``, and b is that potential
 evaluated at X_j = x_j, Y_j = y_j, C_k = center[k].
 
-The flag is searched once.  When its generators are not coordinate vectors
-(and no ideal is given), g is re-presented on them as the basis c1..cm, so
-the flag becomes the coordinate flag in that order, and the semisimple
-subspace s moves into the new coordinates through the inverse of the
-generator matrix; its weights are read off the original flag.
+The flag is searched once, and g is presented on its generators once: one
+inverse of the generator matrix moves the structure constants and the
+semisimple subspace s into flag coordinates (the weights of s are read off
+the flag).  The generators keep their names, and the ideal its rules, when
+all of them are coordinate vectors; otherwise they are named c1..cm, which
+no ideal survives.  Level l is the algebra on the first l variables, an
+ideal of g, and the last level is the presented quotient itself.  The
+actions of s are derivations of each level algebra: {t, x_k} = [t, x_k] is
+a linear form in the level's own variables.
 
 All searches are degree-bounded and use ordered enumeration, so identical
 inputs yield identical traces.  ``SearchExhausted`` is a legitimate outcome:
@@ -53,27 +57,25 @@ from .errors import (
     SearchExhausted,
     UnsupportedChain,
 )
-from .invariants import center_up_to_degree, centralizer, nonzero_candidates, weight_spaces
+from .invariants import DEFAULT_DEGREE_BOUND, center_up_to_degree, centralizer
+from .invariants import nonzero_candidates, weight_spaces
 from .lie import (
     LieAlgebra,
     Subspace,
-    coordinate_subalgebra,
     is_nilpotent,
     jordan_holder,
     module_eigenspaces,
-    span_subalgebra,
     unit_index,
-    verify_lie,
 )
 from .poisson import (
+    Derivation,
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
-    epsilon_derivation,
     localize,
     reduced_algebra,
 )
-from .polys import Poly, make_vars
+from .polys import Context, Poly, make_vars
 from .spaces import (
     Span,
     basis_monomials,
@@ -83,8 +85,6 @@ from .spaces import (
     solve_in_span,
 )
 from .weyl import WeylPresentation, integrate_potential, pair_relation_failure
-
-DEFAULT_DEGREE_BOUND = 6
 
 
 @dataclass(frozen=True)
@@ -101,40 +101,48 @@ class DecompositionResult:
 # plumbing
 
 
-def _chain_order(flag, ideal: SubstitutionIdeal | None):
-    """Flag generators as a variable ordering.  Only coordinate-aligned
-    flags can thread a nonempty substitution ideal through the levels."""
-    order = [unit_index(gen) for gen in flag.generators]
-    if all(k is not None for k in order):
-        return order
-    if ideal is not None and not ideal.is_empty():
-        raise UnsupportedChain(
-            "flag is not aligned with the coordinate variables; "
-            "re-present the algebra on a flag basis or drop the ideal"
-        )
-    return None
+def _on_flag_basis(g: LieAlgebra, gens, names: Context, ts):
+    """g presented on the flag generators ``gens`` under ``names``, and the
+    s-basis ``ts`` in the same coordinates: basis vector k is gens[k], so
+    the first l basis vectors span the l-th flag member."""
+    to_flag = linalg.mat_inverse([list(row) for row in zip(*gens)])
+    structure = {}
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            entry = linalg.sparse(linalg.mat_vec(to_flag, g.bracket_vec(gens[a], gens[b])))
+            if entry:
+                structure[(a, b)] = entry
+    return LieAlgebra(names, structure), [linalg.mat_vec(to_flag, t) for t in ts]
 
 
-def _rebase_to_flag(g: LieAlgebra, flag) -> LieAlgebra:
-    """Re-present g on the flag generators (fresh names c1..cm)."""
-    sub = span_subalgebra(g, flag.generators, [f"c{i+1}" for i in range(g.dim)])
-    return verify_lie(sub.basis, sub.structure)
-
-
-def _level_algebra(g, ideal, order, level, inverted):
-    """The quotient on the first ``level`` flag variables, localized at the
-    denominators inverted so far."""
-    sub = coordinate_subalgebra(g, order[:level])
-    if sub is None:
-        raise UnsupportedChain("flag members are not ideals")
-    names = {v.name for v in sub.basis}
+def _level_algebra(g, ideal, level):
+    """The quotient on the first ``level`` flag variables (an ideal of g, so
+    its brackets are the structure constants among them)."""
+    ctx = g.basis[:level]
+    sub = LieAlgebra(ctx, {ij: vec for ij, vec in g.structure.items() if ij[1] < level})
+    names = {v.name for v in ctx}
     rules = [
-        (v, img.restrict(sub.basis))
+        (v, img.restrict(ctx))
         for v, img in (ideal.rules if ideal is not None else ())
         if v.name in names and img.variables_used() <= names
     ]
-    alg = reduced_algebra(sub, SubstitutionIdeal(tuple(rules)))
-    return localize(alg, [s.extend(sub.basis) for s in inverted]) if inverted else alg
+    return reduced_algebra(sub, SubstitutionIdeal(tuple(rules)))
+
+
+def _s_actions(g: LieAlgebra, ts, ctx: Context) -> list[Derivation]:
+    """The derivations {t, .}, t in ts, of the level algebra on ``ctx``, the
+    first variables of g's flag basis: they span an ideal, so each image
+    {t, x_k} = [t, x_k] (column k of ad t) is a linear form in ``ctx``."""
+    units = [tuple(int(i == j) for j in range(len(ctx))) for i in range(len(ctx))]
+    return [
+        Derivation(
+            {
+                v.name: LocalElement(Poly(ctx, dict(zip(units, col))))
+                for v, col in zip(ctx, zip(*g.ad_matrix(t)))
+            }
+        )
+        for t in ts
+    ]
 
 
 def _center_with_denominators(base, localized, d):
@@ -300,18 +308,12 @@ def _assert_commutes(alg, el, pairs, center, d):
 # semisimple-action helpers (only active when s is supplied)
 
 
-def _project_s_weight(cur_l, full_l, epsilons, el, theta_values):
-    """Spectral projection inside the full localized algebra (the actions
-    ``epsilons`` of the s-generators, built on ``full_l`` by
-    ``epsilon_derivation``, usually reach outside the current flag prefix),
-    pushed back to the level algebra (flag prefixes are ideals, so the
-    action stays inside)."""
-    lifted = full_l.element(el)
-    for eps, th in zip(epsilons, theta_values):
-        lifted = _krylov_projection(full_l, lambda x: eps.apply(full_l, x), lifted, th)
-    return cur_l.element(
-        LocalElement(lifted.num.restrict(cur_l.vars), lifted.den)
-    )
+def _project_s_weight(alg, actions, el, theta_values):
+    """The joint theta-eigencomponent of el under the s-actions ``actions``
+    (derivations of ``alg``, see ``_s_actions``)."""
+    for act, th in zip(actions, theta_values):
+        el = _krylov_projection(alg, lambda x, act=act: act.apply(alg, x), el, th)
+    return el
 
 
 # ---------------------------------------------------------------------------
@@ -332,42 +334,45 @@ def decompose(
     ``s``, a subspace of g acting semisimply, flag generators and preimages
     are projected onto their s-weight components.  Raises NotStable,
     HypothesisFailed, UnsupportedChain, EigenvalueNotRational, SearchExhausted.
-    Trace keys: degree_bound, hypothesis, basis_change (after a rebase), chain,
-    levels (level, generator, case, adjoined_central or v, u, pair; potential), e, n."""
+    Trace keys: degree_bound, hypothesis, basis_change (when the chain is
+    c1..cm), chain, levels (level, generator, case, adjoined_central or v,
+    u, pair; potential), e, n."""
     trace: dict = {"degree_bound": d, "levels": []}
     flag = jordan_holder(g)
-    alg = reduced_algebra(g, ideal)
-    for w, basis in weight_spaces(alg, d, nonzero_candidates(flag, d)):
+    for w, basis in weight_spaces(reduced_algebra(g, ideal), d, nonzero_candidates(flag, d)):
         raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
     trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
 
     ts = list(s.basis) if s is not None else []
     theta_by_level = [tuple(w(t) for t in ts) for w in flag.weights]
-    order = _chain_order(flag, ideal)
-    if order is None:
-        g = _rebase_to_flag(g, flag)
-        ideal = None
-        alg = reduced_algebra(g, ideal)
-        order = list(range(g.dim))
-        if ts:
-            to_flag = linalg.mat_inverse([list(row) for row in zip(*flag.generators)])
-            ts = [linalg.mat_vec(to_flag, t) for t in ts]
+    units = [unit_index(gen) for gen in flag.generators]
+    if None in units:
+        if ideal is not None and not ideal.is_empty():
+            raise UnsupportedChain(
+                "flag is not aligned with the coordinate variables; "
+                "re-present the algebra on a flag basis or drop the ideal"
+            )
+        names = make_vars([f"c{i+1}" for i in range(g.dim)])
         trace["basis_change"] = "re-presented on the flag basis"
-    trace["chain"] = [g.basis[k].name for k in order]
+    else:
+        names = tuple(g.basis[k] for k in units)
+    g, ts = _on_flag_basis(g, flag.generators, names, ts)
+    trace["chain"] = g.names()
+    alg = _level_algebra(g, ideal, g.dim)
 
-    full_l = alg
-    # the s-actions on full_l, rebuilt only when full_l is localized
-    epsilons = [epsilon_derivation(full_l, t) for t in ts]
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_l = None
     cur_l = alg  # the answer for g = 0, where no level runs
 
     for level in range(1, g.dim + 1):
-        z_idx = order[level - 1]
         theta = theta_by_level[level - 1]
-        step = {"level": level, "generator": g.basis[z_idx].name}
-        cur_l = _level_algebra(g, ideal, order, level, inverted)
+        name = g.basis[level - 1].name
+        step = {"level": level, "generator": name}
+        cur_l = alg if level == g.dim else _level_algebra(g, ideal, level)
+        if inverted:
+            cur_l = localize(cur_l, [v.extend(cur_l.vars) for v in inverted])
+        actions = _s_actions(g, ts, cur_l.vars)
         pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
 
         # plain previous center: the domain where v and u are searched
@@ -375,11 +380,9 @@ def decompose(
             plain_center = [cur_l.one()]
         else:
             plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_l, d)]
-        z_el = cur_l.gen(g.basis[z_idx].name)
-        if s is not None:
-            z_el = _project_s_weight(cur_l, full_l, epsilons, z_el, theta)
-            if z_el.is_zero():
-                raise SearchExhausted(d, "(flag generator lost its weight component)")
+        z_el = _project_s_weight(cur_l, actions, cur_l.gen(name), theta)
+        if z_el.is_zero():
+            raise SearchExhausted(d, "(flag generator lost its weight component)")
 
         delta_imgs = [cur_l.bracket(z_el, c) for c in plain_center]
         nonzero = [
@@ -411,29 +414,21 @@ def decompose(
             if combo is None:
                 raise SearchExhausted(d, "(no preimage for the central image)")
             u = combination(cur_l, combo, [c for c, _ in nonzero])
-            if s is not None:
-                u = _project_s_weight(cur_l, full_l, epsilons, u, [-t for t in theta])
+            if actions:
+                u = _project_s_weight(cur_l, actions, u, [-t for t in theta])
                 if not cur_l.sub(cur_l.bracket(z_el, u), v_cur).is_zero():
                     raise SearchExhausted(d, "(weight projection broke the preimage)")
             step["v"] = str(v_poly)
             step["u"] = cur_l.format(u)
-            if v_poly.is_constant():
-                y_new = cur_l.scale(Fraction(1) / v_poly.constant_value(), u)
-            else:
-                if not any(str(v_level) == str(w) for w in inverted):
-                    inverted.append(v_level)
-                    cur_l = localize(cur_l, [v_level])
-                    pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
-                    u = cur_l.element(u)
-                    z_el = cur_l.element(z_el)
-                    if s is not None:
-                        full_l = localize(full_l, [v_level.extend(alg.vars)])
-                        epsilons = [epsilon_derivation(full_l, t) for t in ts]
-                v_inv = cur_l.invert(cur_l.element(v_level))
-                y_new = cur_l.mul(u, v_inv)
+            if not v_level.is_constant() and str(v_level) not in map(str, inverted):
+                inverted.append(v_level)
+                cur_l = localize(cur_l, [v_level])
+                pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
+                u = cur_l.element(u)
+                z_el = cur_l.element(z_el)
+            y_new = cur_l.mul(u, cur_l.invert(cur_l.element(v_level)))
             b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
-            if s is not None:
-                b_el = _project_s_weight(cur_l, full_l, epsilons, b_el, theta)
+            b_el = _project_s_weight(cur_l, actions, b_el, theta)
             x_new = cur_l.sub(z_el, b_el)
             if not cur_l.sub(cur_l.bracket(x_new, y_new), cur_l.one()).is_zero():
                 raise SearchExhausted(d, "(canonical pair relation failed)")

@@ -153,6 +153,34 @@ def test_growth_exponents():
     assert abs(float(gslope) - 1.0) < 0.2
 
 
+def test_growth_exponent_adds_floats_left_to_right():
+    # tests/data/bvwg-symp.json at dmax 40 (the README's bvwg-invariants
+    # command): summed left to right the fit is 335720095/116471831, while
+    # the compensated built-in sum of Python 3.12 and later gives
+    # 2084598263/723212522
+    import json
+    import os
+    from functools import reduce
+    from math import log
+    from operator import add
+
+    from liepoisson.bvwg import _left_sum
+    from liepoisson.cli import ProblemFile
+
+    assert _left_sum([1e16, 1.0, -1e16]) == reduce(add, [1e16, 1.0, -1e16], 0.0) == 0.0
+    with open(os.path.join(os.path.dirname(__file__), "data", "bvwg-symp.json")) as fh:
+        spec = ProblemFile(json.load(fh)).bvwg
+    ds = range(20, 41)
+    xs = [log(d) for d in ds]
+    ys = [log(growth_count(spec, d)) for d in ds]
+    xbar = reduce(add, xs, 0.0) / len(xs)
+    ybar = reduce(add, ys, 0.0) / len(ys)
+    num = reduce(add, [(x - xbar) * (y - ybar) for x, y in zip(xs, ys)], 0.0)
+    den = reduce(add, [(x - xbar) ** 2 for x in xs], 0.0)
+    want = Fraction(num / den).limit_denominator(10**9)
+    assert growth_exponent(spec, 40) == want == F(335720095, 116471831)
+
+
 def test_symplectic_basis_normal_form(rng):
     for _ in range(30):
         spec = random_bvwg(rng, nmax=4, pmax=1)

@@ -249,14 +249,20 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     assert partials == []
 
 
-def test_semisimple_actions_are_built_once_per_full_algebra(monkeypatch):
-    # [x,y] = z, [t,x] = x, [t,y] = -y with s = <t>: z is inverted once, so
-    # the action of t is built on two full algebras (6 builds when every
-    # weight projection rebuilt it)
+def test_semisimple_actions_need_no_localization_of_their_own(monkeypatch):
+    # [x,y] = z, [t,x] = x, [t,y] = -y with s = <t>: z is inverted once.  The
+    # actions of t are derivations of each level algebra, so the run with s
+    # localizes exactly as often as the run without (3 times, and 2
+    # epsilon_derivation builds, when the actions lived on a second, separately
+    # localized full algebra)
     from liepoisson.lie import Subspace
 
     g = verify_lie("x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}})
     builds = _count_calls(monkeypatch, "poisson", "epsilon_derivation")
+    localizations = _count_calls(monkeypatch, "poisson", "localize")
+    plain = decompose(g, None, 6)
+    without_s = len(localizations)
     res = decompose(g, None, 6, s=Subspace(4, [(0, 0, 0, 1)]))
-    assert res.n == 1 and str(res.e) == "z"
-    assert len(builds) == 2
+    assert res.n == 1 and str(res.e) == "z" and plain.trace == res.trace
+    assert without_s == 2 and len(localizations) == 2 * without_s
+    assert builds == []

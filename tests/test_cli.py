@@ -291,6 +291,85 @@ def test_non_solvable_algebra_exit_code(tmp_path, command):
     assert json.loads(out) == {"error": "NotSolvable", "detail": "Lie algebra is not solvable"}
 
 
+# one input per class in cli.MATH_NEGATIVE: (subcommand, problem file)
+_NEGATIVE_INPUTS = {
+    "JacobiViolation": (
+        "center",
+        {
+            "lie": {
+                "dim": 3,
+                "basis": ["x", "y", "z"],
+                "brackets": [
+                    {"i": 0, "j": 1, "coeffs": {"0": "1"}},
+                    {"i": 1, "j": 2, "coeffs": {"1": "1"}},
+                    {"i": 0, "j": 2, "coeffs": {"2": "-1"}},
+                ],
+            }
+        },
+    ),
+    # [t,x] = y, [t,y] = 2x: ad t has eigenvalues +-sqrt(2)
+    "EigenvalueNotRational": (
+        "semi-invariants",
+        {
+            "lie": {
+                "dim": 3,
+                "basis": ["t", "x", "y"],
+                "brackets": [
+                    {"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                    {"i": 0, "j": 2, "coeffs": {"1": "2"}},
+                ],
+            }
+        },
+    ),
+    "HypothesisFailed": ("decompose", "aff2.json"),
+    # omega = 0 with one weight: the weight's kernel is fixed by everything
+    "NotSimple": (
+        "bvwg-embed",
+        {
+            "bvwg": {
+                "v_names": ["v1", "v2"],
+                "omega": [["0", "0"], ["0", "0"]],
+                "g_names": ["g"],
+                "weights": [["1", "0"]],
+            }
+        },
+    ),
+    "NotNilpotent": ("check84", "aff2.json"),
+    "NotSolvable": ("decompose", SL2),
+}
+
+
+def test_every_mathematical_negative_is_reachable(tmp_path):
+    assert set(_NEGATIVE_INPUTS) == {cls.__name__ for cls in cli.MATH_NEGATIVE}
+    for name, (command, problem) in _NEGATIVE_INPUTS.items():
+        if isinstance(problem, dict):
+            file = tmp_path / f"{name}.json"
+            file.write_text(json.dumps(problem))
+            problem = str(file)
+        else:
+            problem = path(problem)
+        code, out, _ = _capture([command, problem, "--json"])
+        assert code == 1 and json.loads(out)["error"] == name, (name, out)
+
+
+def test_misspelt_option_is_an_input_error(tmp_path):
+    # a misspelt max_degree would otherwise run at the default bound 6
+    with open(path("heisenberg.json")) as fh:
+        problem = json.load(fh)
+    problem["options"] = {"max_degre": 2}
+    file = tmp_path / "misspelt.json"
+    file.write_text(json.dumps(problem))
+    code, out, _ = _capture(["center", str(file)])
+    assert code == 2 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["error"] == "ValueError" and "'max_degre'" in report["detail"]
+    # the two known keys still load; nilpotency_cap is accepted and unread
+    problem["options"] = {"max_degree": 2, "nilpotency_cap": 64}
+    file.write_text(json.dumps(problem))
+    code, out, _ = _capture(["center", str(file), "--json"])
+    assert code == 0 and json.loads(out)["bound"] == 2
+
+
 def test_decompose_rebases_a_conjugate_without_ideal(tmp_path):
     # [x,y] = z, [t,x] = x, [t,y] = -y conjugated to b1..b4: the flag is not
     # coordinate-aligned, and the file gives no ideal, so decompose

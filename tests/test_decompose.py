@@ -193,6 +193,40 @@ def test_central_image_beyond_the_flag_prefix_is_unsupported_chain():
         assert verify_decomposition(res, 3)["ok"]
 
 
+def test_semisimple_action_reaches_no_variable_past_the_level():
+    # [x,y] = z, [t,x] = x, [t,y] = -y with z = a (or a + 1) and s = <t>: the
+    # flag is z, y, a, x, t, so the rule z -> a applies from level 3 on;
+    # projecting in the full algebra, where it applies, and restricting back
+    # to level 1 raised UnknownVariable('a')
+    g = verify_lie(
+        "x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}}
+    )
+    s = Subspace(5, [(0, 0, 0, 0, 1)])
+    for rhs in ("a", "a + 1"):
+        res = decompose(g, ideal_from_pairs(g.basis, [("z", rhs)]), 6, s=s)
+        assert res.n == 1 and str(res.e) == rhs
+        alg = res.algebra
+        den = rhs if rhs == "a" else f"({rhs})"
+        assert [[alg.format(el) for el in pair] for pair in res.pairs] == [
+            ["x", f"y/{den}"]
+        ]
+        assert verify_decomposition(res, 3)["ok"]
+        _assert_t_eigenvectors(res)
+
+
+def test_case_b_with_a_potential():
+    # a conjugate of family_n(2) whose last step both inverts v = c1 and
+    # subtracts the potential c3 of the earlier pair from the generator c5
+    from conftest import random_basis_change
+
+    res = decompose(random_basis_change(random.Random(2), family_n(2)), None, 4)
+    step = res.trace["levels"][-1]
+    assert step["level"] == 5 and step["case"] == "b" and step["v"] == "c1"
+    assert step["potential"] == "c3"
+    assert step["pair"] == ["-c3 + c5", "(-c2 - c4)/c1"]
+    assert verify_decomposition(res, 3)["ok"]
+
+
 def test_trace_deterministic():
     g = eng4()
     t1 = decompose(g, None, 5).trace
