@@ -36,6 +36,17 @@ ideal of g, and the last level is the presented quotient itself.  The
 actions of s are derivations of each level algebra: {t, x_k} = [t, x_k] is
 a linear form in the level's own variables.
 
+Each level keeps the rules of the ideal on its variables whose images use
+no later variable.  It is covered when it keeps all of them, so that its
+normal form is the top's on its variables; the top covers itself.  One
+``invariants.SliceTable`` per call brackets the top's degree-d slice once,
+on first use, and every covered level solves its center from those rows;
+a level that is not covered brackets its own slice (see ``invariants``).
+An element of a covered level, lifted to the next covered level, or into a
+localization of its own level, is already in normal form there: ``_carry``
+only extends its numerator and pads its denominator exponents with zeros.
+Every other lift goes through ``element``.
+
 All searches are degree-bounded and use ordered enumeration, so identical
 inputs yield identical traces.  ``SearchExhausted`` is a legitimate outcome:
 the theory guarantees the objects exist, not that they appear below any
@@ -46,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import linalg
@@ -57,7 +69,7 @@ from .errors import (
     SearchExhausted,
     UnsupportedChain,
 )
-from .invariants import DEFAULT_DEGREE_BOUND, center_up_to_degree, centralizer
+from .invariants import DEFAULT_DEGREE_BOUND, SliceTable, center_up_to_degree, centralizer
 from .invariants import nonzero_candidates, weight_spaces
 from .lie import (
     LieAlgebra,
@@ -117,7 +129,8 @@ def _on_flag_basis(g: LieAlgebra, gens, names: Context, ts):
 
 def _level_algebra(g, ideal, level):
     """The quotient on the first ``level`` flag variables (an ideal of g, so
-    its brackets are the structure constants among them)."""
+    its brackets are the structure constants among them) by the rules of
+    ``ideal`` on those variables whose images use no later variable."""
     ctx = g.basis[:level]
     sub = LieAlgebra(ctx, {ij: vec for ij, vec in g.structure.items() if ij[1] < level})
     names = {v.name for v in ctx}
@@ -127,6 +140,15 @@ def _level_algebra(g, ideal, level):
         if v.name in names and img.variables_used() <= names
     ]
     return reduced_algebra(sub, SubstitutionIdeal(tuple(rules)))
+
+
+def _carry(alg, el):
+    """el as an element of alg, where el comes from an algebra on the first
+    variables of alg with alg's rules on them and a prefix of its inverted
+    elements: it is in alg's normal form already, so only its numerator's
+    context and its denominator exponents grow."""
+    den = el.den + (0,) * (len(alg.inverted) - len(el.den))
+    return LocalElement(el.num.extend(alg.vars), den)
 
 
 def _s_actions(g: LieAlgebra, ts, ctx: Context) -> list[Derivation]:
@@ -359,10 +381,12 @@ def decompose(
     g, ts = _on_flag_basis(g, flag.generators, names, ts)
     trace["chain"] = g.names()
     alg = _level_algebra(g, ideal, g.dim)
+    table = SliceTable(alg, d)
 
     pairs: list[tuple[LocalElement, LocalElement]] = []
     inverted: list[Poly] = []
     prev_l = None
+    prev_covered = False
     cur_l = alg  # the answer for g = 0, where no level runs
 
     for level in range(1, g.dim + 1):
@@ -370,16 +394,19 @@ def decompose(
         name = g.basis[level - 1].name
         step = {"level": level, "generator": name}
         cur_l = alg if level == g.dim else _level_algebra(g, ideal, level)
+        covered = table.share(cur_l)
         if inverted:
             cur_l = localize(cur_l, [v.extend(cur_l.vars) for v in inverted])
         actions = _s_actions(g, ts, cur_l.vars)
-        pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
+        # two covered levels both keep the top's rules on their variables
+        lift = partial(_carry, cur_l) if covered and prev_covered else cur_l.element
+        pairs = [(lift(x), lift(y)) for x, y in pairs]
 
         # plain previous center: the domain where v and u are searched
         if prev_l is None:
             plain_center = [cur_l.one()]
         else:
-            plain_center = [cur_l.element(c) for c in center_up_to_degree(prev_l, d)]
+            plain_center = [lift(c) for c in center_up_to_degree(prev_l, d)]
         z_el = _project_s_weight(cur_l, actions, cur_l.gen(name), theta)
         if z_el.is_zero():
             raise SearchExhausted(d, "(flag generator lost its weight component)")
@@ -423,9 +450,9 @@ def decompose(
             if not v_level.is_constant() and str(v_level) not in map(str, inverted):
                 inverted.append(v_level)
                 cur_l = localize(cur_l, [v_level])
-                pairs = [(cur_l.element(x), cur_l.element(y)) for x, y in pairs]
-                u = cur_l.element(u)
-                z_el = cur_l.element(z_el)
+                pairs = [(_carry(cur_l, x), _carry(cur_l, y)) for x, y in pairs]
+                u = _carry(cur_l, u)
+                z_el = _carry(cur_l, z_el)
             y_new = cur_l.mul(u, cur_l.invert(cur_l.element(v_level)))
             b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
             b_el = _project_s_weight(cur_l, actions, b_el, theta)
@@ -439,6 +466,7 @@ def decompose(
             step["pair"] = [cur_l.format(x_new), cur_l.format(y_new)]
         trace["levels"].append(step)
         prev_l = cur_l
+        prev_covered = covered
 
     center = _center_with_denominators(cur_l, cur_l, d)
     e = Poly.const(cur_l.vars, 1)

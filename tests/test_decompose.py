@@ -486,3 +486,41 @@ def test_nilpotent_decompose_solves_no_weight_space(monkeypatch):
         del kernels[:], centralizers[:]
         decompose(g, ideal, 4)
         assert kernels and len(kernels) == len(centralizers), g.names()
+
+
+# ---------------------------------------------------------------------------
+# the central choice when no candidate combination is central
+
+
+def _choice_failure(spec, structure, candidates, d=3):
+    from liepoisson.decompose import _central_choice
+    from liepoisson.poisson import reduced_algebra
+
+    alg = reduced_algebra(verify_lie(spec, structure), None)
+    return lambda: _central_choice(alg, [alg.element(c) for c in candidates], d)
+
+
+def test_central_choice_certifies_a_nonzero_weight():
+    # [t,x] = x: x spans a module on which t acts by 1 and x by 0
+    choose = _choice_failure("t x", {(0, 1): {1: 1}}, ["x"])
+    with pytest.raises(HypothesisFailed) as err:
+        choose()
+    assert (err.value.weight, err.value.element) == (("1", "0"), "x")
+
+
+def test_central_choice_needs_a_module():
+    from liepoisson.errors import SearchExhausted
+
+    # {x, t} = -x lies outside the span of t
+    choose = _choice_failure("t x", {(0, 1): {1: 1}}, ["t"])
+    with pytest.raises(SearchExhausted, match=r"\(module not closed under the action\)"):
+        choose()
+
+
+def test_central_choice_needs_a_rational_eigenvector():
+    from liepoisson.errors import EigenvalueNotRational
+
+    # t rotates span(x, y): its eigenvalues are +-i
+    choose = _choice_failure("t x y", {(0, 1): {2: 1}, (0, 2): {1: -1}}, ["x", "y"])
+    with pytest.raises(EigenvalueNotRational):
+        choose()

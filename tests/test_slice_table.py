@@ -1,0 +1,162 @@
+"""One slice table per ``decompose``: every flag level that the top covers
+reads the actions on its slice from the top slice's bracket rows, and a lift
+between covered levels skips the normal form.  Each is checked against the
+work it replaces: a center solved on a freshly built level algebra that
+holds no table, and the lift through ``element``."""
+
+import importlib
+import random
+
+from liepoisson.errors import LiePoissonError
+from liepoisson.invariants import SliceTable, center_up_to_degree, centralizer
+from liepoisson.lie import verify_lie
+from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra, reduced_algebra
+from liepoisson.spaces import slice_basis
+
+from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
+from test_acceptance import DECOMP_FIXTURES
+
+dec = importlib.import_module("liepoisson.decompose")
+
+
+def _uncovered_input():
+    """[x,y] = z, [t,x] = x, [t,y] = -y with z = a^2.  The flag is z, y, a,
+    x, t: levels 1 and 2 keep z, which the top eliminates by a^2, an image
+    in the later variable a."""
+    g = verify_lie("x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}})
+    return g, ideal_from_pairs(g.basis, [("z", "a^2")])
+
+
+def _inputs():
+    """(name, g, ideal, d): the decomposition fixtures at d = 6, then the
+    sweep at d = 4 (150 random solvable algebras, 10 conjugates each of
+    heisenberg, eng4 and family_n(2), two family ideals), then the input
+    with uncovered levels."""
+    for name, g, pairs in DECOMP_FIXTURES:
+        yield name, g, ideal_from_pairs(g.basis, pairs) if pairs else None, 6
+    for seed in range(150):
+        yield f"solvable-{seed}", random_solvable(random.Random(seed), 2 + seed % 4), None, 4
+    for name, g in (("heisenberg", heisenberg()), ("eng4", eng4()), ("family_n2", family_n(2))):
+        for k in range(10):
+            yield f"{name}-conj-{k}", random_basis_change(random.Random(k), g), None, 4
+    for k, z in ((2, "3/2"), (3, "1")):
+        g = family_n(k)
+        yield f"family_n{k}(z={z})", g, ideal_from_pairs(g.basis, [("z", z)]), 4
+    yield ("uncovered", *_uncovered_input(), 4)
+
+
+def _run_all(check):
+    """Run decompose on every input; ``check(name)`` is called before each.
+    Returns the number of inputs that decomposed."""
+    done = 0
+    for name, g, ideal, d in _inputs():
+        check(name)
+        try:
+            dec.decompose(g, ideal, d)
+        except LiePoissonError:
+            continue
+        done += 1
+    return done
+
+
+def _fresh(alg: PoissonAlgebra) -> PoissonAlgebra:
+    """An algebra equal to alg with no table and an empty center memo."""
+    return poisson_algebra(alg.vars, alg.table, alg.ideal, alg.inverted)
+
+
+def _terms(els):
+    return [(sorted(el.num.terms.items()), el.den) for el in els]
+
+
+def test_every_level_center_matches_a_level_without_a_table(monkeypatch):
+    original = dec.center_up_to_degree
+    seen = {"table": 0, "own": 0}
+    current = [None]
+
+    def checked(alg, d):
+        got = original(alg, d)
+        seen["table" if alg.slices is not None else "own"] += 1
+        assert _terms(got) == _terms(original(_fresh(alg), d)), (current[0], alg.vars, d)
+        return got
+
+    monkeypatch.setattr(dec, "center_up_to_degree", checked)
+    # the 8 fixtures, 120 of the 182 sweep inputs, and the uncovered input
+    assert _run_all(lambda name: current.__setitem__(0, name)) == 129
+    assert seen["table"] > 400 and seen["own"] >= 2
+
+
+def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
+    g, ideal = _uncovered_input()
+    original = dec.center_up_to_degree
+    held = []
+
+    def recorded(alg, d):
+        held.append((len(alg.vars), alg.slices is not None))
+        return original(alg, d)
+
+    monkeypatch.setattr(dec, "center_up_to_degree", recorded)
+    res = dec.decompose(g, ideal, 4)
+    assert res.trace["chain"] == ["z", "y", "a", "x", "t"]
+    assert (str(res.e), res.n) == ("a^2", 1)
+    assert sorted(set(held)) == [(1, False), (2, False), (3, True), (4, True), (5, True)]
+
+
+def test_a_skipped_lift_equals_the_lift_through_element(monkeypatch):
+    original = dec._carry
+    lifts = []
+
+    def checked(alg, el):
+        got = original(alg, el)
+        want = alg.element(el)
+        assert (got.num, got.den) == (want.num, want.den), (alg.vars, el)
+        lifts.append(1)
+        return got
+
+    monkeypatch.setattr(dec, "_carry", checked)
+    _run_all(lambda name: None)
+    assert len(lifts) > 1000
+
+
+def test_the_table_is_built_on_first_use(monkeypatch):
+    g = family_n(2)
+    top = reduced_algebra(g, ideal_from_pairs(g.basis, [("z", "1")]))
+    brackets = []
+    original = PoissonAlgebra.bracket
+
+    def counted(self, p, q):
+        brackets.append(1)
+        return original(self, p, q)
+
+    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    table = SliceTable(top, 3)
+    assert top.slices is table and table.rows is None and not brackets
+    # a span that is not all slice monomials is bracketed, and builds nothing
+    basis = slice_basis(top, 2)
+    mixed = [*basis[:3], top.add(basis[1], basis[2])]
+    assert table.restrict(top, mixed) is None and table.rows is None
+    assert table.restrict(top, slice_basis(top, 4)) is None  # beyond the table's degree
+    built = len(brackets)
+    assert built == 5 * len(slice_basis(top, 3))
+    center_up_to_degree(top, 3)
+    center_up_to_degree(top, 2)
+    assert len(brackets) == built
+    assert _terms(center_up_to_degree(top, 2)) == _terms(centralizer(_fresh(top), basis))
+
+
+def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):
+    # family_n(3) with z = 1 at d = 6: 10,942 brackets when each flag level
+    # bracketed its own slice (levels of 1, 7, 28, 84, 210, 462 and 924
+    # monomials); the top slice alone is 924 monomials times 7 generators
+    g = family_n(3)
+    ideal = ideal_from_pairs(g.basis, [("z", "1")])
+    brackets = []
+    original = PoissonAlgebra.bracket
+
+    def counted(self, p, q):
+        brackets.append(1)
+        return original(self, p, q)
+
+    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    res = dec.decompose(g, ideal, 6)
+    assert res.n == 3
+    assert len(brackets) <= 6685
