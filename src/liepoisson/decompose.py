@@ -42,6 +42,8 @@ normal form is the top's on its variables; the top covers itself.  One
 ``invariants.SliceTable`` per call brackets the top's degree-d slice once,
 on first use, and every covered level solves its center from those rows;
 a level that is not covered brackets its own slice (see ``invariants``).
+The returned algebra no longer holds the table, so its rows die with the
+call; a later center of that algebra brackets its own slice.
 An element of a covered level, lifted to the next covered level, or into a
 localization of its own level, is already in normal form there: ``_carry``
 only extends its numerator and pads its denominator exponents with zeros.
@@ -474,6 +476,7 @@ def decompose(
         e = e * v.extend(cur_l.vars)
     trace["e"] = str(e)
     trace["n"] = len(pairs)
+    object.__setattr__(cur_l, "slices", None)
     return DecompositionResult(
         e=e,
         n=len(pairs),

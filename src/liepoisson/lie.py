@@ -10,8 +10,10 @@ non-solvable input, which has no flag of ideals, with ``NotSolvable``.
 Subspaces of Q^n are held in reduced row echelon form, so a subspace has
 exactly one stored basis whatever vectors spanned it.  Kernels and
 intersections may therefore be taken from any spanning set and still come
-out identical; ``Subspace.kernel`` is the one dense kernel (eigenspaces,
-``Subspace.intersect``, and the kernels of the skew forms in ``bvwg``).
+out identical; ``Subspace.kernel`` is the one dense kernel
+(``Subspace.intersect`` and the kernels of the skew forms in ``bvwg``).
+Joint eigenspaces are solved on sparse integer equations instead, by the
+one search ``_joint_eigenspaces``.
 """
 
 from __future__ import annotations
@@ -123,6 +125,18 @@ class Subspace:
         pivots = set(self.pivots)
         return [j for j in range(self.ambient_dim) if j not in pivots]
 
+    def equations(self) -> list[dict[int, Fraction]]:
+        """Sparse rows whose common kernel is the subspace: for each free
+        column f, x_f = sum over pivots p of x_p * basis[p][f]."""
+        out = []
+        for f in self.free_columns():
+            row = {f: Fraction(1)}
+            for p, vec in zip(self.pivots, self.basis):
+                if vec[f]:
+                    row[p] = -vec[f]
+            out.append(row)
+        return out
+
     def kernel(self, images: Sequence[Sequence[Fraction]]) -> "Subspace":
         """The vectors sum a_i basis[i] with sum a_i images[i] = 0, where
         ``images[i]`` is the image of ``basis[i]`` under a linear map (in
@@ -179,9 +193,14 @@ class LieAlgebra:
         return tuple(out)
 
     def ad_matrix(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Matrix of ad x (columns are [x, e_j])."""
-        cols = [self.bracket_vec(x, basis_vec(j, self.dim)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of ad x (columns are [x, e_j]), from the sparse constants."""
+        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(x):
+            if a:
+                for j in range(self.dim):
+                    for k, c in self.bracket_basis(i, j).items():
+                        out[k][j] += a * c
+        return out
 
     def names(self) -> list[str]:
         return [v.name for v in self.basis]
@@ -340,27 +359,48 @@ def nilradical(g: LieAlgebra) -> Subspace:
 # common eigenvectors and Jordan-Hoelder flags
 
 
-def _joint_eigenspaces(ops, space: Subspace, candidates):
+def _joint_eigenspaces(rows, dim: int, equations, candidates):
     """Lazily, depth first: the (values, space) pairs of the joint
-    eigenspaces inside ``space``.  ``candidates(level)`` lists, ascending,
-    the rational roots of the characteristic polynomial of ``ops[level]``;
-    branches with empty intersection are pruned."""
+    eigenspaces of the operators on Q^dim inside the solution space of
+    ``equations`` (sparse rows; none for all of Q^dim).  ``rows[level]``
+    lists the sparse rows of ``ops[level]`` and ``candidates(level)`` the
+    rational roots of its characteristic polynomial, ascending.
 
-    def descend(level: int, vals: tuple[Fraction, ...], cur: Subspace):
-        if cur.dim == 0:
+    Invariant: the branch (c_0..c_l) holds one ``linalg.Echelon`` of the
+    stacked equations ``equations`` and (ops[j] - c_j)·a = 0 for j <= l, in
+    the coordinates a of Q^dim; a child copies its parent's echelon and adds
+    only its own operator's rows.  The branch's space is the echelon's
+    nullspace, so it is pruned when the rank reaches dim, and a leaf takes
+    one nullspace and builds its one ``Subspace``."""
+    root = linalg.echelon_of(equations)
+
+    def descend(level: int, vals: tuple[Fraction, ...], ech: linalg.Echelon):
+        if ech.rank == dim:
             return
-        if level == len(ops):
-            yield vals, cur
+        if level == len(rows):
+            yield vals, Subspace(dim, linalg.nullspace(ech.rows.values(), dim))
             return
         for c in candidates(level):
-            # images of cur's basis under ops[level] - c
-            images = [
-                [a - c * b if b else a for a, b in zip(linalg.mat_vec(ops[level], v), v)]
-                for v in cur.basis
-            ]
-            yield from descend(level + 1, vals + (c,), cur.kernel(images))
+            child = ech.copy()
+            for r, row in enumerate(rows[level]):
+                if c:
+                    row = dict(row)
+                    if d := row.get(r, 0) - c:
+                        row[r] = d
+                    else:
+                        del row[r]
+                if row:
+                    child.add(row)
+                    if child.rank == dim:
+                        break
+            yield from descend(level + 1, vals + (c,), child)
 
-    return descend(0, (), space)
+    return descend(0, (), root)
+
+
+def _sparse_rows(ops):
+    """Each square matrix as its list of sparse rows."""
+    return [[linalg.sparse(row) for row in op] for op in ops]
 
 
 def _roots_on_first_use(ops):
@@ -378,8 +418,10 @@ def module_eigenspaces(
     branches with empty intersection are pruned.  Returns (values, space)
     pairs in deterministic order.
     """
-    space = restrict if restrict is not None else Subspace.whole(dim)
-    return list(_joint_eigenspaces(ops, space, _roots_on_first_use(ops)))
+    equations = restrict.equations() if restrict is not None else ()
+    return list(
+        _joint_eigenspaces(_sparse_rows(ops), dim, equations, _roots_on_first_use(ops))
+    )
 
 
 def common_eigenvector(
@@ -396,7 +438,10 @@ def common_eigenvector(
     if space.dim == 0:
         return None
     ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
-    for vals, sub in _joint_eigenspaces(ops, space, _roots_on_first_use(ops)):
+    found = _joint_eigenspaces(
+        _sparse_rows(ops), g.dim, space.equations(), _roots_on_first_use(ops)
+    )
+    for vals, sub in found:
         return Weight(vals), sub.basis[0]
     invariant = all(
         space.contains(linalg.mat_vec(op, v)) for op in ops for v in space.basis
@@ -420,6 +465,11 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     """Flag of ideals built by repeated rational common-eigenvector search
     on the quotient of the adjoint module.
 
+    Each step searches g/g_j in the coordinates of the free columns of g_j's
+    reduced rows, through the one stacked-equation search of
+    ``_joint_eigenspaces``; the induced operators are read sparsely from the
+    structure constants and those rows, skipping zeros.
+
     Each chain member g_j is an ideal, so the characteristic polynomial of
     ad x on g is that on g_j times that on g/g_j, and the roots on g_j are
     the weights found so far.  The roots on the quotient are therefore the
@@ -435,11 +485,10 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     chain = [current]
     weights: list[Weight] = []
     gens: list[Vec] = []
-    ops_full = [g.ad_matrix(basis_vec(i, m)) for i in range(m)]
     # root -> multiplicity on the current quotient, for each ad x_i
     remaining = cache(
         lambda level: linalg.rational_root_multiplicities(
-            linalg.charpoly(ops_full[level])
+            linalg.charpoly(g.ad_matrix(basis_vec(level, m)))
         )
     )
 
@@ -448,13 +497,23 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
 
     while current.dim < m:
         free = current.free_columns()
-        # induced operators on the quotient, in free-column coordinates
-        qops = []
-        for op in ops_full:
-            cols = [current.reduce([row[f] for row in op]) for f in free]
-            qops.append([[col[i] for col in cols] for i in free])
-        qspace = Subspace.whole(len(free))
-        found = next(_joint_eigenspaces(qops, qspace, candidates), None)
+        pos = {f: a for a, f in enumerate(free)}
+        # e_p for a pivot p is -(row_p - e_p) modulo g_j, all at free columns
+        off = {
+            p: [(pos[j], -w) for j, w in enumerate(row) if w and j != p]
+            for p, row in zip(current.pivots, current.basis)
+        }
+        # rows of the induced operators on g/g_j: the column of ad x_i at
+        # free column f is [x_i, e_f] modulo g_j
+        qrows = []
+        for i in range(m):
+            rows: list[dict[int, Fraction]] = [{} for _ in free]
+            for b, f in enumerate(free):
+                for k, c in g.bracket_basis(i, f).items():
+                    for a, w in off[k] if k in off else ((pos[k], 1),):
+                        rows[a][b] = rows[a].get(b, 0) + c * w
+            qrows.append([{b: v for b, v in row.items() if v} for row in rows])
+        found = next(_joint_eigenspaces(qrows, len(free), (), candidates), None)
         if found is None:
             if not is_solvable(g):
                 raise NotSolvable()

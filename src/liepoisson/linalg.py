@@ -87,6 +87,13 @@ class Echelon:
             self._rows, self._reduced = done, True
         return self._rows
 
+    def copy(self) -> "Echelon":
+        """An echelon with the same rows; adding to either one leaves the
+        other as it was (stored rows are never changed in place)."""
+        out = Echelon()
+        out._rows, out._reduced = dict(self._rows), self._reduced
+        return out
+
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -214,7 +221,7 @@ def charpoly(mat: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     for row in mat:
         for v in row:
             den = den // gcd(den, v.denominator) * v.denominator
-    b = [[int(v * den) for v in row] for row in mat]
+    b = [[v.numerator * (den // v.denominator) for v in row] for row in mat]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     prod = [row[:] for row in b]
@@ -272,19 +279,31 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
+def _divide_root(cs: list[int], p: int, q: int) -> list[int] | None:
+    """The quotient of sum cs[i] t^i by q t - p over the integers,
+    coefficients low degree first, or None when it leaves a remainder."""
+    quot, carry = [], 0  # carry is p times the last quotient coefficient
+    for a in reversed(cs[1:]):
+        b, rest = divmod(a + carry, q)
+        if rest:
+            return None
+        quot.append(b)
+        carry = p * b
+    return quot[::-1] if cs[0] + carry == 0 else None
+
+
 def rational_root_multiplicities(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
     """Each rational root of the nonzero polynomial (coefficients low degree
-    first) with its multiplicity, in ascending order of the roots."""
+    first) with its multiplicity, in ascending order of the roots.  A root
+    p/q in lowest terms is divided out as q t - p from the polynomial with
+    cleared denominators: by Gauss's lemma each quotient stays integral, so
+    the division is exact integer arithmetic."""
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     out = {}
     for r in rational_roots(coeffs):
-        cs, k = list(coeffs), 0
-        while True:
-            acc, quot = Fraction(0), []
-            for c in reversed(cs):  # Horner: synthetic division by t - r
-                acc = acc * r + c
-                quot.append(acc)
-            if quot.pop() != 0:
-                break
-            cs, k = quot[::-1], k + 1
+        cs, k = ints, 0
+        while (cs := _divide_root(cs, r.numerator, r.denominator)) is not None:
+            k += 1
         out[r] = k
     return out

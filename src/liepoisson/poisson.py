@@ -250,13 +250,29 @@ class PoissonAlgebra:
         return self._cancel(num, el.den)
 
     def _cancel(self, num: Poly, den: tuple[int, ...]) -> LocalElement:
-        """Cancel exact powers of the inverted denominators from num."""
+        """Cancel exact powers of the inverted denominators from num, in the
+        order of ``inverted``.  A single-term s = c x^f outside a Laurent
+        context divides num exactly k times for k the least floor(e_v / f_v)
+        over num's terms and the variables v of f, so s^k leaves in one
+        division; any other s is divided out one power at a time."""
         if not any(den):
             return LocalElement(num, den)
         if num.is_zero():
             return LocalElement(num, (0,) * len(self.inverted))
         den = list(den)
-        for i in range(len(self.inverted)):
+        for i, (content, core) in enumerate(self.cores):
+            if den[i] and content is None and len(core.terms) == 1:
+                ((f, c),) = core.terms.items()
+                k = min(
+                    [den[i]]
+                    + [m[v] // e for m in num.terms for v, e in enumerate(f) if e]
+                )
+                if k:
+                    if k > 1:  # s^k, built as the one monomial it is
+                        core = Poly(self.vars, {tuple(k * e for e in f): c**k})
+                    num = num.divide_exact(core)
+                    den[i] -= k
+                continue
             while den[i] > 0:
                 q = self._divide(num, i)
                 if q is None:

@@ -90,6 +90,22 @@ def test_echelon_membership():
     assert not ech.contains({2: F(1)})
 
 
+def test_adding_to_a_copy_leaves_the_original_unchanged():
+    rows = [{1: F(2), 2: F(1)}, {0: F(1), 1: F(1)}]
+    for read_first in (False, True):
+        ech = linalg.echelon_of(rows)
+        if read_first:
+            assert ech.rows  # the copy starts from the reduced rows
+        copy = ech.copy()
+        assert copy.add({1: F(1)}) and copy.add({3: F(5)})
+        assert (ech.rank, copy.rank) == (2, 4)
+        assert ech.rows == linalg.echelon_of(rows).rows
+        assert not ech.contains({2: F(1)}) and copy.contains({2: F(1)})
+        # and the other way round
+        assert ech.add({4: F(1)}) and not copy.contains({4: F(1)})
+        assert copy.rows == linalg.echelon_of(rows + [{2: F(1)}, {3: F(1)}]).rows
+
+
 def test_echelon_fully_reduced():
     # rows added out of order must still leave a fully reduced basis
     ech = linalg.Echelon()
@@ -390,3 +406,26 @@ def test_rational_root_multiplicities():
     assert list(got.items()) == [(F(-3), 1), (F(0), 3), (F(1, 2), 2)]
     assert list(got) == linalg.rational_roots(poly)
     assert linalg.rational_root_multiplicities([F(1), F(0), F(1)]) == {}
+
+
+def test_rational_root_multiplicities_of_random_products():
+    # oracle: the factors the polynomial was built from, times a scalar and,
+    # every other time, the irreducible t^2 + 2
+    rng = random.Random(20261019)
+    for trial in range(100):
+        want = {}
+        for _ in range(rng.randint(0, 5)):
+            r = F(rng.randint(-4, 4), rng.randint(1, 3))
+            want[r] = want.get(r, 0) + 1
+        poly = [F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))]
+        factors = [[-r, F(1)] for r, k in want.items() for _ in range(k)]
+        if trial % 2:
+            factors.append([F(2), F(0), F(1)])
+        for f in factors:
+            out = [F(0)] * (len(poly) + len(f) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(f):
+                    out[i + j] += a * b
+            poly = out
+        got = linalg.rational_root_multiplicities(poly)
+        assert list(got.items()) == sorted(want.items())

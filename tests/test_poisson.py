@@ -1,6 +1,7 @@
 """Poisson engine: brackets, Jacobi, quotients, localization, tensor,
 skew extensions, derivations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -417,3 +418,47 @@ def test_cancel_takes_out_the_laurent_content_of_the_denominator():
     inv = L.invert(L.element("Y + 1"))
     assert L.format(inv) == "X/(X*Y + X)"
     assert L.mul(inv, L.element("Y + 1")) == L.one()
+
+
+# ---------------------------------------------------------------------------
+# cancelling a single-term denominator in one division
+
+
+def _greedy_cancel(L, num, den):
+    """The one-power-at-a-time cancel, in the order of ``L.inverted``."""
+    den = list(den)
+    for i in range(len(L.inverted)):
+        while den[i] > 0:
+            q = L._divide(num, i)
+            if q is None:
+                break
+            num, den[i] = q, den[i] - 1
+    return LocalElement(num, tuple(den))
+
+
+def test_cancel_divides_a_single_term_denominator_once_as_the_loop_would(monkeypatch):
+    # 3xy, x and 2y^2 share variables; x + y keeps the loop
+    ctx = make_vars("x y z")
+    A = poisson_algebra(ctx, {(0, 1): Poly.var(ctx, "z")})
+    L = localize(A, [parse_poly(s, ctx) for s in ("3*x*y", "x", "2*y^2", "x + y")])
+    divisors = []
+    divide_exact = Poly.divide_exact
+    monkeypatch.setattr(
+        Poly, "divide_exact", lambda p, d: divisors.append(d) or divide_exact(p, d)
+    )
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(300):
+        num = random_poly(rng, ctx, max_degree=3)
+        for s in L.inverted:
+            num = num * s ** rng.randint(0, 2)
+        den = tuple(rng.randint(0, 4) for _ in L.inverted)
+        divisors.clear()
+        got = L._cancel(num, den)
+        single = [d for d in divisors if len(d.terms) == 1]
+        want = _greedy_cancel(L, num, den)
+        assert (got.num.terms, got.den) == (want.num.terms, want.den)
+        assert all(type(c) is type(want.num.terms[m]) for m, c in got.num.terms.items())
+        assert len(single) <= 3
+        cancelled += got.den != den
+    assert cancelled > 150

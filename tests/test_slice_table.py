@@ -4,8 +4,10 @@ between covered levels skips the normal form.  Each is checked against the
 work it replaces: a center solved on a freshly built level algebra that
 holds no table, and the lift through ``element``."""
 
+import gc
 import importlib
 import random
+import weakref
 
 from liepoisson.errors import LiePoissonError
 from liepoisson.invariants import SliceTable, center_up_to_degree, centralizer
@@ -160,3 +162,31 @@ def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):
     res = dec.decompose(g, ideal, 6)
     assert res.n == 3
     assert len(brackets) <= 6685
+
+
+def test_the_result_drops_its_table_and_verifies_as_with_it(monkeypatch):
+    # the eng4-type algebra of localized-certify inverts e4; family_n(2)
+    # with z = 2 is the ideal-decompose shape
+    kept = []
+
+    class Recorded(SliceTable):
+        def __init__(self, top, d):
+            super().__init__(top, d)
+            kept.append(self)
+
+    monkeypatch.setattr(dec, "SliceTable", Recorded)
+    lc = verify_lie("e1 e2 e3 e4", {(0, 1): {2: 3}, (0, 2): {3: -2}})
+    fam = family_n(2)
+    inputs = [(lc, None), (fam, ideal_from_pairs(fam.basis, [("z", "2")]))]
+    for g, ideal in inputs:
+        res = dec.decompose(g, ideal, 6)
+        table = weakref.ref(kept.pop())
+        gc.collect()
+        assert res.algebra.slices is None and table() is None
+        with_table = dec.decompose(g, ideal, 6)
+        kept.pop().share(with_table.algebra)
+        assert with_table.algebra.slices is not None
+        for k in (2, 3):
+            report = dec.verify_decomposition(res, k)
+            assert report["ok"]
+            assert report == dec.verify_decomposition(with_table, k)
