@@ -31,19 +31,23 @@ inverse of the generator matrix moves the structure constants and the
 semisimple subspace s into flag coordinates (the weights of s are read off
 the flag).  The generators keep their names, and the ideal its rules, when
 all of them are coordinate vectors; otherwise they are named c1..cm, which
-no ideal survives.  Level l is the algebra on the first l variables, an
-ideal of g, and the last level is the presented quotient itself.  The
-actions of s are derivations of each level algebra: {t, x_k} = [t, x_k] is
-a linear form in the level's own variables.
+no ideal survives.  Coordinate generators are first put in an order that
+carries the ideal (``_ideal_order``): where the prefixes allow it, a
+variable comes after those of the image that eliminates it, so the level
+that adjoins it keeps its rule.  Level l is the algebra on the first l
+variables, an ideal of g, and the last level is the presented quotient
+itself.  The actions of s are derivations of each level algebra:
+{t, x_k} = [t, x_k] is a linear form in the level's own variables.
 
 Each level keeps the rules of the ideal on its variables whose images use
 no later variable.  It is covered when it keeps all of them, so that its
 normal form is the top's on its variables; the top covers itself.  One
 ``invariants.SliceTable`` per call brackets the top's degree-d slice once,
-on first use, and every covered level solves its center from those rows;
-a level that is not covered brackets its own slice (see ``invariants``).
-The returned algebra no longer holds the table, so its rows die with the
-call; a later center of that algebra brackets its own slice.
+and ``share`` solves the degree-d center of every covered level from
+those rows; a level that is not covered brackets its own slice (see
+``invariants``).  The table is a local value, so its rows die with the
+call; a later center of the returned algebra at another degree brackets
+its own slice.
 An element of a covered level, lifted to the next covered level, or into a
 localization of its own level, is already in normal form there: ``_carry``
 only extends its numerator and pads its denominator exponents with zeros.
@@ -127,6 +131,34 @@ def _on_flag_basis(g: LieAlgebra, gens, names: Context, ts):
             if entry:
                 structure[(a, b)] = entry
     return LieAlgebra(names, structure), [linalg.mat_vec(to_flag, t) for t in ts]
+
+
+def _ideal_order(g: LieAlgebra, units: list[int], ideal) -> list[int]:
+    """An order of the coordinate flag generators e_{units[k]} (given by
+    their positions k in ``jordan_holder`` order) that carries the ideal:
+    each step takes the first remaining generator whose adjunction keeps
+    the prefix an ideal of g and, when a rule eliminates it, whose rule's
+    image uses only generators already placed.  When none qualifies it takes
+    the first remaining one: its ``jordan_holder`` prefix is placed, so the
+    prefix is still an ideal.  The ``jordan_holder`` order when it already
+    carries the ideal."""
+    index = {v.name: i for i, v in enumerate(g.basis)}
+    # coordinate u -> the other coordinates that must precede e_u
+    needs = [set() for _ in range(g.dim)]
+    for (a, b), vec in g.structure.items():
+        needs[a].update(vec)
+        needs[b].update(vec)
+    for v, img in ideal.rules if ideal is not None else ():
+        needs[index[v.name]].update(index[name] for name in img.variables_used())
+    for u, need in enumerate(needs):
+        need.discard(u)
+    order, placed, rest = [], set(), list(range(len(units)))
+    while rest:
+        k = next((k for k in rest if needs[units[k]] <= placed), rest[0])
+        rest.remove(k)
+        order.append(k)
+        placed.add(units[k])
+    return order
 
 
 def _level_algebra(g, ideal, level):
@@ -368,7 +400,7 @@ def decompose(
     trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
 
     ts = list(s.basis) if s is not None else []
-    theta_by_level = [tuple(w(t) for t in ts) for w in flag.weights]
+    order = range(g.dim)
     units = [unit_index(gen) for gen in flag.generators]
     if None in units:
         if ideal is not None and not ideal.is_empty():
@@ -379,8 +411,10 @@ def decompose(
         names = make_vars([f"c{i+1}" for i in range(g.dim)])
         trace["basis_change"] = "re-presented on the flag basis"
     else:
-        names = tuple(g.basis[k] for k in units)
-    g, ts = _on_flag_basis(g, flag.generators, names, ts)
+        order = _ideal_order(g, units, ideal)
+        names = tuple(g.basis[units[k]] for k in order)
+    theta_by_level = [tuple(flag.weights[k](t) for t in ts) for k in order]
+    g, ts = _on_flag_basis(g, [flag.generators[k] for k in order], names, ts)
     trace["chain"] = g.names()
     alg = _level_algebra(g, ideal, g.dim)
     table = SliceTable(alg, d)
@@ -476,7 +510,6 @@ def decompose(
         e = e * v.extend(cur_l.vars)
     trace["e"] = str(e)
     trace["n"] = len(pairs)
-    object.__setattr__(cur_l, "slices", None)
     return DecompositionResult(
         e=e,
         n=len(pairs),

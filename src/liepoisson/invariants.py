@@ -8,33 +8,34 @@ of the flag weights, which is exactly the lattice bound that makes the
 enumeration finite.
 
 ``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
-finite span that commute with every generator.  The degree-bounded center
-is the centralizer of a monomial slice, solved once per algebra and degree
-bound: ``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
+finite span that commute with every generator, found by bracketing each
+basis element with each generator.  The degree-bounded center is the
+centralizer of a monomial slice, solved once per algebra and degree bound:
+``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
 ``localize`` hands that memo to the localized algebra, whose polynomial
 center is the same.  ``weight_spaces`` brackets the slice once, solves the
 generators that every listed weight sends to zero once, and solves each
 weight only for the other generators, on that kernel.
 
-One ``decompose`` brackets one slice: a ``SliceTable`` holds the actions of
-every generator of the flag's top algebra on its degree-d slice, bracketed
-on first use, and every level the top covers reads its centralizer rows
-from it.  A flag prefix is an ideal, so for i < l and a monomial m in the
-first l variables, {x_i, m} is the same polynomial in level l as in the
-top, provided the level's normal form is the top's on its variables.  It
-is when the level is covered: when no rule of the top eliminates one of
-the level's variables by an image in a later variable (the level keeps
-the top's other rules on its variables).  Level l's rows are then the
-top's rows of its generators, the first l, at its own slice monomials, in
-its own basis order; kernels depend only on the row space, so the rows
-keep their top monomial keys and the canonical ``nullspace`` basis is
-unchanged.  Localization adds no bracket between polynomials, so
-``localize`` shares the table as it shares ``centers``.  A level that is not
-covered keeps a variable that the top eliminates, so its slice and its
-brackets differ from the top's, and it brackets its own slice through the
-same ``centralizer``.  The table serves centers only: the hypothesis
-check's ``weight_spaces`` and centers of degree above d bracket their own
-slices.
+One ``decompose`` brackets one slice: a ``SliceTable``, a value local to
+the call, brackets every generator of the flag's top algebra with its
+degree-d slice once, in its constructor, and solves the top's center from
+those rows; ``share`` solves the center of every level the top covers from
+the same rows.  Both fill the algebra's center memo, which
+``center_up_to_degree`` then reads.  A flag prefix is an ideal, so for
+i < l and a monomial m in the first l variables, {x_i, m} is the same
+polynomial in level l as in the top, provided the level's normal form is
+the top's on its variables.  It is when the level is covered: when no rule
+of the top eliminates one of the level's variables by an image in a later
+variable (the level keeps the top's other rules on its variables).  Level
+l's rows are then the top's rows of its generators, the first l, at its
+own slice monomials, in its own basis order; kernels depend only on the
+row space, so the rows keep their top monomial keys and the canonical
+``nullspace`` basis is unchanged.  A level that is not covered keeps a
+variable that the top eliminates, so its slice and its brackets differ
+from the top's, and ``center_up_to_degree`` brackets its own slice.  The
+table serves degree-d centers only: the hypothesis check's
+``weight_spaces`` and centers of degree above d bracket their own slices.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .poisson import (
     reduced_algebra,
     skew_extend,
 )
-from .polys import Mono, Poly
+from .polys import Poly
 from .spaces import (
     combination,
     common_denominator_rows,
@@ -81,16 +82,9 @@ def _generator_actions(alg: PoissonAlgebra) -> list:
 
 
 def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[LocalElement]:
-    """Basis of the elements of span(basis) commuting with every generator.
-
-    When alg holds a ``SliceTable`` and every basis element is a monomial
-    of the table's slice, the actions are read from the table; otherwise
+    """Basis of the elements of span(basis) commuting with every generator:
     each basis element is bracketed with each generator."""
-    table = alg.slices
-    actions = table.restrict(alg, basis) if table is not None else None
-    if actions is None:
-        actions = operator_rows(alg, basis, _generator_actions(alg))
-    return kernel_of_operators(alg, basis, actions)
+    return kernel_of_operators(alg, basis, operator_rows(alg, basis, _generator_actions(alg)))
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
@@ -99,74 +93,56 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     Solved once per degree bound and kept in ``alg.centers``, which
     ``localize`` shares: a localization is injective and adds no bracket
     between polynomials, so the polynomial center of each slice is the same.
-    A flag level that holds a ``SliceTable`` of degree >= d reads the
-    actions on its slice from the table; any other algebra brackets its own
-    slice (see ``centralizer``).
+    A ``SliceTable`` fills the memo of the flag levels it covers; any other
+    algebra brackets its own slice (``centralizer``).
     Every call returns a new list of elements with denominator 1."""
     nums = alg.centers.get(d)
     if nums is None:
-        nums = tuple(c.num for c in centralizer(alg, slice_basis(alg, d)))
+        nums = _numerators(centralizer(alg, slice_basis(alg, d)))
         alg.centers[d] = nums
     den = (0,) * len(alg.inverted)
     return [LocalElement(num, den) for num in nums]
 
 
+def _numerators(els: list[LocalElement]) -> tuple[Poly, ...]:
+    return tuple(el.num for el in els)
+
+
 class SliceTable:
     """The actions of every generator of a flag's top algebra on its
-    degree-d slice, bracketed once, on first use, and read by every flag
-    level the top covers (see the module docstring).  One per ``decompose``;
-    it serves the top from the start and a level from ``share``."""
+    degree-d slice, bracketed once by the constructor, which also solves
+    the top's degree-d center from them; ``share`` solves the center of
+    every flag level the top covers from the same rows (see the module
+    docstring).  One per ``decompose``."""
 
     def __init__(self, top: PoissonAlgebra, d: int):
         self.d = d
-        # kept until the rows are built: the top holds the table, and a
-        # reference cycle would keep both alive after the call
-        self.top: PoissonAlgebra | None = top
         self.width = len(top.vars)
         self.eliminated = top.ideal.eliminated_names() if top.ideal else set()
-        self.rows: list | None = None  # per generator, one row per slice monomial
-        self.at: dict[Mono, int] = {}  # slice monomial -> its row
-        self.share(top)
+        basis = slice_basis(top, d)
+        # per generator, one row per slice monomial
+        self.rows = operator_rows(top, basis, _generator_actions(top))
+        self.at = {mono: k for k, b in enumerate(basis) for mono in b.num.terms}
+        top.centers[d] = _numerators(kernel_of_operators(top, basis, self.rows))
 
     def share(self, level: PoissonAlgebra) -> bool:
-        """Hand the table to ``level``, the algebra on the first variables
-        of the top with the top's rules on them whose images use none of
-        the later variables, when the top covers it: when it eliminates
-        every variable of its own that the top eliminates.  Whether it did."""
+        """Solve the degree-d center of ``level``, the algebra on the first
+        variables of the top with the top's rules on them whose images use
+        none of the later variables, from the table when the top covers it:
+        when it eliminates every variable of its own that the top
+        eliminates.  Its rows are the top's rows of its generators at its
+        slice monomials, in its own basis order.  Whether it is covered."""
         names = {v.name for v in level.vars}
         own = level.ideal.eliminated_names() if level.ideal else set()
-        covered = own == self.eliminated & names
-        if covered:
-            object.__setattr__(level, "slices", self)
-        return covered
-
-    def restrict(self, level: PoissonAlgebra, basis: list[LocalElement]) -> list | None:
-        """Per generator of a covered level, the rows of its action on
-        ``basis``: the top's rows of the same generator at the same
-        monomials, in the order of ``basis``, keyed by top monomials.  None
-        unless every basis element is a monomial of the table's slice."""
-        monos = [_monomial(b) for b in basis]
-        if None in monos:
-            return None
-        if self.rows is None:
-            top, self.top = self.top, None
-            top_basis = slice_basis(top, self.d)
-            self.at = {_monomial(b): k for k, b in enumerate(top_basis)}
-            self.rows = operator_rows(top, top_basis, _generator_actions(top))
-        pad = (0,) * (self.width - len(level.vars))
-        at = [self.at.get(m + pad) for m in monos]
-        if None in at:
-            return None
-        return [[rows[k] for k in at] for rows in self.rows[: len(level.vars)]]
-
-
-def _monomial(el: LocalElement) -> Mono | None:
-    """The exponents of el when it is a monomial with coefficient 1 and no
-    denominator, else None."""
-    if len(el.num.terms) != 1 or any(el.den):
-        return None
-    ((mono, c),) = el.num.terms.items()
-    return mono if c == 1 else None
+        if own != self.eliminated & names:
+            return False
+        if self.d not in level.centers:
+            basis = slice_basis(level, self.d)
+            pad = (0,) * (self.width - len(level.vars))
+            at = [self.at[mono + pad] for b in basis for mono in b.num.terms]
+            rows = [[rows[k] for k in at] for rows in self.rows[: len(level.vars)]]
+            level.centers[self.d] = _numerators(kernel_of_operators(level, basis, rows))
+        return True
 
 
 @dataclass(frozen=True)

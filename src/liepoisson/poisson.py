@@ -199,9 +199,6 @@ class PoissonAlgebra:
     centers: dict[int, tuple[Poly, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
-    # the invariants.SliceTable of the flag top that covers this algebra, if
-    # any: its bracket rows serve ``centers`` (see invariants)
-    slices: object = field(default=None, init=False, repr=False)
     # (i, k) -> inverted[i]^k, filled by ``_lift``
     powers: dict[tuple[int, int], Poly] = field(
         default_factory=dict, init=False, repr=False
@@ -647,7 +644,7 @@ def quotient(alg: PoissonAlgebra, ideal: SubstitutionIdeal) -> PoissonAlgebra:
 def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebra:
     """Invert the listed nonzero polynomials (ZeroDenominator if one dies in
     the quotient).  Elements of the original algebra coerce via
-    ``element``.  The new algebra shares ``alg.centers`` and ``alg.slices``
+    ``element``.  The new algebra shares the center memo ``alg.centers``
     (see ``invariants.center_up_to_degree``)."""
     new = list(alg.inverted)
     for s in denominators:
@@ -661,7 +658,6 @@ def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebr
         new.append(s)
     out = poisson_algebra(alg.vars, alg.table, alg.ideal, new)
     object.__setattr__(out, "centers", alg.centers)
-    object.__setattr__(out, "slices", alg.slices)
     return out
 
 

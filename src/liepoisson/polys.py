@@ -174,10 +174,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.terms)
 
-    def constant_value(self) -> Coef:
-        zero = (0,) * len(self.ctx)
-        return self.terms.get(zero, 0)
-
     def degree(self) -> int:
         """Total degree (sum of exponents); -1 for the zero polynomial."""
         if not self.terms:

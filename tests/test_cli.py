@@ -166,8 +166,9 @@ def test_unsupported_chain_exit_code(tmp_path):
 
 
 def test_central_image_beyond_the_flag_prefix_exit_code(tmp_path):
-    # [x,y] = z with z = a: the flag z, x, y, a reaches the central image a
-    # before a itself; the error names the chain, not an unknown variable
+    # [x,y] = z with z = a: the jordan_holder flag z, x, y, a reached the
+    # central image a before a itself (exit 2, UnsupportedChain); the flag
+    # order now places a before z, and the decomposition succeeds
     problem = tmp_path / "late.json"
     problem.write_text(
         json.dumps(
@@ -181,11 +182,10 @@ def test_central_image_beyond_the_flag_prefix_exit_code(tmp_path):
             }
         )
     )
-    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "6"])
-    assert code == 2
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "6", "--json"])
+    assert code == 0
     report = json.loads(out)
-    assert report["error"] == "UnsupportedChain"
-    assert "level 3 uses 'a'" in report["detail"]
+    assert report["e"] == "a" and report["n"] == 1
 
 
 def test_mathematical_negative_exit_code(tmp_path):

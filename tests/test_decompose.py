@@ -171,18 +171,15 @@ def test_check_84_tests_nilpotency_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _late_central_image(ideal_rhs):
-    # [x,y] = z with z = rhs in the ideal; the bracket-stable flag starts at
-    # z, so the central image z, normal-formed to rhs, names a later variable
-    g = verify_lie("x y z a", {(0, 1): {2: 1}})
-    return g, ideal_from_pairs(g.basis, [("z", ideal_rhs)])
-
-
 def test_central_image_beyond_the_flag_prefix_is_unsupported_chain():
-    g, ideal = _late_central_image("a")
-    with pytest.raises(UnsupportedChain) as err:
-        decompose(g, ideal, 6)
-    assert "at level 3 uses 'a'" in str(err.value)
+    # [x,y] = z with z = a: the jordan_holder flag z, x, y, a reached the
+    # central image a (z in normal form) at level 3, before a itself, and
+    # raised UnsupportedChain; the flag order now places a before z
+    g = verify_lie("x y z a", {(0, 1): {2: 1}})
+    res = decompose(g, ideal_from_pairs(g.basis, [("z", "a")]), 6)
+    assert res.trace["chain"] == ["a", "z", "x", "y"]
+    assert res.n == 1 and str(res.e) == "a"
+    assert verify_decomposition(res, 3)["ok"]
     # with t acting, a comes before x in the flag, and the same ideals work
     g = verify_lie(
         "x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}}
@@ -461,31 +458,26 @@ def test_hypothesis_failure_is_the_first_nonzero_semi_invariant():
 def test_nilpotent_decompose_solves_no_weight_space(monkeypatch):
     # every candidate weight of a nilpotent algebra is zero, so the check
     # lists no weight, and every kernel decompose solves is a centralizer
-    import importlib
+    # or a center the slice table solves from its rows
+    import sys
 
     from liepoisson import invariants
 
-    dec = importlib.import_module("liepoisson.decompose")
-    kernels, centralizers = [], []
-    kernel_of_operators, centralizer = invariants.kernel_of_operators, invariants.centralizer
+    callers = []
+    kernel_of_operators = invariants.kernel_of_operators
 
-    def counted_kernel(*args):
-        kernels.append(1)
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_qualname)
         return kernel_of_operators(*args)
 
-    def counted_centralizer(*args):
-        centralizers.append(1)
-        return centralizer(*args)
-
-    monkeypatch.setattr(invariants, "kernel_of_operators", counted_kernel)
-    monkeypatch.setattr(invariants, "centralizer", counted_centralizer)
-    monkeypatch.setattr(dec, "centralizer", counted_centralizer)
+    monkeypatch.setattr(invariants, "kernel_of_operators", recorded)
     h, f = heisenberg(), family_n(2)
     cases = [(h, _ideal(h, [("z", "1")])), (f, _ideal(f, [("z", "3/2")])), (eng4(), None)]
+    homes = {"centralizer", "SliceTable.__init__", "SliceTable.share"}
     for g, ideal in cases:
-        del kernels[:], centralizers[:]
+        del callers[:]
         decompose(g, ideal, 4)
-        assert kernels and len(kernels) == len(centralizers), g.names()
+        assert "centralizer" in callers and set(callers) <= homes, g.names()
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,21 @@
 ``invariants``.  Every other module reaches a bracket kernel through
 ``invariants.centralizer``, ``center_up_to_degree`` or ``weight_spaces``, so
 ``decompose`` cannot grow a second per-level bracket path next to the one
-slice table it shares between flag levels."""
+slice table it shares between flag levels.  The center memo
+``PoissonAlgebra.centers`` is named only where it is declared and shared
+(``poisson``) and where it is filled (``invariants``), so no other module
+can store a center that was not solved there."""
 
 import ast
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "liepoisson")
 
-# function -> the modules allowed to name it
-HOMES = {"operator_rows": {"spaces.py", "invariants.py"}}
+# function or attribute -> the modules allowed to name it
+HOMES = {
+    "operator_rows": {"spaces.py", "invariants.py"},
+    "centers": {"poisson.py", "invariants.py"},
+}
 
 
 def _names(tree):
@@ -50,9 +56,14 @@ def test_the_check_finds_a_stray_reference():
         "cli.py": "import liepoisson.spaces.operator_rows\n",
         "lie.py": "def f(operator_rows):\n    return operator_rows\n",
         "bvwg.py": "def f(alg):\n    return alg.centers\n",
+        "poisson.py": "def localize(alg, out):\n    out.centers = alg.centers\n",
     }
+    sources["invariants.py"] += "def f(alg, d):\n    alg.centers[d] = ()\n"
+    sources["decompose.py"] += "def g(alg, d):\n    alg.centers.setdefault(d, ())\n"
     assert stray_references(sources) == [
+        "bvwg.py names centers",
         "cli.py names operator_rows",
+        "decompose.py names centers",
         "decompose.py names operator_rows",
         "lie.py names operator_rows",
         "weyl.py names operator_rows",
@@ -65,5 +76,5 @@ def test_operator_rows_is_named_only_in_its_homes():
         if name.endswith(".py"):
             with open(os.path.join(SRC, name)) as fh:
                 sources[name] = fh.read()
-    assert {"spaces.py", "invariants.py", "decompose.py"} <= set(sources)
+    assert {"spaces.py", "invariants.py", "decompose.py", "poisson.py"} <= set(sources)
     assert stray_references(sources) == []

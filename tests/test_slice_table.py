@@ -1,18 +1,19 @@
-"""One slice table per ``decompose``: every flag level that the top covers
-reads the actions on its slice from the top slice's bracket rows, and a lift
+"""One slice table per ``decompose``: the center of every flag level that
+the top covers is solved from the top slice's bracket rows, and a lift
 between covered levels skips the normal form.  Each is checked against the
 work it replaces: a center solved on a freshly built level algebra that
-holds no table, and the lift through ``element``."""
+brackets its own slice, and the lift through ``element``."""
 
 import gc
 import importlib
 import random
 import weakref
 
+from liepoisson import invariants
 from liepoisson.errors import LiePoissonError
 from liepoisson.invariants import SliceTable, center_up_to_degree, centralizer
 from liepoisson.lie import verify_lie
-from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra, reduced_algebra
+from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra
 from liepoisson.spaces import slice_basis
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
@@ -22,11 +23,12 @@ dec = importlib.import_module("liepoisson.decompose")
 
 
 def _uncovered_input():
-    """[x,y] = z, [t,x] = x, [t,y] = -y with z = a^2.  The flag is z, y, a,
-    x, t: levels 1 and 2 keep z, which the top eliminates by a^2, an image
-    in the later variable a."""
-    g = verify_lie("x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}})
-    return g, ideal_from_pairs(g.basis, [("z", "a^2")])
+    """[b1,b2] = b2 - b3 with b3 = b2.  b3 spans the only one-dimensional
+    ideal on a coordinate line, so every coordinate flag starts at b3:
+    level 1 keeps b3, which the top eliminates by b2, an image in a later
+    variable."""
+    g = random_solvable(random.Random(205), 3)
+    return g, ideal_from_pairs(g.basis, [("b3", "b2")])
 
 
 def _inputs():
@@ -62,7 +64,7 @@ def _run_all(check):
 
 
 def _fresh(alg: PoissonAlgebra) -> PoissonAlgebra:
-    """An algebra equal to alg with no table and an empty center memo."""
+    """An algebra equal to alg with an empty center memo."""
     return poisson_algebra(alg.vars, alg.table, alg.ideal, alg.inverted)
 
 
@@ -70,37 +72,60 @@ def _terms(els):
     return [(sorted(el.num.terms.items()), el.den) for el in els]
 
 
+def _record_shares(monkeypatch):
+    """The levels the slice table covers, appended as ``SliceTable.share``
+    runs."""
+    shared = []
+    original = SliceTable.share
+
+    def recorded(self, level):
+        covered = original(self, level)
+        if covered:
+            shared.append(level)
+        return covered
+
+    monkeypatch.setattr(SliceTable, "share", recorded)
+    return shared
+
+
 def test_every_level_center_matches_a_level_without_a_table(monkeypatch):
     original = dec.center_up_to_degree
+    shared = _record_shares(monkeypatch)
     seen = {"table": 0, "own": 0}
     current = [None]
 
     def checked(alg, d):
         got = original(alg, d)
-        seen["table" if alg.slices is not None else "own"] += 1
+        seen["table" if any(alg.centers is m.centers for m in shared) else "own"] += 1
         assert _terms(got) == _terms(original(_fresh(alg), d)), (current[0], alg.vars, d)
         return got
 
     monkeypatch.setattr(dec, "center_up_to_degree", checked)
     # the 8 fixtures, 120 of the 182 sweep inputs, and the uncovered input
     assert _run_all(lambda name: current.__setitem__(0, name)) == 129
-    assert seen["table"] > 400 and seen["own"] >= 2
+    # only level 1 of the uncovered input brackets its own slice
+    assert seen["table"] > 400 and seen["own"] == 1
 
 
 def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
     g, ideal = _uncovered_input()
-    original = dec.center_up_to_degree
-    held = []
+    shared = _record_shares(monkeypatch)
+    original = invariants.centralizer
+    own = []
 
-    def recorded(alg, d):
-        held.append((len(alg.vars), alg.slices is not None))
-        return original(alg, d)
+    def recorded(alg, basis):
+        own.append(len(alg.vars))
+        return original(alg, basis)
 
-    monkeypatch.setattr(dec, "center_up_to_degree", recorded)
-    res = dec.decompose(g, ideal, 4)
-    assert res.trace["chain"] == ["z", "y", "a", "x", "t"]
-    assert (str(res.e), res.n) == ("a^2", 1)
-    assert sorted(set(held)) == [(1, False), (2, False), (3, True), (4, True), (5, True)]
+    monkeypatch.setattr(invariants, "centralizer", recorded)
+    for d in (4, 6):
+        del shared[:], own[:]
+        res = dec.decompose(g, ideal, d)
+        assert res.trace["chain"] == ["b3", "b2", "b1"]
+        assert (str(res.e), res.n) == ("1", 0)
+        assert [len(level.vars) for level in shared] == [2, 3]
+        assert own == [1]
+        assert dec.verify_decomposition(res, 3)["ok"]
 
 
 def test_a_skipped_lift_equals_the_lift_through_element(monkeypatch):
@@ -119,9 +144,7 @@ def test_a_skipped_lift_equals_the_lift_through_element(monkeypatch):
     assert len(lifts) > 1000
 
 
-def test_the_table_is_built_on_first_use(monkeypatch):
-    g = family_n(2)
-    top = reduced_algebra(g, ideal_from_pairs(g.basis, [("z", "1")]))
+def _count_brackets(monkeypatch):
     brackets = []
     original = PoissonAlgebra.bracket
 
@@ -130,19 +153,30 @@ def test_the_table_is_built_on_first_use(monkeypatch):
         return original(self, p, q)
 
     monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    return brackets
+
+
+def test_the_table_brackets_only_in_its_constructor(monkeypatch):
+    # family_n(2) on its flag basis z, x1, y1, x2, y2 with z = 1: every
+    # prefix is an ideal that keeps the rule, so the top covers every level
+    g = verify_lie("z x1 y1 x2 y2", {(1, 2): {0: 1}, (3, 4): {0: 1}})
+    ideal = ideal_from_pairs(g.basis, [("z", "1")])
+    levels = [dec._level_algebra(g, ideal, level) for level in range(1, 6)]
+    top = levels[-1]
+    brackets = _count_brackets(monkeypatch)
     table = SliceTable(top, 3)
-    assert top.slices is table and table.rows is None and not brackets
-    # a span that is not all slice monomials is bracketed, and builds nothing
+    assert len(brackets) == 5 * len(slice_basis(top, 3))
+    del brackets[:]
+    assert all(table.share(level) for level in levels)
+    got = [_terms(center_up_to_degree(level, 3)) for level in levels]
+    assert not brackets
+    assert got == [_terms(center_up_to_degree(_fresh(level), 3)) for level in levels]
+    # another degree brackets its own slice
+    del brackets[:]
     basis = slice_basis(top, 2)
-    mixed = [*basis[:3], top.add(basis[1], basis[2])]
-    assert table.restrict(top, mixed) is None and table.rows is None
-    assert table.restrict(top, slice_basis(top, 4)) is None  # beyond the table's degree
-    built = len(brackets)
-    assert built == 5 * len(slice_basis(top, 3))
-    center_up_to_degree(top, 3)
-    center_up_to_degree(top, 2)
-    assert len(brackets) == built
-    assert _terms(center_up_to_degree(top, 2)) == _terms(centralizer(_fresh(top), basis))
+    got = _terms(center_up_to_degree(top, 2))
+    assert len(brackets) == 5 * len(basis)
+    assert got == _terms(centralizer(_fresh(top), basis))
 
 
 def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):
@@ -151,14 +185,7 @@ def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):
     # monomials); the top slice alone is 924 monomials times 7 generators
     g = family_n(3)
     ideal = ideal_from_pairs(g.basis, [("z", "1")])
-    brackets = []
-    original = PoissonAlgebra.bracket
-
-    def counted(self, p, q):
-        brackets.append(1)
-        return original(self, p, q)
-
-    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    brackets = _count_brackets(monkeypatch)
     res = dec.decompose(g, ideal, 6)
     assert res.n == 3
     assert len(brackets) <= 6685
@@ -182,10 +209,8 @@ def test_the_result_drops_its_table_and_verifies_as_with_it(monkeypatch):
         res = dec.decompose(g, ideal, 6)
         table = weakref.ref(kept.pop())
         gc.collect()
-        assert res.algebra.slices is None and table() is None
-        with_table = dec.decompose(g, ideal, 6)
-        kept.pop().share(with_table.algebra)
-        assert with_table.algebra.slices is not None
+        assert table() is None
+        with_table = dec.decompose(g, ideal, 6)  # its table stays alive in ``kept``
         for k in (2, 3):
             report = dec.verify_decomposition(res, k)
             assert report["ok"]
