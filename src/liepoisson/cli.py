@@ -14,7 +14,8 @@ Exit codes:
   2  input error (bad JSON, parse errors, unknown variables, unstable ideal,
      a polynomial expanding past the parser's term bound, a degree slice
      C(d + dim g, dim g) past SLICE_BUDGET, a --dmax past DMAX_CAP, a JSON
-     float where a rational is due) or usage error (unknown subcommand or
+     float, a zero denominator or a number past the parser's bit bound
+     where a rational is due) or usage error (unknown subcommand or
      flag, missing or malformed flag value); stdout is then one JSON
      {"error", "detail"} line
   3  degree-bounded search exhausted
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -46,6 +48,7 @@ from .errors import (
 from .invariants import DEFAULT_DEGREE_BOUND, center_up_to_degree, ghat, semi_invariants
 from .lie import LieAlgebra, is_nilpotent, is_solvable, verify_lie
 from .poisson import SubstitutionIdeal, ideal_from_pairs, reduced_algebra
+from .polys import _MAX_BITS
 
 MATH_NEGATIVE = (
     JacobiViolation,
@@ -70,6 +73,10 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
 # nilpotency_cap; it is accepted because existing problem files carry it.
 OPTIONS = ("max_degree", "nilpotency_cap")
 
+# A rational string: an optionally signed integer, optionally over an
+# unsigned one; groups are the signed numerator and the digits of each part.
+_RATIONAL = re.compile(r"\s*([+-]?(\d+))\s*(?:/\s*(\d+)\s*)?")
+
 
 def _shaped(value, kind: type, what: str):
     """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
@@ -85,10 +92,28 @@ def _names(value, what: str) -> list[str]:
 
 
 def _rational(value, what: str) -> Fraction:
-    """A JSON integer or "p/q" string; a JSON float would be rounded."""
+    """A JSON integer or "p/q" string; a JSON float would be rounded.  A zero
+    denominator is refused, and so is a numerator or denominator of more
+    than ``_MAX_BITS`` bits, the expression parser's bound; a k-digit number
+    is at least 10^(k-1) > 2^(3(k-1)), so a string too long for the bound is
+    refused before its integer is built."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{what} must be a JSON integer or a rational string")
-    return Fraction(value)
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"{what} {value!r} is not an integer or a \"p/q\" string")
+        digits = [m.lstrip("0") for m in match.group(2, 3) if m]
+        if any(3 * (len(m) - 1) > _MAX_BITS for m in digits):
+            raise ValueError(f"{what} is larger than {_MAX_BITS} bits")
+        num, den = int(match.group(1)), int(match.group(3) or 1)
+    else:
+        num, den = value, 1
+    if max(abs(num), den).bit_length() > _MAX_BITS:
+        raise ValueError(f"{what} is larger than {_MAX_BITS} bits")
+    if den == 0:
+        raise ValueError(f"{what} {value!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def _rows(value, what: str) -> list[list[Fraction]]:

@@ -398,32 +398,6 @@ def _joint_eigenspaces(rows, dim: int, equations, candidates):
     return descend(0, (), root)
 
 
-def _sparse_rows(ops):
-    """Each square matrix as its list of sparse rows."""
-    return [[linalg.sparse(row) for row in op] for op in ops]
-
-
-def _roots_on_first_use(ops):
-    """``level -> rational_roots(charpoly(ops[level]))``, each computed once."""
-    return cache(lambda level: linalg.rational_roots(linalg.charpoly(ops[level])))
-
-
-def module_eigenspaces(
-    ops: Sequence[Sequence[Sequence[Fraction]]], dim: int, restrict: Subspace | None = None
-) -> list[tuple[tuple[Fraction, ...], Subspace]]:
-    """All joint eigenspaces with rational eigenvalue tuples.
-
-    ``ops`` are square matrices acting on Q^dim.  Candidate eigenvalues for
-    each operator are the rational roots of its characteristic polynomial;
-    branches with empty intersection are pruned.  Returns (values, space)
-    pairs in deterministic order.
-    """
-    equations = restrict.equations() if restrict is not None else ()
-    return list(
-        _joint_eigenspaces(_sparse_rows(ops), dim, equations, _roots_on_first_use(ops))
-    )
-
-
 def common_eigenvector(
     g: LieAlgebra, restrict_to: Subspace | None = None
 ) -> tuple[Weight, Vec] | None:
@@ -438,9 +412,9 @@ def common_eigenvector(
     if space.dim == 0:
         return None
     ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
-    found = _joint_eigenspaces(
-        _sparse_rows(ops), g.dim, space.equations(), _roots_on_first_use(ops)
-    )
+    rows = [[linalg.sparse(row) for row in op] for op in ops]
+    roots = cache(lambda level: linalg.rational_roots(linalg.charpoly(ops[level])))
+    found = _joint_eigenspaces(rows, g.dim, space.equations(), roots)
     for vals, sub in found:
         return Weight(vals), sub.basis[0]
     invariant = all(

@@ -638,6 +638,44 @@ def test_malformed_problem_is_input_error(tmp_path, data):
         assert report["error"] in ("ValueError", "UnknownVariable")
 
 
+BAD_RATIONALS = ["1/0", "-3/0", "0/0", "1e4000000", "1.5", "1" + "0" * 200, 2**601]
+BAD_RATIONALS.append("1/" + str(2**600))
+
+
+@pytest.mark.parametrize("value", BAD_RATIONALS, ids=lambda v: repr(v)[:12])
+@pytest.mark.parametrize("where", ["coeffs", "omega", "weights"])
+def test_bad_rational_is_input_error(tmp_path, where, value):
+    # a zero denominator, a form other than "p/q", and a numerator or
+    # denominator past the expression parser's 600 bits
+    if where == "coeffs":
+        data = _malformed(lambda d: d["lie"]["brackets"][0]["coeffs"].update({"2": value}))
+        commands = ["center", "decompose", "semi-invariants", "check84", "ghat"]
+        field = "coeffs value"
+    else:
+        data = _malformed_bvwg(lambda d: d["bvwg"][where][0].__setitem__(0, value))
+        commands = ["bvwg-invariants", "bvwg-simple"]
+        field = f"bvwg.{where} entry"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ["verify"] + commands:
+        code, out, _ = _capture([command, str(bad), "--json"])
+        assert code == 2, command
+        report = json.loads(out.splitlines()[-1])
+        assert report["error"] == "ValueError", command
+        assert report["detail"].startswith(field), command
+
+
+def test_rational_size_is_decided_before_the_integer_is_built():
+    assert cli._rational(str(2**600 - 1), "v") == 2**600 - 1
+    assert cli._rational(f" -{2**600 - 1} / {2**600 - 1} ", "v") == -1
+    for value in (str(2**600), -(2**600), "1/" + str(2**600)):
+        with pytest.raises(ValueError, match="larger than 600 bits"):
+            cli._rational(value, "v")
+    # int() refuses 5,000 digits with its own message; this is refused first
+    with pytest.raises(ValueError, match="larger than 600 bits"):
+        cli._rational("1" + "0" * 5000, "v")
+
+
 def test_python_dash_m_entry_point():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ)

@@ -1,8 +1,8 @@
 """The joint-eigenspace search has one home: ``lie._joint_eigenspaces``.
-``jordan_holder``, ``common_eigenvector`` and ``module_eigenspaces`` each
-reach eigenspaces through one call to it and solve no kernel of their own,
-no other function calls it, and ``lie`` takes a dense ``Subspace.kernel``
-only in ``Subspace.intersect``, so no second descent can grow next to the
+``jordan_holder`` and ``common_eigenvector`` each reach eigenspaces through
+one call to it and solve no kernel of their own, no other function calls
+it, and ``lie`` takes a dense ``Subspace.kernel`` only in
+``Subspace.intersect``, so no second descent can grow next to the
 stacked-equation search."""
 
 import ast
@@ -11,7 +11,7 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "liepoisson")
 
 SEARCH = "_joint_eigenspaces"
-CALLERS = {"jordan_holder", "common_eigenvector", "module_eigenspaces"}
+CALLERS = {"jordan_holder", "common_eigenvector"}
 # what a caller would use to solve an eigenspace itself
 KERNELS = {"kernel", "intersect", "nullspace", "echelon_of", "Echelon"}
 
@@ -64,8 +64,6 @@ def test_the_check_finds_a_stray_search():
             "    def intersect(self, other):\n        return self.kernel([])\n"
             "    def equations(self):\n        return self.kernel([])\n"
             "def _joint_eigenspaces(rows, dim, eqs, cands):\n    return iter(())\n"
-            "def module_eigenspaces(ops, dim, restrict=None):\n"
-            "    return list(_joint_eigenspaces(ops, dim, (), None))\n"
             "def common_eigenvector(g, restrict_to=None):\n"
             "    return restrict_to.kernel([])\n"
             "def jordan_holder(g):\n"

@@ -4,7 +4,7 @@ The reference below is the former search: at every node it maps the
 current eigenspace's basis through ``op - c`` densely and takes
 ``Subspace.kernel`` of the images, and each flag step reduces the columns of
 every ad matrix modulo the chain member.  ``jordan_holder``,
-``common_eigenvector`` and ``module_eigenspaces`` must give exactly its
+``common_eigenvector`` and ``_joint_eigenspaces`` must give exactly its
 results, errors included, on every fixture, the benchmark algebras and 600
 random solvable algebras."""
 
@@ -26,12 +26,11 @@ from liepoisson.lie import (
     derived_subalgebra,
     is_solvable,
     jordan_holder,
-    module_eigenspaces,
     verify_lie,
 )
 
 from conftest import aff2, eng4, family_n, heisenberg, random_basis_change, random_solvable
-from test_lie import DATA, _workload_algebras
+from test_lie import DATA, _workload_algebras, joint_eigenspaces
 
 
 def _reference_eigenspaces(ops, space, candidates):
@@ -55,7 +54,7 @@ def _roots(ops):
     return lambda level: linalg.rational_roots(linalg.charpoly(ops[level]))
 
 
-def _reference_module_eigenspaces(ops, dim, restrict=None):
+def _reference_joint_eigenspaces(ops, dim, restrict=None):
     space = restrict if restrict is not None else Subspace.whole(dim)
     return list(_reference_eigenspaces(ops, space, _roots(ops)))
 
@@ -145,7 +144,7 @@ def assert_same_as_reference(g, rng):
         assert _outcome(common_eigenvector, g, sub) == _outcome(
             _reference_common_eigenvector, g, sub
         ), (g.names(), sub)
-        assert module_eigenspaces(ops, g.dim, sub) == _reference_module_eigenspaces(
+        assert joint_eigenspaces(ops, g.dim, sub) == _reference_joint_eigenspaces(
             ops, g.dim, sub
         ), (g.names(), sub)
     return flag
@@ -153,7 +152,7 @@ def assert_same_as_reference(g, rng):
 
 def _fixture_algebras():
     algs = []
-    for name in sorted(os.listdir(DATA)):
+    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
         with open(os.path.join(DATA, name)) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "lie" in data:

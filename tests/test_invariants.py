@@ -396,7 +396,7 @@ def test_candidate_weights_match_multiset_reference(rng):
 
 def _lie_fixtures():
     out = []
-    for name in sorted(os.listdir(DATA)):
+    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
         with open(os.path.join(DATA, name)) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "lie" in data:

@@ -25,8 +25,8 @@ from liepoisson.lie import (
     coordinate_subalgebra,
     is_nilpotent,
     is_solvable,
+    _joint_eigenspaces,
     jordan_holder,
-    module_eigenspaces,
     nilradical,
     series,
     span_subalgebra,
@@ -330,7 +330,7 @@ def _workload_algebras(seed):
 
 def _flag_algebras():
     algs = []
-    for name in sorted(os.listdir(DATA)):
+    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
         with open(os.path.join(DATA, name)) as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "lie" in data:
@@ -386,10 +386,19 @@ def _diag(*entries):
     return [[F(entries[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
 
 
+def joint_eigenspaces(ops, dim, restrict=None):
+    """Every joint eigenspace of the matrices ``ops`` on Q^dim (inside
+    ``restrict``), as ``_joint_eigenspaces`` lists them."""
+    rows = [[linalg.sparse(row) for row in op] for op in ops]
+    equations = restrict.equations() if restrict is not None else ()
+    roots = lambda level: linalg.rational_roots(linalg.charpoly(ops[level]))
+    return list(_joint_eigenspaces(rows, dim, equations, roots))
+
+
 def test_module_eigenspaces_lists_every_joint_eigenspace_in_order():
     # depth first, each operator's eigenvalues ascending
     ops = [_diag(1, 0, 1, 2, 1), _diag(0, 0, 3, 0, 0)]
-    found = module_eigenspaces(ops, 5)
+    found = joint_eigenspaces(ops, 5)
     assert [vals for vals, _ in found] == [(0, 0), (1, 0), (1, 3), (2, 0)]
     e = [basis_vec(i, 5) for i in range(5)]
     assert [space for _, space in found] == [
@@ -400,12 +409,12 @@ def test_module_eigenspaces_lists_every_joint_eigenspace_in_order():
     ]
     # restricted to <e0 + e2, e4>: only the part of (1, 0) inside it
     sub = Subspace(5, [(1, 0, 1, 0, 0), e[4]])
-    assert [(v, s.dim) for v, s in module_eigenspaces(ops, 5, sub)] == [((1, 0), 1)]
+    assert [(v, s.dim) for v, s in joint_eigenspaces(ops, 5, sub)] == [((1, 0), 1)]
     # the same operators in another basis keep the order of the values
     mat = random_unimodular(random.Random(5), 5)
     inv = linalg.mat_inverse(mat)
     conj = [linalg.mat_mul(linalg.mat_mul(mat, op), inv) for op in ops]
-    found_conj = module_eigenspaces(conj, 5)
+    found_conj = joint_eigenspaces(conj, 5)
     assert [v for v, _ in found_conj] == [v for v, _ in found]
     assert [s.dim for _, s in found_conj] == [1, 2, 1, 1]
 
@@ -413,7 +422,7 @@ def test_module_eigenspaces_lists_every_joint_eigenspace_in_order():
 def test_common_eigenvector_and_first_flag_step_take_the_first_eigenspace():
     for g in _flag_algebras() + [heisenberg(), aff2(), eng4(), abelian(3)]:
         ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
-        vals, space = module_eigenspaces(ops, g.dim)[0]
+        vals, space = joint_eigenspaces(ops, g.dim)[0]
         lam, vec = common_eigenvector(g)
         assert lam.values == vals and vec == space.basis[0]
         jh = jordan_holder(g)

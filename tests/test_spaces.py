@@ -152,7 +152,7 @@ def _fixture_algebras():
     localized at one element: a nonconstant central one of degree <= 2 where
     there is one, else the first surviving generator."""
     algs = []
-    for name in sorted(os.listdir(DATA)):
+    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
         with open(os.path.join(DATA, name)) as fh:
             data = json.load(fh)
         if not (isinstance(data, dict) and "lie" in data):
