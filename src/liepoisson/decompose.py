@@ -18,7 +18,9 @@ inspected degree slice.  Each flag step adjoins one generator z and either
       then y = u v^{-1} has delta(y) = 1, the same potential correction
       x = z - b commutes with the previous pairs, {x, y} = 1 gives a new
       canonical pair, and v joins the denominators (e picks up the factor).
-      v is taken from the centralizer of the image; when the image holds no
+      v = sum a_i delta(c_i) and u = sum a_i c_i share the coefficients a
+      that one centralizer solve finds for the images of the previous
+      center's basis c_i, lifted into the top; when the image holds no
       central element below the degree bound the step stops with
       SearchExhausted (``_central_choice`` says why nothing else can stop it).
 
@@ -290,7 +292,7 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
 
 
 def _central_choice(alg, candidates, d):
-    """The least nonzero g-central element in the span of the candidates,
+    """Coefficients a of the least nonzero g-central sum a_i candidates_i,
     scaled to leading coefficient 1; SearchExhausted when there is none.
 
     The candidates span delta(C), the image of the previous level's
@@ -304,12 +306,12 @@ def _central_choice(alg, candidates, d):
     degree bound: a nonlinear rule can push delta c above degree d, so that
     the span is not closed, or a nonzero-weight eigenvector can lie above
     degree d."""
-    central = [c for c in centralizer(alg, candidates) if not c.is_zero()]
+    central = [(a, c) for a, c in centralizer(alg, candidates) if not c.is_zero()]
     if not central:
         raise SearchExhausted(d, "(no central element in the image)")
-    v = min(central, key=lambda el: (el.num.degree(), sorted(el.num.terms)))
-    lead = max(v.num.terms, key=lambda m: (sum(m), m))
-    return alg.scale(Fraction(1) / v.num.terms[lead], v)
+    a, v = min(central, key=lambda ac: (ac[1].num.degree(), sorted(ac[1].num.terms)))
+    lead = v.num.terms[max(v.num.terms, key=lambda m: (sum(m), m))]
+    return [c / lead for c in a]
 
 
 def _krylov_projection(alg, op, el, theta):
@@ -381,7 +383,9 @@ def decompose(
     HypothesisFailed, UnsupportedChain, EigenvalueNotRational, SearchExhausted.
     Trace keys: degree_bound, hypothesis, basis_change (when the chain is
     c1..cm), chain, levels (level, generator, case, adjoined_central or v,
-    u, pair; potential), e, n."""
+    u, pair; potential), e, n.  ValueError when d < 1."""
+    if d < 1:
+        raise ValueError(f"degree bound must be at least 1, got {d}")
     trace: dict = {"degree_bound": d, "levels": []}
     flag = jordan_holder(g)
     for w, basis in weight_spaces(reduced_algebra(g, ideal), d, nonzero_candidates(flag, d)):
@@ -452,37 +456,29 @@ def decompose(
             step["adjoined_central"] = cur_l.format(x_new)
         else:
             step["case"] = "b"
-            images = [im for _, im in nonzero]
-            v_poly = _central_choice(alg, [alg.element(im) for im in images], d).num
-            # Not implied by the argument of _central_choice: on a level that
-            # is not covered, the lift into the top rewrites a variable by its
-            # image in later variables, and restrict would then raise a
-            # misleading UnknownVariable.
-            later = sorted(v_poly.variables_used() - {v.name for v in cur_l.vars})
-            if later:
-                raise UnsupportedChain(
-                    f"central image {v_poly} at level {level} uses {later[0]!r}, "
-                    "which is not yet in the flag"
-                )
-            v_cur = cur_l.element(v_poly.restrict(cur_l.vars))
-            v_level = v_cur.num
-            combo = solve_in_span(cur_l, images, v_cur)
-            if combo is None:
-                raise SearchExhausted(d, "(no preimage for the central image)")
-            u = combination(cur_l, combo, [c for c, _ in nonzero])
+            preimages, images = zip(*nonzero)
+            coeffs = _central_choice(alg, [alg.element(im) for im in images], d)
+            # The lift of a level into the top is a Poisson map substituting
+            # the images of the rules the level drops.  Where it is injective
+            # (on a covered level, and for one dropped rule), a combination of
+            # the level's images with a g-central lift is central in the level
+            # and in every later one.  Where it might not be (two dropped rules
+            # with one image), the exact checks below still guard the pair.
+            v = combination(cur_l, coeffs, images)
+            u = combination(cur_l, coeffs, preimages)
             if actions:
                 u = _project_s_weight(cur_l, actions, u, [-t for t in theta])
-                if not cur_l.sub(cur_l.bracket(z_el, u), v_cur).is_zero():
+                if not cur_l.sub(cur_l.bracket(z_el, u), v).is_zero():
                     raise SearchExhausted(d, "(weight projection broke the preimage)")
-            step["v"] = str(v_poly)
+            step["v"] = str(v.num)
             step["u"] = cur_l.format(u)
-            if not v_level.is_constant() and str(v_level) not in map(str, inverted):
-                inverted.append(v_level)
-                cur_l = localize(cur_l, [v_level])
+            if not v.num.is_constant() and str(v.num) not in map(str, inverted):
+                inverted.append(v.num)
+                cur_l = localize(cur_l, [v.num])
                 pairs = [(_carry(cur_l, x), _carry(cur_l, y)) for x, y in pairs]
                 u = _carry(cur_l, u)
                 z_el = _carry(cur_l, z_el)
-            y_new = cur_l.mul(u, cur_l.invert(cur_l.element(v_level)))
+            y_new = cur_l.mul(u, cur_l.invert(cur_l.element(v.num)))
             b_el = _pair_potential(cur_l, prev_l, pairs, z_el, d)
             b_el = _project_s_weight(cur_l, actions, b_el, theta)
             x_new = cur_l.sub(z_el, b_el)

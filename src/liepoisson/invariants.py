@@ -81,8 +81,9 @@ def _generator_actions(alg: PoissonAlgebra) -> list:
     return [lambda el, gen=alg.gen(v.name): alg.bracket(gen, el) for v in alg.vars]
 
 
-def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[LocalElement]:
-    """Basis of the elements of span(basis) commuting with every generator:
+def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[tuple]:
+    """Basis of the elements of span(basis) commuting with every generator,
+    each with its coefficients over ``basis`` (``kernel_of_operators``):
     each basis element is bracketed with each generator."""
     return kernel_of_operators(alg, basis, operator_rows(alg, basis, _generator_actions(alg)))
 
@@ -104,8 +105,8 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     return [LocalElement(num, den) for num in nums]
 
 
-def _numerators(els: list[LocalElement]) -> tuple[Poly, ...]:
-    return tuple(el.num for el in els)
+def _numerators(kernel: list[tuple]) -> tuple[Poly, ...]:
+    return tuple(el.num for _, el in kernel)
 
 
 class SliceTable:
@@ -236,7 +237,7 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
         ]
         sol = kernel_of_operators(alg, basis, shifted)
         if sol:
-            yield lam, tuple(sol)
+            yield lam, tuple(el for _, el in sol)
 
 
 def _combine_rows(coeffs: dict[int, Fraction], rows):

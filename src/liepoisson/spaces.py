@@ -23,7 +23,7 @@ row raises the rank; membership tests ask ``Span.contains``.
 
 Kernels of operators are solved in two steps: ``operator_rows`` applies each
 operator to the slice basis once, and ``kernel_of_operators`` solves from
-those rows (``kernel_coordinates`` gives the coefficient vectors).  The
+those rows for each kernel element and its coefficient vector.  The
 bracket kernel built on them, ``invariants.centralizer`` (the elements of a
 span that commute with every generator), serves both the degree-bounded
 center and the central choice of ``decompose``.  A search that solves many
@@ -215,9 +215,8 @@ def kernel_of_operators(
     alg: PoissonAlgebra,
     basis: Sequence[LocalElement],
     images: Sequence[Sequence[Mapping]],
-) -> list[LocalElement]:
-    """Elements sum(a_i basis_i) killed by every operator, given per operator
-    the rows of its images of the basis (see ``operator_rows``); exact
-    sparse nullspace (``kernel_coordinates``)."""
-    combos = kernel_coordinates(images, len(basis))
-    return [combination(alg, combo, basis) for combo in combos]
+) -> list[tuple[tuple[Fraction, ...], LocalElement]]:
+    """Elements sum(a_i basis_i) killed by every operator, each with its
+    coefficients a, given per operator the rows of its images of the basis
+    (see ``operator_rows``); exact sparse nullspace (``kernel_coordinates``)."""
+    return [(a, combination(alg, a, basis)) for a in kernel_coordinates(images, len(basis))]

@@ -3,12 +3,15 @@ generators for polynomials, Lie algebras, and lattice specs."""
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from liepoisson.bvwg import BVWG
+from liepoisson.cli import ProblemFile
 from liepoisson.lie import LieAlgebra, verify_lie
 from liepoisson.polys import Context, Poly, make_vars
 
@@ -41,6 +44,19 @@ def family_n(n: int) -> LieAlgebra:
     names.append("z")
     structure = {(2 * i, 2 * i + 1): {2 * n: 1} for i in range(n)}
     return verify_lie(" ".join(names), structure)
+
+
+def lie_fixtures() -> list[ProblemFile]:
+    """The problem files of tests/data that hold a Lie algebra, in file name
+    order (the ``.jsonl`` sweep golden is not a problem file)."""
+    data_dir = os.path.join(os.path.dirname(__file__), "data")
+    out = []
+    for name in sorted(f for f in os.listdir(data_dir) if f.endswith(".json")):
+        with open(os.path.join(data_dir, name)) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "lie" in data:
+            out.append(ProblemFile(data))
+    return out
 
 
 # ---------------------------------------------------------------------------

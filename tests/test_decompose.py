@@ -154,6 +154,19 @@ def test_check_84_reports():
     assert not rep1["center_trivial"] and rep1["agree"]
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_degree_bound_below_one_is_refused(d):
+    # at d = 0 the slices hold only constants: the hypothesis check is
+    # empty and every level takes case (a), so heisenberg would come out
+    # as e = 1, n = 0, and check_84 would report a trivial center
+    g = heisenberg()
+    for run in (decompose, decompose_nilpotent, check_84):
+        with pytest.raises(ValueError, match=rf"^degree bound must be at least 1, got {d}$"):
+            run(g, None, d)
+    res = decompose(g, None, 1)
+    assert (str(res.e), res.n) == ("z", 1)
+
+
 def test_check_84_tests_nilpotency_once(monkeypatch):
     import importlib
 
@@ -353,7 +366,8 @@ def test_semisimple_action_on_a_rebased_flag():
 def test_potential_spanners_are_built_once(monkeypatch):
     # filiform-5 ([e1, e_j] = e_{j+1}) at d = 6: one pair whose potential
     # needs pair degree 2; 459 products when each bracket and each pair
-    # degree rebuilt the center x pair-monomial spanners
+    # degree rebuilt the center x pair-monomial spanners.  Every solve is
+    # the potential's: the pair's u comes with its central image
     from test_center_memo import _count_calls
 
     from liepoisson.poisson import PoissonAlgebra
@@ -371,7 +385,7 @@ def test_potential_spanners_are_built_once(monkeypatch):
     res = decompose(g, None, 6)
     assert res.n == 1
     assert len(muls) <= 257
-    assert len(solves) == 5
+    assert len(solves) == 4
 
 
 def test_verify_reports_a_repeated_pair_as_not_injective():

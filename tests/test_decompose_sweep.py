@@ -23,8 +23,9 @@ shows as one changed line.  The inputs:
     and without s = <t>.
 
 Every ``HypothesisFailed`` is also checked independently: its element is a
-nonzero semi-invariant of its nonzero weight.  Regenerate (only when a
-change of output is intended) with
+nonzero semi-invariant of its nonzero weight.  So is every decomposition:
+2n is the largest rank of the quotient's bracket matrix at seeded integer
+points.  Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src:tests python tests/test_decompose_sweep.py --write
 """
@@ -38,6 +39,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
+from liepoisson import linalg
 from liepoisson.decompose import decompose
 from liepoisson.errors import HypothesisFailed, LiePoissonError
 from liepoisson.lie import Subspace, verify_lie
@@ -172,6 +174,40 @@ def test_every_hypothesis_failure_is_a_nonzero_weight_semi_invariant():
             assert alg.sub(image, alg.scale(w, a)).is_zero(), (name, v.name)
         checked += 1
     assert checked >= 54
+
+
+def _value(poly, point):
+    """The polynomial at the point, one integer per variable of its context."""
+    total = 0
+    for mono, c in poly.terms.items():
+        for x, e in zip(point, mono):
+            c *= x**e
+        total += c
+    return total
+
+
+def test_every_decomposition_has_the_weyl_rank_of_its_bracket_matrix():
+    # the Poisson structure matrix ({x_i, x_j}) of the quotient has generic
+    # rank 2n when the localized quotient is center (x) n Weyl pairs; a
+    # point's rank never exceeds it, so the largest over a few seeded
+    # points is 2n
+    rng = random.Random(0)
+    checked = 0
+    for (name, g, rules, _, _), line, failed in sweep():
+        n = json.loads(line).get("n")
+        if n is None:
+            continue
+        alg = reduced_algebra(g, ideal_from_pairs(g.basis, rules) if rules else None)
+        gens = [alg.gen(v.name) for v in alg.effective_vars()]
+        matrix = [[alg.bracket(a, b).num for b in gens] for a in gens]
+        ranks = []
+        for _ in range(4):
+            point = [rng.randint(-9, 9) for _ in alg.vars]
+            rows = [linalg.sparse([_value(p, point) for p in row]) for row in matrix]
+            ranks.append(linalg.rank(rows))
+        assert max(ranks) == 2 * n, name
+        checked += 1
+    assert checked == 204
 
 
 if __name__ == "__main__":

@@ -8,15 +8,12 @@ every ad matrix modulo the chain member.  ``jordan_holder``,
 results, errors included, on every fixture, the benchmark algebras and 600
 random solvable algebras."""
 
-import json
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from liepoisson import linalg
-from liepoisson.cli import ProblemFile
 from liepoisson.errors import EigenvalueNotRational, NotSolvable
 from liepoisson.lie import (
     Subspace,
@@ -29,8 +26,16 @@ from liepoisson.lie import (
     verify_lie,
 )
 
-from conftest import aff2, eng4, family_n, heisenberg, random_basis_change, random_solvable
-from test_lie import DATA, _workload_algebras, joint_eigenspaces
+from conftest import (
+    aff2,
+    eng4,
+    family_n,
+    heisenberg,
+    lie_fixtures,
+    random_basis_change,
+    random_solvable,
+)
+from test_lie import _workload_algebras, joint_eigenspaces
 
 
 def _reference_eigenspaces(ops, space, candidates):
@@ -151,13 +156,8 @@ def assert_same_as_reference(g, rng):
 
 
 def _fixture_algebras():
-    algs = []
-    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
-        with open(os.path.join(DATA, name)) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "lie" in data:
-            algs.append(ProblemFile(data).lie)
-    assert len(algs) >= 5
+    algs = [prob.lie for prob in lie_fixtures()]
+    assert len(algs) == 5
     return algs
 
 

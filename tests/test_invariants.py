@@ -1,15 +1,12 @@
 """Degree-bounded searches: centers, semi-invariants, weight kernels, and
 the presentation over the kernel subalgebra."""
 
-import json
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from liepoisson import linalg
-from liepoisson.cli import ProblemFile
 from liepoisson.errors import ComplementEliminated, EigenvalueNotRational
 from liepoisson.invariants import (
     candidate_weights,
@@ -26,10 +23,8 @@ from liepoisson.poisson import canonical_from_lie, ideal_from_pairs
 from liepoisson.polys import parse_poly
 from liepoisson.weyl import WeylPresentation
 
-from conftest import abelian, aff2, eng4, heisenberg, random_solvable
+from conftest import abelian, aff2, eng4, heisenberg, lie_fixtures, random_solvable
 from test_lie import _workload_algebras
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 F = Fraction
 
@@ -247,7 +242,7 @@ def _semi_invariants_per_weight(g, ideal, d):
         ]
         sol = kernel_of_operators(alg, basis, operator_rows(alg, basis, ops))
         if sol:
-            entries.append((lam, tuple(sol)))
+            entries.append((lam, tuple(el for _, el in sol)))
     return entries
 
 
@@ -299,7 +294,7 @@ def test_kernel_of_operators_with_denominators():
     from liepoisson.decompose import _central_choice
     from liepoisson.poisson import LocalElement, localize
     from liepoisson.polys import Poly
-    from liepoisson.spaces import kernel_of_operators, operator_rows
+    from liepoisson.spaces import combination, kernel_of_operators, operator_rows
 
     # the Heisenberg algebra with z inverted: its center is Q[z, 1/z]
     A = canonical_from_lie(heisenberg())
@@ -308,11 +303,14 @@ def test_kernel_of_operators_with_denominators():
     basis = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in terms]
     ops = [lambda el, gen=L.gen(v.name): L.bracket(gen, el) for v in L.vars]
     kernel = kernel_of_operators(L, basis, operator_rows(L, basis, ops))
-    assert [L.format(k) for k in kernel] == ["1", "z", "1/z", "1/z^2"]
-    for k in kernel:
+    assert [L.format(k) for _, k in kernel] == ["1", "z", "1/z", "1/z^2"]
+    for a, k in kernel:
         assert all(L.bracket(v.name, k).is_zero() for v in L.vars)
-    # the decomposition's central choice solves the same kind of system
-    assert L.format(_central_choice(L, basis[3:], 2)) == "1/z^2"
+        assert L.sub(combination(L, a, basis), k).is_zero()
+    # the decomposition's central choice solves the same kind of system,
+    # for the coefficients of its element
+    coeffs = _central_choice(L, basis[3:], 2)
+    assert L.format(combination(L, coeffs, basis[3:])) == "1/z^2"
 
 
 def test_independent_subset_is_rank_increasing_prefix():
@@ -395,14 +393,8 @@ def test_candidate_weights_match_multiset_reference(rng):
 
 
 def _lie_fixtures():
-    out = []
-    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
-        with open(os.path.join(DATA, name)) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "lie" in data:
-            prob = ProblemFile(data)
-            out.append((prob.lie, prob.ideal))
-    assert len(out) >= 5
+    out = [(prob.lie, prob.ideal) for prob in lie_fixtures()]
+    assert len(out) == 5
     return out
 
 
@@ -501,7 +493,7 @@ def _weight_spaces_whole_slice(alg, d, weights):
             ])
         sol = kernel_of_operators(alg, basis, shifted)
         if sol:
-            out.append((lam, tuple(sol)))
+            out.append((lam, tuple(el for _, el in sol)))
     return out
 
 

@@ -1,7 +1,5 @@
 """Lie layer: table validation, series, nilradical, flags, eigenvectors."""
 
-import json
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 from liepoisson import linalg
-from liepoisson.cli import ProblemFile
-
 from liepoisson.errors import (
     EigenvalueNotRational,
     JacobiViolation,
@@ -41,6 +37,7 @@ from conftest import (
     eng4,
     family_n,
     heisenberg,
+    lie_fixtures,
     random_solvable,
     random_unimodular,
 )
@@ -305,8 +302,6 @@ def test_span_subalgebra_on_a_random_basis():
 # ---------------------------------------------------------------------------
 # the ideal flag against an independent oracle, its cost and its order
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
 
 def _nonzero_rational(rng):
     num = rng.choice([n for n in range(-6, 7) if n])
@@ -329,13 +324,8 @@ def _workload_algebras(seed):
 
 
 def _flag_algebras():
-    algs = []
-    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
-        with open(os.path.join(DATA, name)) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "lie" in data:
-            algs.append(ProblemFile(data).lie)
-    assert len(algs) >= 5
+    algs = [prob.lie for prob in lie_fixtures()]
+    assert len(algs) == 5
     return algs + _workload_algebras(11) + _workload_algebras(23)
 
 

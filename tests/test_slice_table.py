@@ -31,6 +31,19 @@ def _uncovered_input():
     return g, ideal_from_pairs(g.basis, [("b3", "b2")])
 
 
+def _uncovered_inputs():
+    """(g, ideal, chain, covered by level) of the inputs with uncovered
+    levels: ``_uncovered_input``; [b1,b3] = 2 b3 - 2 b2 with b2 = b3, where
+    level 1 keeps b2; and [b1,b2] = b2 - b4 with b4 = b2, where level 2
+    keeps b4."""
+    yield (*_uncovered_input(), ["b3", "b2", "b1"], [False, True, True])
+    g = random_solvable(random.Random(27), 3)
+    yield g, ideal_from_pairs(g.basis, [("b2", "b3")]), ["b2", "b3", "b1"], [False, True, True]
+    g = random_solvable(random.Random(99), 4)
+    chain, covered = ["b3", "b4", "b2", "b1"], [True, False, True, True]
+    yield g, ideal_from_pairs(g.basis, [("b4", "b2")]), chain, covered
+
+
 def _inputs():
     """(name, g, ideal, d): the decomposition fixtures at d = 6, then the
     sweep at d = 4 (150 random solvable algebras, 10 conjugates each of
@@ -108,7 +121,6 @@ def test_every_level_center_matches_a_level_without_a_table(monkeypatch):
 
 
 def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
-    g, ideal = _uncovered_input()
     shared = _record_shares(monkeypatch)
     original = invariants.centralizer
     own = []
@@ -118,14 +130,17 @@ def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
         return original(alg, basis)
 
     monkeypatch.setattr(invariants, "centralizer", recorded)
-    for d in (4, 6):
-        del shared[:], own[:]
-        res = dec.decompose(g, ideal, d)
-        assert res.trace["chain"] == ["b3", "b2", "b1"]
-        assert (str(res.e), res.n) == ("1", 0)
-        assert [len(level.vars) for level in shared] == [2, 3]
-        assert own == [1]
-        assert dec.verify_decomposition(res, 3)["ok"]
+    for g, ideal, chain, covered in _uncovered_inputs():
+        levels = range(1, len(chain) + 1)
+        for d in (4, 6):
+            del shared[:], own[:]
+            res = dec.decompose(g, ideal, d)
+            assert res.trace["chain"] == chain
+            assert (str(res.e), res.n) == ("1", 0)
+            assert [step["case"] for step in res.trace["levels"]] == ["a"] * len(chain)
+            assert [len(level.vars) for level in shared] == [k for k in levels if covered[k - 1]]
+            assert own == [k for k in levels if not covered[k - 1]]
+            assert dec.verify_decomposition(res, 3)["ok"]
 
 
 def test_a_skipped_lift_equals_the_lift_through_element(monkeypatch):
@@ -176,7 +191,7 @@ def test_the_table_brackets_only_in_its_constructor(monkeypatch):
     basis = slice_basis(top, 2)
     got = _terms(center_up_to_degree(top, 2))
     assert len(brackets) == 5 * len(basis)
-    assert got == _terms(centralizer(_fresh(top), basis))
+    assert got == _terms(el for _, el in centralizer(_fresh(top), basis))
 
 
 def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):

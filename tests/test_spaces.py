@@ -1,13 +1,10 @@
 """The growing span: rank-raising adds and membership over fixed caps; the
 slice basis is in normal form as built."""
 
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from liepoisson.cli import ProblemFile
 from liepoisson.invariants import _generator_actions, center_up_to_degree
 from liepoisson.poisson import LocalElement, canonical_from_lie, localize, reduced_algebra
 from liepoisson.polys import Poly, parse_poly
@@ -24,7 +21,7 @@ from liepoisson.spaces import (
     solve_in_span,
 )
 
-from conftest import heisenberg, random_poly
+from conftest import heisenberg, lie_fixtures, random_poly
 from test_bracket import ALGEBRAS, reference_sum
 
 
@@ -144,20 +141,14 @@ def test_monomials_up_to_over_no_variables_is_the_empty_monomial():
         assert monomials_up_to(0, d) == [()]
 
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
 def _fixture_algebras():
     """Every Lie fixture in tests/data, with and without its ideal, each also
     localized at one element: a nonconstant central one of degree <= 2 where
     there is one, else the first surviving generator."""
     algs = []
-    for name in sorted(f for f in os.listdir(DATA) if f.endswith(".json")):
-        with open(os.path.join(DATA, name)) as fh:
-            data = json.load(fh)
-        if not (isinstance(data, dict) and "lie" in data):
-            continue
-        prob = ProblemFile(data)
+    probs = lie_fixtures()
+    assert len(probs) == 5
+    for prob in probs:
         for ideal in [None, prob.ideal] if prob.ideal else [None]:
             alg = reduced_algebra(prob.lie, ideal)
             central = [c.num for c in center_up_to_degree(alg, 2) if not c.num.is_constant()]
