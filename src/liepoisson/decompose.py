@@ -47,16 +47,17 @@ itself.  The actions of s are derivations of each level algebra:
 Each level keeps the rules of the ideal on its variables whose images use
 no later variable.  It is covered when it keeps all of them, so that its
 normal form is the top's on its variables; the top covers itself.  One
-``invariants.SliceTable`` per call brackets the top's degree-d slice once,
-and ``share`` solves the degree-d center of every covered level from
-those rows; a level that is not covered brackets its own slice (see
-``invariants``).  The table is a local value, so its rows die with the
-call; a later center of the returned algebra at another degree brackets
-its own slice.
+``invariants.SliceTable`` per call computes the rows of the top's degree-d
+slice once, by exponent shift, and ``share`` solves the degree-d center of
+every covered level from those rows; a level that is not covered shifts
+its own slice (see ``invariants``).  The table is a local value, so its
+rows die with the call; a later center of the returned algebra at another
+degree shifts its own slice.
 An element of a covered level, lifted to the next covered level, or into a
 localization of its own level, is already in normal form there: ``_carry``
 only extends its numerator and pads its denominator exponents with zeros.
-Every other lift goes through ``element``.
+So is a polynomial image of a covered level lifted into the top for the
+central choice (``_to_top``).  Every other lift goes through ``element``.
 
 All searches are degree-bounded and use ordered enumeration, so identical
 inputs yield identical traces.  ``SearchExhausted`` is a legitimate outcome:
@@ -181,6 +182,15 @@ def _carry(alg, el):
     context and its denominator exponents grow."""
     den = el.den + (0,) * (len(alg.inverted) - len(el.den))
     return LocalElement(el.num.extend(alg.vars), den)
+
+
+def _to_top(top, el):
+    """el, a polynomial element of a covered level, as an element of the
+    top: the level's normal form is the top's on its variables, so only its
+    numerator's context grows.  ``element`` when el has a denominator."""
+    if any(el.den):
+        return top.element(el)
+    return LocalElement(el.num.extend(top.vars), (0,) * len(top.inverted))
 
 
 def _s_actions(g: LieAlgebra, ts, ctx: Context) -> list[Derivation]:
@@ -457,7 +467,8 @@ def decompose(
         else:
             step["case"] = "b"
             preimages, images = zip(*nonzero)
-            coeffs = _central_choice(alg, [alg.element(im) for im in images], d)
+            to_top = partial(_to_top, alg) if covered else alg.element
+            coeffs = _central_choice(alg, [to_top(im) for im in images], d)
             # The lift of a level into the top is a Poisson map substituting
             # the images of the rules the level drops.  Where it is injective
             # (on a covered level, and for one dropped rule), a combination of

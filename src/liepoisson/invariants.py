@@ -7,21 +7,27 @@ that bound.  Candidate weights are enumerated inside the natural-number span
 of the flag weights, which is exactly the lattice bound that makes the
 enumeration finite.
 
-``centralizer(alg, basis)`` is the one bracket kernel: the elements of a
-finite span that commute with every generator, found by bracketing each
-basis element with each generator.  The degree-bounded center is the
-centralizer of a monomial slice, solved once per algebra and degree bound:
-``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
-``localize`` hands that memo to the localized algebra, whose polynomial
-center is the same.  ``weight_spaces`` brackets the slice once, solves the
-generators that every listed weight sends to zero once, and solves each
-weight only for the other generators, on that kernel.
+``centralizer(alg, basis)`` is the bracket kernel of a span: the elements
+of a finite span that commute with every generator, found by bracketing
+each basis element with each generator.  The degree-bounded center is the
+same kernel on a monomial slice, whose rows are exponent shifts
+(``spaces.slice_rows``): the algebras it is solved on (reduced algebras,
+flag levels, localizations of them) have Hamiltonian rows of numerators
+N_ik over denominator 1, so {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is
+already in normal form and needs no bracket.  It is solved once per
+algebra and degree bound: ``center_up_to_degree`` keeps its numerators in
+``alg.centers``, and ``localize`` hands that memo to the localized
+algebra, whose polynomial center is the same.  ``weight_spaces`` brackets
+the slice once (the weight-search benchmark counts those brackets and
+partials, its only ones), solves the generators that every listed weight
+sends to zero once, and solves each weight only for the other generators,
+on that kernel.
 
-One ``decompose`` brackets one slice: a ``SliceTable``, a value local to
-the call, brackets every generator of the flag's top algebra with its
-degree-d slice once, in its constructor, and solves the top's center from
-those rows; ``share`` solves the center of every level the top covers from
-the same rows.  Both fill the algebra's center memo, which
+One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
+call, shifts the degree-d slice of the flag's top algebra once for every
+generator, in its constructor, and solves the top's center from those
+rows; ``share`` solves the center of every level the top covers from the
+same rows.  Both fill the algebra's center memo, which
 ``center_up_to_degree`` then reads.  A flag prefix is an ideal, so for
 i < l and a monomial m in the first l variables, {x_i, m} is the same
 polynomial in level l as in the top, provided the level's normal form is
@@ -32,10 +38,10 @@ l's rows are then the top's rows of its generators, the first l, at its
 own slice monomials, in its own basis order; kernels depend only on the
 row space, so the rows keep their top monomial keys and the canonical
 ``nullspace`` basis is unchanged.  A level that is not covered keeps a
-variable that the top eliminates, so its slice and its brackets differ
-from the top's, and ``center_up_to_degree`` brackets its own slice.  The
-table serves degree-d centers only: the hypothesis check's
-``weight_spaces`` and centers of degree above d bracket their own slices.
+variable that the top eliminates, so its slice and its rows differ from
+the top's, and ``center_up_to_degree`` shifts its own slice.  The table
+serves degree-d centers only: the hypothesis check's ``weight_spaces``
+brackets its own slice, and centers of degree above d shift their own.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from .spaces import (
     kernel_of_operators,
     operator_rows,
     slice_basis,
+    slice_rows,
 )
 
 DEFAULT_DEGREE_BOUND = 6
@@ -95,11 +102,14 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     ``localize`` shares: a localization is injective and adds no bracket
     between polynomials, so the polynomial center of each slice is the same.
     A ``SliceTable`` fills the memo of the flag levels it covers; any other
-    algebra brackets its own slice (``centralizer``).
+    algebra solves its own slice, from rows by exponent shift
+    (``spaces.slice_rows``: its rows must carry no denominator, and are
+    then in normal form as built), with no bracket.
     Every call returns a new list of elements with denominator 1."""
     nums = alg.centers.get(d)
     if nums is None:
-        nums = _numerators(centralizer(alg, slice_basis(alg, d)))
+        basis = slice_basis(alg, d)
+        nums = _numerators(kernel_of_operators(alg, basis, slice_rows(alg, basis)))
         alg.centers[d] = nums
     den = (0,) * len(alg.inverted)
     return [LocalElement(num, den) for num in nums]
@@ -111,10 +121,11 @@ def _numerators(kernel: list[tuple]) -> tuple[Poly, ...]:
 
 class SliceTable:
     """The actions of every generator of a flag's top algebra on its
-    degree-d slice, bracketed once by the constructor, which also solves
-    the top's degree-d center from them; ``share`` solves the center of
-    every flag level the top covers from the same rows (see the module
-    docstring).  One per ``decompose``."""
+    degree-d slice, computed once by the constructor as exponent shifts
+    (``spaces.slice_rows``: the top is a reduced algebra, so its rows carry
+    no denominator), which also solves the top's degree-d center from them;
+    ``share`` solves the center of every flag level the top covers from the
+    same rows (see the module docstring).  One per ``decompose``."""
 
     def __init__(self, top: PoissonAlgebra, d: int):
         self.d = d
@@ -122,7 +133,7 @@ class SliceTable:
         self.eliminated = top.ideal.eliminated_names() if top.ideal else set()
         basis = slice_basis(top, d)
         # per generator, one row per slice monomial
-        self.rows = operator_rows(top, basis, _generator_actions(top))
+        self.rows = slice_rows(top, basis)
         self.at = {mono: k for k, b in enumerate(basis) for mono in b.num.terms}
         top.centers[d] = _numerators(kernel_of_operators(top, basis, self.rows))
 

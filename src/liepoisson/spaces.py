@@ -21,12 +21,19 @@ denominator caps chosen up front, so a loop that enlarges its spanning set
 once and keeps every earlier row valid.  Rank tests ask whether each added
 row raises the rank; membership tests ask ``Span.contains``.
 
-Kernels of operators are solved in two steps: ``operator_rows`` applies each
-operator to the slice basis once, and ``kernel_of_operators`` solves from
-those rows for each kernel element and its coefficient vector.  The
-bracket kernel built on them, ``invariants.centralizer`` (the elements of a
-span that commute with every generator), serves both the degree-bounded
-center and the central choice of ``decompose``.  A search that solves many
+Kernels of operators are solved in two steps: the rows of each operator's
+images of a basis, computed once, and ``kernel_of_operators``, which solves
+from those rows for each kernel element and its coefficient vector.  The
+rows of a monomial slice under the generators are exponent shifts
+(``slice_rows``): over an algebra whose Hamiltonian rows carry no
+denominator, each numerator N_ik is in normal form already, so
+{x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is built term by term, with no
+bracket, partial, cancel or normal form.  The degree-bounded center and
+the slice table of ``decompose`` read them.  Any other span is bracketed:
+``operator_rows`` applies each operator to each basis element, for the
+bracket kernel ``invariants.centralizer`` (the elements of a span that
+commute with every generator, for the central choice of ``decompose``)
+and for ``invariants.weight_spaces``.  A search that solves many
 related systems on one slice (``invariants.weight_spaces``, one system per
 listed weight) computes the actions once and solves the operators shared by
 every system once, to a kernel K0.  It restricts the other operators' rows
@@ -37,12 +44,12 @@ shifted.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import gt
+from operator import add, gt
 from typing import Mapping, Sequence
 
 from . import linalg
 from .poisson import LocalElement, PoissonAlgebra
-from .polys import Coef, Mono, Poly
+from .polys import Coef, Mono, Poly, _coef
 
 
 def monomials_up_to(nvars: int, d: int) -> list[Mono]:
@@ -179,6 +186,42 @@ def solve_in_span(
     rhs = [target_row.get(m, 0) for m in monos]
     sol = linalg.solve(eq_rows, rhs, len(spanners))
     return list(sol) if sol is not None else None
+
+
+def slice_rows(
+    alg: PoissonAlgebra, basis: Sequence[LocalElement]
+) -> list[list[dict[Mono, Coef]]]:
+    """Per generator x_i of alg, the numerator rows of {x_i, b} for the
+    elements b of a slice basis (``slice_basis``): the rows ``operator_rows``
+    gives for the operators {x_i, .}, by exponent shift.
+
+    Row i of ``alg.rows`` holds the numerators N_ik of {x_i, x_k} (for an
+    eliminated x_i, whose generator is its image, the same numerators: the
+    ideal is bracket-stable).  When no row carries a denominator,
+    {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is a polynomial with no
+    eliminated variable (neither N_ik nor x^e has one), so it is in normal
+    form as built: no partial, cancel or normal form.  ValueError when a
+    row carries a denominator."""
+    if any(any(den) for _, den in alg.rows):
+        raise ValueError("slice rows by exponent shift need rows without denominators")
+    out = []
+    for entries, _ in alg.rows:
+        rows = []
+        for b in basis:
+            acc: dict[Mono, Coef] = {}
+            for mono, c in b.num.terms.items():
+                for k, image in entries:
+                    e = mono[k]
+                    if not e:
+                        continue
+                    shifted = mono[:k] + (e - 1,) + mono[k + 1 :]
+                    ec = e * c
+                    for m1, c1 in image.terms.items():
+                        m = tuple(map(add, m1, shifted))
+                        acc[m] = acc.get(m, 0) + ec * c1
+            rows.append({m: _coef(v) for m, v in acc.items() if v})
+        out.append(rows)
+    return out
 
 
 def operator_rows(

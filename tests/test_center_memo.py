@@ -92,12 +92,16 @@ def test_second_call_makes_no_bracket(monkeypatch):
     A = canonical_from_lie(eng4())
     first = center_up_to_degree(A, 3)
     brackets = _count_brackets(monkeypatch)
+    partials = _count_method_calls(monkeypatch, "polys", "Poly", "partial")
+    passes = _count_calls(monkeypatch, "spaces", "slice_rows")
     second = center_up_to_degree(A, 3)
-    assert not brackets
+    assert not brackets and not passes
     assert second == first and _terms(second) == _terms(first)
-    # a new degree bound is a new search
+    # a new degree bound is a new search: one pass of exponent shifts over
+    # its slice, with no bracket and no partial
     center_up_to_degree(A, 2)
-    assert brackets
+    assert len(passes) == 1
+    assert not brackets and not partials
 
 
 def test_callers_cannot_change_the_memo():
@@ -237,7 +241,10 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # partials when localized arithmetic applied the quotient rule one
     # variable at a time and cancelled after every partial, product and sum;
     # 2,268 and 115 when only denominator-free rows took one cancel.  1,545
-    # brackets when every flag level bracketed its own slice
+    # brackets when every flag level bracketed its own slice, 1,230 when the
+    # slice table and each center memo miss bracketed theirs: their rows
+    # are exponent shifts now, so the brackets left are those of the flag
+    # steps and the certificate
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
@@ -245,7 +252,7 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     res = decompose(g, None, 6)
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
-    assert len(brackets) == 1230
+    assert len(brackets) == 390
     assert len(divisions) <= 2113
     assert partials == []
 

@@ -1,7 +1,13 @@
-"""The slice action has one path: ``spaces.operator_rows``, called only by
-``invariants``.  Every other module reaches a bracket kernel through
+"""The slice action has two paths, both named only in ``spaces`` and
+``invariants``.  Slices shift: ``spaces.slice_rows`` gives the rows of the
+slice table and of a center memo miss by exponent shifts.  Spans bracket:
+``spaces.operator_rows`` applies the generators to any other span (the
+central choice of ``decompose``, through ``invariants.centralizer``).
+``weight_spaces`` still brackets its slice, because the weight-search
+benchmark expects brackets and partials from it, and that workload has no
+other source of either.  Every other module reaches a kernel through
 ``invariants.centralizer``, ``center_up_to_degree`` or ``weight_spaces``, so
-``decompose`` cannot grow a second per-level bracket path next to the one
+``decompose`` cannot grow a per-level bracket or shift path next to the one
 slice table it shares between flag levels.  The center memo
 ``PoissonAlgebra.centers`` is named only where it is declared and shared
 (``poisson``) and where it is filled (``invariants``), so no other module
@@ -15,6 +21,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "liepoisson")
 # function or attribute -> the modules allowed to name it
 HOMES = {
     "operator_rows": {"spaces.py", "invariants.py"},
+    "slice_rows": {"spaces.py", "invariants.py"},
     "centers": {"poisson.py", "invariants.py"},
 }
 

@@ -2,7 +2,7 @@
 the top covers is solved from the top slice's bracket rows, and a lift
 between covered levels skips the normal form.  Each is checked against the
 work it replaces: a center solved on a freshly built level algebra that
-brackets its own slice, and the lift through ``element``."""
+solves its own slice, and the lift through ``element``."""
 
 import gc
 import importlib
@@ -14,6 +14,7 @@ from liepoisson.errors import LiePoissonError
 from liepoisson.invariants import SliceTable, center_up_to_degree, centralizer
 from liepoisson.lie import verify_lie
 from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra
+from liepoisson.polys import Poly
 from liepoisson.spaces import slice_basis
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
@@ -121,25 +122,26 @@ def test_every_level_center_matches_a_level_without_a_table(monkeypatch):
 
 
 def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
+    # an uncovered level solves its own slice: one pass of exponent shifts
+    # (``slice_rows``), after the table's pass over the top, and neither the
+    # table nor any center memo miss makes a bracket or a partial
     shared = _record_shares(monkeypatch)
-    original = invariants.centralizer
-    own = []
-
-    def recorded(alg, basis):
-        own.append(len(alg.vars))
-        return original(alg, basis)
-
-    monkeypatch.setattr(invariants, "centralizer", recorded)
+    passes = _record_slice_passes(monkeypatch)
+    work = _count_work(monkeypatch)
+    inside = []
+    for owner, name in ((dec, "center_up_to_degree"), (SliceTable, "__init__")):
+        monkeypatch.setattr(owner, name, _work_inside(getattr(owner, name), work, inside))
     for g, ideal, chain, covered in _uncovered_inputs():
         levels = range(1, len(chain) + 1)
         for d in (4, 6):
-            del shared[:], own[:]
+            del shared[:], passes[:], inside[:]
             res = dec.decompose(g, ideal, d)
             assert res.trace["chain"] == chain
             assert (str(res.e), res.n) == ("1", 0)
             assert [step["case"] for step in res.trace["levels"]] == ["a"] * len(chain)
             assert [len(level.vars) for level in shared] == [k for k in levels if covered[k - 1]]
-            assert own == [k for k in levels if not covered[k - 1]]
+            assert passes == [len(chain)] + [k for k in levels if not covered[k - 1]]
+            assert inside and not any(inside)
             assert dec.verify_decomposition(res, 3)["ok"]
 
 
@@ -159,6 +161,24 @@ def test_a_skipped_lift_equals_the_lift_through_element(monkeypatch):
     assert len(lifts) > 1000
 
 
+def test_a_lift_into_the_top_equals_the_lift_through_element(monkeypatch):
+    # the images of a covered level, lifted into the top for the central
+    # choice of case (b): 917 lifts over the inputs
+    original = dec._to_top
+    lifts = []
+
+    def checked(top, el):
+        got = original(top, el)
+        want = top.element(el)
+        assert (got.num, got.den) == (want.num, want.den), (top.vars, el)
+        lifts.append(1)
+        return got
+
+    monkeypatch.setattr(dec, "_to_top", checked)
+    _run_all(lambda name: None)
+    assert len(lifts) > 900
+
+
 def _count_brackets(monkeypatch):
     brackets = []
     original = PoissonAlgebra.bracket
@@ -171,26 +191,69 @@ def _count_brackets(monkeypatch):
     return brackets
 
 
+def _count_work(monkeypatch):
+    """Brackets and ``Poly.partial`` calls, one entry each, as they run."""
+    work = []
+    for owner, name in ((PoissonAlgebra, "bracket"), (Poly, "partial")):
+
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            work.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return work
+
+
+def _work_inside(fn, work, inside):
+    """fn, appending to ``inside`` the number of ``work`` entries each call
+    adds."""
+
+    def recorded(*args):
+        before = len(work)
+        got = fn(*args)
+        inside.append(len(work) - before)
+        return got
+
+    return recorded
+
+
+def _record_slice_passes(monkeypatch):
+    """The number of variables of the algebra of each ``slice_rows`` pass."""
+    passes = []
+    original = invariants.slice_rows
+
+    def recorded(alg, basis):
+        passes.append(len(alg.vars))
+        return original(alg, basis)
+
+    monkeypatch.setattr(invariants, "slice_rows", recorded)
+    return passes
+
+
 def test_the_table_brackets_only_in_its_constructor(monkeypatch):
     # family_n(2) on its flag basis z, x1, y1, x2, y2 with z = 1: every
-    # prefix is an ideal that keeps the rule, so the top covers every level
+    # prefix is an ideal that keeps the rule, so the top covers every level.
+    # The constructor shifts the top slice's exponents in one pass, with no
+    # bracket and no partial; ``share`` reads its rows
     g = verify_lie("z x1 y1 x2 y2", {(1, 2): {0: 1}, (3, 4): {0: 1}})
     ideal = ideal_from_pairs(g.basis, [("z", "1")])
     levels = [dec._level_algebra(g, ideal, level) for level in range(1, 6)]
     top = levels[-1]
-    brackets = _count_brackets(monkeypatch)
+    work = _count_work(monkeypatch)
+    passes = _record_slice_passes(monkeypatch)
     table = SliceTable(top, 3)
-    assert len(brackets) == 5 * len(slice_basis(top, 3))
-    del brackets[:]
+    assert passes == [5] and not work
+    del passes[:]
     assert all(table.share(level) for level in levels)
     got = [_terms(center_up_to_degree(level, 3)) for level in levels]
-    assert not brackets
+    assert not passes and not work
     assert got == [_terms(center_up_to_degree(_fresh(level), 3)) for level in levels]
-    # another degree brackets its own slice
-    del brackets[:]
+    # another degree is a memo miss: one pass over its own slice, and the
+    # same center as the bracketed centralizer of that slice
+    del passes[:], work[:]
     basis = slice_basis(top, 2)
     got = _terms(center_up_to_degree(top, 2))
-    assert len(brackets) == 5 * len(basis)
+    assert passes == [5] and not work
     assert got == _terms(el for _, el in centralizer(_fresh(top), basis))
 
 
