@@ -446,8 +446,10 @@ def decompose(
             plain_center = [cur_l.one()]
         else:
             plain_center = [lift(c) for c in center_up_to_degree(prev_l, d)]
-        z_el = _project_s_weight(cur_l, actions, cur_l.gen(name), theta)
-        if z_el.is_zero():
+        # a generator the ideal sends to 0 is a case (a) level adjoining 0
+        gen = cur_l.gen(name)
+        z_el = _project_s_weight(cur_l, actions, gen, theta)
+        if z_el.is_zero() and not gen.is_zero():
             raise SearchExhausted(d, "(flag generator lost its weight component)")
 
         delta_imgs = [cur_l.bracket(z_el, c) for c in plain_center]

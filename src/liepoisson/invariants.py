@@ -7,21 +7,22 @@ that bound.  Candidate weights are enumerated inside the natural-number span
 of the flag weights, which is exactly the lattice bound that makes the
 enumeration finite.
 
-``centralizer(alg, basis)`` is the bracket kernel of a span: the elements
-of a finite span that commute with every generator, found by bracketing
-each basis element with each generator.  The degree-bounded center is the
-same kernel on a monomial slice, whose rows are exponent shifts
-(``spaces.slice_rows``): the algebras it is solved on (reduced algebras,
-flag levels, localizations of them) have Hamiltonian rows of numerators
-N_ik over denominator 1, so {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is
-already in normal form and needs no bracket.  It is solved once per
-algebra and degree bound: ``center_up_to_degree`` keeps its numerators in
-``alg.centers``, and ``localize`` hands that memo to the localized
-algebra, whose polynomial center is the same.  ``weight_spaces`` brackets
-the slice once (the weight-search benchmark counts those brackets and
-partials, its only ones), solves the generators that every listed weight
-sends to zero once, and solves each weight only for the other generators,
-on that kernel.
+``centralizer(alg, basis)`` is the kernel of the generators' action on a
+span: the elements of a finite span in normal form that commute with every
+generator.  Its rows are exponent shifts (``spaces.slice_rows``): the
+algebras it is solved on (reduced algebras, flag levels, localizations of
+them) have Hamiltonian rows of numerators N_ik over denominator 1, so
+{x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is already in normal form and
+needs no bracket.  The degree-bounded center is the centralizer of a
+monomial slice, and the central choice of ``decompose`` that of the images
+of a center.  The center is solved once per algebra and degree bound:
+``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
+``localize`` hands that memo to the localized algebra, whose polynomial
+center is the same.  Only ``weight_spaces`` brackets (the weight-search
+benchmark counts those brackets and partials, its only ones): it brackets
+the slice once, solves the generators that every listed weight sends to
+zero once, and solves each weight only for the other generators, on that
+kernel.
 
 One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
 call, shifts the degree-d slice of the flag's top algebra once for every
@@ -90,9 +91,11 @@ def _generator_actions(alg: PoissonAlgebra) -> list:
 
 def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[tuple]:
     """Basis of the elements of span(basis) commuting with every generator,
-    each with its coefficients over ``basis`` (``kernel_of_operators``):
-    each basis element is bracketed with each generator."""
-    return kernel_of_operators(alg, basis, operator_rows(alg, basis, _generator_actions(alg)))
+    each with its coefficients over ``basis`` (``kernel_of_operators``).
+    The basis is in alg's normal form, over central denominators if any, and
+    alg's rows carry no denominator: the generators' rows are exponent
+    shifts (``spaces.slice_rows``, ValueError otherwise), with no bracket."""
+    return kernel_of_operators(alg, basis, slice_rows(alg, basis))
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
@@ -102,14 +105,12 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     ``localize`` shares: a localization is injective and adds no bracket
     between polynomials, so the polynomial center of each slice is the same.
     A ``SliceTable`` fills the memo of the flag levels it covers; any other
-    algebra solves its own slice, from rows by exponent shift
-    (``spaces.slice_rows``: its rows must carry no denominator, and are
-    then in normal form as built), with no bracket.
+    algebra solves the ``centralizer`` of its own slice, from rows by
+    exponent shift (its rows must carry no denominator), with no bracket.
     Every call returns a new list of elements with denominator 1."""
     nums = alg.centers.get(d)
     if nums is None:
-        basis = slice_basis(alg, d)
-        nums = _numerators(kernel_of_operators(alg, basis, slice_rows(alg, basis)))
+        nums = _numerators(centralizer(alg, slice_basis(alg, d)))
         alg.centers[d] = nums
     den = (0,) * len(alg.inverted)
     return [LocalElement(num, den) for num in nums]

@@ -24,21 +24,22 @@ row raises the rank; membership tests ask ``Span.contains``.
 Kernels of operators are solved in two steps: the rows of each operator's
 images of a basis, computed once, and ``kernel_of_operators``, which solves
 from those rows for each kernel element and its coefficient vector.  The
-rows of a monomial slice under the generators are exponent shifts
-(``slice_rows``): over an algebra whose Hamiltonian rows carry no
-denominator, each numerator N_ik is in normal form already, so
+rows of the generators on any span of polynomials in normal form are
+exponent shifts (``slice_rows``): over an algebra whose Hamiltonian rows
+carry no denominator, each numerator N_ik is in normal form already, so
 {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is built term by term, with no
-bracket, partial, cancel or normal form.  The degree-bounded center and
-the slice table of ``decompose`` read them.  Any other span is bracketed:
-``operator_rows`` applies each operator to each basis element, for the
-bracket kernel ``invariants.centralizer`` (the elements of a span that
-commute with every generator, for the central choice of ``decompose``)
-and for ``invariants.weight_spaces``.  A search that solves many
-related systems on one slice (``invariants.weight_spaces``, one system per
-listed weight) computes the actions once and solves the operators shared by
-every system once, to a kernel K0.  It restricts the other operators' rows
-to K0 by combining rows, and solves each system on K0 from those rows,
-shifted.
+bracket, partial, cancel or normal form.  A span over central denominators
+is shifted over its common denominator.  Every kernel ``decompose``
+solves reads them: the slice table, the degree-bounded center and the
+central choice (``invariants.centralizer``).  Only ``operator_rows``
+brackets, applying each operator to each basis element, and only
+``invariants.weight_spaces`` calls it: the weight-search benchmark counts
+its brackets and partials, and has no other source of either.  A search
+that solves many related systems on one slice (``weight_spaces``, one
+system per listed weight) computes the actions once and solves the
+operators shared by every system once, to a kernel K0.  It restricts the
+other operators' rows to K0 by combining rows, and solves each system on
+K0 from those rows, shifted.
 """
 
 from __future__ import annotations
@@ -191,25 +192,44 @@ def solve_in_span(
 def slice_rows(
     alg: PoissonAlgebra, basis: Sequence[LocalElement]
 ) -> list[list[dict[Mono, Coef]]]:
-    """Per generator x_i of alg, the numerator rows of {x_i, b} for the
-    elements b of a slice basis (``slice_basis``): the rows ``operator_rows``
-    gives for the operators {x_i, .}, by exponent shift.
+    """Per generator x_i of alg, the numerator rows of {x_i, b} over the
+    common denominator of the elements b of a span in alg's normal form (a
+    slice basis, ``slice_basis``, or any other), by exponent shift.  On a
+    span of polynomials they are exactly the rows ``operator_rows`` gives
+    for the operators {x_i, .}; otherwise each operator's rows are those
+    rows times one power of the denominators, so the kernel is the same.
 
     Row i of ``alg.rows`` holds the numerators N_ik of {x_i, x_k} (for an
     eliminated x_i, whose generator is its image, the same numerators: the
     ideal is bracket-stable).  When no row carries a denominator,
     {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is a polynomial with no
     eliminated variable (neither N_ik nor x^e has one), so it is in normal
-    form as built: no partial, cancel or normal form.  ValueError when a
-    row carries a denominator."""
+    form as built: no partial, cancel or normal form.  The shift runs over
+    every term of a polynomial, so its sum is {x_i, p}.  An element n / s^k
+    over the common denominator s^c is n s^(c - k) / s^c, and
+    {x_i, n s^(c - k)} = {x_i, n} s^(c - k) when every s in the
+    denominator is central.  ValueError when a row carries a denominator, or when the span
+    does and that denominator is not central."""
     if any(any(den) for _, den in alg.rows):
         raise ValueError("slice rows by exponent shift need rows without denominators")
+    if not (alg.inverted and any(any(b.den) for b in basis)):
+        return _shifts(alg, [b.num.terms for b in basis])
+    polys, caps = common_denominator_rows(alg, basis)
+    dens = [s.terms for s, cap in zip(alg.inverted, caps) if cap]
+    if any(any(rows) for rows in _shifts(alg, dens)):
+        raise ValueError("slice rows by exponent shift need central denominators")
+    return _shifts(alg, polys)
+
+
+def _shifts(alg: PoissonAlgebra, polys: Sequence[Mapping[Mono, Coef]]):
+    """Per generator x_i, the terms of {x_i, p} for the polynomials p, given
+    by their terms (see ``slice_rows``)."""
     out = []
     for entries, _ in alg.rows:
         rows = []
-        for b in basis:
+        for terms in polys:
             acc: dict[Mono, Coef] = {}
-            for mono, c in b.num.terms.items():
+            for mono, c in terms.items():
                 for k, image in entries:
                     e = mono[k]
                     if not e:

@@ -242,9 +242,10 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # variable at a time and cancelled after every partial, product and sum;
     # 2,268 and 115 when only denominator-free rows took one cancel.  1,545
     # brackets when every flag level bracketed its own slice, 1,230 when the
-    # slice table and each center memo miss bracketed theirs: their rows
-    # are exponent shifts now, so the brackets left are those of the flag
-    # steps and the certificate
+    # slice table and each center memo miss bracketed theirs, 390 when the
+    # central choice bracketed its candidates with every generator: the rows
+    # of all three are exponent shifts now, so the brackets left are those
+    # of the flag steps and the certificate
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
@@ -252,7 +253,7 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     res = decompose(g, None, 6)
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
-    assert len(brackets) == 390
+    assert len(brackets) == 306
     assert len(divisions) <= 2113
     assert partials == []
 

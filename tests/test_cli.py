@@ -215,6 +215,64 @@ def test_mathematical_negative_exit_code(tmp_path):
     assert json.loads(out2)["error"] == "HypothesisFailed"
 
 
+def _heisenberg_with(tmp_path, var):
+    """heisenberg ([x,y] = z) with ``var`` -> 0, written to a problem file."""
+    problem = tmp_path / f"heisenberg-{var}0.json"
+    with open(path("heisenberg.json")) as fh:
+        data = json.load(fh)
+    data["ideal"] = [{"var": var, "value": "0"}]
+    problem.write_text(json.dumps(data))
+    return str(problem)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "-p", "x", "-q", "y"],
+        ["semi-invariants"],
+        ["center"],
+        ["ghat"],
+        ["decompose"],
+        ["check84"],
+    ],
+)
+def test_unstable_ideal_exit_code(tmp_path, argv):
+    # x -> 0 is not bracket-stable: {x, y} = z is not sent to 0
+    code, out, _ = _capture([argv[0], _heisenberg_with(tmp_path, "x"), *argv[1:], "--json"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "NotStable",
+        "detail": "ideal not bracket-stable: {x-image, y} = z != 0",
+    }
+
+
+def test_a_generator_the_ideal_kills_decomposes(tmp_path):
+    # [t,x] = x with x -> 0, and heisenberg with z -> 0: each quotient is a
+    # polynomial algebra with zero bracket, its own center
+    problem = tmp_path / "tx.json"
+    lie = {"dim": 2, "basis": ["t", "x"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]}
+    problem.write_text(json.dumps({"lie": lie, "ideal": [{"var": "x", "value": "0"}]}))
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "2", "--json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "bound": 2,
+        "center_basis": ["1", "t", "t^2"],
+        "e": "1",
+        "n": 0,
+        "pairs": [],
+    }
+    heis = _heisenberg_with(tmp_path, "z")
+    code, out, _ = _capture(["decompose", heis, "--max-degree", "2", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["e"], report["n"], len(report["center_basis"])) == ("1", 0, 6)
+    code, out, _ = _capture(["check84", heis, "--max-degree", "2", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] and not report["center_trivial"]
+    assert report["weyl_rank"] == 0
+
+
 FILIFORM5 = {
     "lie": {
         "dim": 5,

@@ -90,6 +90,27 @@ def test_family_n2_both_ideals():
     assert verify_decomposition(res0, 4)["ok"]
 
 
+@pytest.mark.parametrize(
+    "spec, structure, zero, e, n",
+    [
+        ("t x", {(0, 1): {1: 1}}, "x", "1", 0),
+        ("x y z", {(0, 1): {2: 1}}, "z", "1", 0),
+        ("x y z a", {(0, 1): {2: 1}}, "a", "z", 1),
+        ("e1 e2 e3 e4", {(0, 1): {2: 1}, (0, 2): {3: 1}}, "e4", "e3", 1),
+    ],
+)
+def test_a_generator_the_ideal_kills_adjoins_zero(spec, structure, zero, e, n):
+    # the ideal sends a flag generator to 0: its level is case (a) and
+    # adjoins 0, as a level whose generator the ideal sends to c adjoins c
+    g = verify_lie(spec, structure)
+    res = decompose(g, _ideal(g, [(zero, "0")]), 6)
+    assert (str(res.e), res.n) == (e, n)
+    level = res.trace["chain"].index(zero)
+    assert res.trace["levels"][level]["case"] == "a"
+    assert res.trace["levels"][level]["adjoined_central"] == "0"
+    assert verify_decomposition(res, 3)["ok"]
+
+
 def test_hypothesis_failure_detected():
     with pytest.raises(HypothesisFailed):
         decompose(aff2(), None, 4)

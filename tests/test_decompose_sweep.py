@@ -39,6 +39,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 
+import pytest
+
 from liepoisson import linalg
 from liepoisson.decompose import decompose
 from liepoisson.errors import HypothesisFailed, LiePoissonError
@@ -174,6 +176,26 @@ def test_every_hypothesis_failure_is_a_nonzero_weight_semi_invariant():
             assert alg.sub(image, alg.scale(w, a)).is_zero(), (name, v.name)
         checked += 1
     assert checked >= 54
+
+
+def test_eigenvalue_not_rational_iff_some_ad_fails_to_split():
+    # for solvable g, a flag of ideals with rational weights exists exactly
+    # when the characteristic polynomial of every ad x_j splits into linear
+    # factors over Q: the eigenvalues of ad x_j are the weights at x_j
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    raised = 0
+    for (name, g, _, _, _), line, _ in sweep():
+        splits = True
+        for j in range(g.dim):
+            ad = g.ad_matrix([Fraction(int(i == j)) for i in range(g.dim)])
+            matrix = sympy.Matrix([[sympy.Rational(str(c)) for c in row] for row in ad])
+            _, factors = sympy.factor_list(matrix.charpoly(lam).as_expr(), lam)
+            splits = splits and all(sympy.degree(f, lam) == 1 for f, _ in factors)
+        irrational = json.loads(line).get("error") == "EigenvalueNotRational"
+        assert irrational == (not splits), name
+        raised += irrational
+    assert raised == 8
 
 
 def _value(poly, point):

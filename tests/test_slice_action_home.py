@@ -1,14 +1,15 @@
-"""The slice action has two paths, both named only in ``spaces`` and
-``invariants``.  Slices shift: ``spaces.slice_rows`` gives the rows of the
-slice table and of a center memo miss by exponent shifts.  Spans bracket:
-``spaces.operator_rows`` applies the generators to any other span (the
-central choice of ``decompose``, through ``invariants.centralizer``).
-``weight_spaces`` still brackets its slice, because the weight-search
-benchmark expects brackets and partials from it, and that workload has no
-other source of either.  Every other module reaches a kernel through
+"""The rows of the generators' action are built in two ways, both named
+only in ``spaces`` and ``invariants``.  ``spaces.slice_rows`` shifts exponents on
+any span of polynomials in normal form: it builds the rows of every kernel
+``decompose`` solves (the slice table, a center memo miss and the central
+choice, through ``invariants.centralizer``).  ``spaces.operator_rows``
+brackets, with the operators of ``invariants._generator_actions``, and only
+``weight_spaces`` calls it, because the weight-search benchmark expects
+brackets and partials from it, and that workload has no other source of
+either.  Every other module reaches a kernel through
 ``invariants.centralizer``, ``center_up_to_degree`` or ``weight_spaces``, so
-``decompose`` cannot grow a per-level bracket or shift path next to the one
-slice table it shares between flag levels.  The center memo
+``decompose`` cannot grow a bracketed row path, or a per-level shift path
+next to the one slice table it shares between flag levels.  The center memo
 ``PoissonAlgebra.centers`` is named only where it is declared and shared
 (``poisson``) and where it is filled (``invariants``), so no other module
 can store a center that was not solved there."""
@@ -22,6 +23,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "liepoisson")
 HOMES = {
     "operator_rows": {"spaces.py", "invariants.py"},
     "slice_rows": {"spaces.py", "invariants.py"},
+    "_generator_actions": {"invariants.py"},
     "centers": {"poisson.py", "invariants.py"},
 }
 
@@ -85,3 +87,15 @@ def test_operator_rows_is_named_only_in_its_homes():
                 sources[name] = fh.read()
     assert {"spaces.py", "invariants.py", "decompose.py", "poisson.py"} <= set(sources)
     assert stray_references(sources) == []
+
+
+def test_only_weight_spaces_brackets_its_rows():
+    with open(os.path.join(SRC, "invariants.py")) as fh:
+        tree = ast.parse(fh.read())
+    callers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and {"operator_rows", "_generator_actions"} & set(_names(node))
+    }
+    assert callers == {"weight_spaces"}

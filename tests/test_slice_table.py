@@ -1,5 +1,5 @@
 """One slice table per ``decompose``: the center of every flag level that
-the top covers is solved from the top slice's bracket rows, and a lift
+the top covers is solved from the top slice's rows, and a lift
 between covered levels skips the normal form.  Each is checked against the
 work it replaces: a center solved on a freshly built level algebra that
 solves its own slice, and the lift through ``element``."""
@@ -11,11 +11,11 @@ import weakref
 
 from liepoisson import invariants
 from liepoisson.errors import LiePoissonError
-from liepoisson.invariants import SliceTable, center_up_to_degree, centralizer
+from liepoisson.invariants import SliceTable, _generator_actions, center_up_to_degree
 from liepoisson.lie import verify_lie
 from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra
 from liepoisson.polys import Poly
-from liepoisson.spaces import slice_basis
+from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
 from test_acceptance import DECOMP_FIXTURES
@@ -249,12 +249,14 @@ def test_the_table_brackets_only_in_its_constructor(monkeypatch):
     assert not passes and not work
     assert got == [_terms(center_up_to_degree(_fresh(level), 3)) for level in levels]
     # another degree is a memo miss: one pass over its own slice, and the
-    # same center as the bracketed centralizer of that slice
+    # same center as the kernel of that slice's bracketed rows
     del passes[:], work[:]
     basis = slice_basis(top, 2)
     got = _terms(center_up_to_degree(top, 2))
     assert passes == [5] and not work
-    assert got == _terms(el for _, el in centralizer(_fresh(top), basis))
+    fresh = _fresh(top)
+    bracketed = operator_rows(fresh, basis, _generator_actions(fresh))
+    assert got == _terms(el for _, el in kernel_of_operators(fresh, basis, bracketed))
 
 
 def test_one_table_per_decompose_makes_fewer_brackets(monkeypatch):
