@@ -6,6 +6,15 @@ stored sparsely (column -> integer), which matters because the constraint
 matrices produced by bracket conditions are extremely sparse.  An ``Echelon``
 keeps echelon form on insert; its reduced form is computed once, when read.
 
+``nullspace`` eliminates only what it must.  Most equations of a kernel on a
+monomial slice have one nonzero entry, "this coefficient is 0"; a presolve
+(the singleton step of structured Gaussian elimination) forces those columns
+to zero, repeats on the rows that become singletons, and hands only the rows
+left, without the forced columns, to an ``Echelon``.  The kernel basis does
+not change: a forced column's unit vector lies in the row space, so it is a
+pivot of the reduced form, and the other reduced rows are those of the rows
+left.
+
 The dense helpers for small operator matrices clear denominators as well:
 ``charpoly`` scales the matrix to integers once and runs its recursion over
 the integers, and ``mat_vec``/``mat_mul`` skip zero entries.  Fractions
@@ -132,11 +141,32 @@ def rank(rows: Iterable[dict[int, Fraction] | Row]) -> int:
 
 def nullspace(rows: Iterable[dict[int, Fraction] | Row], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, one vector per free column, deterministic:
-    free columns ascending, the free coordinate set to 1."""
-    reduced = echelon_of(rows).rows
+    free columns ascending, the free coordinate set to 1.
+
+    Singleton presolve first: a row whose only nonzero entry, outside the
+    columns forced so far, sits at column j forces x_j = 0; passes repeat
+    until one forces nothing.  Only the rows left, with the forced columns
+    dropped, are eliminated.  The basis is the one elimination alone gives:
+    each forced column has its unit vector in the row space, so the reduced
+    basis is those unit rows plus the reduced rows of what is left, and a
+    forced column is a pivot whose row has no free entry."""
+    forced: set[int] = set()
+    pending = rows
+    while True:
+        before, left = len(forced), []
+        for row in pending:
+            live = {j: c for j, c in row.items() if c and j not in forced}
+            if len(live) == 1:
+                forced.update(live)
+            elif live:
+                left.append(live)
+        pending = left
+        if len(forced) == before:
+            break
+    reduced = echelon_of(pending).rows
     basis = []
     for f in range(ncols):
-        if f in reduced:
+        if f in reduced or f in forced:
             continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)

@@ -266,7 +266,11 @@ def kernel_coordinates(
 
     One equation per operator and monomial, built in one pass over the
     nonzero entries; the basis depends only on the row space, so not on
-    the order of the equations.
+    the order of the equations.  An output monomial with one preimage gives
+    an equation with one entry, which ``nullspace`` settles in its presolve
+    by forcing that coefficient to 0, without an echelon insert; the forced
+    coefficient is a pivot of the reduced rows either way, so the canonical
+    basis is the one full elimination gives.
     """
     eq_rows: list[Mapping] = []
     for rows in images:

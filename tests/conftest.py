@@ -59,6 +59,21 @@ def lie_fixtures() -> list[ProblemFile]:
     return out
 
 
+def perfbench_workloads() -> dict:
+    """The benchmark's workload classes by name, from ``perfbench/workloads.py``
+    (it reads the library modules from ``sys.modules``, imported here)."""
+    import importlib.util
+
+    import liepoisson.decompose  # noqa: F401  (the workloads' ops need them)
+    import liepoisson.invariants  # noqa: F401
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 # ---------------------------------------------------------------------------
 # random generators (seeded by the caller for reproducibility)
 

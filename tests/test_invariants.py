@@ -23,7 +23,15 @@ from liepoisson.poisson import canonical_from_lie, ideal_from_pairs
 from liepoisson.polys import parse_poly
 from liepoisson.weyl import WeylPresentation
 
-from conftest import abelian, aff2, eng4, heisenberg, lie_fixtures, random_solvable
+from conftest import (
+    abelian,
+    aff2,
+    eng4,
+    heisenberg,
+    lie_fixtures,
+    perfbench_workloads,
+    random_solvable,
+)
 from test_lie import _workload_algebras
 
 F = Fraction
@@ -597,3 +605,35 @@ def test_weight_search_feeds_few_rows_to_nullspace(monkeypatch):
     rep = semi_invariants(g, None, 5)
     assert len(rep.entries) == 21
     assert sum(rows_in) <= 1500
+
+
+@pytest.mark.parametrize(
+    "workload, rows_in", [("ideal-decompose", 672), ("weight-search", 904)]
+)
+def test_nullspace_presolve_leaves_few_rows_to_eliminate(monkeypatch, workload, rows_in):
+    # a count, not a timing: of the rows one benchmark op at seed 11 hands
+    # to nullspace, the singleton presolve settles all but a few, so they
+    # never reach Echelon.add; elimination alone inserted every one
+    seen = {"rows": 0, "inserted": 0, "inside": False}
+    nullspace, add = linalg.nullspace, linalg.Echelon.add
+
+    def counted(rows, ncols):
+        rows = list(rows)
+        seen["rows"] += len(rows)
+        seen["inside"] = True
+        try:
+            return nullspace(rows, ncols)
+        finally:
+            seen["inside"] = False
+
+    def insert(ech, row):
+        seen["inserted"] += seen["inside"]
+        return add(ech, row)
+
+    w = perfbench_workloads()[workload](11)
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    monkeypatch.setattr(linalg.Echelon, "add", insert)
+    (x,) = w.inputs
+    assert w.check(x, w.op(x)) is None
+    assert seen["rows"] == rows_in
+    assert seen["inserted"] <= 5

@@ -9,8 +9,10 @@ from math import gcd
 import pytest
 
 from liepoisson import linalg
+from liepoisson.invariants import center_up_to_degree
+from liepoisson.poisson import reduced_algebra
 
-from conftest import random_unimodular
+from conftest import lie_fixtures, perfbench_workloads, random_unimodular
 
 F = Fraction
 
@@ -429,3 +431,136 @@ def test_rational_root_multiplicities_of_random_products():
             poly = out
         got = linalg.rational_root_multiplicities(poly)
         assert list(got.items()) == sorted(want.items())
+
+
+def _reference_nullspace(rows, ncols):
+    """Elimination alone: every row goes through the echelon, no presolve."""
+    reduced = linalg.echelon_of(rows).rows
+    basis = []
+    for f in range(ncols):
+        if f in reduced:
+            continue
+        vec = [F(0)] * ncols
+        vec[f] = F(1)
+        for p, row in reduced.items():
+            if f in row:
+                vec[p] = F(-row[f], row[p])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _same_kernel(got, want):
+    # equal tuples, and equal coefficient types entry by entry
+    assert got == want
+    assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
+
+
+def _presolve_system(rng, ncols):
+    """Rows over ncols columns, most of them singletons or pairs: a chain of
+    pairs that collapses one by one once its end is forced, explicit zero
+    entries, empty and duplicate rows, and some denser rows; the last column
+    is touched by no row."""
+    live = list(range(ncols - 1))
+    rows = []
+    for _ in range(rng.randint(0, ncols)):
+        j = rng.choice(live)
+        rows.append({j: F(rng.randint(1, 5), rng.randint(1, 3))})
+    chain = rng.sample(live, rng.randint(1, len(live)))
+    for a, b in zip(chain, chain[1:]):  # rows {a, b}; {chain[-1]} ends it
+        rows.append({a: rng.randint(-4, 4) or 1, b: F(rng.randint(-4, 4) or 1, 2)})
+    if rng.random() < 0.7:
+        rows.append({chain[-1]: F(rng.randint(1, 3))})
+    rows += _random_sparse_rows(rng, rng.randint(0, 3), ncols - 1)
+    for row in rng.sample(rows, min(len(rows), 3)):
+        row[rng.choice(live)] = rng.choice((0, F(0)))  # explicit zeros
+    rows.append({})
+    rows.append(dict(rng.choice(rows)))  # a duplicate
+    rng.shuffle(rows)
+    return rows
+
+
+def test_nullspace_presolve_matches_elimination():
+    # the presolve forces singleton columns; the kernel must be bit for bit
+    # the one elimination alone gives, whatever shape the system has
+    rng = random.Random(20261030)
+    forced = 0
+    for trial in range(600):
+        ncols = rng.randint(2, 9)
+        rows = _presolve_system(rng, ncols) if trial % 3 else _random_sparse_rows(
+            rng, rng.randint(0, 8), ncols
+        )
+        want = _reference_nullspace(rows, ncols)
+        _same_kernel(linalg.nullspace(rows, ncols), want)
+        _same_kernel(linalg.nullspace((dict(r) for r in rows), ncols), want)
+        forced += any(len([c for c in r.values() if c]) == 1 for r in rows)
+    assert forced >= 400
+
+
+def test_nullspace_presolve_edge_systems():
+    # a cascade x2 = 0, then x1 = 0 from x1 + x2, then x0 = 0 from x0 - x1
+    cascade = [{0: F(1), 1: F(-1)}, {1: F(1), 2: F(3)}, {2: F(2)}]
+    # fully determined: every column forced, some only after a cascade
+    determined = cascade + [{3: F(1, 2), 0: 0}]
+    # x0 and x4 untouched, an empty row, a duplicate, a zero entry that is no entry
+    loose = [{}, {0: F(0), 1: 2}, {1: F(4)}, {2: F(1), 3: F(1)}, {2: F(1), 3: F(1)}]
+    for rows, ncols in ((cascade, 4), (determined, 4), (loose, 5), ([], 3), ([{}], 2)):
+        want = _reference_nullspace(rows, ncols)
+        _same_kernel(linalg.nullspace(rows, ncols), want)
+        _same_kernel(linalg.nullspace(iter(rows), ncols), want)
+    assert linalg.nullspace(determined, 4) == []
+    assert linalg.nullspace(loose, 5) == [
+        (F(1), F(0), F(0), F(0), F(0)),
+        (F(0), F(0), F(-1), F(1), F(0)),
+        (F(0), F(0), F(0), F(0), F(1)),
+    ]
+
+
+def test_nullspace_inserts_only_the_rows_the_presolve_leaves(monkeypatch):
+    inserted = []
+    add = linalg.Echelon.add
+    monkeypatch.setattr(linalg.Echelon, "add", lambda ech, r: inserted.append(r) or add(ech, r))
+    rows = [{0: F(1), 1: F(-1)}, {1: F(1), 2: F(3)}, {2: F(2)}, {3: 1, 4: 2}, {3: 0, 5: 1}]
+    assert len(linalg.nullspace(rows, 6)) == 1
+    assert inserted == [{3: 1, 4: 2}]
+
+
+def _captured_nullspace_systems(monkeypatch, run):
+    systems = []
+    nullspace = linalg.nullspace
+
+    def capture(rows, ncols):
+        rows = list(rows)
+        out = nullspace(rows, ncols)
+        systems.append((rows, ncols, out))
+        return out
+
+    monkeypatch.setattr(linalg, "nullspace", capture)
+    run()
+    monkeypatch.setattr(linalg, "nullspace", nullspace)
+    return systems
+
+
+def test_nullspace_matches_elimination_on_real_systems(monkeypatch, tmp_path):
+    # every system the benchmark ops at seed 11 and the degree-4 centers of
+    # the Lie fixtures hand to nullspace, solved again by elimination alone
+    def workload_ops():
+        for name, workload in perfbench_workloads().items():
+            w = workload(11)
+            if name == "cli-readme":  # its decompose command writes a trace
+                old, w.trace_path = w.trace_path, str(tmp_path / "trace.json")
+                w.inputs = [
+                    (k, [w.trace_path if a == old else a for a in argv], golden)
+                    for k, argv, golden in w.inputs
+                ]
+            for x in w.inputs:
+                assert w.check(x, w.op(x)) is None, name
+
+    def centers():
+        for prob in lie_fixtures():
+            center_up_to_degree(reduced_algebra(prob.lie, prob.ideal), 4)
+
+    for run, least in ((workload_ops, 80), (centers, 5)):
+        systems = _captured_nullspace_systems(monkeypatch, run)
+        assert len(systems) >= least
+        for rows, ncols, got in systems:
+            _same_kernel(got, _reference_nullspace(rows, ncols))
