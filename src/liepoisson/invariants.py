@@ -15,10 +15,11 @@ them) have Hamiltonian rows of numerators N_ik over denominator 1, so
 {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is already in normal form and
 needs no bracket.  The degree-bounded center is the centralizer of a
 monomial slice, and the central choice of ``decompose`` that of the images
-of a center.  The center is solved once per algebra and degree bound:
-``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
-``localize`` hands that memo to the localized algebra, whose polynomial
-center is the same.  Only ``weight_spaces`` brackets (the weight-search
+of a center; ``commutes_with_generators`` asks only whether a span's rows
+are all empty, for the centrality check of ``verify_decomposition``.  The
+center is solved once per algebra and degree bound: ``center_up_to_degree``
+keeps its numerators in ``alg.centers``, and ``localize`` hands that memo
+to the localized algebra, whose polynomial center is the same.  Only ``weight_spaces`` brackets (the weight-search
 benchmark counts those brackets and partials, its only ones): it brackets
 the slice once, solves the generators that every listed weight sends to
 zero once, and solves each weight only for the other generators, on that
@@ -96,6 +97,21 @@ def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[tuple]:
     alg's rows carry no denominator: the generators' rows are exponent
     shifts (``spaces.slice_rows``, ValueError otherwise), with no bracket."""
     return kernel_of_operators(alg, basis, slice_rows(alg, basis))
+
+
+def commutes_with_generators(alg: PoissonAlgebra, elements: list[LocalElement]) -> bool:
+    """Whether every element commutes with every generator: whether every
+    row ``spaces.slice_rows`` shifts for them is empty.  The elements are in
+    alg's normal form and alg's rows carry no denominator (ValueError
+    otherwise).  False when an element's denominator is not central: the
+    shift refuses that span."""
+    try:
+        rows = slice_rows(alg, elements)
+    except ValueError:
+        if any(any(den) for _, den in alg.rows):
+            raise
+        return False
+    return not any(any(row) for row in rows)
 
 
 def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:

@@ -18,8 +18,12 @@ and carry no denominator, so they are in normal form as built.
 A slice is checked by one growing ``Span``: rows are written over fixed
 denominator caps chosen up front, so a loop that enlarges its spanning set
 (the pair-bound escalation of ``verify_decomposition``) adds each new element
-once and keeps every earlier row valid.  Rank tests ask whether each added
-row raises the rank; membership tests ask ``Span.contains``.
+once and keeps every earlier row valid.  A product whose factors' summed
+denominators fit the caps is added uncancelled, its numerator one product
+with the second factor lifted once (``Span.lift``): cancelling s^k and
+lifting back multiplies by the same s^k, so the row is the same.  Rank
+tests ask whether each added row raises the rank; membership tests ask
+``Span.contains``.
 
 Kernels of operators are solved in two steps: the rows of each operator's
 images of a basis, computed once, and ``kernel_of_operators``, which solves
@@ -31,10 +35,12 @@ carry no denominator, each numerator N_ik is in normal form already, so
 bracket, partial, cancel or normal form.  A span over central denominators
 is shifted over its common denominator.  Every kernel ``decompose``
 solves reads them: the slice table, the degree-bounded center and the
-central choice (``invariants.centralizer``).  Only ``operator_rows``
-brackets, applying each operator to each basis element, and only
-``invariants.weight_spaces`` calls it: the weight-search benchmark counts
-its brackets and partials, and has no other source of either.  A search
+central choice (``invariants.centralizer``), and so does the centrality
+check of ``verify_decomposition`` (``invariants.commutes_with_generators``).
+Only ``operator_rows`` brackets, applying each operator to each basis
+element, and only ``invariants.weight_spaces`` calls it: the weight-search
+benchmark counts its brackets and partials, and has no other source of
+either.  A search
 that solves many related systems on one slice (``weight_spaces``, one
 system per listed weight) computes the actions once and solves the
 operators shared by every system once, to a kernel K0.  It restricts the
@@ -45,7 +51,7 @@ K0 from those rows, shifted.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, gt
+from operator import add, gt, sub
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -137,6 +143,13 @@ class Span:
         (terms,), _ = common_denominator_rows(self.alg, [el], self.caps)
         cols = self.cols
         return {cols.setdefault(m, len(cols)): c for m, c in sorted(terms.items())}
+
+    def lift(self, el: LocalElement, den: tuple[int, ...]) -> Poly:
+        """The numerator of el over prod s_i^(caps_i - den_i): times the
+        numerator of an element over prod s^den, it gives the numerator of
+        their product over the caps."""
+        (terms,), _ = common_denominator_rows(self.alg, [el], tuple(map(sub, self.caps, den)))
+        return Poly(self.alg.vars, terms)
 
     def add(self, el: LocalElement) -> bool:
         """Add el; True iff it raised the rank."""

@@ -245,7 +245,10 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # slice table and each center memo miss bracketed theirs, 390 when the
     # central choice bracketed its candidates with every generator: the rows
     # of all three are exponent shifts now, so the brackets left are those
-    # of the flag steps and the certificate
+    # of the flag steps and the certificate.  306 when the certificate
+    # bracketed each center element with every generator and pair element:
+    # it reads centrality from shifted rows, and the pair brackets follow
+    # from those ({c, .} is a derivation)
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
@@ -253,9 +256,26 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     res = decompose(g, None, 6)
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
-    assert len(brackets) == 306
+    assert len(brackets) == 66
     assert len(divisions) <= 2113
     assert partials == []
+
+
+def test_certificate_brackets_only_the_pair_relations(monkeypatch):
+    # the same input: verification brackets only in pair_relation_failure
+    # ({x, y}, {x, x}, {y, y} for its one pair).  Of the 40 x 28 products of
+    # the center list and the pair monomials, the 681 that fit the window
+    # uncancelled are written straight over it; only the other 439 go
+    # through mul, and the 28 pair monomials take 112 muls of their own
+    g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
+    res = decompose(g, None, 6)
+    brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
+    muls = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "mul")
+    rep = verify_decomposition(res, 3)
+    assert rep["ok"] and rep["pair_degree_used"] == 6
+    assert res.n == 1 and len(res.center_basis) == 40
+    assert len(brackets) == 3
+    assert len(muls) <= 439 + 112
 
 
 def test_semisimple_actions_need_no_localization_of_their_own(monkeypatch):

@@ -188,6 +188,31 @@ def test_degree_bound_below_one_is_refused(d):
     assert (str(res.e), res.n) == ("z", 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_check_degree_below_one_is_refused(k):
+    # at 0 the report was a vacuous ok (pair_degree_used 0), at -1 a silent
+    # not ok
+    res = decompose(heisenberg(), None, 4)
+    with pytest.raises(ValueError, match=rf"^check degree must be at least 1, got {k}$"):
+        verify_decomposition(res, k)
+    assert verify_decomposition(res, 1)["ok"]
+
+
+def test_verification_refuses_a_laurent_context():
+    # the window rows are those of the cancelled products only when
+    # cancelling cannot raise a degree, which needs no Laurent variable
+    import dataclasses
+
+    from liepoisson.poisson import poisson_algebra
+    from liepoisson.polys import Poly, make_vars
+
+    res = decompose(heisenberg(), None, 4)
+    ctx = make_vars("x y z", invertible=True)
+    laurent = poisson_algebra(ctx, {}, None, [Poly.var(ctx, "z")])
+    with pytest.raises(ValueError, match="Laurent"):
+        verify_decomposition(dataclasses.replace(res, algebra=laurent), 2)
+
+
 def test_check_84_tests_nilpotency_once(monkeypatch):
     import importlib
 
@@ -429,7 +454,8 @@ def test_verify_reports_a_repeated_pair_as_not_injective():
 def test_verify_adds_each_product_row_once(monkeypatch):
     # the eng4-type algebra [e1,e2] = e3/2, [e1,e3] = e4 with e4 inverted:
     # across the whole pair-bound escalation, verification adds at most one
-    # echelon row per distinct product (beyond the center search's rows)
+    # echelon row per distinct product.  Its window is d, so it reads the
+    # center list of the result and adds no row of a center search
     import importlib
 
     from liepoisson import linalg
@@ -448,20 +474,16 @@ def test_verify_adds_each_product_row_once(monkeypatch):
 
     monkeypatch.setattr(linalg.Echelon, "add", counted)
     report = verify_decomposition(res, 3)
-    verify_adds = len(adds)
-    del adds[:]
-    window = 6
-    center_list = dec._center_with_denominators(alg, alg, window)
-    center_adds = len(adds)
     monkeypatch.undo()
     assert report["ok"] and report["pair_degree_used"] == 6
+    window = 6
     products = set()
-    for c in center_list:
+    for c in dec._center_with_denominators(alg, alg, window):
         for w in dec._pair_monomials(alg, res.pairs, report["pair_degree_used"]):
             prod = alg.mul(c, w)
             if prod.num.degree() <= 9 and all(e <= window for e in prod.den):
                 products.add(prod)
-    assert verify_adds - center_adds <= len(products)
+    assert len(adds) <= len(products)
 
 
 # ---------------------------------------------------------------------------

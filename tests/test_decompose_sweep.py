@@ -32,6 +32,7 @@ points.  Regenerate (only when a change of output is intended) with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -42,10 +43,18 @@ from functools import cache
 import pytest
 
 from liepoisson import linalg
-from liepoisson.decompose import decompose
+from liepoisson.decompose import (
+    _center_with_denominators,
+    _pair_monomials,
+    decompose,
+    verify_decomposition,
+)
 from liepoisson.errors import HypothesisFailed, LiePoissonError
 from liepoisson.lie import Subspace, verify_lie
-from liepoisson.poisson import ideal_from_pairs, reduced_algebra
+from liepoisson.poisson import LocalElement, ideal_from_pairs, poisson_algebra, reduced_algebra
+from liepoisson.polys import Poly
+from liepoisson.spaces import Span, basis_monomials, monomials_up_to, slice_rows
+from liepoisson.weyl import pair_relation_failure
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
 
@@ -121,14 +130,14 @@ def sweep_inputs():
 
 
 def _record(name, g, rules, d, s):
-    """The golden line's dict for one input, and the (weight, element) of the
-    HypothesisFailed it raised, if it did."""
+    """The golden line's dict for one input, the (weight, element) of the
+    HypothesisFailed it raised, if it did, and its decomposition, if any."""
     ideal = ideal_from_pairs(g.basis, rules) if rules else None
     try:
         res = decompose(g, ideal, d, s)
     except LiePoissonError as err:
         failed = (err.weight, err.element) if isinstance(err, HypothesisFailed) else None
-        return {"name": name, "error": type(err).__name__, "detail": str(err)}, failed
+        return {"name": name, "error": type(err).__name__, "detail": str(err)}, failed, None
     alg = res.algebra
     return {
         "name": name,
@@ -137,24 +146,24 @@ def _record(name, g, rules, d, s):
         "pairs": [[alg.format(x), alg.format(y)] for x, y in res.pairs],
         "center": [alg.format(c) for c in res.center_basis],
         "trace": res.trace,
-    }, None
+    }, None, res
 
 
 @cache
 def sweep():
-    """(input, golden line, HypothesisFailed certificate or None) for every
-    input, computed once."""
+    """(input, golden line, HypothesisFailed certificate or None,
+    DecompositionResult or None) for every input, computed once."""
     out = []
     for inp in sweep_inputs():
-        rec, failed = _record(*inp)
-        out.append((inp, json.dumps(rec, sort_keys=True), failed))
+        rec, failed, res = _record(*inp)
+        out.append((inp, json.dumps(rec, sort_keys=True), failed, res))
     return out
 
 
 def test_sweep_matches_golden():
     with open(GOLDEN) as fh:
         want = fh.read().splitlines()
-    got = [line for _, line, _ in sweep()]
+    got = [line for _, line, _, _ in sweep()]
     assert len(got) == len(want) == 266
     changed = [json.loads(w)["name"] for g, w in zip(got, want) if g != w]
     assert changed == []
@@ -162,7 +171,7 @@ def test_sweep_matches_golden():
 
 def test_every_hypothesis_failure_is_a_nonzero_weight_semi_invariant():
     checked = 0
-    for (name, g, rules, _, _), _, failed in sweep():
+    for (name, g, rules, _, _), _, failed, _ in sweep():
         if failed is None:
             continue
         weight, element = failed
@@ -185,7 +194,7 @@ def test_eigenvalue_not_rational_iff_some_ad_fails_to_split():
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
     raised = 0
-    for (name, g, _, _, _), line, _ in sweep():
+    for (name, g, _, _, _), line, _, _ in sweep():
         splits = True
         for j in range(g.dim):
             ad = g.ad_matrix([Fraction(int(i == j)) for i in range(g.dim)])
@@ -215,7 +224,7 @@ def test_every_decomposition_has_the_weyl_rank_of_its_bracket_matrix():
     # points is 2n
     rng = random.Random(0)
     checked = 0
-    for (name, g, rules, _, _), line, failed in sweep():
+    for (name, g, rules, _, _), line, failed, _ in sweep():
         n = json.loads(line).get("n")
         if n is None:
             continue
@@ -232,8 +241,114 @@ def test_every_decomposition_has_the_weyl_rank_of_its_bracket_matrix():
     assert checked == 204
 
 
+def _reference_verify(res, check_degree):
+    """``verify_decomposition`` with nothing reused: it brackets every center
+    element with every generator and every pair element, builds the
+    targets through ``element``, solves the center list afresh and
+    multiplies every product through ``mul``."""
+    alg = res.algebra
+    report = {
+        "pair_relations": pair_relation_failure(alg, res.pairs) is None,
+        "centrality": True,
+    }
+    gens = [alg.gen(v.name) for v in alg.vars]
+    for c in res.center_basis:
+        for gen in gens:
+            if not alg.bracket(gen, c).is_zero():
+                report["centrality"] = False
+        for xi, yi in res.pairs:
+            if not alg.bracket(c, xi).is_zero() or not alg.bracket(c, yi).is_zero():
+                report["centrality"] = False
+    nden = len(alg.inverted)
+    targets = [
+        alg.element(LocalElement(m, caps))
+        for m in basis_monomials(alg, check_degree)
+        for caps in monomials_up_to(nden, check_degree)
+    ]
+    window = 2 * check_degree
+    center_list = _center_with_denominators(alg, alg, window)
+    span = Span(alg, (window,) * nden)
+    pending = targets
+    report["mult_map_injective"] = False
+    report["mult_map_surjective"] = False
+    for pair_bound in range(check_degree, window + 1):
+        low = 0 if pair_bound == check_degree else pair_bound
+        monomials = _pair_monomials(alg, res.pairs, pair_bound, low)
+        products = [alg.mul(c, w) for c in center_list for w in monomials]
+        report["mult_map_injective"] = all(
+            span.add(prod)
+            for prod in products
+            if prod.num.degree() <= 3 * check_degree
+            and all(e <= window for e in prod.den)
+        )
+        if not report["mult_map_injective"]:
+            break
+        pending = [t for t in pending if not span.contains(t)]
+        if not pending:
+            report["mult_map_surjective"] = True
+            report["pair_degree_used"] = pair_bound
+            break
+    report["ok"] = all(
+        report[k]
+        for k in (
+            "pair_relations",
+            "centrality",
+            "mult_map_injective",
+            "mult_map_surjective",
+        )
+    )
+    return report
+
+
+def test_verify_matches_the_reference_on_every_decomposition():
+    # the reports, keys in order, of ``verify_decomposition`` and of the
+    # reference; about a third of them are not ok
+    checked = failing = 0
+    for (name, *_), _, _, res in sweep():
+        if res is None:
+            continue
+        for k in (2, 3):
+            got = json.dumps(verify_decomposition(res, k))
+            assert got == json.dumps(_reference_verify(res, k)), (name, k)
+            failing += '"ok": false' in got
+        checked += 1
+    assert checked == 204
+    assert failing == 114
+
+
+def _eng4_type():
+    """decompose of [e1,e2] = e3/2, [e1,e3] = e4 at d = 6: e4 is inverted."""
+    g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
+    return decompose(g, None, 6)
+
+
+def test_a_non_central_element_fails_centrality_on_both_sides():
+    res = _eng4_type()
+    e1 = res.algebra.gen("e1")
+    mutated = dataclasses.replace(res, center_basis=res.center_basis + (e1,))
+    for verify in (verify_decomposition, _reference_verify):
+        report = verify(mutated, 3)
+        assert not report["centrality"] and not report["ok"]
+
+
+def test_a_non_central_denominator_fails_centrality_on_both_sides():
+    # the same pairs and center over the algebra that inverts e3, which does
+    # not commute with e1: the shift refuses the center's span
+    res = _eng4_type()
+    alg = res.algebra
+    e3 = Poly.var(alg.vars, "e3")
+    bad = poisson_algebra(alg.vars, alg.table, alg.ideal, [e3])
+    assert any(any(c.den) for c in res.center_basis)
+    with pytest.raises(ValueError, match="central denominators"):
+        slice_rows(bad, res.center_basis)
+    mutated = dataclasses.replace(res, algebra=bad)
+    reports = [verify(mutated, 3) for verify in (verify_decomposition, _reference_verify)]
+    assert not reports[0]["centrality"] and not reports[0]["ok"]
+    assert reports[0] == reports[1]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_decompose_sweep.py --write")
     with open(GOLDEN, "w") as fh:
-        fh.write("".join(line + "\n" for _, line, _ in sweep()))
+        fh.write("".join(line + "\n" for _, line, _, _ in sweep()))

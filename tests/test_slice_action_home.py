@@ -2,7 +2,8 @@
 only in ``spaces`` and ``invariants``.  ``spaces.slice_rows`` shifts exponents on
 any span of polynomials in normal form: it builds the rows of every kernel
 ``decompose`` solves (the slice table, a center memo miss and the central
-choice, through ``invariants.centralizer``).  ``spaces.operator_rows``
+choice, through ``invariants.centralizer``) and the centrality check of
+``verify_decomposition`` (``invariants.commutes_with_generators``).  ``spaces.operator_rows``
 brackets, with the operators of ``invariants._generator_actions``, and only
 ``weight_spaces`` calls it, because the weight-search benchmark expects
 brackets and partials from it, and that workload has no other source of

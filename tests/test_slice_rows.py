@@ -13,7 +13,7 @@ import importlib
 import pytest
 
 from liepoisson.errors import LiePoissonError
-from liepoisson.invariants import _generator_actions, centralizer
+from liepoisson.invariants import _generator_actions, centralizer, commutes_with_generators
 from liepoisson.lie import verify_lie
 from liepoisson.poisson import (
     LocalElement,
@@ -154,15 +154,22 @@ def _rows_over_s():
 
 
 def test_a_span_with_a_denominator_is_refused():
-    # the central choice's kernel cannot shift over rows with a denominator
+    # the central choice's kernel and the centrality check of a certificate
+    # cannot shift over rows with a denominator
     alg = _rows_over_s()
+    span = [alg.element("p"), alg.element("a*q + p")]
     with pytest.raises(ValueError, match="denominators"):
-        centralizer(alg, [alg.element("p"), alg.element("a*q + p")])
+        centralizer(alg, span)
+    with pytest.raises(ValueError, match="denominators"):
+        commutes_with_generators(alg, span)
     # a span with a denominator that is not central: {y, x} = -z
     base = reduced_algebra(heisenberg(), None)
     alg = localize(base, [Poly.var(base.vars, "x")])
+    y_over_x = [alg.element(LocalElement(Poly.var(alg.vars, "y"), (1,)))]
     with pytest.raises(ValueError, match="central denominators"):
-        slice_rows(alg, [alg.element(LocalElement(Poly.var(alg.vars, "y"), (1,)))])
+        slice_rows(alg, y_over_x)
+    # the centrality check reports such a span not central
+    assert not commutes_with_generators(alg, y_over_x)
 
 
 def test_a_span_over_a_central_denominator_has_the_bracketed_kernel():
