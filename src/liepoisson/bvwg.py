@@ -298,7 +298,10 @@ def _left_sum(values) -> float:
 def growth_exponent(spec: BVWG, dmax: int, part: str = "total") -> Fraction:
     """Least-squares slope of log count vs log d over d = dmax/2 .. dmax
     (the half-range suppresses low-degree transients), with every float sum
-    taken left to right, so the result is the same on every Python."""
+    taken left to right, so the result is the same on every Python.
+    ValueError when dmax < 2, where the fit has fewer than two points."""
+    if dmax < 2:
+        raise ValueError(f"growth fit needs dmax at least 2, got {dmax}")
     ds = list(range(max(1, dmax // 2), dmax + 1))
     xs = [log(d) for d in ds]
     ys = [log(growth_count(spec, d, part)) for d in ds]

@@ -24,12 +24,10 @@ inspected degree slice.  Each flag step adjoins one generator z and either
       central element below the degree bound the step stops with
       SearchExhausted (``_central_choice`` says why nothing else can stop it).
 
-The potential b is ``weyl``'s derivation splitting in formal pair
-coordinates: {z, x_j} and {z, y_j} are expanded as polynomials in X_j, Y_j
-whose coefficients are formal central variables C_k (one per element of
-the degree-bounded center), ``weyl.integrate_potential`` integrates them
-with the signs of ``weyl.split_derivation``, and b is that potential
-evaluated at X_j = x_j, Y_j = y_j, C_k = center[k].
+The potential b is summed in the level algebra itself: {z, x_j} and
+{z, y_j} are expanded over the degree-bounded center times pair monomials,
+and Euler's identity on each pair-degree part turns every term of the
+expansions into a term of b (``_pair_potential``).
 
 The flag is searched once, and g is presented on its generators once: one
 inverse of the generator matrix moves the structure constants and the
@@ -77,7 +75,6 @@ from . import linalg
 from .errors import (
     EigenvalueNotRational,
     HypothesisFailed,
-    NotClosed,
     NotNilpotent,
     SearchExhausted,
     UnsupportedChain,
@@ -102,7 +99,7 @@ from .spaces import (
     monomials_up_to,
     solve_in_span,
 )
-from .weyl import WeylPresentation, integrate_potential, pair_relation_failure
+from .weyl import pair_relation_failure
 
 
 @dataclass(frozen=True)
@@ -249,23 +246,24 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
     """The potential b, evaluated on the pairs, with {b, .} = {z, .} on
     every pair element; zero when there are no pairs yet.
 
-    Each bracket {z, x_j}, {z, y_j} is written as sum c_ab x^a y^b over the
-    center of ``prev_l`` (a Poly over ``pres``: X_j, Y_j for x_j, y_j, C_k
-    for center[k]), escalating the pair degree until the solve succeeds.
-    All 2n brackets share one spanner list center[k] * x^a y^b, grown on
-    demand: pair monomials in ``monomials_up_to`` order over the flat pairs
-    x_1, y_1, x_2, y_2, ..., the center list inside each.  That order is
-    graded, so pair degree <= deg takes the first comb(deg + 2n, 2n) * width."""
+    Each bracket {z, x_j}, {z, y_j} is solved in one spanner list c x^a y^b
+    (c in the center of ``prev_l``), grown on demand in the graded
+    ``monomials_up_to`` order over x_1, y_1, x_2, ..., escalating the pair
+    degree: pair degree <= deg takes the first comb(deg + 2n, 2n) * width.
+    As db/dx_j = {z, y_j} and db/dy_j = -{z, x_j}, Euler's identity on each
+    pair-degree part of b makes a term a t of pair degree m add
+    a x_j t / (m + 1) from {z, y_j} and -a y_j t / (m + 1) from {z, x_j};
+    m + 1 >= 1, as c has no pair variable.  The exact commute checks after
+    the call still guard b."""
     if not pairs:
         return cur_l.zero()
     center = _center_with_denominators(prev_l, cur_l, d)
     n = len(pairs)
     width = len(center)
-    pres = WeylPresentation(n, make_vars([f"C{k+1}" for k in range(width)]))
     flat = [el for pr in pairs for el in pr]
     expos = monomials_up_to(2 * n, d)
     spanners: list[LocalElement] = []
-    ps, qs = [], []
+    coeffs, terms = [], []
     for j, el in enumerate(flat):
         target = cur_l.bracket(z_el, el)
         for deg in range(d + 1):
@@ -278,27 +276,12 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
                 break
         else:
             raise SearchExhausted(d, "(pair splitting failed)")
-        terms = {}
-        for k, expo in enumerate(expos[:size]):
-            xy = tuple(expo[0::2]) + tuple(expo[1::2])
-            for m, c in enumerate(sol[k * width : (k + 1) * width]):
-                if c != 0:
-                    terms[xy + tuple(int(t == m) for t in range(width))] = c
-        # {z, y_j} is p_j and {z, x_j} is -q_j (the signs of split_derivation)
-        if j % 2:
-            ps.append(Poly(pres.context, terms))
-        else:
-            qs.append(-Poly(pres.context, terms))
-    try:
-        b = integrate_potential(pres, ps, qs)
-    except NotClosed:
-        raise SearchExhausted(d, "(pair splitting failed)") from None
-    coeffs, terms = [], []
-    for mono, c in sorted(b.terms.items()):
-        expo = [e for xy in zip(mono[:n], mono[n : 2 * n]) for e in xy]
-        start = center[mono.index(1, 2 * n) - 2 * n]
-        coeffs.append(c)
-        terms.append(cur_l.monomial(flat, expo, start=start))
+        # {z, y_j} integrates against x_j, {z, x_j} against -y_j
+        partner, sign = (flat[j - 1], 1) if j % 2 else (flat[j + 1], -1)
+        for k, a in enumerate(sol):
+            if a:
+                coeffs.append(Fraction(sign * a, sum(expos[k // width]) + 1))
+                terms.append(cur_l.mul(partner, spanners[k]))
     return combination(cur_l, coeffs, terms)
 
 
@@ -394,9 +377,12 @@ def decompose(
     HypothesisFailed, UnsupportedChain, EigenvalueNotRational, SearchExhausted.
     Trace keys: degree_bound, hypothesis, basis_change (when the chain is
     c1..cm), chain, levels (level, generator, case, adjoined_central or v,
-    u, pair; potential), e, n.  ValueError when d < 1."""
+    u, pair; potential), e, n.  ValueError when d < 1, or when s is not a
+    subspace of g's own dimension."""
     if d < 1:
         raise ValueError(f"degree bound must be at least 1, got {d}")
+    if s is not None and s.ambient_dim != g.dim:
+        raise ValueError(f"s lies in dimension {s.ambient_dim}, but g has dimension {g.dim}")
     trace: dict = {"degree_bound": d, "levels": []}
     flag = jordan_holder(g)
     for w, basis in weight_spaces(reduced_algebra(g, ideal), d, nonzero_candidates(flag, d)):
@@ -658,9 +644,11 @@ def check_84(
 ) -> dict:
     """For nilpotent g: the center is trivial iff the quotient is already a
     Weyl algebra; evaluates both sides and reports agreement with a
-    certificate when the center is nontrivial."""
+    certificate when the center is nontrivial.  ValueError when d < 1."""
     if not is_nilpotent(g):
         raise NotNilpotent()
+    if d < 1:
+        raise ValueError(f"degree bound must be at least 1, got {d}")
     alg = reduced_algebra(g, ideal)
     center = center_up_to_degree(alg, d)
     nonconstant = [c for c in center if not c.num.is_constant()]

@@ -84,7 +84,11 @@ def monomials_up_to(nvars: int, d: int) -> list[Mono]:
 
 def basis_monomials(alg: PoissonAlgebra, d: int) -> list[Poly]:
     """Monomials of degree <= d in the effective (non-eliminated) variables;
-    requires the effective variables to be ordinary (not Laurent)."""
+    requires the effective variables to be ordinary (not Laurent).  Every
+    degree slice is built here, so a negative d is refused here: its slice
+    would be empty, although every slice holds 1."""
+    if d < 0:
+        raise ValueError(f"degree bound must be at least 0, got {d}")
     eff = alg.effective_vars()
     if any(v.invertible for v in eff):
         raise ValueError("degree slices need ordinary (non-Laurent) generators")

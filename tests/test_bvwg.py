@@ -258,3 +258,10 @@ def test_realize_roundtrip_random(rng):
                 src = A.bracket(a, b)
                 tgt = loc.bracket(images[a], images[b])
                 assert loc.sub(tgt, real.hom.apply(src.num)).is_zero()
+
+
+@pytest.mark.parametrize("dmax", [1, 0])
+def test_growth_exponent_refuses_a_fit_of_one_point(dmax):
+    # d = dmax/2 .. dmax holds one degree or none: the slope divided by zero
+    with pytest.raises(ValueError, match=rf"^growth fit needs dmax at least 2, got {dmax}$"):
+        growth_exponent(SPEC_LINE, dmax)

@@ -188,6 +188,18 @@ def test_degree_bound_below_one_is_refused(d):
     assert (str(res.e), res.n) == ("z", 1)
 
 
+@pytest.mark.parametrize("dim", [3, 7])
+def test_s_of_another_dimension_is_refused(dim):
+    # x y z a t ([x,y] = z, [t,x] = x, [t,y] = -y): the flag and the weights
+    # read s through zip, which cut a longer vector and padded nothing to
+    # a shorter one, and a result came out
+    g = verify_lie("x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}})
+    s = Subspace(dim, [tuple(int(i == min(4, dim - 1)) for i in range(dim))])
+    with pytest.raises(ValueError, match=rf"^s lies in dimension {dim}, but g has dimension 5$"):
+        decompose(g, None, 4, s)
+    assert decompose(g, None, 4, Subspace(5, [(0, 0, 0, 0, 1)])).n == 1
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_check_degree_below_one_is_refused(k):
     # at 0 the report was a vacuous ok (pair_degree_used 0), at -1 a silent
@@ -413,24 +425,47 @@ def test_potential_spanners_are_built_once(monkeypatch):
     # filiform-5 ([e1, e_j] = e_{j+1}) at d = 6: one pair whose potential
     # needs pair degree 2; 459 products when each bracket and each pair
     # degree rebuilt the center x pair-monomial spanners.  Every solve is
-    # the potential's: the pair's u comes with its central image
+    # the potential's: the pair's u comes with its central image.  The
+    # potential is summed by Euler's identity, so no partial derivative is
+    # taken inside it but the one of a bracket (11 when it was integrated
+    # over a formal presentation)
+    import importlib
+
     from test_center_memo import _count_calls
 
     from liepoisson.poisson import PoissonAlgebra
+    from liepoisson.polys import Poly
 
+    dec = importlib.import_module("liepoisson.decompose")
     g = verify_lie("e1 e2 e3 e4 e5", {(0, j): {j + 1: 1} for j in (1, 2, 3)})
-    muls = []
-    original = PoissonAlgebra.mul
+    muls, partials, inside = [], [], []
+    original_mul, original_partial = PoissonAlgebra.mul, Poly.partial
+    original_potential = dec._pair_potential
 
-    def counted(self, a, b):
+    def counted_mul(self, a, b):
         muls.append(1)
-        return original(self, a, b)
+        return original_mul(self, a, b)
 
-    monkeypatch.setattr(PoissonAlgebra, "mul", counted)
+    def counted_partial(self, *args):
+        if inside:
+            partials.append(1)
+        return original_partial(self, *args)
+
+    def potential(*args):
+        inside.append(1)
+        try:
+            return original_potential(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PoissonAlgebra, "mul", counted_mul)
+    monkeypatch.setattr(Poly, "partial", counted_partial)
+    monkeypatch.setattr(dec, "_pair_potential", potential)
     solves = _count_calls(monkeypatch, "spaces", "solve_in_span")
     res = decompose(g, None, 6)
     assert res.n == 1
-    assert len(muls) <= 257
+    assert len(muls) <= 251
+    assert len(partials) == 1
     assert len(solves) == 4
 
 

@@ -25,7 +25,8 @@ shows as one changed line.  The inputs:
 Every ``HypothesisFailed`` is also checked independently: its element is a
 nonzero semi-invariant of its nonzero weight.  So is every decomposition:
 2n is the largest rank of the quotient's bracket matrix at seeded integer
-points.  Regenerate (only when a change of output is intended) with
+points.  Every pair potential of the sweep, summed by Euler's identity, is
+checked against formal integration over a Weyl presentation.  Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src:tests python tests/test_decompose_sweep.py --write
 """
@@ -33,12 +34,14 @@ points.  Regenerate (only when a change of output is intended) with
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
@@ -49,14 +52,22 @@ from liepoisson.decompose import (
     decompose,
     verify_decomposition,
 )
-from liepoisson.errors import HypothesisFailed, LiePoissonError
+from liepoisson.errors import HypothesisFailed, LiePoissonError, NotClosed, SearchExhausted
 from liepoisson.lie import Subspace, verify_lie
 from liepoisson.poisson import LocalElement, ideal_from_pairs, poisson_algebra, reduced_algebra
-from liepoisson.polys import Poly
-from liepoisson.spaces import Span, basis_monomials, monomials_up_to, slice_rows
-from liepoisson.weyl import pair_relation_failure
+from liepoisson.polys import Poly, make_vars
+from liepoisson.spaces import (
+    Span,
+    basis_monomials,
+    combination,
+    monomials_up_to,
+    slice_rows,
+    solve_in_span,
+)
+from liepoisson.weyl import WeylPresentation, integrate_potential, pair_relation_failure
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
+from test_decompose_goldens import compute_goldens
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "decompose_sweep.jsonl")
 
@@ -239,6 +250,85 @@ def test_every_decomposition_has_the_weyl_rank_of_its_bracket_matrix():
         assert max(ranks) == 2 * n, name
         checked += 1
     assert checked == 204
+
+
+def _reference_pair_potential(cur_l, prev_l, pairs, z_el, d):
+    """``decompose._pair_potential`` by formal integration: the same solves,
+    each solution a polynomial in X_j, Y_j and one formal central variable
+    C_k per center element, ``weyl.integrate_potential`` over that
+    presentation, and the potential evaluated back in ``cur_l``."""
+    if not pairs:
+        return cur_l.zero()
+    center = _center_with_denominators(prev_l, cur_l, d)
+    n = len(pairs)
+    width = len(center)
+    pres = WeylPresentation(n, make_vars([f"C{k+1}" for k in range(width)]))
+    flat = [el for pr in pairs for el in pr]
+    expos = monomials_up_to(2 * n, d)
+    spanners = []
+    ps, qs = [], []
+    for j, el in enumerate(flat):
+        target = cur_l.bracket(z_el, el)
+        for deg in range(d + 1):
+            size = comb(deg + 2 * n, 2 * n)
+            for expo in expos[len(spanners) // width : size]:
+                mono = cur_l.monomial(flat, expo)
+                spanners.extend(cur_l.mul(c, mono) for c in center)
+            sol = solve_in_span(cur_l, spanners[: size * width], target)
+            if sol is not None:
+                break
+        else:
+            raise SearchExhausted(d, "(pair splitting failed)")
+        terms = {}
+        for k, expo in enumerate(expos[:size]):
+            xy = tuple(expo[0::2]) + tuple(expo[1::2])
+            for m, c in enumerate(sol[k * width : (k + 1) * width]):
+                if c != 0:
+                    terms[xy + tuple(int(t == m) for t in range(width))] = c
+        # {z, y_j} is p_j and {z, x_j} is -q_j (the signs of split_derivation)
+        if j % 2:
+            ps.append(Poly(pres.context, terms))
+        else:
+            qs.append(-Poly(pres.context, terms))
+    try:
+        b = integrate_potential(pres, ps, qs)
+    except NotClosed:
+        raise SearchExhausted(d, "(pair splitting failed)") from None
+    coeffs, terms = [], []
+    for mono, c in sorted(b.terms.items()):
+        expo = [e for xy in zip(mono[:n], mono[n : 2 * n]) for e in xy]
+        start = center[mono.index(1, 2 * n) - 2 * n]
+        coeffs.append(c)
+        terms.append(cur_l.monomial(flat, expo, start=start))
+    return combination(cur_l, coeffs, terms)
+
+
+def test_euler_potential_matches_formal_integration(monkeypatch):
+    # every potential decompose sums on the sweep, the decompose goldens
+    # and filiform-6 ([e1, e_j] = e_{j+1}) at d = 8 equals the formal one,
+    # element and formatted string
+    dec = importlib.import_module("liepoisson.decompose")
+    summed = dec._pair_potential
+    compared = []
+
+    def both(cur_l, prev_l, pairs, z_el, d):
+        got = summed(cur_l, prev_l, pairs, z_el, d)
+        if pairs:
+            want = _reference_pair_potential(cur_l, prev_l, pairs, z_el, d)
+            assert got == want
+            assert cur_l.format(got) == cur_l.format(want)
+            compared.append(1)
+        return got
+
+    monkeypatch.setattr(dec, "_pair_potential", both)
+    for inp in sweep_inputs():
+        _record(*inp)
+    assert len(compared) == 101
+    compute_goldens()
+    g = verify_lie("e1 e2 e3 e4 e5 e6", {(0, j): {j + 1: 1} for j in range(1, 5)})
+    before = len(compared)
+    decompose(g, None, 8)
+    assert len(compared) > before
 
 
 def _reference_verify(res, check_degree):

@@ -637,3 +637,18 @@ def test_nullspace_presolve_leaves_few_rows_to_eliminate(monkeypatch, workload, 
     assert w.check(x, w.op(x)) is None
     assert seen["rows"] == rows_in
     assert seen["inserted"] <= 5
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+def test_negative_degree_bound_is_refused(d):
+    # the degree-d slice was empty, so the center came out [] (it always
+    # holds 1) and the semi-invariant report had no entry; d = 0 is the
+    # slice of the constants
+    alg = reduced_algebra(heisenberg(), None)
+    message = rf"^degree bound must be at least 0, got {d}$"
+    with pytest.raises(ValueError, match=message):
+        center_up_to_degree(alg, d)
+    with pytest.raises(ValueError, match=message):
+        semi_invariants(heisenberg(), None, d)
+    assert [str(c.num) for c in center_up_to_degree(alg, 0)] == ["1"]
+    assert len(semi_invariants(heisenberg(), None, 0).entries) == 1

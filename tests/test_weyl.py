@@ -370,3 +370,12 @@ def test_tensor_presentation_check_cases():
     # and a non-generating pair of subalgebras is reported
     with pytest.raises(NotGenerating):
         tensor_presentation_check(Tq, [], [(Tq.gen("x"), Tq.gen("y"))], d=2)
+
+
+def test_tensor_presentation_check_refuses_a_negative_degree():
+    # the empty slice of d = -1 made an empty generating set a certificate
+    B1 = WeylPresentation(1).algebra()
+    with pytest.raises(ValueError, match=r"^degree bound must be at least 0, got -1$"):
+        tensor_presentation_check(B1, [], [], d=-1)
+    with pytest.raises(NotGenerating):
+        tensor_presentation_check(B1, [], [], d=1)
