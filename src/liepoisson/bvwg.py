@@ -139,8 +139,8 @@ class UniversalHom:
                     continue
                 base = self.chi.get(name) or self.psi.get(name)
                 term = tgt.mul(term, tgt.power(base, e))
-            terms.append(term)
-        return combination(tgt, [1] * len(terms), terms)
+            terms.append((1, term))
+        return combination(tgt, terms)
 
 
 def universal_hom(

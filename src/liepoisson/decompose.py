@@ -263,7 +263,7 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
     flat = [el for pr in pairs for el in pr]
     expos = monomials_up_to(2 * n, d)
     spanners: list[LocalElement] = []
-    coeffs, terms = [], []
+    terms = []
     for j, el in enumerate(flat):
         target = cur_l.bracket(z_el, el)
         for deg in range(d + 1):
@@ -278,16 +278,15 @@ def _pair_potential(cur_l, prev_l, pairs, z_el, d):
             raise SearchExhausted(d, "(pair splitting failed)")
         # {z, y_j} integrates against x_j, {z, x_j} against -y_j
         partner, sign = (flat[j - 1], 1) if j % 2 else (flat[j + 1], -1)
-        for k, a in enumerate(sol):
-            if a:
-                coeffs.append(Fraction(sign * a, sum(expos[k // width]) + 1))
-                terms.append(cur_l.mul(partner, spanners[k]))
-    return combination(cur_l, coeffs, terms)
+        for k, a in sol.items():
+            m = sum(expos[k // width])
+            terms.append((Fraction(sign * a, m + 1), cur_l.mul(partner, spanners[k])))
+    return combination(cur_l, terms)
 
 
 def _central_choice(alg, candidates, d):
-    """Coefficients a of the least nonzero g-central sum a_i candidates_i,
-    scaled to leading coefficient 1; SearchExhausted when there is none.
+    """The nonzero coefficients {i: a_i} of the least nonzero g-central sum
+    a_i candidates_i, scaled to leading coefficient 1; else SearchExhausted.
 
     The candidates span delta(C), the image of the previous level's
     degree-<= d center C under delta = {z, .}.  For x in g, [x, z] = alpha z
@@ -305,7 +304,7 @@ def _central_choice(alg, candidates, d):
         raise SearchExhausted(d, "(no central element in the image)")
     a, v = min(central, key=lambda ac: (ac[1].num.degree(), sorted(ac[1].num.terms)))
     lead = v.num.terms[max(v.num.terms, key=lambda m: (sum(m), m))]
-    return [c / lead for c in a]
+    return {i: c / lead for i, c in a.items()}
 
 
 def _krylov_projection(alg, op, el, theta):
@@ -320,7 +319,7 @@ def _krylov_projection(alg, op, el, theta):
         if dep is not None:
             break
         seq.append(nxt)
-    coeffs = [-c for c in dep] + [Fraction(1)]  # minimal polynomial, monic
+    coeffs = [-dep.get(i, 0) for i in range(len(seq))] + [Fraction(1)]  # minimal polynomial
     roots = linalg.rational_roots(coeffs)
     if theta not in roots:
         return alg.zero()
@@ -464,8 +463,8 @@ def decompose(
             # the level's images with a g-central lift is central in the level
             # and in every later one.  Where it might not be (two dropped rules
             # with one image), the exact checks below still guard the pair.
-            v = combination(cur_l, coeffs, images)
-            u = combination(cur_l, coeffs, preimages)
+            v = combination(cur_l, [(a, images[i]) for i, a in coeffs.items()])
+            u = combination(cur_l, [(a, preimages[i]) for i, a in coeffs.items()])
             if actions:
                 u = _project_s_weight(cur_l, actions, u, [-t for t in theta])
                 if not cur_l.sub(cur_l.bracket(z_el, u), v).is_zero():

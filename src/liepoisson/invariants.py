@@ -254,8 +254,7 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     moving = [j for j, f in enumerate(fixed) if not f]
     if any(fixed):
         k0 = kernel_coordinates([rows for rows, f in zip(actions, fixed) if f], len(basis))
-        basis = [combination(alg, v, basis) for v in k0]
-        k0 = [linalg.sparse(v) for v in k0]
+        basis = [combination(alg, [(a, basis[i]) for i, a in v.items()]) for v in k0]
         actions = [[_combine_rows(v, actions[j]) for v in k0] for j in moving]
         identity = [_combine_rows(v, identity) for v in k0]
     *actions, identity = _to_integers(actions + [identity])

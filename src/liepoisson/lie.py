@@ -70,10 +70,15 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Fraction]] = ()):
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Fraction] | dict] = ()):
+        """The span of dense vectors and of sparse ones, {coordinate: entry}
+        as ``linalg.nullspace`` gives them; ValueError for any other."""
         ech = linalg.Echelon()
         for v in vectors:
-            ech.add(linalg.sparse(v))
+            dense = not isinstance(v, dict)
+            if len(v) != ambient_dim if dense else v.keys() - range(ambient_dim):
+                raise ValueError(f"not a vector of Q^{ambient_dim}: {v}")
+            ech.add(linalg.sparse(v) if dense else v)
         rows = []
         zero = Fraction(0)
         self.pivots = tuple(ech.pivots())
@@ -147,9 +152,8 @@ class Subspace:
         vecs = []
         for combo in linalg.nullspace(rows, self.dim):
             w = [Fraction(0)] * self.ambient_dim
-            for a, v in zip(combo, self.basis):
-                if a != 0:
-                    w = [x + a * y if y else x for x, y in zip(w, v)]
+            for i, a in combo.items():
+                w = [x + a * y if y else x for x, y in zip(w, self.basis[i])]
             vecs.append(w)
         return Subspace(self.ambient_dim, vecs)
 
@@ -276,9 +280,8 @@ def span_subalgebra(
             coords = linalg.solve(rows, w, len(vectors))
             if coords is None:
                 return None
-            entry = linalg.sparse(coords)
-            if entry:
-                structure[(a, b)] = entry
+            if coords:
+                structure[(a, b)] = coords
     return LieAlgebra(make_vars(names), structure)
 
 

@@ -18,7 +18,8 @@ left.
 The dense helpers for small operator matrices clear denominators as well:
 ``charpoly`` scales the matrix to integers once and runs its recursion over
 the integers, and ``mat_vec``/``mat_mul`` skip zero entries.  Fractions
-appear only at the boundary (inputs, solution vectors, coefficients).
+appear only at the boundary (inputs, coefficients, and the kernel and
+solution vectors, sparse {column: entry} with keys ascending).
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ def rank(rows: Iterable[dict[int, Fraction] | Row]) -> int:
     return echelon_of(rows).rank
 
 
-def nullspace(rows: Iterable[dict[int, Fraction] | Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one vector per free column, deterministic:
-    free columns ascending, the free coordinate set to 1.
+def nullspace(rows: Iterable[dict[int, Fraction] | Row], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel, one sparse vector per free column, built in
+    one pass over the reduced rows: free columns ascending, keys ascending
+    (the pivots whose reduced rows reach the free column, then it, set to 1).
 
     Singleton presolve first: a row whose only nonzero entry, outside the
     columns forced so far, sits at column j forces x_j = 0; passes repeat
@@ -164,21 +166,23 @@ def nullspace(rows: Iterable[dict[int, Fraction] | Row], ncols: int) -> list[tup
         if len(forced) == before:
             break
     reduced = echelon_of(pending).rows
+    at_free: dict[int, dict[int, Fraction]] = {}
+    for p, row in sorted(reduced.items()):
+        for f, c in row.items():
+            if f != p:
+                at_free.setdefault(f, {})[p] = Fraction(-c, row[p])
     basis = []
     for f in range(ncols):
-        if f in reduced or f in forced:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p, row in reduced.items():
-            if f in row:
-                vec[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(vec))
+        if f not in reduced and f not in forced:
+            vec = at_free.setdefault(f, {})
+            vec[f] = Fraction(1)
+            basis.append(vec)
     return basis
 
 
 def solve(rows: Sequence[dict[int, Fraction] | Row], rhs: Sequence[Fraction], ncols: int):
-    """One solution of the sparse system (rows . x = rhs), or None.
+    """One solution of the sparse system (rows . x = rhs), or None: its
+    nonzero entries, {column: value} with keys ascending.
 
     Free variables are set to 0 (deterministic particular solution).
     """
@@ -191,12 +195,9 @@ def solve(rows: Sequence[dict[int, Fraction] | Row], rhs: Sequence[Fraction], nc
         ech.add(r)
     if aug in ech.pivots():
         return None  # inconsistent
-    vec = [Fraction(0)] * ncols
-    for p, row in ech.rows.items():
-        vec[p] = Fraction(row.get(aug, 0), row[p])
     # pivot rows may still reference free columns; with free vars at 0 the
-    # remaining contribution is exactly the augmented column handled above
-    return tuple(vec)
+    # remaining contribution is exactly the augmented column
+    return {p: Fraction(row[aug], row[p]) for p, row in sorted(ech.rows.items()) if aug in row}
 
 
 # ---------------------------------------------------------------------------

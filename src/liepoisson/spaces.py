@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, gt, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .poisson import LocalElement, PoissonAlgebra
@@ -172,12 +172,10 @@ def independent_subset(
     return [el for el in elements if span.add(el)]
 
 
-def combination(
-    alg: PoissonAlgebra, coeffs: Sequence[Fraction], elements: Sequence[LocalElement]
-) -> LocalElement:
-    """sum(a_i elements_i), skipping zero coefficients: one
-    ``PoissonAlgebra._sum``, whatever the denominators."""
-    return alg._sum([(a, el.num, el.den) for a, el in zip(coeffs, elements) if a])
+def combination(alg: PoissonAlgebra, terms: Iterable[tuple[Coef, LocalElement]]) -> LocalElement:
+    """sum(a el) over the (coefficient a, element el) pairs, skipping zero
+    coefficients: one ``PoissonAlgebra._sum``, whatever the denominators."""
+    return alg._sum([(a, el.num, el.den) for a, el in terms if a])
 
 
 def _columns(rows: Sequence[Mapping]) -> dict:
@@ -193,8 +191,8 @@ def solve_in_span(
     alg: PoissonAlgebra,
     spanners: Sequence[LocalElement],
     target: LocalElement,
-) -> list[Fraction] | None:
-    """Coefficients expressing target as a combination of spanners, or None."""
+) -> dict[int, Fraction] | None:
+    """Nonzero coefficients {i: a_i} of target over the spanners, or None."""
     (*rows, target_row), _ = common_denominator_rows(alg, [*spanners, target])
     # unknowns: coefficients a_i; equations: one per monomial of the
     # spanners or the target
@@ -202,8 +200,7 @@ def solve_in_span(
     monos = {**by_col, **target_row}
     eq_rows = [by_col.get(m, {}) for m in monos]
     rhs = [target_row.get(m, 0) for m in monos]
-    sol = linalg.solve(eq_rows, rhs, len(spanners))
-    return list(sol) if sol is not None else None
+    return linalg.solve(eq_rows, rhs, len(spanners))
 
 
 def slice_rows(
@@ -273,13 +270,11 @@ def operator_rows(
     return [common_denominator_rows(alg, [op(b) for b in basis])[0] for op in operators]
 
 
-def kernel_coordinates(
-    images: Sequence[Sequence[Mapping]], n: int
-) -> list[tuple[Fraction, ...]]:
-    """The coefficient vectors (a_1 .. a_n) of the combinations of n basis
-    elements killed by every operator, given per operator the rows of its
-    images of the basis (see ``operator_rows``): the canonical ``nullspace``
-    basis, one vector per free coefficient.
+def kernel_coordinates(images: Sequence[Sequence[Mapping]], n: int) -> list[dict[int, Fraction]]:
+    """The coefficient vectors {i: a_i} (nonzero entries, i ascending) of the
+    combinations of n basis elements killed by every operator, given per
+    operator the rows of its images of the basis (see ``operator_rows``): the
+    canonical ``nullspace`` basis, one vector per free coefficient.
 
     One equation per operator and monomial, built in one pass over the
     nonzero entries; the basis depends only on the row space, so not on
@@ -299,8 +294,9 @@ def kernel_of_operators(
     alg: PoissonAlgebra,
     basis: Sequence[LocalElement],
     images: Sequence[Sequence[Mapping]],
-) -> list[tuple[tuple[Fraction, ...], LocalElement]]:
+) -> list[tuple[dict[int, Fraction], LocalElement]]:
     """Elements sum(a_i basis_i) killed by every operator, each with its
-    coefficients a, given per operator the rows of its images of the basis
-    (see ``operator_rows``); exact sparse nullspace (``kernel_coordinates``)."""
-    return [(a, combination(alg, a, basis)) for a in kernel_coordinates(images, len(basis))]
+    sparse coefficients a (``kernel_coordinates``), given per operator the
+    rows of its images of the basis (see ``operator_rows``)."""
+    coords = kernel_coordinates(images, len(basis))
+    return [(a, combination(alg, [(c, basis[i]) for i, c in a.items()])) for a in coords]

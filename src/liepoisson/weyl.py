@@ -278,13 +278,7 @@ def chi_context(
     if not ok:
         raise NotPDerivation(witness[:2], str(witness[2]))
     for v in alg.vars:
-        el = alg.gen(v.name)
-        k = 0
-        while not el.is_zero():
-            if k > cap:
-                raise LocalNilpotencyCapExceeded(cap, v.name)
-            el = delta.apply(alg, el)
-            k += 1
+        _delta_powers(alg, delta, cap, alg.gen(v.name), v.name)
         if not alg.bracket(Poly.var(alg.vars, alpha.name), alg.gen(v.name)).is_zero():
             raise AlphaNotAVariable(f"{alpha.name} (not central)")
     da = delta.apply(alg, alg.gen(alpha.name))
@@ -299,13 +293,14 @@ def chi_context(
     return ChiContext(alg, delta, alpha, cap, target, y_var)
 
 
-def _delta_powers(ctx: ChiContext, p: LocalElement) -> list[LocalElement]:
-    alg = ctx.algebra
+def _delta_powers(alg, delta, cap: int, p: LocalElement, name: str = "") -> list[LocalElement]:
+    """p, delta(p), ... to the last nonzero power; LocalNilpotencyCapExceeded,
+    naming ``name`` or else p, when delta^(cap + 1)(p) is nonzero."""
     out = [p]
     while not out[-1].is_zero():
-        if len(out) > ctx.cap + 1:
-            raise LocalNilpotencyCapExceeded(ctx.cap, str(p))
-        out.append(ctx.delta.apply(alg, out[-1]))
+        if len(out) > cap + 1:
+            raise LocalNilpotencyCapExceeded(cap, name or str(p))
+        out.append(delta.apply(alg, out[-1]))
     return out[:-1]
 
 
@@ -315,11 +310,13 @@ def _series(
     """sum 1/n! [delta^n(el) mod alpha] Y^n in ``target``, whose ideal kills
     alpha; each delta^n(el) keeps its denominator."""
     y = target.gen(y_name)
-    powers = _delta_powers(ctx, el)
+    powers = _delta_powers(ctx.algebra, ctx.delta, ctx.cap, el)
     return combination(
         target,
-        [Fraction(1, factorial(nn)) for nn in range(len(powers))],
-        [target.monomial([y], (nn,), start=target.element(dn)) for nn, dn in enumerate(powers)],
+        [
+            (Fraction(1, factorial(nn)), target.monomial([y], (nn,), start=target.element(dn)))
+            for nn, dn in enumerate(powers)
+        ],
     )
 
 
@@ -357,14 +354,14 @@ def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
     inverse of chi_forward."""
     alg = ctx.algebra
     el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
-    coeffs, terms = [], []
+    terms = []
     alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
     # target context minus Y is exactly alg's context (alpha kept, exponent 0)
     for ypow, lifted in _by_last_power(el, alg).items():
-        for m, dm in enumerate(_delta_powers(ctx, lifted)):
-            coeffs.append(Fraction((-1) ** m, factorial(m)))
-            terms.append(alg.mul(dm, alg.element(alpha_poly ** (m + ypow))))
-    return combination(alg, coeffs, terms)
+        for m, dm in enumerate(_delta_powers(alg, ctx.delta, ctx.cap, lifted)):
+            term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
+            terms.append((Fraction((-1) ** m, factorial(m)), term))
+    return combination(alg, terms)
 
 
 @dataclass(frozen=True)
@@ -395,10 +392,10 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
         el = skew.element(p) if not isinstance(p, LocalElement) else p
         x = target.gen(xn)
         terms = [
-            target.monomial([x], (power,), start=_series(ctx, coeff, target, yn))
+            (1, target.monomial([x], (power,), start=_series(ctx, coeff, target, yn)))
             for power, coeff in _by_last_power(el, ctx.algebra).items()
         ]
-        return combination(target, [1] * len(terms), terms)
+        return combination(target, terms)
 
     # verify the generator bracket table is carried onto the tensor table
     gens = [skew.gen(v.name) for v in skew.vars]

@@ -309,7 +309,7 @@ def test_slice_actions_make_no_element_arithmetic(monkeypatch, rng, name):
         for v in alg.vars:
             alg.partial(a, v)
         delta.apply(alg, a)
-    combination(alg, coeffs, elements)
+    combination(alg, zip(coeffs, elements))
     assert muls == [] and adds == []
 
 

@@ -282,8 +282,8 @@ def _reference_pair_potential(cur_l, prev_l, pairs, z_el, d):
         terms = {}
         for k, expo in enumerate(expos[:size]):
             xy = tuple(expo[0::2]) + tuple(expo[1::2])
-            for m, c in enumerate(sol[k * width : (k + 1) * width]):
-                if c != 0:
+            for m in range(width):
+                if c := sol.get(k * width + m):
                     terms[xy + tuple(int(t == m) for t in range(width))] = c
         # {z, y_j} is p_j and {z, x_j} is -q_j (the signs of split_derivation)
         if j % 2:
@@ -294,13 +294,12 @@ def _reference_pair_potential(cur_l, prev_l, pairs, z_el, d):
         b = integrate_potential(pres, ps, qs)
     except NotClosed:
         raise SearchExhausted(d, "(pair splitting failed)") from None
-    coeffs, terms = [], []
+    terms = []
     for mono, c in sorted(b.terms.items()):
         expo = [e for xy in zip(mono[:n], mono[n : 2 * n]) for e in xy]
         start = center[mono.index(1, 2 * n) - 2 * n]
-        coeffs.append(c)
-        terms.append(cur_l.monomial(flat, expo, start=start))
-    return combination(cur_l, coeffs, terms)
+        terms.append((c, cur_l.monomial(flat, expo, start=start)))
+    return combination(cur_l, terms)
 
 
 def test_euler_potential_matches_formal_integration(monkeypatch):

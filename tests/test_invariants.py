@@ -314,11 +314,13 @@ def test_kernel_of_operators_with_denominators():
     assert [L.format(k) for _, k in kernel] == ["1", "z", "1/z", "1/z^2"]
     for a, k in kernel:
         assert all(L.bracket(v.name, k).is_zero() for v in L.vars)
-        assert L.sub(combination(L, a, basis), k).is_zero()
+        assert list(a) == sorted(a) and all(a.values())
+        assert L.sub(combination(L, [(c, basis[i]) for i, c in a.items()]), k).is_zero()
     # the decomposition's central choice solves the same kind of system,
-    # for the coefficients of its element
+    # for the nonzero coefficients of its element
     coeffs = _central_choice(L, basis[3:], 2)
-    assert L.format(combination(L, coeffs, basis[3:])) == "1/z^2"
+    assert coeffs == {3: 1}
+    assert L.format(combination(L, [(c, basis[3 + i]) for i, c in coeffs.items()])) == "1/z^2"
 
 
 def test_independent_subset_is_rank_increasing_prefix():

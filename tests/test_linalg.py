@@ -1,6 +1,6 @@
 """Exact linear algebra: echelon, nullspace, solve, charpoly, roots, against
-the eagerly back-reducing echelon and the dense Gauss-Jordan inverse kept
-here as references, and against sympy."""
+the eagerly back-reducing echelon, the dense nullspace and solve, and the
+dense Gauss-Jordan inverse kept here as references, and against sympy."""
 
 import random
 from fractions import Fraction
@@ -30,7 +30,7 @@ def test_nullspace_annihilates():
         rows = _dense_to_rows(rows_dense)
         for vec in linalg.nullspace(rows, 5):
             for row in rows_dense:
-                assert sum(F(a) * b for a, b in zip(row, vec)) == 0
+                assert sum(F(row[j]) * c for j, c in vec.items()) == 0
 
 
 def test_nullspace_dimension():
@@ -49,7 +49,7 @@ def test_solve_consistency():
         sol = linalg.solve(_dense_to_rows(mat), rhs, n)
         assert sol is not None
         for row, b in zip(mat, rhs):
-            assert sum(F(a) * c for a, c in zip(row, sol)) == b
+            assert sum(F(row[j]) * c for j, c in sol.items()) == b
 
 
 def test_solve_inconsistent():
@@ -319,7 +319,7 @@ def test_linear_algebra_matches_sympy():
         assert len(kernel) == ncols - rank
         for v in kernel:
             for r in rows:
-                assert sum((c * v[j] for j, c in r.items()), F(0)) == 0
+                assert sum((c * v.get(j, 0) for j, c in r.items()), F(0)) == 0
         # solve: a solution exactly when [rows | rhs] has the rank of rows;
         # the second right-hand side is consistent by construction
         x0 = [F(j + 1) for j in range(ncols)]
@@ -332,7 +332,7 @@ def test_linear_algebra_matches_sympy():
             assert (sol is not None) == (aug.rank() == rank)
             if sol is not None:
                 for r, b in zip(rows, rhs):
-                    assert sum((c * sol[j] for j, c in r.items()), F(0)) == b
+                    assert sum((c * sol.get(j, 0) for j, c in r.items()), F(0)) == b
 
 
 def test_charpoly_and_rational_roots_match_sympy():
@@ -449,10 +449,38 @@ def _reference_nullspace(rows, ncols):
     return basis
 
 
+def _reference_solve(rows, rhs, ncols):
+    """The dense particular solution: the augmented column of each reduced
+    row over its pivot, free variables 0; None when inconsistent."""
+    ech = linalg.Echelon()
+    for row, b in zip(rows, rhs):
+        ech.add({**row, ncols: b} if b else row)
+    if ncols in ech.rows:
+        return None
+    vec = [F(0)] * ncols
+    for p, row in ech.rows.items():
+        vec[p] = F(row.get(ncols, 0), row[p])
+    return tuple(vec)
+
+
+def _same_vector(got, want):
+    # the sparse vector holds exactly the dense one's nonzero entries, keys
+    # ascending and in range, each a Fraction like the dense entry
+    assert list(got) == sorted(got) and all(0 <= j < len(want) for j in got)
+    assert got == {j: c for j, c in enumerate(want) if c}
+    assert all(type(c) is Fraction is type(want[j]) for j, c in got.items())
+
+
 def _same_kernel(got, want):
-    # equal tuples, and equal coefficient types entry by entry
-    assert got == want
-    assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_vector(g, w)
+
+
+def _same_solution(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        _same_vector(got, want)
 
 
 def _presolve_system(rng, ncols):
@@ -483,7 +511,7 @@ def test_nullspace_presolve_matches_elimination():
     # the presolve forces singleton columns; the kernel must be bit for bit
     # the one elimination alone gives, whatever shape the system has
     rng = random.Random(20261030)
-    forced = 0
+    forced = solved = 0
     for trial in range(600):
         ncols = rng.randint(2, 9)
         rows = _presolve_system(rng, ncols) if trial % 3 else _random_sparse_rows(
@@ -493,7 +521,16 @@ def test_nullspace_presolve_matches_elimination():
         _same_kernel(linalg.nullspace(rows, ncols), want)
         _same_kernel(linalg.nullspace((dict(r) for r in rows), ncols), want)
         forced += any(len([c for c in r.values() if c]) == 1 for r in rows)
-    assert forced >= 400
+        # solve on the same system: a consistent and a random right-hand side
+        x0 = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(ncols)]
+        for rhs in (
+            [sum((c * x0[j] for j, c in r.items()), F(0)) for r in rows],
+            [F(rng.randint(-2, 2)) for _ in rows],
+        ):
+            want = _reference_solve(rows, rhs, ncols)
+            _same_solution(linalg.solve(rows, rhs, ncols), want)
+            solved += want is not None
+    assert forced >= 400 and 650 <= solved <= 1000  # both outcomes of solve
 
 
 def test_nullspace_presolve_edge_systems():
@@ -507,12 +544,12 @@ def test_nullspace_presolve_edge_systems():
         want = _reference_nullspace(rows, ncols)
         _same_kernel(linalg.nullspace(rows, ncols), want)
         _same_kernel(linalg.nullspace(iter(rows), ncols), want)
+        for rhs in ([F(0)] * len(rows), [F(k + 1) for k in range(len(rows))]):
+            _same_solution(linalg.solve(rows, rhs, ncols), _reference_solve(rows, rhs, ncols))
     assert linalg.nullspace(determined, 4) == []
-    assert linalg.nullspace(loose, 5) == [
-        (F(1), F(0), F(0), F(0), F(0)),
-        (F(0), F(0), F(-1), F(1), F(0)),
-        (F(0), F(0), F(0), F(0), F(1)),
-    ]
+    assert linalg.nullspace(loose, 5) == [{0: F(1)}, {2: F(-1), 3: F(1)}, {4: F(1)}]
+    assert linalg.solve(determined, [F(0)] * 4, 4) == {}
+    assert linalg.solve(loose, [0, 1, 2, 3, 3], 5) == {1: F(1, 2), 2: F(3)}
 
 
 def test_nullspace_inserts_only_the_rows_the_presolve_leaves(monkeypatch):
@@ -524,25 +561,35 @@ def test_nullspace_inserts_only_the_rows_the_presolve_leaves(monkeypatch):
     assert inserted == [{3: 1, 4: 2}]
 
 
-def _captured_nullspace_systems(monkeypatch, run):
-    systems = []
-    nullspace = linalg.nullspace
+def _captured_systems(monkeypatch, run):
+    """The (rows, ncols, result) of every nullspace call ``run`` makes, and
+    the (rows, rhs, ncols, result) of every solve call."""
+    kernels, solves = [], []
+    nullspace, solve = linalg.nullspace, linalg.solve
 
     def capture(rows, ncols):
         rows = list(rows)
         out = nullspace(rows, ncols)
-        systems.append((rows, ncols, out))
+        kernels.append((rows, ncols, out))
+        return out
+
+    def capture_solve(rows, rhs, ncols):
+        out = solve(rows, rhs, ncols)
+        solves.append((rows, rhs, ncols, out))
         return out
 
     monkeypatch.setattr(linalg, "nullspace", capture)
+    monkeypatch.setattr(linalg, "solve", capture_solve)
     run()
     monkeypatch.setattr(linalg, "nullspace", nullspace)
-    return systems
+    monkeypatch.setattr(linalg, "solve", solve)
+    return kernels, solves
 
 
 def test_nullspace_matches_elimination_on_real_systems(monkeypatch, tmp_path):
     # every system the benchmark ops at seed 11 and the degree-4 centers of
-    # the Lie fixtures hand to nullspace, solved again by elimination alone
+    # the Lie fixtures hand to nullspace, solved again by elimination alone,
+    # and every system the benchmark ops hand to solve, solved densely
     def workload_ops():
         for name, workload in perfbench_workloads().items():
             w = workload(11)
@@ -559,8 +606,10 @@ def test_nullspace_matches_elimination_on_real_systems(monkeypatch, tmp_path):
         for prob in lie_fixtures():
             center_up_to_degree(reduced_algebra(prob.lie, prob.ideal), 4)
 
-    for run, least in ((workload_ops, 80), (centers, 5)):
-        systems = _captured_nullspace_systems(monkeypatch, run)
-        assert len(systems) >= least
-        for rows, ncols, got in systems:
+    for run, least, least_solves in ((workload_ops, 80, 5), (centers, 5, 0)):
+        kernels, solves = _captured_systems(monkeypatch, run)
+        assert len(kernels) >= least and len(solves) >= least_solves
+        for rows, ncols, got in kernels:
             _same_kernel(got, _reference_nullspace(rows, ncols))
+        for rows, rhs, ncols, got in solves:
+            _same_solution(got, _reference_solve(rows, rhs, ncols))

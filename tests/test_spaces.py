@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from liepoisson import spaces
 from liepoisson.invariants import _generator_actions, center_up_to_degree
-from liepoisson.poisson import LocalElement, canonical_from_lie, localize, reduced_algebra
+from liepoisson.lie import verify_lie
+from liepoisson.poisson import (
+    LocalElement,
+    PoissonAlgebra,
+    canonical_from_lie,
+    localize,
+    reduced_algebra,
+)
 from liepoisson.polys import Poly, parse_poly
 from liepoisson.spaces import (
     Span,
@@ -18,6 +26,7 @@ from liepoisson.spaces import (
     monomials_up_to,
     operator_rows,
     slice_basis,
+    slice_rows,
     solve_in_span,
 )
 
@@ -107,12 +116,15 @@ def test_solve_in_span_ignores_term_order(rng):
     L = _heisenberg_at_z()
     spanners = [L.element(LocalElement(parse_poly(n, L.vars), (k,))) for n, k in TERMS]
     coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in spanners]
-    member = combination(L, coeffs, spanners)
+    member = combination(L, zip(coeffs, spanners))
     outside = L.element(LocalElement(parse_poly("x*y*z + x", L.vars), (2,)))
     want = solve_in_span(L, spanners, member)
     assert want is not None and solve_in_span(L, spanners, outside) is None
-    # free coefficients are zero: the solution is canonical, not the input
-    assert want != coeffs and combination(L, want, spanners) == member
+    # free coefficients are zero and left out: the solution is canonical,
+    # not the input, and holds its nonzero entries only, ascending
+    assert list(want) == sorted(want) and all(want.values())
+    assert len(want) < len(coeffs)
+    assert combination(L, [(a, spanners[i]) for i, a in want.items()]) == member
     for _ in range(10):
         reordered = [_reordered(rng, el) for el in spanners]
         assert solve_in_span(L, reordered, _reordered(rng, member)) == want
@@ -208,7 +220,7 @@ def test_combination_matches_the_sequential_sum(rng, name):
             elements.append(alg.element(LocalElement(rest, first.den)))
             coeffs[0] = Fraction(1)
             coeffs.append(Fraction(1))
-        got = combination(alg, coeffs, elements)
+        got = combination(alg, zip(coeffs, elements))
         want = sequential_combination(alg, coeffs, elements)
         assert got.num.ctx == want.num.ctx
         assert got.num.terms == want.num.terms and got.den == want.den
@@ -220,3 +232,46 @@ def test_combination_matches_the_sequential_sum(rng, name):
     assert shared > 0
     assert cancelled > 0 if nden else cancelled == 0
     assert mixed > 0 if nden else mixed == 0
+
+
+def test_combination_refuses_a_sparse_vector_read_as_dense():
+    # a kernel vector {i: a_i} handed over in place of the pairs: its keys
+    # are no (coefficient, element) pairs, so the call raises instead of
+    # summing the keys as coefficients
+    L = _heisenberg_at_z()
+    basis = slice_basis(L, 1)
+    vec = {0: Fraction(2), 2: Fraction(-1)}
+    with pytest.raises(TypeError):
+        combination(L, vec, basis)
+    with pytest.raises(TypeError):
+        combination(L, vec)
+    got = combination(L, [(a, basis[i]) for i, a in vec.items()])
+    assert L.format(got) == L.format(L.element("2 - y"))
+
+
+# ---------------------------------------------------------------------------
+# kernel elements are summed from the nonzero coefficients only
+
+
+def test_kernel_of_operators_sums_only_the_vector_entries(monkeypatch):
+    # count guard on filiform-5 at degree 4 (126 slice monomials, 12 center
+    # elements): the pairs each combination reads and the terms it hands to
+    # PoissonAlgebra._sum add up to sum(len(a)), 25, where a dense scan of
+    # the coefficient vectors would read 126 entries per element
+    g = verify_lie("e1 e2 e3 e4 e5", {(0, j): {j + 1: 1} for j in range(1, 4)})
+    alg = reduced_algebra(g, None)
+    basis = slice_basis(alg, 4)
+    read, summed = [], []
+    combine, add = spaces.combination, PoissonAlgebra._sum
+
+    def counted(alg, terms):
+        terms = list(terms)
+        read.append(len(terms))
+        return combine(alg, terms)
+
+    monkeypatch.setattr(spaces, "combination", counted)
+    monkeypatch.setattr(PoissonAlgebra, "_sum", lambda a, ts: summed.append(len(ts)) or add(a, ts))
+    kernel = spaces.kernel_of_operators(alg, basis, slice_rows(alg, basis))
+    entries = [len(a) for a, _ in kernel]
+    assert (len(basis), len(kernel), sum(entries)) == (126, 12, 25)
+    assert read == summed == entries

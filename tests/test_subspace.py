@@ -41,9 +41,8 @@ def eigen_kernel_reference(mat, c, cur):
     vecs = []
     for combo in linalg.nullspace(coeff_rows, len(rows)):
         w = [F(0)] * dim
-        for a, v in zip(combo, cur.basis):
-            if a != 0:
-                w = [x + a * y if y else x for x, y in zip(w, v)]
+        for i, a in combo.items():
+            w = [x + a * y if y else x for x, y in zip(w, cur.basis[i])]
         vecs.append(tuple(w))
     return Subspace(dim, vecs)
 
@@ -67,9 +66,9 @@ def intersect_reference(a, b):
     vecs = []
     for combo in linalg.nullspace(rows, a.dim + b.dim):
         vec = [F(0)] * a.ambient_dim
-        for c, v in zip(combo[: a.dim], a.basis):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, v)]
+        for i, c in combo.items():
+            if i < a.dim:
+                vec = [x + c * y for x, y in zip(vec, a.basis[i])]
         vecs.append(tuple(vec))
     return Subspace(a.ambient_dim, vecs)
 
@@ -125,6 +124,35 @@ def test_subspace_keeps_its_pivots_and_the_whole_space():
                 next(j for j, c in enumerate(row) if c == 1) for row in s.basis
             )
             assert sorted(s.pivots + tuple(s.free_columns())) == list(range(n))
+
+
+def test_subspace_takes_sparse_vectors_as_nullspace_gives_them():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        rows = [
+            {j: c for j in range(n) if (c := _random_entry(rng))}
+            for _ in range(rng.randint(0, n))
+        ]
+        kernel = linalg.nullspace(rows, n)
+        dense = [tuple(v.get(j, F(0)) for j in range(n)) for v in kernel]
+        assert Subspace(n, kernel) == Subspace(n, dense)
+        assert Subspace(n, kernel).dim == len(kernel)
+
+
+@pytest.mark.parametrize(
+    "n, vector",
+    [
+        (2, (1, 2, 3)),  # one coordinate too many, which was dropped
+        (3, (0, 0, 1, 5)),  # which was dropped, leaving e3
+        (3, (1, 2)),  # one too few
+        (3, {3: F(1)}),  # a sparse coordinate past the last
+        (3, {-1: F(1), 0: F(2)}),  # and before the first
+    ],
+)
+def test_subspace_refuses_a_vector_outside_its_ambient_space(n, vector):
+    with pytest.raises(ValueError):
+        Subspace(n, [basis_vec(0, n), vector])
 
 
 def test_kernel_equals_the_eigen_kernel_reference():

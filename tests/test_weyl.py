@@ -239,6 +239,22 @@ def test_chi_context_validation():
         chi_context(A2, Derivation({"u": A2.gen("u")}), "u", cap=8)
 
 
+def test_one_cap_rule_names_the_variable_or_the_element():
+    # delta(u) = 1, delta(w) = u: delta^2(w) = 1 is the last nonzero power,
+    # so cap 2 admits w and cap 1 refuses it by name; the series of w^2
+    # reaches delta^4(w^2) = 6, past cap 2, and names the element
+    A = poisson_algebra(make_vars("u w"), {})
+    delta = Derivation({"u": A.one(), "w": A.gen("u")})
+    with pytest.raises(LocalNilpotencyCapExceeded) as exc:
+        chi_context(A, delta, "u", cap=1)
+    assert (exc.value.cap, exc.value.what) == (1, "w")
+    ctx = chi_context(A, delta, "u", cap=2)
+    with pytest.raises(LocalNilpotencyCapExceeded) as exc:
+        chi_forward(ctx, A.element("w^2"))
+    assert (exc.value.cap, exc.value.what) == (2, "w^2")
+    chi_forward(chi_context(A, delta, "u", cap=4), A.element("w^2"))  # cap 4 admits it
+
+
 def test_chi_target_keeps_table_denominators():
     # {p, q} = 1/s with s inverted: the target of chi must carry the 1/s
     ctx = make_vars("a p q s")
