@@ -31,6 +31,8 @@ Vec = tuple[Fraction, ...]
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
+    if len(a) != len(b):
+        raise ValueError(f"vectors of different lengths: {a}, {b}")
     return tuple(x + y for x, y in zip(a, b))
 
 
@@ -53,6 +55,8 @@ class Weight:
     values: Vec
 
     def __call__(self, vec: Sequence[Fraction]) -> Fraction:
+        if len(vec) != len(self.values):
+            raise ValueError(f"not a vector of Q^{len(self.values)}: {vec}")
         return sum((a * b for a, b in zip(self.values, vec)), Fraction(0))
 
     def is_zero(self) -> bool:
@@ -113,6 +117,8 @@ class Subspace:
 
     def reduce(self, vec: Sequence[Fraction]) -> Vec:
         """Residual of vec modulo the subspace (pivot coordinates cleared)."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError(f"not a vector of Q^{self.ambient_dim}: {vec}")
         v = list(map(Fraction, vec))
         for piv, row in zip(self.pivots, self.basis):
             c = v[piv]
@@ -160,6 +166,8 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """The kernel of the map sending each vector to its residual
         modulo ``other``."""
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError(f"subspaces of Q^{self.ambient_dim} and Q^{other.ambient_dim}")
         if other.dim == 0:
             return Subspace(self.ambient_dim)
         return self.kernel([other.reduce(v) for v in self.basis])
@@ -185,6 +193,8 @@ class LieAlgebra:
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(f"not vectors of Q^{self.dim}: {u}, {v}")
         out = [Fraction(0)] * self.dim
         for i, a in enumerate(u):
             if a == 0:

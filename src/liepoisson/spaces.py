@@ -51,6 +51,7 @@ K0 from those rows, shifted.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import add, gt, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -64,20 +65,12 @@ def monomials_up_to(nvars: int, d: int) -> list[Mono]:
     ascending graded-lex order."""
     out: list[Mono] = []
     for total in range(d + 1):
-        level: list[Mono] = []
-
-        def rec(prefix, left, slots):
-            if slots == 1:
-                level.append(tuple(prefix + [left]))
-                return
-            for e in range(left + 1):
-                rec(prefix + [e], left - e, slots - 1)
-
-        if nvars == 0:
-            if total == 0:
-                level.append(())
-        else:
-            rec([], total, nvars)
+        level = []
+        for picks in combinations_with_replacement(range(nvars), total):
+            mono = [0] * nvars
+            for i in picks:
+                mono[i] += 1
+            level.append(tuple(mono))
         out.extend(sorted(level))
     return out
 

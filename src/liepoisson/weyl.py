@@ -5,13 +5,17 @@ the pair X-variables inverted (the primed form).  On top of it sit:
 
 * the derivative formulas {X_i, a} = da/dY_i, {Y_i, a} = -da/dX_i;
 * coefficient extraction by iterated inner derivations (the device that
-  shows every bracket ideal is generated by its central part);
+  shows every bracket ideal is generated by its central part), which on
+  these algebras are the partial derivatives above, so the coefficient of
+  X^a Y^b is read off as (d/dX)^a (d/dY)^b / (a! b!);
 * potential integration (finding b from its prescribed partials) and the
   resulting splitting of any P-derivation into an inner part plus a part
   that lives on the center;
 * the exponential-series transforms chi / theta that straighten a locally
   nilpotent derivation with a central slice variable into a polynomial
-  extension, and their tensor form.
+  extension, and their tensor form; both sum one series,
+  sum (+-1)^n/n! delta^n(p) Y^n, chi with + modulo alpha and theta with -
+  and alpha in place of Y.
 """
 
 from __future__ import annotations
@@ -94,61 +98,38 @@ def weyl_bracket_via_partials(pres: WeylPresentation, a: Poly, i: int) -> tuple[
 # coefficient extraction
 
 
-def _pair_degree_terms(pres: WeylPresentation, p: Poly):
-    """Group terms of p by their (X, Y) exponent pattern."""
-    ctx = pres.context
-    n = pres.n
-    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
-    for mono, c in p.terms.items():
-        xs = tuple(mono[:n])
-        ys = tuple(mono[n : 2 * n])
-        z = (0,) * 2 * n + tuple(mono[2 * n :])
-        groups.setdefault((xs, ys), {})[z] = c
-    return groups
-
-
 def extract_core(pres: WeylPresentation, generators: list[Poly]) -> list[Poly]:
     """The central coefficients of the generators, recovered by iterated
     inner derivations from the top pair-degree down.
 
-    For a generator sum lambda_{a,b} X^a Y^b the operator
-    (d_X)^a (d_Y)^b kills every term of pair-degree <= |a|+|b| except
-    lambda_{a,b} X^b Y^a itself, which it sends to (-1)^|b| a! b! lambda.
+    The inner derivations are partial derivatives, {X_i, .} = d/dY_i and
+    {Y_i, .} = -d/dX_i, so for a generator sum lambda_{a,b} X^a Y^b the
+    operator (d/dX)^a (d/dY)^b kills every term of pair-degree <= |a|+|b|
+    except lambda_{a,b} X^a Y^b itself, which it sends to a! b! lambda.
     The returned list generates (bracket ideal of the input) intersect Z.
     """
-    alg = pres.algebra()
     ctx = pres.context
-    n = pres.n
+    names = pres.x_names + pres.y_names
+    zeros = (0,) * len(pres.center_vars)
     out: list[Poly] = []
     seen = set()
     for gen in generators:
-        rem = alg.element(gen.extend(ctx))
+        rem = gen.extend(ctx)
         guard = 0
         while not rem.is_zero():
             guard += 1
             if guard > 10000:  # pragma: no cover
                 raise RuntimeError("extraction failed to terminate")
-            groups = _pair_degree_terms(pres, rem.num)
-            top = max(groups, key=lambda k: (sum(k[0]) + sum(k[1]), k))
-            xs, ys = top
-            # coefficient of X^xs Y^ys is read off by (d_X)^ys (d_Y)^xs
-            work = rem
-            for i in range(n):
-                for _ in range(ys[i]):
-                    work = alg.bracket(Poly.var(ctx, pres.x_names[i]), work)
-            for i in range(n):
-                for _ in range(xs[i]):
-                    work = alg.bracket(Poly.var(ctx, pres.y_names[i]), work)
-            scale = Fraction((-1) ** sum(xs))
-            for e in xs:
+            top = max((m[: len(names)] for m in rem.terms), key=lambda k: (sum(k), k))
+            coeff, scale = rem, 1
+            for name, e in zip(names, top):
+                for _ in range(e):
+                    coeff = coeff.partial(name)
                 scale *= factorial(e)
-            for e in ys:
-                scale *= factorial(e)
-            coeff = work.num.scale(Fraction(1) / scale)
+            coeff = coeff.scale(Fraction(1, scale))
             if not pres.is_center_poly(coeff):  # pragma: no cover
                 raise RuntimeError("extraction left non-central residue")
-            mono = tuple(xs) + tuple(ys) + (0,) * len(pres.center_vars)
-            rem = alg.sub(rem, alg.element(coeff * Poly.monomial(ctx, mono)))
+            rem = rem - coeff * Poly.monomial(ctx, top + zeros)
             key = str(coeff)
             if key not in seen:
                 seen.add(key)
@@ -233,7 +214,7 @@ def split_derivation(
         # db/dY_i = -delta(X_i), and {b, Y_i} = db/dX_i forces db/dX_i = delta(Y_i)
         qs.append(-qi.num)
         ps.append(pi.num)
-    b = integrate_potential(pres, [p for p in ps], [q for q in qs])
+    b = integrate_potential(pres, ps, qs)
     images = {}
     for v in pres.center_vars:
         img = delta.image_of(alg, v.name)
@@ -258,6 +239,7 @@ class ChiContext:
     cap: int
     target: PoissonAlgebra
     y_var: VarSpec
+    quotient: PoissonAlgebra  # A / A alpha, the target's first factor
 
 
 def chi_context(
@@ -290,7 +272,7 @@ def chi_context(
     y_name = "Y" if all(v.name != "Y" for v in alg.vars) else f"Y_{alpha.name}"
     y_var = VarSpec(y_name)
     target = tensor(quo, poisson_algebra((y_var,), {}))
-    return ChiContext(alg, delta, alpha, cap, target, y_var)
+    return ChiContext(alg, delta, alpha, cap, target, y_var, quo)
 
 
 def _delta_powers(alg, delta, cap: int, p: LocalElement, name: str = "") -> list[LocalElement]:
@@ -305,16 +287,17 @@ def _delta_powers(alg, delta, cap: int, p: LocalElement, name: str = "") -> list
 
 
 def _series(
-    ctx: ChiContext, el: LocalElement, target: PoissonAlgebra, y_name: str
+    ctx: ChiContext, el: LocalElement, target: PoissonAlgebra, y_name: str, sign: int = 1
 ) -> LocalElement:
-    """sum 1/n! [delta^n(el) mod alpha] Y^n in ``target``, whose ideal kills
-    alpha; each delta^n(el) keeps its denominator."""
+    """sum sign^n/n! delta^n(el) Y^n in ``target``: chi's series when the
+    target's ideal kills alpha (sign 1), theta's when the target is A and Y
+    is alpha (sign -1); each delta^n(el) keeps its denominator."""
     y = target.gen(y_name)
     powers = _delta_powers(ctx.algebra, ctx.delta, ctx.cap, el)
     return combination(
         target,
         [
-            (Fraction(1, factorial(nn)), target.monomial([y], (nn,), start=target.element(dn)))
+            (Fraction(sign**nn, factorial(nn)), target.monomial([y], (nn,), start=target.element(dn)))
             for nn, dn in enumerate(powers)
         ],
     )
@@ -350,17 +333,16 @@ def chi_forward(ctx: ChiContext, p: Poly | LocalElement) -> LocalElement:
 
 
 def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
-    """theta(p-bar Y^n) = sum_m (-1)^m/m! delta^m(p) alpha^(m+n); the exact
-    inverse of chi_forward."""
+    """theta(p-bar Y^n) = alpha^n sum_m (-1)^m/m! delta^m(p) alpha^m, the
+    series of -delta; the exact inverse of chi_forward."""
     alg = ctx.algebra
     el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
-    terms = []
-    alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
+    a = ctx.alpha.name
     # target context minus Y is exactly alg's context (alpha kept, exponent 0)
-    for ypow, lifted in _by_last_power(el, alg).items():
-        for m, dm in enumerate(_delta_powers(alg, ctx.delta, ctx.cap, lifted)):
-            term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
-            terms.append((Fraction((-1) ** m, factorial(m)), term))
+    terms = [
+        (1, alg.monomial([alg.gen(a)], (ypow,), start=_series(ctx, lifted, alg, a, -1)))
+        for ypow, lifted in _by_last_power(el, alg).items()
+    ]
     return combination(alg, terms)
 
 
@@ -377,16 +359,13 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
     chi(X) = 1 tensor X_1, and on A the same series as chi_forward with Y_1
     in place of Y.  Verified by rebuilding the bracket table on generators."""
     source = skew = skew_extend(ctx.algebra, ctx.delta, x_name)
-    quo = quotient(
-        ctx.algebra, SubstitutionIdeal(((ctx.alpha, Poly.zero(ctx.algebra.vars)),))
-    )
-    taken = {v.name for v in quo.vars}
+    taken = {v.name for v in ctx.quotient.vars}
     k = 1
     while f"X{k}" in taken or f"Y{k}" in taken:
         k += 1
     xn, yn = f"X{k}", f"Y{k}"
     pair = WeylPresentation(1, x_names=(xn,), y_names=(yn,)).algebra()
-    target = tensor(quo, pair)
+    target = tensor(ctx.quotient, pair)
 
     def fwd(p: Poly | LocalElement) -> LocalElement:
         el = skew.element(p) if not isinstance(p, LocalElement) else p

@@ -696,6 +696,44 @@ def test_malformed_problem_is_input_error(tmp_path, data):
         assert report["error"] in ("ValueError", "UnknownVariable")
 
 
+def _symp_lattice(**fields):
+    with open(path("bvwg-symp.json")) as fh:
+        data = json.load(fh)
+    data["bvwg"].update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        (_symp_lattice(omega=[["0", "1"]]), "omega must be n x n"),
+        (_symp_lattice(omega=[["0", "1"], ["-1"]]), "omega must be n x n"),
+        (_symp_lattice(omega=[["0", "1"], ["1", "0"]]), "omega must be antisymmetric"),
+        (_symp_lattice(weights=[["1", "0"], ["0", "1"]]), "weights must be p x n"),
+        (_symp_lattice(weights=[["1"]]), "weights must be p x n"),
+        (
+            _symp_lattice(g_names=["g", "h"], weights=[["1", "0"], ["2", "0"]]),
+            "weight rows must be linearly independent (free lattice)",
+        ),
+    ],
+    ids=[
+        "omega-rows",
+        "omega-row-length",
+        "omega-symmetric",
+        "weights-rows",
+        "weights-row-length",
+        "dependent-weights",
+    ],
+)
+def test_malformed_lattice_is_input_error(tmp_path, data, detail):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ["verify"] + BVWG_COMMANDS:
+        code, out, _ = _capture([command, str(bad), "--json"])
+        assert code == 2, command
+        assert json.loads(out) == {"error": "ValueError", "detail": detail}, command
+
+
 BAD_RATIONALS = ["1/0", "-3/0", "0/0", "1e4000000", "1.5", "1" + "0" * 200, 2**601]
 BAD_RATIONALS.append("1/" + str(2**600))
 

@@ -16,6 +16,7 @@ from liepoisson.errors import (
 from liepoisson.lie import (
     LieAlgebra,
     Subspace,
+    Weight,
     basis_vec,
     common_eigenvector,
     coordinate_subalgebra,
@@ -27,6 +28,7 @@ from liepoisson.lie import (
     series,
     span_subalgebra,
     unit_index,
+    vec_add,
     verify_lie,
 )
 from liepoisson.polys import make_vars
@@ -417,3 +419,18 @@ def test_common_eigenvector_and_first_flag_step_take_the_first_eigenspace():
         assert lam.values == vals and vec == space.basis[0]
         jh = jordan_holder(g)
         assert jh.weights[0] == lam and jh.generators[0] == vec
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Weight((1, 2))((1, 2, 3)),  # which read 5
+        lambda: vec_add((1, 2), (1, 2, 3)),  # which read (2, 4)
+        lambda: aff2().bracket_vec((1, 0, 5), (0, 1)),  # which dropped the 5
+        lambda: aff2().bracket_vec((1, 0), (0,)),
+    ],
+    ids=["weight", "vec-add", "bracket-vec-long", "bracket-vec-short"],
+)
+def test_dense_helpers_refuse_a_vector_of_another_length(call):
+    with pytest.raises(ValueError):
+        call()

@@ -462,3 +462,39 @@ def test_cancel_divides_a_single_term_denominator_once_as_the_loop_would(monkeyp
         assert len(single) <= 3
         cancelled += got.den != den
     assert cancelled > 150
+
+
+def _rules(alg):
+    return [(v.name, str(img)) for v, img in alg.ideal.rules]
+
+
+def test_quotient_of_a_quotient_merges_the_rules():
+    # z -> t^2, then t -> 1: the first rule's image is normal-formed by the
+    # second, which is the path chi_context takes on a quotient algebra
+    T = tensor(canonical_from_lie(heisenberg()), poisson_algebra(make_vars("t"), {}))
+    Q1 = quotient(T, ideal_from_pairs(T.vars, [("z", "t^2")]))
+    assert _rules(Q1) == [("z", "t^2")]
+    Q2 = quotient(Q1, ideal_from_pairs(Q1.vars, [("t", "1")]))
+    assert _rules(Q2) == [("z", "1"), ("t", "1")]
+    assert Q2.bracket("x", "y") == Q2.one()
+    assert Q2.element("z*t + x") == Q2.element("1 + x")
+
+
+def test_tensor_keeps_the_right_factors_rules():
+    H = canonical_from_lie(heisenberg())
+    right = quotient(H, ideal_from_pairs(H.vars, [("z", "1")]))
+    T = tensor(poisson_algebra(make_vars("a"), {}), right)
+    assert [v.name for v in T.vars] == ["a", "x", "y", "z"]
+    assert _rules(T) == [("z", "1")]
+    assert T.bracket("x", "y") == T.one()
+    assert T.element("a*z") == T.gen("a")
+
+
+def test_local_element_equality_with_a_poly_and_with_other_objects():
+    ctx = make_vars("s x")
+    A = poisson_algebra(ctx, {}, inverted=[Poly.var(ctx, "s")])
+    x = Poly.var(ctx, "x")
+    assert A.gen("x") == x and x == A.gen("x")
+    assert A.invert(A.gen("s")) != Poly.const(ctx, 1)  # 1/s is not the polynomial 1
+    assert A.gen("x").__eq__("x") is NotImplemented
+    assert A.gen("x") != "x" and A.gen("x") != 0

@@ -153,6 +153,37 @@ def test_monomials_up_to_over_no_variables_is_the_empty_monomial():
         assert monomials_up_to(0, d) == [()]
 
 
+def _recursive_monomials_up_to(nvars, d):
+    """monomials_up_to's earlier body: each degree by a recursion over the
+    exponent of each variable in turn, sorted."""
+    out = []
+    for total in range(d + 1):
+        level = []
+
+        def rec(prefix, left, slots):
+            if slots == 1:
+                level.append(tuple(prefix + [left]))
+                return
+            for e in range(left + 1):
+                rec(prefix + [e], left - e, slots - 1)
+
+        if nvars == 0:
+            if total == 0:
+                level.append(())
+        else:
+            rec([], total, nvars)
+        out.extend(sorted(level))
+    return out
+
+
+def test_monomials_up_to_equals_the_recursive_reference():
+    for nvars in range(7):
+        for d in range(-1, 7):
+            assert monomials_up_to(nvars, d) == _recursive_monomials_up_to(nvars, d)
+    assert monomials_up_to(8, 5) == _recursive_monomials_up_to(8, 5)
+    assert len(monomials_up_to(13, 3)) == 560  # C(13 + 3, 3)
+
+
 def _fixture_algebras():
     """Every Lie fixture in tests/data, with and without its ideal, each also
     localized at one element: a nonconstant central one of degree <= 2 where

@@ -155,6 +155,22 @@ def test_subspace_refuses_a_vector_outside_its_ambient_space(n, vector):
         Subspace(n, [basis_vec(0, n), vector])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e1: e1.reduce((1, 0, 0, 5)),
+        lambda e1: e1.contains((1, 0, 0, 5)),  # which read "contains"
+        lambda e1: e1.contains((0, 0)),  # and so did this
+        lambda e1: Subspace.whole(3).intersect(Subspace(2, [(1, 0)])),  # a basis
+        lambda e1: e1.intersect(Subspace(2)),  # the zero space of another Q^n
+    ],
+    ids=["reduce", "contains-long", "contains-short", "intersect", "intersect-zero"],
+)
+def test_subspace_methods_refuse_a_vector_of_another_length(call):
+    with pytest.raises(ValueError):
+        call(Subspace(3, [basis_vec(0, 3)]))
+
+
 def test_kernel_equals_the_eigen_kernel_reference():
     rng = random.Random(11)
     dims = set()

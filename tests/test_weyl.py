@@ -395,3 +395,120 @@ def test_tensor_presentation_check_refuses_a_negative_degree():
         tensor_presentation_check(B1, [], [], d=-1)
     with pytest.raises(NotGenerating):
         tensor_presentation_check(B1, [], [], d=1)
+
+
+def _reference_extract_core(pres, generators):
+    """extract_core's earlier body: the coefficient of the top X^a Y^b read
+    off by the brackets {X_i, .}^b_i {Y_i, .}^a_i in pres.algebra(), which
+    leave (-1)^|a| a! b! times it."""
+    from math import factorial
+
+    alg = pres.algebra()
+    ctx = pres.context
+    n = pres.n
+    out, seen = [], set()
+    for gen in generators:
+        rem = alg.element(gen.extend(ctx))
+        while not rem.is_zero():
+            groups = {}
+            for mono, c in rem.num.terms.items():
+                groups.setdefault((mono[:n], mono[n : 2 * n]), {})[mono] = c
+            xs, ys = max(groups, key=lambda k: (sum(k[0]) + sum(k[1]), k))
+            work = rem
+            for i in range(n):
+                for _ in range(ys[i]):
+                    work = alg.bracket(Poly.var(ctx, pres.x_names[i]), work)
+            for i in range(n):
+                for _ in range(xs[i]):
+                    work = alg.bracket(Poly.var(ctx, pres.y_names[i]), work)
+            scale = Fraction((-1) ** sum(xs))
+            for e in xs + ys:
+                scale *= factorial(e)
+            coeff = work.num.scale(Fraction(1) / scale)
+            mono = xs + ys + (0,) * len(pres.center_vars)
+            rem = alg.sub(rem, alg.element(coeff * Poly.monomial(ctx, mono)))
+            if str(coeff) not in seen:
+                seen.add(str(coeff))
+                out.append(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n, center", [(2, "t"), (1, "z zp")])
+def test_extract_core_equals_the_bracket_reference(rng, monkeypatch, n, center):
+    # the partial-derivative reading gives the bracket reading's list, order
+    # included, and neither brackets nor builds an algebra to do it
+    import liepoisson.weyl as weyl
+    from liepoisson.poisson import PoissonAlgebra
+
+    pres = WeylPresentation(n, center_vars=make_vars(center))
+    ctx = pres.context
+    cases = [
+        [random_poly(rng, ctx, max_degree=5, max_terms=6) for _ in range(rng.randint(1, 3))]
+        for _ in range(40)
+    ]
+    want = [_reference_extract_core(pres, gens) for gens in cases]
+    calls = []
+    bracket = PoissonAlgebra.bracket
+    monkeypatch.setattr(
+        PoissonAlgebra, "bracket", lambda *a: calls.append("bracket") or bracket(*a)
+    )
+    monkeypatch.setattr(weyl, "poisson_algebra", lambda *a: calls.append("poisson_algebra"))
+    got = [extract_core(pres, gens) for gens in cases]
+    assert calls == []
+    assert [[str(p) for p in core] for core in got] == [[str(p) for p in core] for core in want]
+    assert got == want
+    assert sum(len(core) for core in got) > len(cases)
+
+
+def _reference_chi_inverse(ctx, q):
+    """chi_inverse's earlier body: its own loop over delta's powers, each
+    multiplied by alpha^(m + n)."""
+    from math import factorial
+
+    from liepoisson.spaces import combination
+    from liepoisson.weyl import _by_last_power, _delta_powers
+
+    alg = ctx.algebra
+    el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
+    terms = []
+    alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
+    for ypow, lifted in _by_last_power(el, alg).items():
+        for m, dm in enumerate(_delta_powers(alg, ctx.delta, ctx.cap, lifted)):
+            term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
+            terms.append((Fraction((-1) ** m, factorial(m)), term))
+    return combination(alg, terms)
+
+
+@pytest.mark.parametrize("make", [_chi_ctx, _localized_chi_ctx])
+def test_chi_inverse_equals_its_own_loop_reference(rng, make):
+    _, C = make()
+    T = C.target
+    for _ in range(40):
+        den = (rng.randint(0, 2),) * len(T.inverted)
+        q = T.element(LocalElement(random_poly(rng, T.vars, max_degree=5, max_terms=6), den))
+        got, want = chi_inverse(C, q), _reference_chi_inverse(C, q)
+        assert got == want and C.algebra.format(got) == C.algebra.format(want)
+
+
+def test_chi_inverse_names_the_lifted_coefficient_past_the_cap():
+    # the cap error names the coefficient of Y^n, as the earlier loop did
+    A = poisson_algebra(make_vars("u w"), {})
+    C = chi_context(A, Derivation({"u": A.one(), "w": A.gen("u")}), "u", cap=2)
+    q = C.target.element(parse_poly("w^2*Y + w", C.target.vars))
+    for inverse in (chi_inverse, _reference_chi_inverse):
+        with pytest.raises(LocalNilpotencyCapExceeded) as exc:
+            inverse(C, q)
+        assert (exc.value.cap, exc.value.what) == (2, "w^2")
+
+
+@pytest.mark.parametrize("make", [_chi_ctx, _localized_chi_ctx])
+def test_chi_tensor_reuses_the_context_quotient(monkeypatch, make):
+    import liepoisson.weyl as weyl
+
+    _, C = make()
+    calls = []
+    monkeypatch.setattr(weyl, "quotient", lambda *a: calls.append(a))
+    res = chi_tensor(C)
+    assert calls == [] and res.table_matches
+    assert res.target.vars[: len(C.quotient.vars)] == C.quotient.vars
+    assert res.target.ideal.eliminated_names() == {C.alpha.name}
