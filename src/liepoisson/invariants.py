@@ -13,23 +13,27 @@ generator.  Its rows are exponent shifts (``spaces.slice_rows``): the
 algebras it is solved on (reduced algebras, flag levels, localizations of
 them) have Hamiltonian rows of numerators N_ik over denominator 1, so
 {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is already in normal form and
-needs no bracket.  The degree-bounded center is the centralizer of a
-monomial slice, and the central choice of ``decompose`` that of the images
-of a center; ``commutes_with_generators`` asks only whether a span's rows
-are all empty, for the centrality check of ``verify_decomposition``.  The
-center is solved once per algebra and degree bound: ``center_up_to_degree``
-keeps its numerators in ``alg.centers``, and ``localize`` hands that memo
-to the localized algebra, whose polynomial center is the same.  Only ``weight_spaces`` brackets (the weight-search
+needs no bracket.  Each generator's rows are scaled by lambda_i, the lcm of the
+denominators of its N_ik, which leaves the kernel as it is.  The
+degree-bounded center is the centralizer of a monomial slice, given by its
+exponent tuples (``spaces.slice_monomials``), so its rows are integers and
+no polynomial is built per monomial; the central choice of ``decompose`` is
+the centralizer of the images of a center; ``commutes_with_generators``
+asks only whether a span's rows are all empty, for the centrality check of
+``verify_decomposition``.  The center is solved once per algebra and degree
+bound: ``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
+``localize`` hands that memo to the localized algebra, whose polynomial
+center is the same.  Only ``weight_spaces`` brackets (the weight-search
 benchmark counts those brackets and partials, its only ones): it brackets
 the slice once, solves the generators that every listed weight sends to
 zero once, and solves each weight only for the other generators, on that
 kernel.
 
 One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
-call, shifts the degree-d slice of the flag's top algebra once for every
-generator, in its constructor, and solves the top's center from those
-rows; ``share`` solves the center of every level the top covers from the
-same rows.  Both fill the algebra's center memo, which
+call, shifts the degree-d slice of the flag's top algebra, as exponent
+tuples, once for every generator, in its constructor, and solves the top's
+center from those rows; ``share`` solves the center of every level the top
+covers from the same rows.  Both fill the algebra's center memo, which
 ``center_up_to_degree`` then reads.  A flag prefix is an ideal, so for
 i < l and a monomial m in the first l variables, {x_i, m} is the same
 polynomial in level l as in the top, provided the level's normal form is
@@ -71,7 +75,7 @@ from .poisson import (
     reduced_algebra,
     skew_extend,
 )
-from .polys import Poly
+from .polys import Mono, Poly
 from .spaces import (
     combination,
     common_denominator_rows,
@@ -79,6 +83,7 @@ from .spaces import (
     kernel_of_operators,
     operator_rows,
     slice_basis,
+    slice_monomials,
     slice_rows,
 )
 
@@ -90,12 +95,13 @@ def _generator_actions(alg: PoissonAlgebra) -> list:
     return [lambda el, gen=alg.gen(v.name): alg.bracket(gen, el) for v in alg.vars]
 
 
-def centralizer(alg: PoissonAlgebra, basis: list[LocalElement]) -> list[tuple]:
+def centralizer(alg: PoissonAlgebra, basis: list[Mono] | list[LocalElement]) -> list[tuple]:
     """Basis of the elements of span(basis) commuting with every generator,
     each with its coefficients over ``basis`` (``kernel_of_operators``).
-    The basis is in alg's normal form, over central denominators if any, and
-    alg's rows carry no denominator: the generators' rows are exponent
-    shifts (``spaces.slice_rows``, ValueError otherwise), with no bracket."""
+    The basis is a monomial slice as exponent tuples, or elements in alg's
+    normal form, over central denominators if any, and alg's rows carry no
+    denominator: the generators' rows are exponent shifts
+    (``spaces.slice_rows``, ValueError otherwise), with no bracket."""
     return kernel_of_operators(alg, basis, slice_rows(alg, basis))
 
 
@@ -126,7 +132,7 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     Every call returns a new list of elements with denominator 1."""
     nums = alg.centers.get(d)
     if nums is None:
-        nums = _numerators(centralizer(alg, slice_basis(alg, d)))
+        nums = _numerators(centralizer(alg, slice_monomials(alg, d)))
         alg.centers[d] = nums
     den = (0,) * len(alg.inverted)
     return [LocalElement(num, den) for num in nums]
@@ -142,17 +148,19 @@ class SliceTable:
     (``spaces.slice_rows``: the top is a reduced algebra, so its rows carry
     no denominator), which also solves the top's degree-d center from them;
     ``share`` solves the center of every flag level the top covers from the
-    same rows (see the module docstring).  One per ``decompose``."""
+    same rows (see the module docstring).  The slice is a list of exponent
+    tuples (``spaces.slice_monomials``), ``at`` numbers them, and the rows
+    are integers, those of lambda_i {x_i, .}.  One per ``decompose``."""
 
     def __init__(self, top: PoissonAlgebra, d: int):
         self.d = d
         self.width = len(top.vars)
         self.eliminated = top.ideal.eliminated_names() if top.ideal else set()
-        basis = slice_basis(top, d)
+        monos = slice_monomials(top, d)
         # per generator, one row per slice monomial
-        self.rows = slice_rows(top, basis)
-        self.at = {mono: k for k, b in enumerate(basis) for mono in b.num.terms}
-        top.centers[d] = _numerators(kernel_of_operators(top, basis, self.rows))
+        self.rows = slice_rows(top, monos)
+        self.at = {mono: k for k, mono in enumerate(monos)}
+        top.centers[d] = _numerators(kernel_of_operators(top, monos, self.rows))
 
     def share(self, level: PoissonAlgebra) -> bool:
         """Solve the degree-d center of ``level``, the algebra on the first
@@ -166,11 +174,11 @@ class SliceTable:
         if own != self.eliminated & names:
             return False
         if self.d not in level.centers:
-            basis = slice_basis(level, self.d)
+            monos = slice_monomials(level, self.d)
             pad = (0,) * (self.width - len(level.vars))
-            at = [self.at[mono + pad] for b in basis for mono in b.num.terms]
+            at = [self.at[mono + pad] for mono in monos]
             rows = [[rows[k] for k in at] for rows in self.rows[: len(level.vars)]]
-            level.centers[self.d] = _numerators(kernel_of_operators(level, basis, rows))
+            level.centers[self.d] = _numerators(kernel_of_operators(level, monos, rows))
         return True
 
 

@@ -11,9 +11,13 @@ Kernels and solves read the rows as they are: their answers depend only on
 the row space, not on how the monomials are numbered.  Only ``Span``
 numbers them, because its echelon pivots on integer columns.
 
-``slice_basis`` gives the monomials of a degree slice as elements without
-the coercion of ``PoissonAlgebra.element``: they use no eliminated variable
-and carry no denominator, so they are in normal form as built.
+``slice_monomials`` gives the monomials of a degree slice as exponent
+tuples, and ``slice_basis`` as elements without the coercion of
+``PoissonAlgebra.element``: they use no eliminated variable and carry no
+denominator, so they are in normal form as built.  A kernel on a monomial
+slice reads the tuples (``slice_rows``, ``kernel_of_operators``): it
+builds no polynomial or element per monomial, only one polynomial per
+kernel element.
 
 A slice is checked by one growing ``Span``: rows are written over fixed
 denominator caps chosen up front, so a loop that enlarges its spanning set
@@ -32,10 +36,14 @@ rows of the generators on any span of polynomials in normal form are
 exponent shifts (``slice_rows``): over an algebra whose Hamiltonian rows
 carry no denominator, each numerator N_ik is in normal form already, so
 {x_i, c x^e} = sum_k e_k c N_ik x^(e - 1_k) is built term by term, with no
-bracket, partial, cancel or normal form.  A span over central denominators
-is shifted over its common denominator.  Every kernel ``decompose``
-solves reads them: the slice table, the degree-bounded center and the
-central choice (``invariants.centralizer``), and so does the centrality
+bracket, partial, cancel or normal form.  They are the rows of
+lambda_i {x_i, .}, lambda_i the lcm of the denominators of the N_ik, so a
+monomial slice's rows are integers all the way to ``linalg.nullspace``;
+one positive constant per operator leaves its kernel as it is.  A span
+over central denominators is shifted over its common denominator.  Every
+kernel ``decompose`` solves reads them: the slice table, the
+degree-bounded center and the central choice (``invariants.centralizer``),
+and so does the centrality
 check of ``verify_decomposition`` (``invariants.commutes_with_generators``).
 Only ``operator_rows`` brackets, applying each operator to each basis
 element, and only ``invariants.weight_spaces`` calls it: the weight-search
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from operator import add, gt, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -75,11 +84,12 @@ def monomials_up_to(nvars: int, d: int) -> list[Mono]:
     return out
 
 
-def basis_monomials(alg: PoissonAlgebra, d: int) -> list[Poly]:
-    """Monomials of degree <= d in the effective (non-eliminated) variables;
-    requires the effective variables to be ordinary (not Laurent).  Every
-    degree slice is built here, so a negative d is refused here: its slice
-    would be empty, although every slice holds 1."""
+def slice_monomials(alg: PoissonAlgebra, d: int) -> list[Mono]:
+    """Exponent tuples over alg's variables of the monomials of degree <= d
+    in the effective (non-eliminated) variables, in ascending graded-lex
+    order; requires the effective variables to be ordinary (not Laurent).
+    Every degree slice is built here, so a negative d is refused here: its
+    slice would be empty, although every slice holds 1."""
     if d < 0:
         raise ValueError(f"degree bound must be at least 0, got {d}")
     eff = alg.effective_vars()
@@ -91,12 +101,17 @@ def basis_monomials(alg: PoissonAlgebra, d: int) -> list[Poly]:
         mono = [0] * len(alg.vars)
         for e, i in zip(expo, pos):
             mono[i] = e
-        out.append(Poly.monomial(alg.vars, tuple(mono)))
+        out.append(tuple(mono))
     return out
 
 
+def basis_monomials(alg: PoissonAlgebra, d: int) -> list[Poly]:
+    """``slice_monomials`` as polynomials."""
+    return [Poly.monomial(alg.vars, mono) for mono in slice_monomials(alg, d)]
+
+
 def slice_basis(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
-    """``basis_monomials`` as elements of alg, already in normal form."""
+    """``slice_monomials`` as elements of alg, already in normal form."""
     den = (0,) * len(alg.inverted)
     return [LocalElement(m, den) for m in basis_monomials(alg, d)]
 
@@ -197,14 +212,18 @@ def solve_in_span(
 
 
 def slice_rows(
-    alg: PoissonAlgebra, basis: Sequence[LocalElement]
+    alg: PoissonAlgebra, basis: Sequence[Mono] | Sequence[LocalElement]
 ) -> list[list[dict[Mono, Coef]]]:
-    """Per generator x_i of alg, the numerator rows of {x_i, b} over the
-    common denominator of the elements b of a span in alg's normal form (a
-    slice basis, ``slice_basis``, or any other), by exponent shift.  On a
-    span of polynomials they are exactly the rows ``operator_rows`` gives
-    for the operators {x_i, .}; otherwise each operator's rows are those
-    rows times one power of the denominators, so the kernel is the same.
+    """Per generator x_i of alg, the numerator rows of lambda_i {x_i, b} over
+    the common denominator of the elements b of a span in alg's normal form,
+    by exponent shift.  The span is a monomial slice, given by its exponent
+    tuples (``slice_monomials``), or any list of elements.  lambda_i is the
+    lcm of the denominators of the coefficients of the numerators N_ik, so
+    the rows of a monomial slice are integers.  On a span of polynomials
+    each operator's rows are those ``operator_rows`` gives for {x_i, .}
+    times lambda_i; otherwise also times one power of the denominators.
+    Each operator's equations are only scaled by one positive constant, so
+    every kernel is the same.
 
     Row i of ``alg.rows`` holds the numerators N_ik of {x_i, x_k} (for an
     eliminated x_i, whose generator is its image, the same numerators: the
@@ -215,10 +234,12 @@ def slice_rows(
     every term of a polynomial, so its sum is {x_i, p}.  An element n / s^k
     over the common denominator s^c is n s^(c - k) / s^c, and
     {x_i, n s^(c - k)} = {x_i, n} s^(c - k) when every s in the
-    denominator is central.  ValueError when a row carries a denominator, or when the span
-    does and that denominator is not central."""
+    denominator is central.  ValueError when a row carries a denominator,
+    or when the span does and that denominator is not central."""
     if any(any(den) for _, den in alg.rows):
         raise ValueError("slice rows by exponent shift need rows without denominators")
+    if _is_slice(basis):
+        return _shifts(alg, [{mono: 1} for mono in basis])
     if not (alg.inverted and any(any(b.den) for b in basis)):
         return _shifts(alg, [b.num.terms for b in basis])
     polys, caps = common_denominator_rows(alg, basis)
@@ -228,25 +249,35 @@ def slice_rows(
     return _shifts(alg, polys)
 
 
+def _is_slice(basis: Sequence) -> bool:
+    """Whether a span is a monomial slice given by exponent tuples."""
+    return bool(basis) and type(basis[0]) is tuple
+
+
 def _shifts(alg: PoissonAlgebra, polys: Sequence[Mapping[Mono, Coef]]):
-    """Per generator x_i, the terms of {x_i, p} for the polynomials p, given
-    by their terms (see ``slice_rows``)."""
+    """Per generator x_i, the terms of lambda_i {x_i, p} for the polynomials
+    p, given by their terms (see ``slice_rows``)."""
     out = []
     for entries, _ in alg.rows:
+        lam = lcm(*[c.denominator for _, image in entries for c in image.terms.values()])
+        scaled = [
+            (k, [(m, c.numerator * (lam // c.denominator)) for m, c in image.terms.items()])
+            for k, image in entries
+        ]
         rows = []
         for terms in polys:
             acc: dict[Mono, Coef] = {}
             for mono, c in terms.items():
-                for k, image in entries:
+                for k, image in scaled:
                     e = mono[k]
                     if not e:
                         continue
                     shifted = mono[:k] + (e - 1,) + mono[k + 1 :]
                     ec = e * c
-                    for m1, c1 in image.terms.items():
+                    for m1, c1 in image:
                         m = tuple(map(add, m1, shifted))
                         acc[m] = acc.get(m, 0) + ec * c1
-            rows.append({m: _coef(v) for m, v in acc.items() if v})
+            rows.append({m: v if type(v) is int else _coef(v) for m, v in acc.items() if v})
         out.append(rows)
     return out
 
@@ -285,11 +316,20 @@ def kernel_coordinates(images: Sequence[Sequence[Mapping]], n: int) -> list[dict
 
 def kernel_of_operators(
     alg: PoissonAlgebra,
-    basis: Sequence[LocalElement],
+    basis: Sequence[Mono] | Sequence[LocalElement],
     images: Sequence[Sequence[Mapping]],
 ) -> list[tuple[dict[int, Fraction], LocalElement]]:
     """Elements sum(a_i basis_i) killed by every operator, each with its
     sparse coefficients a (``kernel_coordinates``), given per operator the
-    rows of its images of the basis (see ``operator_rows``)."""
+    rows of its images of the basis (see ``operator_rows`` and
+    ``slice_rows``).  On a monomial slice, given by its exponent tuples, each
+    element is one polynomial with the entries of a at the slice's
+    monomials: in normal form, with denominator 1."""
     coords = kernel_coordinates(images, len(basis))
+    if _is_slice(basis):
+        den = (0,) * len(alg.inverted)
+        return [
+            (a, LocalElement(Poly(alg.vars, {basis[i]: c for i, c in a.items()}), den))
+            for a in coords
+        ]
     return [(a, combination(alg, [(c, basis[i]) for i, c in a.items()])) for a in coords]

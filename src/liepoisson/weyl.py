@@ -107,14 +107,22 @@ def extract_core(pres: WeylPresentation, generators: list[Poly]) -> list[Poly]:
     operator (d/dX)^a (d/dY)^b kills every term of pair-degree <= |a|+|b|
     except lambda_{a,b} X^a Y^b itself, which it sends to a! b! lambda.
     The returned list generates (bracket ideal of the input) intersect Z.
+    ValueError, before any extraction, when a term of a generator has a
+    negative pair exponent (a primed presentation inverts the X_i): no
+    derivative isolates its coefficient, since d/dX never ends on X^-1.
     """
     ctx = pres.context
     names = pres.x_names + pres.y_names
     zeros = (0,) * len(pres.center_vars)
+    gens = [gen.extend(ctx) for gen in generators]
+    for gen in gens:
+        for mono, c in gen.terms.items():
+            if any(e < 0 for e in mono[: len(names)]):
+                term = Poly(ctx, {mono: c})
+                raise ValueError(f"extraction needs nonnegative pair exponents: {term} in {gen}")
     out: list[Poly] = []
     seen = set()
-    for gen in generators:
-        rem = gen.extend(ctx)
+    for rem in gens:
         guard = 0
         while not rem.is_zero():
             guard += 1

@@ -140,6 +140,25 @@ def test_input_error_exit_code(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize(
+    "rules, detail",
+    [
+        ([("z", "1"), ("z", "2")], "duplicate elimination rule"),
+        ([("y", "z"), ("z", "y")], "rule image for y uses an eliminated variable"),
+    ],
+)
+def test_an_ideal_that_is_not_triangular_exit_code(tmp_path, rules, detail):
+    # heisenberg with two rules for z, or with y -> z and z -> y
+    problem = tmp_path / "ideal.json"
+    with open(path("heisenberg.json")) as fh:
+        data = json.load(fh)
+    data["ideal"] = [{"var": v, "value": img} for v, img in rules]
+    problem.write_text(json.dumps(data))
+    code, out, _ = _capture(["center", str(problem)])
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"detail": detail, "error": "ValueError"}
+
+
 def test_unsupported_chain_exit_code(tmp_path):
     # non-aligned flag plus a nonempty ideal: an input the recursion rejects
     problem = tmp_path / "chain.json"

@@ -498,3 +498,13 @@ def test_local_element_equality_with_a_poly_and_with_other_objects():
     assert A.invert(A.gen("s")) != Poly.const(ctx, 1)  # 1/s is not the polynomial 1
     assert A.gen("x").__eq__("x") is NotImplemented
     assert A.gen("x") != "x" and A.gen("x") != 0
+
+
+def test_element_refuses_a_denominator_the_algebra_lacks():
+    # heisenberg localized at z: an element over a second inverted element
+    # is refused; extra exponents of 0 are dropped
+    L = localize(canonical_from_lie(heisenberg()), [parse_poly("z", make_vars("x y z"))])
+    x = parse_poly("x", L.vars)
+    with pytest.raises(ValueError, match="denominators the algebra lacks"):
+        L.element(LocalElement(x, (1, 1)))
+    assert L.element(LocalElement(x, (1, 0))) == LocalElement(x, (1,))

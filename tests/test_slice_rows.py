@@ -1,14 +1,18 @@
 """The two ways of building rows agree: ``spaces.slice_rows`` (shifts over
-the algebra's Hamiltonian rows) gives exactly the rows that
-``spaces.operator_rows`` gives by bracketing every generator with every
-element of a span, with the same coefficient types, on every algebra whose
-rows carry no denominator: on monomial slices, and on the spans of
-polynomials with several terms that the central choice of ``decompose``
-solves.  A span over a central denominator has the bracketed kernel.  An
-algebra whose rows carry a denominator is refused, and so is a span over a
-denominator that is not central."""
+the algebra's Hamiltonian rows) gives the rows that ``spaces.operator_rows``
+gives by bracketing every generator with every element of a span, each
+generator's rows times lambda_i, the lcm of the denominators of its
+numerators N_ik, on every algebra whose rows carry no denominator: on
+monomial slices, given by their exponent tuples, where the rows are
+integers, and on the spans of polynomials with several terms that the
+central choice of ``decompose`` solves.  The kernels are the same.  A span
+over a central denominator has the bracketed kernel.  An algebra whose rows
+carry a denominator is refused, and so is a span over a denominator that is
+not central."""
 
 import importlib
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,8 +27,14 @@ from liepoisson.poisson import (
     poisson_algebra,
     reduced_algebra,
 )
-from liepoisson.polys import Poly, make_vars, parse_poly
-from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis, slice_rows
+from liepoisson.polys import Poly, _coef, make_vars, parse_poly
+from liepoisson.spaces import (
+    kernel_of_operators,
+    operator_rows,
+    slice_basis,
+    slice_monomials,
+    slice_rows,
+)
 
 from conftest import family_n, heisenberg, lie_fixtures
 from test_decompose_goldens import compute_goldens
@@ -39,15 +49,38 @@ def _typed(tables):
     return [[{m: (type(c), c) for m, c in row.items()} for row in rows] for rows in tables]
 
 
+def _lambdas(alg):
+    """Per generator x_i, the lcm of the denominators of the coefficients of
+    its numerators N_ik, read from ``alg.rows``."""
+    return [
+        lcm(*[Fraction(c).denominator for _, image in entries for c in image.terms.values()])
+        for entries, _ in alg.rows
+    ]
+
+
 def _assert_rows_agree(alg, basis, name):
+    """basis is a monomial slice as exponent tuples, or a list of elements."""
+    slice_ = bool(basis) and type(basis[0]) is tuple
+    if slice_:
+        den = (0,) * len(alg.inverted)
+        elements = [LocalElement(Poly.monomial(alg.vars, m), den) for m in basis]
+    else:
+        elements = basis
     shifted = slice_rows(alg, basis)
-    bracketed = operator_rows(alg, basis, _generator_actions(alg))
-    assert shifted == bracketed, name
-    assert _typed(shifted) == _typed(bracketed), name
+    bracketed = operator_rows(alg, elements, _generator_actions(alg))
+    scaled = [
+        [{m: _coef(lam * c) for m, c in row.items()} for row in rows]
+        for lam, rows in zip(_lambdas(alg), bracketed)
+    ]
+    assert _typed(shifted) == _typed(scaled), name
+    if slice_:
+        assert all(type(c) is int for rows in shifted for row in rows for c in row.values()), name
+    got = kernel_of_operators(alg, basis, shifted)
+    assert got == kernel_of_operators(alg, elements, bracketed), name
 
 
 def _assert_agree(alg, d, name):
-    _assert_rows_agree(alg, slice_basis(alg, d), (name, d))
+    _assert_rows_agree(alg, slice_monomials(alg, d), (name, d))
 
 
 def test_lie_fixtures_agree():

@@ -19,6 +19,7 @@ from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
 from test_acceptance import DECOMP_FIXTURES
+from test_center_memo import _ideal_decompose_input
 
 dec = importlib.import_module("liepoisson.decompose")
 
@@ -295,3 +296,30 @@ def test_the_result_drops_its_table_and_verifies_as_with_it(monkeypatch):
             report = dec.verify_decomposition(res, k)
             assert report["ok"]
             assert report == dec.verify_decomposition(with_table, k)
+
+
+def test_the_table_builds_one_polynomial_per_center_element(monkeypatch):
+    # the ideal-decompose benchmark input at seed 11 at d = 6: the top's
+    # slice has 210 monomials, and the table once built a polynomial and an
+    # element for each of them; it keeps them as exponent tuples
+    tops = []
+
+    class Recorded(SliceTable):
+        def __init__(self, top, d):
+            tops.append(top)
+            super().__init__(top, d)
+
+    monkeypatch.setattr(dec, "SliceTable", Recorded)
+    dec.decompose(*_ideal_decompose_input(), 6)
+    (top,) = tops
+    news = []
+    original = Poly.__init__
+
+    def counted(self, *args, **kw):
+        news.append(1)
+        original(self, *args, **kw)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    table = SliceTable(top, 6)
+    assert len(table.at) == 210
+    assert len(news) <= len(top.centers[6]) + 2

@@ -1,6 +1,7 @@
 """Weyl layer: derivative formulas, extraction, integration, splitting,
 and the exponential straightening transforms."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,20 @@ def test_extract_core_examples():
     ]
     assert [str(p) for p in extract_core(pres, [Poly.const(ctx, 1)])] == ["1"]
     assert [str(p) for p in extract_core(pres, [parse_poly("X1*Y1*z", ctx)])] == ["z"]
+
+
+@pytest.mark.parametrize(
+    "gen, term", [("X1^-1", "X1^-1"), ("X1^2 + X1^-1*Y1^3", "X1^-1*Y1^3")]
+)
+def test_extract_core_refuses_a_negative_pair_exponent(gen, term):
+    # a negative X exponent at the top once reached math.factorial, and one
+    # below the top once survived the derivatives as a non-central residue
+    pres = WeylPresentation(1, (), primed=True)
+    ctx = pres.context
+    with pytest.raises(ValueError, match=f"nonnegative pair exponents: {re.escape(term)} in"):
+        extract_core(pres, [parse_poly("X1*Y1", ctx), parse_poly(gen, ctx)])
+    # the primed presentation still extracts from nonnegative exponents
+    assert [str(p) for p in extract_core(pres, [parse_poly("X1^2*Y1 + 3", ctx)])] == ["1", "3"]
 
 
 def test_integrate_potential_examples():
