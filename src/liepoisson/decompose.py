@@ -8,8 +8,10 @@ flag of ideals and produces
   * canonical pairs (x_i, y_i) with {x_i, y_j} = delta_ij inside the
     localization at e, commuting with the degree-bounded center,
 
-exhibiting the localized quotient as (center) tensor (n Weyl pairs) on the
-inspected degree slice.  Each flag step adjoins one generator z and either
+exhibiting the localized quotient as (center) tensor (n Weyl pairs).
+``verify_decomposition`` certifies that exactly, in every degree, by
+expanding each generator over the pairs (``weyl.pair_expansion``).  Each
+flag step adjoins one generator z and either
 
   (a) z kills the previous center: its action is inner, and z - b (with the
       potential b integrated in pair coordinates) is a new central element;
@@ -69,12 +71,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-from operator import add, gt, le
 
 from . import linalg
 from .errors import (
     EigenvalueNotRational,
     HypothesisFailed,
+    LocalNilpotencyCapExceeded,
     NotNilpotent,
     SearchExhausted,
     UnsupportedChain,
@@ -91,15 +93,8 @@ from .poisson import (
     reduced_algebra,
 )
 from .polys import Context, Poly, make_vars
-from .spaces import (
-    Span,
-    basis_monomials,
-    combination,
-    independent_subset,
-    monomials_up_to,
-    solve_in_span,
-)
-from .weyl import pair_relation_failure
+from .spaces import combination, independent_subset, monomials_up_to, solve_in_span
+from .weyl import pair_expansion, pair_relation_failure
 
 
 @dataclass(frozen=True)
@@ -230,16 +225,6 @@ def _center_with_denominators(base, localized, d):
         )
     )
     return independent_subset(localized, cands)
-
-
-def _pair_monomials(alg, pairs, d, low=0):
-    """Monomials in the flattened pairs of degree low..d, ascending."""
-    flat = [el for pr in pairs for el in pr]
-    return [
-        alg.monomial(flat, expo)
-        for expo in monomials_up_to(len(flat), d)
-        if sum(expo) >= low
-    ]
 
 
 def _pair_potential(cur_l, prev_l, pairs, z_el, d):
@@ -523,47 +508,15 @@ def decompose_nilpotent(
     return res
 
 
-def _add_products(span, center, monomials, top) -> bool:
-    """Add to ``span``, in order, each product c w (c in ``center``, w in
-    ``monomials``) of numerator degree at most ``top`` whose denominator
-    fits the span's caps; True iff every one raised the rank (it stops at
-    the first that does not).
-
-    When the uncancelled shape fits, deg c.num + deg w.num <= top and
-    c.den + w.den <= caps in every slot, the row is c.num w.num
-    s^(caps - c.den - w.den): one multiplication by w lifted over
-    s^(caps - c.den), once per monomial and denominator of c.  The cancelled
-    product c w = c.num w.num / s^(c.den + w.den) has the same row, since
-    cancelling s^k and lifting back multiplies by the same s^k, and it
-    passes the filter too: without a Laurent variable, cancelling lowers
-    only the degree and the denominator.  Every other product is cancelled
-    (``mul``) and then filtered."""
-    caps = span.caps
-    degrees = [w.num.degree() for w in monomials]
-    lifted: dict = {}  # (k, c.den) -> monomials[k] over s^(caps - c.den)
-    for c in center:
-        room = top - c.num.degree()
-        for k, w in enumerate(monomials):
-            if degrees[k] <= room and all(map(le, map(add, c.den, w.den), caps)):
-                lift = lifted.get((k, c.den))
-                if lift is None:
-                    lift = lifted[(k, c.den)] = span.lift(w, c.den)
-                prod = LocalElement(c.num * lift, caps)
-            else:
-                prod = span.alg.mul(c, w)
-                if prod.num.degree() > top or any(map(gt, prod.den, caps)):
-                    continue
-            if not span.add(prod):
-                return False
-    return True
-
-
 def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dict:
-    """All result invariants, exactly: pair relations, centrality, and the
-    degree-slice bookkeeping for the multiplication map
-    (center tensor Weyl -> localized quotient).  ValueError when
-    check_degree < 1, or when the algebra has a Laurent variable (which
-    ``decompose`` never makes).
+    """The multiplication map (center tensor Weyl -> localized quotient),
+    exactly and in every degree: pair relations, centrality, and the
+    expansion of every generator over the pairs (``weyl.pair_expansion``).
+    The report does not depend on ``check_degree``, which is kept for its
+    callers.  ValueError when check_degree < 1, or when the algebra has a
+    Laurent variable: only the generators x_k and the inverses 1/s are
+    expanded, so an inverse x^-1 would be left out (``decompose`` makes no
+    Laurent variable).
 
     Centrality is one pass of exponent shifts
     (``invariants.commutes_with_generators``): every center element
@@ -574,67 +527,49 @@ def verify_decomposition(res: DecompositionResult, check_degree: int = 4) -> dic
     denominator that is not central is refused by the shift and reported
     not central; ``decompose`` inverts only central elements.
 
-    Generators can carry pair-degree and center-degree above their
-    polynomial degree (a generator may expand as center * pair^2), so the
-    bookkeeping uses its own window 2 * check_degree, escalating the pair
-    bound as needed.  Its center list is the degree-window center with
-    denominators; when the window is the result's degree bound, that is the
-    list ``decompose`` returned, ``res.center_basis``, which is read as it
-    is.  One span serves the whole escalation: rows sit over the fixed
-    denominator s^window per inverted s (products are filtered to den <=
-    window, targets have den <= check_degree), so each bound adds only
-    the products of its new pair monomials (``_add_products``, which writes
-    a product that fits the window straight over s^window).  The map is
-    injective iff every added row raises the rank; it is surjective once
-    the span contains every target.  A target m / s^caps is built as it
-    is: a slice monomial is in normal form, and its row over the window is
-    that of its cancelled form."""
+    Let B be generated by the coefficients of the expansions and the
+    inverses of the inverted s.  The map B tensor Weyl_n -> A is injective
+    when the pair relations hold and every coefficient and every s commutes
+    with every generator: B is then central, {x_i, .} = d/dy_i and
+    {y_i, .} = -d/dx_i on B[x, y], and differentiating a relation
+    sum c_ab x^a y^b = 0 at a top exponent isolates a! b! c_ab = 0.  It is
+    surjective when, in addition, every generator equals its expansion,
+    since the x_k and the central 1/s generate A.  A series that does not
+    end within ``weyl.DEFAULT_NILPOTENCY_CAP`` leaves its generator
+    unexpanded, and the map is not reported surjective.  When the pair
+    relations fail, neither map key holds and nothing is expanded."""
     if check_degree < 1:
         raise ValueError(f"check degree must be at least 1, got {check_degree}")
     alg = res.algebra
     if any(v.invertible for v in alg.vars):
-        raise ValueError("verification needs a context without Laurent variables")
+        raise ValueError(
+            "verification expands only the generators x_k and 1/s, "
+            "so it needs a context without Laurent variables"
+        )
     report = {
         "pair_relations": pair_relation_failure(alg, res.pairs) is None,
         "centrality": commutes_with_generators(alg, res.center_basis),
+        "mult_map_injective": False,
+        "mult_map_surjective": False,
     }
-    nden = len(alg.inverted)
-    targets = [
-        LocalElement(m, caps)
-        for m in basis_monomials(alg, check_degree)
-        for caps in monomials_up_to(nden, check_degree)
-    ]
-    window = 2 * check_degree
-    if window == res.trace["degree_bound"]:
-        center_list = res.center_basis
-    else:
-        center_list = _center_with_denominators(alg, alg, window)
-    span = Span(alg, (window,) * nden)
-    pending = targets
-    report["mult_map_injective"] = False
-    report["mult_map_surjective"] = False
-    for pair_bound in range(check_degree, window + 1):
-        low = 0 if pair_bound == check_degree else pair_bound
-        monomials = _pair_monomials(alg, res.pairs, pair_bound, low)
-        report["mult_map_injective"] = _add_products(
-            span, center_list, monomials, 3 * check_degree
-        )
-        if not report["mult_map_injective"]:
-            break
-        pending = [t for t in pending if not span.contains(t)]
-        if not pending:
-            report["mult_map_surjective"] = True
-            report["pair_degree_used"] = pair_bound
-            break
-    report["ok"] = all(
-        report[k]
-        for k in (
-            "pair_relations",
-            "centrality",
-            "mult_map_injective",
-            "mult_map_surjective",
-        )
-    )
+    if report["pair_relations"]:
+        flat = [el for pr in res.pairs for el in pr]
+        den = (0,) * len(alg.inverted)
+        coeffs = [LocalElement(s, den) for s in alg.inverted]
+        expanded = True
+        for v in alg.effective_vars():
+            h = alg.gen(v.name)
+            try:
+                expansion = pair_expansion(alg, res.pairs, h)
+            except LocalNilpotencyCapExceeded:
+                expanded = False
+                continue
+            coeffs.extend(expansion.values())
+            terms = [(1, alg.monomial(flat, e, start=c)) for e, c in expansion.items()]
+            expanded = expanded and alg.sub(combination(alg, terms), h).is_zero()
+        report["mult_map_injective"] = commutes_with_generators(alg, coeffs)
+        report["mult_map_surjective"] = report["mult_map_injective"] and expanded
+    report["ok"] = all(report.values())
     return report
 
 

@@ -89,8 +89,8 @@ class NotStable(LiePoissonError):
 
 
 class ZeroDenominator(LiePoissonError):
-    def __init__(self, denom):
-        super().__init__(f"localization denominator vanishes mod ideal: {denom}")
+    def __init__(self, denom, reason="localization denominator vanishes mod ideal"):
+        super().__init__(f"{reason}: {denom}")
         self.denom = denom
 
 

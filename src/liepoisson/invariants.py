@@ -19,8 +19,8 @@ degree-bounded center is the centralizer of a monomial slice, given by its
 exponent tuples (``spaces.slice_monomials``), so its rows are integers and
 no polynomial is built per monomial; the central choice of ``decompose`` is
 the centralizer of the images of a center; ``commutes_with_generators``
-asks only whether a span's rows are all empty, for the centrality check of
-``verify_decomposition``.  The center is solved once per algebra and degree
+asks only whether a span's rows are all empty, for the centrality and
+injectivity checks of ``verify_decomposition``.  The center is solved once per algebra and degree
 bound: ``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
 ``localize`` hands that memo to the localized algebra, whose polynomial
 center is the same.  Only ``weight_spaces`` brackets (the weight-search

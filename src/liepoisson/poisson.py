@@ -366,7 +366,7 @@ class PoissonAlgebra:
                 num = q
                 extra[i] += 1
         if not num.is_unit_monomial():
-            raise ZeroDenominator(f"cannot invert non-unit {a}")
+            raise ZeroDenominator(str(a), "cannot invert a non-unit of the localization")
         inv_num = num**-1
         new_den = []
         for i in range(len(self.inverted)):

@@ -19,16 +19,6 @@ slice reads the tuples (``slice_rows``, ``kernel_of_operators``): it
 builds no polynomial or element per monomial, only one polynomial per
 kernel element.
 
-A slice is checked by one growing ``Span``: rows are written over fixed
-denominator caps chosen up front, so a loop that enlarges its spanning set
-(the pair-bound escalation of ``verify_decomposition``) adds each new element
-once and keeps every earlier row valid.  A product whose factors' summed
-denominators fit the caps is added uncancelled, its numerator one product
-with the second factor lifted once (``Span.lift``): cancelling s^k and
-lifting back multiplies by the same s^k, so the row is the same.  Rank
-tests ask whether each added row raises the rank; membership tests ask
-``Span.contains``.
-
 Kernels of operators are solved in two steps: the rows of each operator's
 images of a basis, computed once, and ``kernel_of_operators``, which solves
 from those rows for each kernel element and its coefficient vector.  The
@@ -43,8 +33,8 @@ one positive constant per operator leaves its kernel as it is.  A span
 over central denominators is shifted over its common denominator.  Every
 kernel ``decompose`` solves reads them: the slice table, the
 degree-bounded center and the central choice (``invariants.centralizer``),
-and so does the centrality
-check of ``verify_decomposition`` (``invariants.commutes_with_generators``).
+and so do the centrality and injectivity checks of ``verify_decomposition``
+(``invariants.commutes_with_generators``).
 Only ``operator_rows`` brackets, applying each operator to each basis
 element, and only ``invariants.weight_spaces`` calls it: the weight-search
 benchmark counts its brackets and partials, and has no other source of
@@ -61,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import add, gt, sub
+from operator import add, gt
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -155,13 +145,6 @@ class Span:
         (terms,), _ = common_denominator_rows(self.alg, [el], self.caps)
         cols = self.cols
         return {cols.setdefault(m, len(cols)): c for m, c in sorted(terms.items())}
-
-    def lift(self, el: LocalElement, den: tuple[int, ...]) -> Poly:
-        """The numerator of el over prod s_i^(caps_i - den_i): times the
-        numerator of an element over prod s^den, it gives the numerator of
-        their product over the caps."""
-        (terms,), _ = common_denominator_rows(self.alg, [el], tuple(map(sub, self.caps, den)))
-        return Poly(self.alg.vars, terms)
 
     def add(self, el: LocalElement) -> bool:
         """Add el; True iff it raised the rank."""

@@ -13,15 +13,24 @@ the pair X-variables inverted (the primed form).  On top of it sit:
   that lives on the center;
 * the exponential-series transforms chi / theta that straighten a locally
   nilpotent derivation with a central slice variable into a polynomial
-  extension, and their tensor form; both sum one series,
-  sum (+-1)^n/n! delta^n(p) Y^n, chi with + modulo alpha and theta with -
-  and alpha in place of Y.
+  extension, and their tensor form;
+* the expansion of an element over canonical pairs, h = sum c_ab x^a y^b
+  with every c_ab commuting with the pairs, by Dixmier's projections onto
+  the centralizer of one pair (J. Dixmier, *Enveloping Algebras*, 4.7):
+  with D = {x_i, .}, which acts as d/dy_i, pi_y(k) = sum_m (-y_i)^m/m!
+  D^m k, and with E = {y_i, .}, pi_x(k) = sum_m x_i^m/m! E^m k.
+
+One series serves chi, theta and both projections:
+sum sign^n/n! p_n m^n over the powers p_n = op^n(p) of a locally
+nilpotent operator, chi with sign + and m = Y modulo alpha, theta with -
+and m = alpha, pi_y with - and m = y_i, pi_x with + and m = x_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .errors import (
@@ -268,7 +277,7 @@ def chi_context(
     if not ok:
         raise NotPDerivation(witness[:2], str(witness[2]))
     for v in alg.vars:
-        _delta_powers(alg, delta, cap, alg.gen(v.name), v.name)
+        _delta_powers(partial(delta.apply, alg), cap, alg.gen(v.name), v.name)
         if not alg.bracket(Poly.var(alg.vars, alpha.name), alg.gen(v.name)).is_zero():
             raise AlphaNotAVariable(f"{alpha.name} (not central)")
     da = delta.apply(alg, alg.gen(alpha.name))
@@ -283,32 +292,35 @@ def chi_context(
     return ChiContext(alg, delta, alpha, cap, target, y_var, quo)
 
 
-def _delta_powers(alg, delta, cap: int, p: LocalElement, name: str = "") -> list[LocalElement]:
-    """p, delta(p), ... to the last nonzero power; LocalNilpotencyCapExceeded,
-    naming ``name`` or else p, when delta^(cap + 1)(p) is nonzero."""
+def _delta_powers(op, cap: int, p: LocalElement, name: str = "") -> list[LocalElement]:
+    """p, op(p), ... to the last nonzero power; LocalNilpotencyCapExceeded,
+    naming ``name`` or else p, when op^(cap + 1)(p) is nonzero."""
     out = [p]
     while not out[-1].is_zero():
         if len(out) > cap + 1:
             raise LocalNilpotencyCapExceeded(cap, name or str(p))
-        out.append(delta.apply(alg, out[-1]))
+        out.append(op(out[-1]))
     return out[:-1]
 
 
 def _series(
-    ctx: ChiContext, el: LocalElement, target: PoissonAlgebra, y_name: str, sign: int = 1
+    target: PoissonAlgebra, powers: list[LocalElement], m: LocalElement, sign: int = 1
 ) -> LocalElement:
-    """sum sign^n/n! delta^n(el) Y^n in ``target``: chi's series when the
-    target's ideal kills alpha (sign 1), theta's when the target is A and Y
-    is alpha (sign -1); each delta^n(el) keeps its denominator."""
-    y = target.gen(y_name)
-    powers = _delta_powers(ctx.algebra, ctx.delta, ctx.cap, el)
+    """sum sign^n/n! powers[n] m^n in ``target`` (see the module docstring)."""
     return combination(
         target,
         [
-            (Fraction(sign**nn, factorial(nn)), target.monomial([y], (nn,), start=target.element(dn)))
-            for nn, dn in enumerate(powers)
+            (Fraction(sign**n, factorial(n)), target.monomial([m], (n,), start=p))
+            for n, p in enumerate(powers)
         ],
     )
+
+
+def _chi_powers(ctx: ChiContext, el: LocalElement, target: PoissonAlgebra) -> list[LocalElement]:
+    """delta^n(el) in ``target``: modulo alpha for chi, in A for theta; each
+    keeps its denominator."""
+    powers = _delta_powers(partial(ctx.delta.apply, ctx.algebra), ctx.cap, el)
+    return [target.element(dn) for dn in powers]
 
 
 def _by_last_power(el: LocalElement, base: PoissonAlgebra) -> dict[int, LocalElement]:
@@ -337,7 +349,8 @@ def chi_forward(ctx: ChiContext, p: Poly | LocalElement) -> LocalElement:
             raise ValueError(
                 f"the exponential transform needs delta({s}) = 0 to act on 1/{s}"
             )
-    return _series(ctx, el, ctx.target, ctx.y_var.name)
+    target = ctx.target
+    return _series(target, _chi_powers(ctx, el, target), target.gen(ctx.y_var.name))
 
 
 def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
@@ -345,12 +358,12 @@ def chi_inverse(ctx: ChiContext, q: Poly | LocalElement) -> LocalElement:
     series of -delta; the exact inverse of chi_forward."""
     alg = ctx.algebra
     el = ctx.target.element(q) if not isinstance(q, LocalElement) else q
-    a = ctx.alpha.name
+    a = alg.gen(ctx.alpha.name)
     # target context minus Y is exactly alg's context (alpha kept, exponent 0)
-    terms = [
-        (1, alg.monomial([alg.gen(a)], (ypow,), start=_series(ctx, lifted, alg, a, -1)))
-        for ypow, lifted in _by_last_power(el, alg).items()
-    ]
+    terms = []
+    for ypow, lifted in _by_last_power(el, alg).items():
+        series = _series(alg, _chi_powers(ctx, lifted, alg), a, -1)
+        terms.append((1, alg.monomial([a], (ypow,), start=series)))
     return combination(alg, terms)
 
 
@@ -377,11 +390,11 @@ def chi_tensor(ctx: ChiContext, x_name: str = "X") -> ChiTensorResult:
 
     def fwd(p: Poly | LocalElement) -> LocalElement:
         el = skew.element(p) if not isinstance(p, LocalElement) else p
-        x = target.gen(xn)
-        terms = [
-            (1, target.monomial([x], (power,), start=_series(ctx, coeff, target, yn)))
-            for power, coeff in _by_last_power(el, ctx.algebra).items()
-        ]
+        x, y = target.gen(xn), target.gen(yn)
+        terms = []
+        for power, coeff in _by_last_power(el, ctx.algebra).items():
+            series = _series(target, _chi_powers(ctx, coeff, target), y)
+            terms.append((1, target.monomial([x], (power,), start=series)))
         return combination(target, terms)
 
     # verify the generator bracket table is carried onto the tensor table
@@ -416,6 +429,40 @@ def pair_relation_failure(
             if not alg.bracket(x1, x2).is_zero() or not alg.bracket(y1, y2).is_zero():
                 return i, j, "commute"
     return None
+
+
+def pair_expansion(
+    alg: PoissonAlgebra, pairs: list[tuple[LocalElement, LocalElement]], h: LocalElement
+) -> dict[tuple[int, ...], LocalElement]:
+    """h as sum_e c_e prod_i x_i^a_i y_i^b_i over the canonical ``pairs``:
+    {e: c_e} with e = (a_1, b_1, ..., a_n, b_n) and every c_e nonzero.
+
+    Pair after pair, the y_i^b coefficient of each coefficient k so far is
+    pi_y(D^b k)/b!, and the x_i^a coefficient of that is (-1)^a
+    pi_x(E^a c)/a! (see the module docstring); the powers of D on k, and of
+    E on c, are computed once.  Once the series end, the expansion sums
+    back to h: the terms of total order n carry (y - y)^n or (x - x)^n.
+    For canonical pairs D acts as d/dy_i and E as -d/dx_i, both keep the
+    centralizer of the earlier pairs, and so every c_e commutes with every
+    pair element.  LocalNilpotencyCapExceeded when a series does not end
+    within ``DEFAULT_NILPOTENCY_CAP`` powers (read at each call)."""
+    cap = DEFAULT_NILPOTENCY_CAP
+    out = {(): h}
+    for x, y in pairs:
+        d_op, e_op = partial(alg.bracket, x), partial(alg.bracket, y)
+        nxt = {}
+        for expo, k in out.items():
+            d_powers = _delta_powers(d_op, cap, k)
+            for b in range(len(d_powers)):
+                c = _series(alg, d_powers[b:], y, -1)  # b! times the y^b coefficient
+                e_powers = _delta_powers(e_op, cap, c)
+                for a in range(len(e_powers)):
+                    c_ab = _series(alg, e_powers[a:], x)
+                    if not c_ab.is_zero():
+                        scale = Fraction((-1) ** a, factorial(a) * factorial(b))
+                        nxt[expo + (a, b)] = alg.scale(scale, c_ab)
+        out = nxt
+    return out
 
 
 def tensor_presentation_check(

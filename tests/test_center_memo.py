@@ -252,7 +252,9 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # of the flag steps and the certificate.  306 when the certificate
     # bracketed each center element with every generator and pair element:
     # it reads centrality from shifted rows, and the pair brackets follow
-    # from those ({c, .} is a derivation)
+    # from those ({c, .} is a derivation).  66 when the certificate counted
+    # ranks in degree windows: its expansions over the pair take 13 brackets
+    # more (see the next test) and no window products
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
@@ -260,26 +262,27 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     res = decompose(g, None, 6)
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
-    assert len(brackets) == 66
+    assert len(brackets) == 79
     assert len(divisions) <= 2113
     assert partials == []
 
 
-def test_certificate_brackets_only_the_pair_relations(monkeypatch):
-    # the same input: verification brackets only in pair_relation_failure
-    # ({x, y}, {x, x}, {y, y} for its one pair).  Of the 40 x 28 products of
-    # the center list and the pair monomials, the 681 that fit the window
-    # uncancelled are written straight over it; only the other 439 go
-    # through mul, and the 28 pair monomials take 112 muls of their own
+def test_certificate_brackets_the_pair_relations_and_the_expansions(monkeypatch):
+    # the same input, with the one pair (x, y) = (e1, e3/e4): 3 brackets for
+    # the pair relations ({x, y}, {x, x}, {y, y}), and for each generator
+    # one per power of D = {x, .} on it, the last (zero) one included, and
+    # one per power of E = {y, .} on each of its nonzero y-coefficients:
+    # e4 1 + 1, e3 2 + 1, e1 1 + 2, e2 3 + 1 + 1.  Centrality is read from
+    # shifted rows, with no bracket
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     res = decompose(g, None, 6)
+    alg = res.algebra
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
-    muls = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "mul")
     rep = verify_decomposition(res, 3)
-    assert rep["ok"] and rep["pair_degree_used"] == 6
-    assert res.n == 1 and len(res.center_basis) == 40
-    assert len(brackets) == 3
-    assert len(muls) <= 439 + 112
+    assert rep["ok"] and res.n == 1 and len(res.center_basis) == 40
+    assert [alg.format(el) for el in res.pairs[0]] == ["e1", "e3/e4"]
+    assert [v.name for v in alg.effective_vars()] == ["e4", "e3", "e1", "e2"]
+    assert len(brackets) == 3 + 2 + 3 + 3 + 5
 
 
 def test_semisimple_actions_need_no_localization_of_their_own(monkeypatch):

@@ -321,6 +321,24 @@ def test_search_exhausted_exit_code(tmp_path, command):
     assert "error" not in json.loads(out2)
 
 
+@pytest.mark.parametrize("wrong", ["zero", "twice"])
+def test_a_wrong_pair_potential_exit_code(tmp_path, monkeypatch, wrong):
+    # decompose's own commute check ends a wrong potential in exit 3
+    from test_decompose import _wrong_potentials
+
+    dec, potentials = _wrong_potentials()
+    problem = tmp_path / "filiform5.json"
+    problem.write_text(json.dumps(FILIFORM5))
+    monkeypatch.setattr(dec, "_pair_potential", potentials[wrong])
+    code, out, _ = _capture(["decompose", str(problem), "--max-degree", "6"])
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "search-exhausted",
+        "detail": "search exhausted at degree bound 6 "
+        "(adjoined element fails to commute with pairs)",
+    }
+
+
 @pytest.mark.parametrize(
     "command, want",
     [

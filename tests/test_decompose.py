@@ -202,8 +202,9 @@ def test_s_of_another_dimension_is_refused(dim):
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_check_degree_below_one_is_refused(k):
-    # at 0 the report was a vacuous ok (pair_degree_used 0), at -1 a silent
-    # not ok
+    # the report does not depend on the check degree, but a value below 1
+    # is still refused: at 0 the window count gave a vacuous ok, at -1 a
+    # silent not ok
     res = decompose(heisenberg(), None, 4)
     with pytest.raises(ValueError, match=rf"^check degree must be at least 1, got {k}$"):
         verify_decomposition(res, k)
@@ -211,8 +212,8 @@ def test_check_degree_below_one_is_refused(k):
 
 
 def test_verification_refuses_a_laurent_context():
-    # the window rows are those of the cancelled products only when
-    # cancelling cannot raise a degree, which needs no Laurent variable
+    # the certificate expands only the generators x_k and the inverses 1/s,
+    # so an inverse x^-1 of a Laurent variable would be left out
     import dataclasses
 
     from liepoisson.poisson import poisson_algebra
@@ -421,6 +422,44 @@ def test_semisimple_action_on_a_rebased_flag():
     assert verify_decomposition(res, 3)["ok"]
 
 
+def _wrong_potentials():
+    """Mutations of ``decompose._pair_potential``: zero, and twice the potential."""
+    import importlib
+
+    dec = importlib.import_module("liepoisson.decompose")
+    right = dec._pair_potential
+    return dec, {
+        "zero": lambda cur_l, *args: cur_l.zero(),
+        "twice": lambda cur_l, *args: cur_l.scale(2, right(cur_l, *args)),
+    }
+
+
+@pytest.mark.parametrize("wrong", ["zero", "twice"])
+@pytest.mark.parametrize(
+    "g",
+    [
+        # l5: [e1,e2] = e3, [e1,e3] = e4, [e2,e3] = e5
+        verify_lie("e1 e2 e3 e4 e5", {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}),
+        # the eng4-type algebra [e1,e2] = e3/2, [e1,e3] = e4
+        verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}}),
+        # filiform-5: [e1, e_j] = e_{j+1}
+        verify_lie("e1 e2 e3 e4 e5", {(0, j): {j + 1: 1} for j in (1, 2, 3)}),
+    ],
+    ids=["l5", "eng4-type", "filiform-5"],
+)
+def test_a_wrong_pair_potential_is_caught(monkeypatch, wrong, g):
+    # each needs a nonzero potential; decompose's own commute check refuses
+    # the adjoined element a wrong one leaves
+    dec, potentials = _wrong_potentials()
+    assert decompose(g, None, 6).n >= 1
+    monkeypatch.setattr(dec, "_pair_potential", potentials[wrong])
+    with pytest.raises(SearchExhausted) as exc:
+        decompose(g, None, 6)
+    assert str(exc.value) == (
+        "search exhausted at degree bound 6 (adjoined element fails to commute with pairs)"
+    )
+
+
 def test_potential_spanners_are_built_once(monkeypatch):
     # filiform-5 ([e1, e_j] = e_{j+1}) at d = 6: one pair whose potential
     # needs pair degree 2; 459 products when each bracket and each pair
@@ -484,41 +523,6 @@ def test_verify_reports_a_repeated_pair_as_not_injective():
         "mult_map_surjective": False,
         "ok": False,
     }
-
-
-def test_verify_adds_each_product_row_once(monkeypatch):
-    # the eng4-type algebra [e1,e2] = e3/2, [e1,e3] = e4 with e4 inverted:
-    # across the whole pair-bound escalation, verification adds at most one
-    # echelon row per distinct product.  Its window is d, so it reads the
-    # center list of the result and adds no row of a center search
-    import importlib
-
-    from liepoisson import linalg
-
-    dec = importlib.import_module("liepoisson.decompose")
-    g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: F(1, 2)}, (0, 2): {3: 1}})
-    res = decompose(g, None, 6)
-    alg = res.algebra
-    assert alg.inverted
-    adds = []
-    original = linalg.Echelon.add
-
-    def counted(self, row):
-        adds.append(1)
-        return original(self, row)
-
-    monkeypatch.setattr(linalg.Echelon, "add", counted)
-    report = verify_decomposition(res, 3)
-    monkeypatch.undo()
-    assert report["ok"] and report["pair_degree_used"] == 6
-    window = 6
-    products = set()
-    for c in dec._center_with_denominators(alg, alg, window):
-        for w in dec._pair_monomials(alg, res.pairs, report["pair_degree_used"]):
-            prod = alg.mul(c, w)
-            if prod.num.degree() <= 9 and all(e <= window for e in prod.den):
-                products.add(prod)
-    assert len(adds) <= len(products)
 
 
 # ---------------------------------------------------------------------------

@@ -38,31 +38,30 @@ def _record(res, check_degree):
     }
 
 
-def compute_goldens() -> dict:
-    out = {}
+def golden_results():
+    """(name, decomposition, check degree) of every golden case."""
     for name, g, pairs in DECOMP_FIXTURES:
         ideal = ideal_from_pairs(g.basis, pairs) if pairs else None
-        out[name] = _record(decompose(g, ideal, 6), 4)
+        yield name, decompose(g, ideal, 6), 4
     # [x,y] = z, [t,x] = x, [t,y] = -y; s = <t> acts semisimply
     g = verify_lie("x y z t", {(0, 1): {2: 1}, (0, 3): {0: -1}, (1, 3): {1: 1}})
     ideal = ideal_from_pairs(g.basis, [("z", "1")])
-    out["semisimple-s=<t>"] = _record(
-        decompose(g, ideal, 6, s=Subspace(4, [(0, 0, 0, 1)])), 4
-    )
+    yield "semisimple-s=<t>", decompose(g, ideal, 6, s=Subspace(4, [(0, 0, 0, 1)])), 4
     # Heisenberg on (x, y, x + z): the flag is not coordinate-aligned
     g = verify_lie("b1 b2 b3", {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}})
-    out["rebase-b1b2b3"] = _record(decompose(g, None, 5), 3)
+    yield "rebase-b1b2b3", decompose(g, None, 5), 3
     # L5: [e1,e2]=e3, [e1,e3]=e4, [e2,e3]=e5; nonzero pair potential
     g = verify_lie("e1 e2 e3 e4 e5", {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}})
-    out["l5"] = _record(decompose(g, None, 6), 3)
+    yield "l5", decompose(g, None, 6), 3
     bases = [("heisenberg", heisenberg()), ("abelian-3", abelian(3)), ("eng4", eng4())]
     for seed in range(4):
         base_name, base = bases[seed % len(bases)]
         g = random_basis_change(random.Random(seed), base)
-        out[f"conjugate-{base_name}-seed{seed}"] = _record(
-            decompose_nilpotent(g, None, 5), 3
-        )
-    return out
+        yield f"conjugate-{base_name}-seed{seed}", decompose_nilpotent(g, None, 5), 3
+
+
+def compute_goldens() -> dict:
+    return {name: _record(res, k) for name, res, k in golden_results()}
 
 
 def _dump(data: dict) -> str:

@@ -31,7 +31,7 @@ from liepoisson.poisson import (
 )
 from liepoisson.polys import Poly, make_vars, parse_poly
 
-from conftest import heisenberg, random_poly
+from conftest import eng4, heisenberg, random_poly
 
 F = Fraction
 
@@ -186,6 +186,19 @@ def test_localize_zero_denominator():
     B = quotient(A, ideal_from_pairs(A.vars, [("z", "0")]))
     with pytest.raises(ZeroDenominator):
         localize(B, [Poly.var(B.vars, "z")])
+
+
+def test_invert_refuses_a_non_unit_without_naming_an_ideal():
+    # eng4 localized at e4 has no ideal: e3 is not a unit, and the refusal
+    # says so without blaming a quotient
+    A = canonical_from_lie(eng4())
+    L = localize(A, [Poly.var(A.vars, "e4")])
+    assert L.ideal is None
+    with pytest.raises(ZeroDenominator) as exc:
+        L.invert(L.gen("e3"))
+    assert str(exc.value) == "cannot invert a non-unit of the localization: e3"
+    assert exc.value.denom == "e3"
+    assert L.mul(L.invert(L.gen("e4")), L.gen("e4")) == L.one()
 
 
 def test_clearing_denominators_consistency(rng):

@@ -478,6 +478,7 @@ def test_extract_core_equals_the_bracket_reference(rng, monkeypatch, n, center):
 def _reference_chi_inverse(ctx, q):
     """chi_inverse's earlier body: its own loop over delta's powers, each
     multiplied by alpha^(m + n)."""
+    from functools import partial
     from math import factorial
 
     from liepoisson.spaces import combination
@@ -488,7 +489,7 @@ def _reference_chi_inverse(ctx, q):
     terms = []
     alpha_poly = Poly.var(alg.vars, ctx.alpha.name)
     for ypow, lifted in _by_last_power(el, alg).items():
-        for m, dm in enumerate(_delta_powers(alg, ctx.delta, ctx.cap, lifted)):
+        for m, dm in enumerate(_delta_powers(partial(ctx.delta.apply, alg), ctx.cap, lifted)):
             term = alg.mul(dm, alg.element(alpha_poly ** (m + ypow)))
             terms.append((Fraction((-1) ** m, factorial(m)), term))
     return combination(alg, terms)
