@@ -45,14 +45,13 @@ itself.  The actions of s are derivations of each level algebra:
 {t, x_k} = [t, x_k] is a linear form in the level's own variables.
 
 Each level keeps the rules of the ideal on its variables whose images use
-no later variable.  It is covered when it keeps all of them, so that its
-normal form is the top's on its variables; the top covers itself.  One
-``invariants.SliceTable`` per call computes the rows of the top's degree-d
-slice once, by exponent shift, and ``share`` solves the degree-d center of
-every covered level from those rows; a level that is not covered shifts
-its own slice (see ``invariants``).  The table is a local value, so its
-rows die with the call; a later center of the returned algebra at another
-degree shifts its own slice.
+no later variable.  One ``invariants.SliceTable`` per call shifts the top's
+degree-d slice once and builds every level the top covers from the top,
+with its degree-d center (the covered-level rule is stated there); only
+the top and the levels it does not cover are built from g, each with its
+own stability check and, below the top, its own slice.  The table is a
+local value, so its rows die with the call; a later center of the returned
+algebra at another degree shifts its own slice.
 An element of a covered level, lifted to the next covered level, or into a
 localization of its own level, is already in normal form there: ``_carry``
 only extends its numerator and pads its denominator exponents with zeros.
@@ -156,7 +155,8 @@ def _ideal_order(g: LieAlgebra, units: list[int], ideal) -> list[int]:
 def _level_algebra(g, ideal, level):
     """The quotient on the first ``level`` flag variables (an ideal of g, so
     its brackets are the structure constants among them) by the rules of
-    ``ideal`` on those variables whose images use no later variable."""
+    ``ideal`` on those variables whose images use no later variable, with its
+    own stability check: the top, or a level it does not cover (``SliceTable``)."""
     ctx = g.basis[:level]
     sub = LieAlgebra(ctx, {ij: vec for ij, vec in g.structure.items() if ij[1] < level})
     names = {v.name for v in ctx}
@@ -326,7 +326,9 @@ def _assert_commutes(alg, el, pairs, center, d):
             raise SearchExhausted(d, "(adjoined element fails to commute with pairs)")
     for c in center:
         if not alg.bracket(el, c).is_zero():
-            raise SearchExhausted(d, "(adjoined element fails to centralize)")
+            raise SearchExhausted(
+                d, "(adjoined element fails to centralize, though z kills the previous center)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +405,10 @@ def decompose(
         theta = theta_by_level[level - 1]
         name = g.basis[level - 1].name
         step = {"level": level, "generator": name}
-        cur_l = alg if level == g.dim else _level_algebra(g, ideal, level)
-        covered = table.share(cur_l)
+        cur_l = table.level(level)
+        covered = cur_l is not None
+        if not covered:
+            cur_l = _level_algebra(g, ideal, level)
         if inverted:
             cur_l = localize(cur_l, [v.extend(cur_l.vars) for v in inverted])
         actions = _s_actions(g, ts, cur_l.vars)

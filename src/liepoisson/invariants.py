@@ -30,23 +30,9 @@ zero once, and solves each weight only for the other generators, on that
 kernel.
 
 One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
-call, shifts the degree-d slice of the flag's top algebra, as exponent
-tuples, once for every generator, in its constructor, and solves the top's
-center from those rows; ``share`` solves the center of every level the top
-covers from the same rows.  Both fill the algebra's center memo, which
-``center_up_to_degree`` then reads.  A flag prefix is an ideal, so for
-i < l and a monomial m in the first l variables, {x_i, m} is the same
-polynomial in level l as in the top, provided the level's normal form is
-the top's on its variables.  It is when the level is covered: when no rule
-of the top eliminates one of the level's variables by an image in a later
-variable (the level keeps the top's other rules on its variables).  Level
-l's rows are then the top's rows of its generators, the first l, at its
-own slice monomials, in its own basis order; kernels depend only on the
-row space, so the rows keep their top monomial keys and the canonical
-``nullspace`` basis is unchanged.  A level that is not covered keeps a
-variable that the top eliminates, so its slice and its rows differ from
-the top's, and ``center_up_to_degree`` shifts its own slice.  The table
-serves degree-d centers only: the hypothesis check's ``weight_spaces``
+call, shifts the top's degree-d slice once and builds each flag level the
+top covers (its docstring states the rule) from the top, with the level's
+center solved from the same rows.  The hypothesis check's ``weight_spaces``
 brackets its own slice, and centers of degree above d shift their own.
 """
 
@@ -72,6 +58,7 @@ from .poisson import (
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
+    poisson_algebra,
     reduced_algebra,
     skew_extend,
 )
@@ -126,7 +113,7 @@ def center_up_to_degree(alg: PoissonAlgebra, d: int) -> list[LocalElement]:
     Solved once per degree bound and kept in ``alg.centers``, which
     ``localize`` shares: a localization is injective and adds no bracket
     between polynomials, so the polynomial center of each slice is the same.
-    A ``SliceTable`` fills the memo of the flag levels it covers; any other
+    A ``SliceTable`` fills the memo of the top and of the levels it builds; any other
     algebra solves the ``centralizer`` of its own slice, from rows by
     exponent shift (its rows must carry no denominator), with no bracket.
     Every call returns a new list of elements with denominator 1."""
@@ -143,43 +130,52 @@ def _numerators(kernel: list[tuple]) -> tuple[Poly, ...]:
 
 
 class SliceTable:
-    """The actions of every generator of a flag's top algebra on its
-    degree-d slice, computed once by the constructor as exponent shifts
-    (``spaces.slice_rows``: the top is a reduced algebra, so its rows carry
-    no denominator), which also solves the top's degree-d center from them;
-    ``share`` solves the center of every flag level the top covers from the
-    same rows (see the module docstring).  The slice is a list of exponent
-    tuples (``spaces.slice_monomials``), ``at`` numbers them, and the rows
-    are integers, those of lambda_i {x_i, .}.  One per ``decompose``."""
+    """A flag's top algebra and the actions of its generators on its
+    degree-d slice of exponent tuples (``spaces.slice_monomials``), shifted
+    once by the constructor (``spaces.slice_rows``; the top is a reduced
+    algebra, so the rows are integers, those of lambda_i {x_i, .}), which
+    also solves the top's degree-d center from them.  One per ``decompose``.
+
+    The level on the first l variables is covered when no rule of the top on
+    them has its image in a later variable.  A flag prefix is an ideal, so
+    for i, j < l the top's {x_i, x_j} uses only those variables, and on a
+    covered level the top's normal form is the level's: the level is the top
+    restricted to them, with the same table entries and rules, and its ideal
+    is stable because the top's is.  ``level(l)`` builds it so.  Its slice
+    is the top's tuples zero past l, cut to length l, in the same graded-lex
+    order, and its rows are the top's rows of its generators at those tuples
+    (kernels depend only on the row space, so the rows keep their top keys
+    and the canonical ``nullspace`` basis is unchanged).  A level that is
+    not covered keeps a variable the top eliminates: ``level`` gives None."""
 
     def __init__(self, top: PoissonAlgebra, d: int):
+        self.top = top
         self.d = d
-        self.width = len(top.vars)
-        self.eliminated = top.ideal.eliminated_names() if top.ideal else set()
-        monos = slice_monomials(top, d)
+        self.monos = slice_monomials(top, d)
         # per generator, one row per slice monomial
-        self.rows = slice_rows(top, monos)
-        self.at = {mono: k for k, mono in enumerate(monos)}
-        top.centers[d] = _numerators(kernel_of_operators(top, monos, self.rows))
+        self.rows = slice_rows(top, self.monos)
+        top.centers[d] = _numerators(kernel_of_operators(top, self.monos, self.rows))
 
-    def share(self, level: PoissonAlgebra) -> bool:
-        """Solve the degree-d center of ``level``, the algebra on the first
-        variables of the top with the top's rules on them whose images use
-        none of the later variables, from the table when the top covers it:
-        when it eliminates every variable of its own that the top
-        eliminates.  Its rows are the top's rows of its generators at its
-        slice monomials, in its own basis order.  Whether it is covered."""
-        names = {v.name for v in level.vars}
-        own = level.ideal.eliminated_names() if level.ideal else set()
-        if own != self.eliminated & names:
-            return False
-        if self.d not in level.centers:
-            monos = slice_monomials(level, self.d)
-            pad = (0,) * (self.width - len(level.vars))
-            at = [self.at[mono + pad] for mono in monos]
-            rows = [[rows[k] for k in at] for rows in self.rows[: len(level.vars)]]
-            level.centers[self.d] = _numerators(kernel_of_operators(level, monos, rows))
-        return True
+    def level(self, l: int) -> PoissonAlgebra | None:
+        """The covered flag level on the top's first l variables, with its
+        degree-d center memo filled; the top itself for l = m, and None
+        when the level is not covered."""
+        top = self.top
+        if l == len(top.vars):
+            return top
+        ctx = top.vars[:l]
+        names = {v.name for v in ctx}
+        rules = [(v, img) for v, img in top.ideal.rules if v.name in names] if top.ideal else []
+        if any(not img.variables_used() <= names for _, img in rules):
+            return None
+        entries = {ij: el.num.restrict(ctx) for ij, el in top.table.items() if ij[1] < l}
+        ideal = SubstitutionIdeal(tuple((v, img.restrict(ctx)) for v, img in rules))
+        level = poisson_algebra(ctx, entries, ideal if rules else None)
+        keep = [k for k, mono in enumerate(self.monos) if not any(mono[l:])]
+        rows = [[rows[k] for k in keep] for rows in self.rows[:l]]
+        monos = [self.monos[k][:l] for k in keep]
+        level.centers[self.d] = _numerators(kernel_of_operators(level, monos, rows))
+        return level
 
 
 @dataclass(frozen=True)

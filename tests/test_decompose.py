@@ -460,6 +460,84 @@ def test_a_wrong_pair_potential_is_caught(monkeypatch, wrong, g):
     )
 
 
+def _s_inputs():
+    """The 21 inputs of the decompose sweep with a semisimple s."""
+    from test_decompose_sweep import sweep_inputs
+
+    return [(name, g, _ideal(g, rules), d, s) for name, g, rules, d, s in sweep_inputs() if s]
+
+
+def _wrong_projections():
+    """Mutations of ``decompose._project_s_weight``: zero, and twice the
+    projection."""
+    import importlib
+
+    dec = importlib.import_module("liepoisson.decompose")
+    right = dec._project_s_weight
+    return dec, {
+        "zero": lambda alg, *args: alg.zero(),
+        "twice": lambda alg, *args: alg.scale(2, right(alg, *args)),
+    }
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        ("zero", "flag generator lost its weight component"),
+        ("twice", "weight projection broke the preimage"),
+        ("potential", "canonical pair relation failed"),
+    ],
+)
+def test_a_wrong_projection_or_potential_is_caught_with_s(monkeypatch, wrong, message):
+    # each sweep input with s decomposes; decompose's own exact checks
+    # refuse a generator projected to zero, a preimage projected wrongly,
+    # and a potential equal to the generator itself (x = z - b is then 0)
+    dec, projections = _wrong_projections()
+    inputs = _s_inputs()
+    assert len(inputs) == 21
+    if wrong == "potential":
+        monkeypatch.setattr(dec, "_pair_potential", lambda cur_l, prev_l, pairs, z_el, d: z_el)
+    else:
+        monkeypatch.setattr(dec, "_project_s_weight", projections[wrong])
+    for name, g, ideal, d, s in inputs:
+        with pytest.raises(SearchExhausted) as exc:
+            decompose(g, ideal, d, s)
+        assert str(exc.value) == f"search exhausted at degree bound {d} ({message})", name
+
+
+def _krylov_operator():
+    """An algebra on x y w with the derivation x -> x, y -> w, w -> 2y as an
+    operator: 1 on x, and minimal polynomial t^2 - 2 on span(y, w)."""
+    from liepoisson.poisson import Derivation, reduced_algebra
+
+    alg = reduced_algebra(verify_lie("x y w", {}), None)
+    images = {"x": alg.gen("x"), "y": alg.gen("w"), "w": alg.scale(2, alg.gen("y"))}
+    delta = Derivation(images)
+    return alg, lambda el: delta.apply(alg, el)
+
+
+def test_krylov_projection_onto_a_missing_eigenvalue_is_zero():
+    from liepoisson.decompose import _krylov_projection
+
+    alg, op = _krylov_operator()
+    assert _krylov_projection(alg, op, alg.gen("x"), Fraction(2)).is_zero()
+    # t^2 - 2 has no rational root, so no theta is one
+    assert _krylov_projection(alg, op, alg.gen("y"), Fraction(0)).is_zero()
+
+
+def test_krylov_projection_refuses_an_irrational_component():
+    # x + y has minimal polynomial (t - 1)(t^2 - 2): its 1-component is x,
+    # but the rational roots alone do not split off the rest
+    from liepoisson.decompose import _krylov_projection
+    from liepoisson.errors import EigenvalueNotRational
+
+    alg, op = _krylov_operator()
+    assert _krylov_projection(alg, op, alg.gen("x"), Fraction(1)) == alg.gen("x")
+    el = alg.add(alg.gen("x"), alg.gen("y"))
+    with pytest.raises(EigenvalueNotRational, match="action does not split rationally"):
+        _krylov_projection(alg, op, el, Fraction(1))
+
+
 def test_potential_spanners_are_built_once(monkeypatch):
     # filiform-5 ([e1, e_j] = e_{j+1}) at d = 6: one pair whose potential
     # needs pair degree 2; 459 products when each bracket and each pair
@@ -569,7 +647,7 @@ def test_nilpotent_decompose_solves_no_weight_space(monkeypatch):
     monkeypatch.setattr(invariants, "kernel_of_operators", recorded)
     h, f = heisenberg(), family_n(2)
     cases = [(h, _ideal(h, [("z", "1")])), (f, _ideal(f, [("z", "3/2")])), (eng4(), None)]
-    homes = {"centralizer", "SliceTable.__init__", "SliceTable.share"}
+    homes = {"centralizer", "SliceTable.__init__", "SliceTable.level"}
     for g, ideal in cases:
         del callers[:]
         decompose(g, ideal, 4)

@@ -93,27 +93,24 @@ def test_lie_fixtures_agree():
 
 
 def _record_algebras(monkeypatch):
-    """The algebras ``decompose`` builds, as it builds them: the top of the
-    slice table, every level it is asked to share, and every localization."""
+    """The level algebras ``decompose`` uses, as it makes them: the top and
+    every level built from g (``_level_algebra``), every level the slice
+    table builds from the top (the top again among them), and every
+    localization."""
     built = []
 
-    class Recorded(dec.SliceTable):
-        def __init__(self, top, d):
-            built.append(top)
-            super().__init__(top, d)
+    def recorded(original):
+        def record(*args):
+            out = original(*args)
+            if out is not None:
+                built.append(out)
+            return out
 
-        def share(self, level):
-            built.append(level)
-            return super().share(level)
+        return record
 
-    def localize(alg, denominators):
-        out = original_localize(alg, denominators)
-        built.append(out)
-        return out
-
-    original_localize = dec.localize
-    monkeypatch.setattr(dec, "SliceTable", Recorded)
-    monkeypatch.setattr(dec, "localize", localize)
+    monkeypatch.setattr(dec.SliceTable, "level", recorded(dec.SliceTable.level))
+    for name in ("_level_algebra", "localize"):
+        monkeypatch.setattr(dec, name, recorded(getattr(dec, name)))
     return built
 
 

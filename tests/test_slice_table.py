@@ -1,21 +1,22 @@
-"""One slice table per ``decompose``: the center of every flag level that
-the top covers is solved from the top slice's rows, and a lift
-between covered levels skips the normal form.  Each is checked against the
-work it replaces: a center solved on a freshly built level algebra that
-solves its own slice, and the lift through ``element``."""
+"""One slice table per ``decompose``: every flag level that the top
+covers is the top restricted to its first variables, with its center
+solved from the top slice's rows, and a lift between covered levels skips
+the normal form.  Each is checked against the work it replaces: a level
+algebra built from g, with its own stability check, that solves its own
+slice, and the lift through ``element``."""
 
 import gc
 import importlib
 import random
 import weakref
 
-from liepoisson import invariants
+from liepoisson import invariants, poisson
 from liepoisson.errors import LiePoissonError
 from liepoisson.invariants import SliceTable, _generator_actions, center_up_to_degree
 from liepoisson.lie import verify_lie
 from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra
 from liepoisson.polys import Poly
-from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis
+from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis, slice_monomials
 
 from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
 from test_acceptance import DECOMP_FIXTURES
@@ -88,18 +89,18 @@ def _terms(els):
 
 
 def _record_shares(monkeypatch):
-    """The levels the slice table covers, appended as ``SliceTable.share``
-    runs."""
+    """The levels the slice table builds, appended as ``SliceTable.level``
+    returns them (the top included)."""
     shared = []
-    original = SliceTable.share
+    original = SliceTable.level
 
-    def recorded(self, level):
-        covered = original(self, level)
-        if covered:
+    def recorded(self, l):
+        level = original(self, l)
+        if level is not None:
             shared.append(level)
-        return covered
+        return level
 
-    monkeypatch.setattr(SliceTable, "share", recorded)
+    monkeypatch.setattr(SliceTable, "level", recorded)
     return shared
 
 
@@ -120,6 +121,84 @@ def test_every_level_center_matches_a_level_without_a_table(monkeypatch):
     assert _run_all(lambda name: current.__setitem__(0, name)) == 129
     # only level 1 of the uncovered input brackets its own slice
     assert seen["table"] > 400 and seen["own"] == 1
+
+
+def _content(alg: PoissonAlgebra):
+    """vars, table entries and rules of an algebra, comparable across
+    algebras."""
+    table = {ij: (el.num, el.den) for ij, el in alg.table.items()}
+    return alg.vars, table, alg.ideal.rules if alg.ideal else ()
+
+
+def test_a_covered_level_equals_the_level_built_from_g(monkeypatch):
+    # every level the table builds has the vars, table entries and rules of
+    # the quotient built from g on the same variables, and its slice (the
+    # top's tuples zero past l, cut to length l) is its own, order included;
+    # decompose builds from g only the top and the levels not covered
+    original = dec._level_algebra
+    built = []
+
+    def recorded_build(g, ideal, l):
+        built.append((g, ideal, l))
+        return original(g, ideal, l)
+
+    levels = []
+    original_level = SliceTable.level
+
+    def recorded_level(self, l):
+        level = original_level(self, l)
+        levels.append((self, l, level))
+        return level
+
+    monkeypatch.setattr(dec, "_level_algebra", recorded_build)
+    monkeypatch.setattr(SliceTable, "level", recorded_level)
+    inputs = [(g, ideal, d) for _, g, ideal, d in _inputs()]
+    inputs += [(g, ideal, 4) for g, ideal, _, _ in _uncovered_inputs()]
+    covered = uncovered = 0
+    for g, ideal, d in inputs:
+        del built[:], levels[:]
+        try:
+            dec.decompose(g, ideal, d)
+        except LiePoissonError:
+            if not built:  # the hypothesis check failed
+                continue
+        flag_g, flag_ideal, m = built[0]
+        assert [l for _, _, l in built] == [m] + [l for _, l, lv in levels if lv is None]
+        for table, l, level in levels:
+            if level is None:
+                uncovered += 1
+                continue
+            covered += level is not table.top
+            assert _content(level) == _content(original(flag_g, flag_ideal, l)), (g.names(), l)
+            kept = [mono[:l] for mono in table.monos if not any(mono[l:])]
+            assert kept == slice_monomials(level, table.d), (g.names(), l)
+    # 343 covered levels below the tops; one uncovered level per uncovered
+    # input, and the uncovered input of ``_inputs`` once more
+    assert covered >= 340 and uncovered == 4
+
+
+def test_one_stability_check_per_covered_level_chain(monkeypatch):
+    # the ideal-decompose benchmark input covers every level: the hypothesis
+    # check and the top check the ideal, no level does.  b3 b4 b2 b1 with
+    # b4 = b2 and b3 = 1: level 2 drops b4 = b2 but keeps b3 = 1, so it
+    # checks its own rule; the covered levels 1 and 3 check none
+    sizes = []
+    original = poisson._unstable_witness
+
+    def counted(alg, ideal):
+        sizes.append(len(alg.vars))
+        return original(alg, ideal)
+
+    monkeypatch.setattr(poisson, "_unstable_witness", counted)
+    assert dec.decompose(*_ideal_decompose_input(), 6).n == 2
+    assert sizes == [5, 5]
+    g = random_solvable(random.Random(99), 4)
+    ideal = ideal_from_pairs(g.basis, [("b4", "b2"), ("b3", "1")])
+    for d in (4, 6):
+        del sizes[:]
+        res = dec.decompose(g, ideal, d)
+        assert res.trace["chain"] == ["b3", "b4", "b2", "b1"]
+        assert sizes == [4, 4, 2]
 
 
 def test_uncovered_levels_bracket_their_own_slice(monkeypatch):
@@ -235,20 +314,21 @@ def test_the_table_brackets_only_in_its_constructor(monkeypatch):
     # family_n(2) on its flag basis z, x1, y1, x2, y2 with z = 1: every
     # prefix is an ideal that keeps the rule, so the top covers every level.
     # The constructor shifts the top slice's exponents in one pass, with no
-    # bracket and no partial; ``share`` reads its rows
+    # bracket and no partial; ``level`` restricts the top and reads its rows
     g = verify_lie("z x1 y1 x2 y2", {(1, 2): {0: 1}, (3, 4): {0: 1}})
     ideal = ideal_from_pairs(g.basis, [("z", "1")])
-    levels = [dec._level_algebra(g, ideal, level) for level in range(1, 6)]
-    top = levels[-1]
+    built = [dec._level_algebra(g, ideal, level) for level in range(1, 6)]
+    top = built[-1]
     work = _count_work(monkeypatch)
     passes = _record_slice_passes(monkeypatch)
     table = SliceTable(top, 3)
     assert passes == [5] and not work
     del passes[:]
-    assert all(table.share(level) for level in levels)
+    levels = [table.level(level) for level in range(1, 6)]
+    assert None not in levels and levels[-1] is top
     got = [_terms(center_up_to_degree(level, 3)) for level in levels]
     assert not passes and not work
-    assert got == [_terms(center_up_to_degree(_fresh(level), 3)) for level in levels]
+    assert got == [_terms(center_up_to_degree(_fresh(level), 3)) for level in built]
     # another degree is a memo miss: one pass over its own slice, and the
     # same center as the kernel of that slice's bracketed rows
     del passes[:], work[:]
@@ -321,5 +401,5 @@ def test_the_table_builds_one_polynomial_per_center_element(monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", counted)
     table = SliceTable(top, 6)
-    assert len(table.at) == 210
+    assert len(table.monos) == 210
     assert len(news) <= len(top.centers[6]) + 2

@@ -15,6 +15,9 @@ docstrings, ``try`` headers and statements under a ``pragma: no cover``
 comment are not listed.  It uses the standard library only, besides the
 pytest it runs, and is not part of the test suite.
 
+The hypothesis tests run with a fixed seed (``--hypothesis-seed=0``), so
+two runs on the same code list the same statements.
+
 Only this process is traced.  Tests that start the package in a subprocess
 (the ``python -m liepoisson`` run in ``tests/test_cli.py`` and the
 benchmark runs in ``tests/test_perfbench_workloads.py``) count for nothing,
@@ -92,7 +95,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        status = int(pytest.main(["-q", "-p", "no:cacheprovider", *argv]))
+        status = int(pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *argv]))
     finally:
         sys.settrace(None)
         threading.settrace(None)
