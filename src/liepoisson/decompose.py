@@ -205,14 +205,18 @@ def _s_actions(g: LieAlgebra, ts, ctx: Context) -> list[Derivation]:
 def _center_with_denominators(base, localized, d):
     """Degree-bounded center basis of the localized algebra: the plain
     center of ``base`` times powers of the (central) inverted elements,
-    canonicalized and reduced to a linearly independent family."""
-    plain = center_up_to_degree(base, d)
-    nden = len(localized.inverted)
+    canonicalized and reduced to a linearly independent family.  Each plain
+    element is lifted once, and ``cancel_each`` reads its forms over every
+    power from one ladder of quotients, in ``_cancel``'s greedy order."""
+    caps = monomials_up_to(len(localized.inverted), d)
+    forms = [
+        localized.cancel_each(localized.element(c).num, caps)
+        for c in center_up_to_degree(base, d)
+    ]
     cands = []
     seen = set()
-    for caps in monomials_up_to(nden, d):
-        for c in plain:
-            el = localized.element(LocalElement(c.num, caps))
+    for column in zip(*forms):  # caps by caps, as the sort keeps the order of ties
+        for el in column:
             key = (tuple(sorted(el.num.terms.items())), el.den)
             if not el.is_zero() and key not in seen:
                 seen.add(key)

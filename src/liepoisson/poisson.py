@@ -278,6 +278,31 @@ class PoissonAlgebra:
                 den[i] -= 1
         return LocalElement(num, tuple(den))
 
+    def cancel_each(self, num: Poly, dens: Sequence[tuple[int, ...]]) -> list[LocalElement]:
+        """``_cancel(num, den)`` for each den in ``dens``; num in normal form.
+
+        Stage i of ``_cancel`` divides its dividend q by s = inverted[i] as
+        often as den[i] allows and s divides.  Here it reads those quotients
+        from a ladder q, q/s, q/s^2, ..., built once per stage and dividend
+        (named by the powers taken before it), one ``_cancel`` by s per rung
+        and only as far as some den asks.  The stages run in the order of
+        ``inverted``: each form is ``_cancel``'s greedy one, canonical only
+        when no two inverted elements share a factor."""
+        ladders = {}  # (i, powers taken before i) -> q, q/s, ..., then None once s fails
+        out = []
+        for den in dens:
+            q, taken, left = num, (), ()
+            for i, k in enumerate(den):
+                ladder = ladders.setdefault((i, taken), [q])
+                while len(ladder) <= k and ladder[-1] is not None:
+                    over_s = (0,) * i + (1,) + (0,) * (len(den) - i - 1)
+                    rung = self._cancel(ladder[-1], over_s)
+                    ladder.append(None if rung.den[i] else rung.num)
+                j = min(k, len(ladder) - 1 - (ladder[-1] is None))
+                q, taken, left = ladder[j], taken + (j,), left + (k - j,)
+            out.append(LocalElement(q, left))
+        return out
+
     def _divide(self, num: Poly, i: int) -> Poly | None:
         """num / inverted[i] in the Laurent ring of the context, or None.
 

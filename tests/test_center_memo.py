@@ -254,16 +254,22 @@ def test_localized_certificate_makes_no_redundant_division(monkeypatch):
     # it reads centrality from shifted rows, and the pair brackets follow
     # from those ({c, .} is a derivation).  66 when the certificate counted
     # ranks in degree windows: its expansions over the pair take 13 brackets
-    # more (see the next test) and no window products
+    # more (see the next test) and no window products.  125 divisions and
+    # 178 normal forms when the localized center put every (plain element,
+    # denominator power) pair through ``element``: each plain element takes
+    # one normal form, and each quotient by a power of e4 is read from one
+    # ladder (``cancel_each``)
     g = verify_lie("e1 e2 e3 e4", {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: 1}})
     brackets = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "bracket")
     divisions = _count_method_calls(monkeypatch, "polys", "Poly", "divide_exact")
+    normal_forms = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "normalize")
     partials = _count_method_calls(monkeypatch, "poisson", "PoissonAlgebra", "partial")
     res = decompose(g, None, 6)
     rep = verify_decomposition(res, 3)
     assert rep["ok"] and res.algebra.inverted
     assert len(brackets) == 79
-    assert len(divisions) <= 2113
+    assert len(divisions) == 72
+    assert len(normal_forms) == 40
     assert partials == []
 
 

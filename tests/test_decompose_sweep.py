@@ -28,7 +28,9 @@ nonzero semi-invariant of its nonzero weight.  So is every decomposition:
 points.  Every pair potential of the sweep, summed by Euler's identity, is
 checked against formal integration over a Weyl presentation.  Every
 decomposition certifies (``verify_decomposition``); the window count the
-certificate replaced stays here as a reference (``_reference_verify``).
+certificate replaced stays here as a reference (``_reference_verify``), and
+so does the localized center list before its cancellation ladder
+(``_reference_center_with_denominators``), compared on every call.
 Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src:tests python tests/test_decompose_sweep.py --write
@@ -51,13 +53,22 @@ import pytest
 from liepoisson import linalg
 from liepoisson.decompose import _center_with_denominators, decompose, verify_decomposition
 from liepoisson.errors import HypothesisFailed, LiePoissonError, NotClosed, SearchExhausted
+from liepoisson.invariants import center_up_to_degree
 from liepoisson.lie import Subspace, verify_lie
-from liepoisson.poisson import LocalElement, ideal_from_pairs, poisson_algebra, reduced_algebra
-from liepoisson.polys import Poly, make_vars
+from liepoisson.poisson import (
+    LocalElement,
+    canonical_from_lie,
+    ideal_from_pairs,
+    localize,
+    poisson_algebra,
+    reduced_algebra,
+)
+from liepoisson.polys import Poly, make_vars, parse_poly
 from liepoisson.spaces import (
     Span,
     basis_monomials,
     combination,
+    independent_subset,
     monomials_up_to,
     slice_rows,
     solve_in_span,
@@ -326,6 +337,83 @@ def test_euler_potential_matches_formal_integration(monkeypatch):
     before = len(compared)
     decompose(g, None, 8)
     assert len(compared) > before
+
+
+def _reference_center_with_denominators(base, localized, d):
+    """``decompose._center_with_denominators`` before the cancellation
+    ladder: every (caps, plain element) pair through ``element``."""
+    plain = center_up_to_degree(base, d)
+    nden = len(localized.inverted)
+    cands = []
+    seen = set()
+    for caps in monomials_up_to(nden, d):
+        for c in plain:
+            el = localized.element(LocalElement(c.num, caps))
+            key = (tuple(sorted(el.num.terms.items())), el.den)
+            if not el.is_zero() and key not in seen:
+                seen.add(key)
+                cands.append(el)
+    cands.sort(
+        key=lambda el: (
+            el.num.degree() + sum(el.den),
+            sorted(el.num.terms),
+            el.den,
+        )
+    )
+    return independent_subset(localized, cands)
+
+
+def _forms(els):
+    return [(sorted(el.num.terms.items()), el.den) for el in els]
+
+
+def test_the_ladder_matches_the_reference_center_on_the_sweep(monkeypatch):
+    # every center list decompose builds on the sweep (305, 221 of them
+    # over one inverted element) and the window lists of _reference_verify
+    # (d = 4 and 6 on each of the 204 results) equal the reference's,
+    # element by element and in order.  No sweep algebra inverts two
+    # elements: the next test reaches the later stages of the ladder
+    dec = importlib.import_module("liepoisson.decompose")
+    laddered = dec._center_with_denominators
+    inverted = []
+
+    def both(base, localized, d):
+        got = laddered(base, localized, d)
+        assert _forms(got) == _forms(_reference_center_with_denominators(base, localized, d))
+        inverted.append(len(localized.inverted))
+        return got
+
+    monkeypatch.setattr(dec, "_center_with_denominators", both)
+    results = [res for inp in sweep_inputs() if (res := _record(*inp)[2]) is not None]
+    calls = len(inverted)
+    for res in results:
+        for k in (2, 3):
+            both(res.algebra, res.algebra, 2 * k)
+    assert len(results) == 204
+    assert (calls, len(inverted), max(inverted)) == (305, 713, 1)
+    assert (inverted[:calls].count(1), inverted.count(1)) == (221, 477)
+
+
+@pytest.mark.parametrize(
+    "dens, sizes",
+    [
+        (["e4"], [3, 8, 12, 21]),
+        (["e4", "e3*e4"], [5, 18, 36, 75]),
+        (["e3*e4", "e4"], [5, 18, 36, 75]),
+        (["e4^2", "e4"], [4, 12, 18, 33]),
+        (["2*e4*e2 - e3^2", "e4"], [5, 15, 27, 47]),
+    ],
+)
+def test_the_ladder_matches_the_reference_center_over_two_denominators(dens, sizes):
+    # eng4 ([e1,e2] = e3, [e1,e3] = e4) localized at central e4, e4^2 and
+    # the Casimir, and at e3*e4, which shares the factor e4 (the greedy
+    # order of ``inverted`` decides the forms), at d = 1..4
+    base = canonical_from_lie(eng4())
+    loc = localize(base, [parse_poly(s, base.vars) for s in dens])
+    for d, size in zip(range(1, 5), sizes):
+        got = _center_with_denominators(base, loc, d)
+        assert _forms(got) == _forms(_reference_center_with_denominators(base, loc, d))
+        assert len(got) == size
 
 
 def _pair_monomials(alg, pairs, d, low=0):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from liepoisson.errors import (
     NameClash,
@@ -186,6 +188,33 @@ def test_localize_zero_denominator():
     B = quotient(A, ideal_from_pairs(A.vars, [("z", "0")]))
     with pytest.raises(ZeroDenominator):
         localize(B, [Poly.var(B.vars, "z")])
+
+
+def test_quotient_refuses_a_denominator_the_ideal_kills():
+    # x, y commuting, x - y inverted: the rule x -> y sends it to 0
+    ctx = make_vars("x y")
+    L = localize(poisson_algebra(ctx, {}), [parse_poly("x - y", ctx)])
+    with pytest.raises(ZeroDenominator) as exc:
+        quotient(L, ideal_from_pairs(ctx, [("x", "y")]))
+    assert str(exc.value) == "localization denominator vanishes mod ideal: x - y"
+
+
+def test_localize_refuses_a_laurent_denominator():
+    ctx = make_vars("u", invertible=True) + make_vars("x")
+    A = poisson_algebra(ctx, {})
+    with pytest.raises(ValueError, match="^denominators must be ordinary polynomials$"):
+        localize(A, [parse_poly("u^-1", ctx)])
+
+
+def test_invert_skips_a_constant_denominator():
+    # 2 inverted: dividing by it never ends, so invert treats it as the
+    # unit it already is
+    ctx = make_vars("x y")
+    L = localize(poisson_algebra(ctx, {}), [Poly.const(ctx, 2)])
+    half = L.invert(L.element("2"))
+    assert half == LocalElement(Poly.const(ctx, Fraction(1, 2)), (0,))
+    assert L.format(half) == "1/2"
+    assert L.format(L.invert(L.element(LocalElement(parse_poly("3", ctx), (1,))))) == "2/3"
 
 
 def test_invert_refuses_a_non_unit_without_naming_an_ideal():
@@ -475,6 +504,78 @@ def test_cancel_divides_a_single_term_denominator_once_as_the_loop_would(monkeyp
         assert len(single) <= 3
         cancelled += got.den != den
     assert cancelled > 150
+
+
+# ---------------------------------------------------------------------------
+# one numerator over many denominators: the cancellation ladder
+
+
+def _ladder_algebras():
+    """Localized algebras for ``cancel_each``: single-term, several-term and
+    constant inverted elements; pairs that share a factor; and a Laurent
+    context (u invertible), where every inverted element has unit-monomial
+    content and takes ``_divide``'s path."""
+    ctx = make_vars("x y")
+    A = poisson_algebra(ctx, {(0, 1): Poly.var(ctx, "x")})
+    lctx = make_vars("u", invertible=True) + make_vars("x y")
+    B = poisson_algebra(lctx, {(1, 2): Poly.var(lctx, "u")})
+    cases = [
+        (A, ["x*y", "x"]),
+        (A, ["x + y", "x^2 + x*y"]),
+        (A, ["y^2", "x + y", "x*y + y^2"]),
+        (A, ["2", "2*x^2"]),
+        (B, ["u*x + u", "u^2*y"]),
+        (B, ["u*x*y + u*y", "x + 1", "u"]),
+    ]
+    return [localize(alg, [parse_poly(s, alg.vars) for s in dens]) for alg, dens in cases]
+
+
+LADDER_ALGEBRAS = _ladder_algebras()
+
+
+@seed(39)
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(LADDER_ALGEBRAS) - 1),
+    rng=st.randoms(use_true_random=False),
+    ndens=st.integers(1, 12),
+)
+def test_cancel_each_is_cancel_for_each_denominator(which, rng, ndens):
+    L = LADDER_ALGEBRAS[which]
+    laurent = any(v.invertible for v in L.vars)
+    num = random_poly(rng, L.vars, max_degree=3, laurent=laurent)
+    for s in L.inverted:
+        num = num * s ** rng.randint(0, 3)
+    dens = [tuple(rng.randint(0, 4) for _ in L.inverted) for _ in range(ndens)]
+    want = [L._cancel(num, den) for den in dens]
+    got = L.cancel_each(num, dens)
+    assert [(el.num.terms, el.den) for el in got] == [(el.num.terms, el.den) for el in want]
+    zero = Poly.zero(L.vars)
+    assert L.cancel_each(zero, dens) == [L._cancel(zero, den) for den in dens]
+
+
+def test_cancel_each_divides_by_each_power_once(monkeypatch):
+    # x^3 y over (x y)^a x^b, a, b <= 4: stage 0 divides x^3 y by x y once
+    # (the exponents allow one power), stage 1 divides x^3 y, x^2 y, x y
+    # (after a = 0) and x^2, x (after a >= 1) by x: each dividend once
+    L = LADDER_ALGEBRAS[0]
+    num = parse_poly("x^3*y", L.vars)
+    divisions = []
+    divide_exact = Poly.divide_exact
+    monkeypatch.setattr(
+        Poly, "divide_exact", lambda p, d: divisions.append(str(p)) or divide_exact(p, d)
+    )
+    dens = [(a, b) for a in range(5) for b in range(5)]
+    got = L.cancel_each(num, dens)
+    assert sorted(divisions) == ["x", "x*y", "x^2", "x^2*y", "x^3*y", "x^3*y"]
+    assert [L.format(el) for el in got[:6]] == [
+        "x^3*y",
+        "x^2*y",
+        "x*y",
+        "y",
+        "y/x",
+        "x^2",
+    ]
 
 
 def _rules(alg):

@@ -13,9 +13,10 @@ from liepoisson.poisson import (
     PoissonAlgebra,
     canonical_from_lie,
     localize,
+    poisson_algebra,
     reduced_algebra,
 )
-from liepoisson.polys import Poly, parse_poly
+from liepoisson.polys import Poly, make_vars, parse_poly
 from liepoisson.spaces import (
     Span,
     basis_monomials,
@@ -26,6 +27,7 @@ from liepoisson.spaces import (
     monomials_up_to,
     operator_rows,
     slice_basis,
+    slice_monomials,
     slice_rows,
     solve_in_span,
 )
@@ -58,6 +60,14 @@ def test_span_add_accepts_the_rank_raising_prefix():
         assert all(span.contains(el) for el in elements)
         assert not span.contains(L.element("x*y*z"))
         assert not span.contains(L.element(LocalElement(parse_poly("y", L.vars), (1,))))
+
+
+def test_slices_refuse_a_laurent_generator():
+    ctx = make_vars("u", invertible=True) + make_vars("x")
+    A = poisson_algebra(ctx, {})
+    with pytest.raises(ValueError) as exc:
+        slice_monomials(A, 2)
+    assert str(exc.value) == "degree slices need ordinary (non-Laurent) generators"
 
 
 def test_span_rejects_a_denominator_above_the_caps():
