@@ -25,9 +25,11 @@ bound: ``center_up_to_degree`` keeps its numerators in ``alg.centers``, and
 ``localize`` hands that memo to the localized algebra, whose polynomial
 center is the same.  Only ``weight_spaces`` brackets (the weight-search
 benchmark counts those brackets and partials, its only ones): it brackets
-the slice once, solves the generators that every listed weight sends to
-zero once, and solves each weight only for the other generators, on that
-kernel.
+each generator once per element of the span it still has to cut.  The
+generators that every listed weight sends to zero cut the slice one after
+another, each on the kernel the ones before it left, down to their joint
+kernel K0; the other generators are bracketed on K0 alone, and each weight
+is solved only for them, on K0.
 
 One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
 call, shifts the top's degree-d slice once and builds each flag level the
@@ -233,34 +235,40 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
     """Yield (lam, basis) for each listed weight lam, in order, whose space of
     degree-<= d elements a with {x_j, a} = lam(x_j) a is nonzero.
 
-    On the first request (never for an empty list) the actions A_j of the
-    generators on the slice are computed once.  A generator x_j with
+    On the first request (never for an empty list) each generator is
+    bracketed once, on the span it still has to cut.  A generator x_j with
     lam(x_j) = 0 for every listed lam gives the equations A_j a = 0 for every
-    weight, so the joint kernel K0 of those A_j is solved once, in its
-    canonical ``nullspace`` basis.  The rows of the other A_j, and of I, are
-    restricted to K0 by combining the rows already computed and scaled to
-    integers once.  Each weight then solves one kernel on K0, of the rows
-    q A_j - p I for lam(x_j) = p/q.
+    weight.  These fixed generators are taken in generator order: each one's
+    rows are computed only on the kernel left by the fixed generators before
+    it, and its kernel there, in its canonical ``nullspace`` basis, replaces
+    that basis.  Every bracket kills 1, so the basis never becomes empty, and
+    at the end it is the joint kernel K0 of the fixed generators.  The other
+    generators are bracketed only on K0, the identity rows are K0's own
+    terms, and all of them are scaled to integers once.  Each weight then
+    solves one kernel on K0, of the rows q A_j - p I for lam(x_j) = p/q.
 
     The bases are those of the kernel of every A_j - lam(x_j) I on the whole
-    slice: each K0 basis vector has its last nonzero at its own free
-    coordinate and is zero at the others, so the canonical kernel in K0
-    coordinates is the canonical kernel in slice coordinates.  With no such
-    generator K0 is the slice; for nilpotent g every weight is zero and its
-    space is K0."""
+    slice: each canonical kernel vector has its last nonzero at its own free
+    coordinate and is zero at the others, so a canonical kernel taken in the
+    coordinates of a canonical kernel is the canonical kernel of the joint
+    equations in slice coordinates, at every step.  The bases therefore do
+    not depend on the order of the generators; only the work does.  With no
+    fixed generator K0 is the slice; for nilpotent g every weight is zero and
+    its space is K0."""
     if not weights:
         return
     basis = slice_basis(alg, d)
-    actions = operator_rows(alg, basis, _generator_actions(alg))
+    ops = _generator_actions(alg)
+    moving = []
+    for j, op in enumerate(ops):
+        if any(lam.values[j] for lam in weights):
+            moving.append(j)
+            continue
+        k = kernel_coordinates(operator_rows(alg, basis, [op]), len(basis))
+        basis = [combination(alg, [(a, basis[i]) for i, a in v.items()]) for v in k]
+    actions = operator_rows(alg, basis, [ops[j] for j in moving])
     # alg is a reduced algebra: it inverts nothing, so every row is over denominator 1
     identity, _ = common_denominator_rows(alg, basis)
-    fixed = [all(lam.values[j] == 0 for lam in weights) for j in range(len(actions))]
-    moving = [j for j, f in enumerate(fixed) if not f]
-    if any(fixed):
-        k0 = kernel_coordinates([rows for rows, f in zip(actions, fixed) if f], len(basis))
-        basis = [combination(alg, [(a, basis[i]) for i, a in v.items()]) for v in k0]
-        actions = [[_combine_rows(v, actions[j]) for v in k0] for j in moving]
-        identity = [_combine_rows(v, identity) for v in k0]
     *actions, identity = _to_integers(actions + [identity])
     for lam in weights:
         shifted = [
@@ -269,15 +277,6 @@ def weight_spaces(alg: PoissonAlgebra, d: int, weights: list[Weight]):
         sol = kernel_of_operators(alg, basis, shifted)
         if sol:
             yield lam, tuple(el for _, el in sol)
-
-
-def _combine_rows(coeffs: dict[int, Fraction], rows):
-    """The row sum(a_i rows_i) over the nonzero coefficients a_i."""
-    out: dict = {}
-    for i, a in coeffs.items():
-        for col, c in rows[i].items():
-            out[col] = out.get(col, 0) + a * c
-    return {col: c for col, c in out.items() if c}
 
 
 def _to_integers(tables):

@@ -40,10 +40,10 @@ element, and only ``invariants.weight_spaces`` calls it: the weight-search
 benchmark counts its brackets and partials, and has no other source of
 either.  A search
 that solves many related systems on one slice (``weight_spaces``, one
-system per listed weight) computes the actions once and solves the
-operators shared by every system once, to a kernel K0.  It restricts the
-other operators' rows to K0 by combining rows, and solves each system on
-K0 from those rows, shifted.
+system per listed weight) solves the operators shared by every system once,
+each applied only to the kernel the ones before it left, down to a kernel
+K0.  It applies the other operators to K0's elements alone, and solves each
+system on K0 from those rows, shifted.
 """
 
 from __future__ import annotations

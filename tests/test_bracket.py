@@ -313,10 +313,12 @@ def test_slice_actions_make_no_element_arithmetic(monkeypatch, rng, name):
     assert muls == [] and adds == []
 
 
-def test_weight_search_slice_makes_504_brackets(monkeypatch):
-    # t s x y at degree 5: 4 generators times 126 monomials, one bracket each
+def test_weight_search_slice_makes_224_brackets(monkeypatch):
+    # t s x y at degree 5: x and y have weight zero on every candidate, t and
+    # s do not.  x is bracketed on the 126 monomials, y on x's kernel (56
+    # elements), and t and s on K0, the joint kernel of x and y (21 elements)
     g = verify_lie("t s x y", {(0, 2): {2: 2}, (1, 3): {3: F(-1, 3)}, (0, 3): {3: 5}})
     brackets = _count_calls(monkeypatch, PoissonAlgebra, "bracket")
     report = semi_invariants(g, None, 5)
-    assert len(brackets) == 504
+    assert len(brackets) == 126 + 56 + 2 * 21
     assert len(report.entries) == 21

@@ -293,8 +293,9 @@ def test_semi_invariants_bracket_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
     rep = semi_invariants(_two_weight(), None, 5)
-    # 126 monomials of degree <= 5 in 4 variables, 4 generators
-    assert len(calls) == 126 * 4
+    # 126 monomials of degree <= 5 in 4 variables; x is bracketed on all of
+    # them, y on x's 56-element kernel, and t and s on K0, of dimension 21
+    assert len(calls) == 224
     assert rep.weight_zero_basis()
 
 
@@ -457,17 +458,18 @@ def test_weight_spaces_solves_only_the_listed_weights(monkeypatch):
     monkeypatch.setattr(invariants, "kernel_coordinates", counted_k0)
     assert list(weight_spaces(alg, 3, [])) == [] and kernels == [] and k0_solves == []
     # a caller that stops at the first hit solves up to that weight only;
-    # x and y have weight zero on every candidate, so K0 is solved, once
+    # x and y have weight zero on every candidate, so K0 is solved once, one
+    # kernel per fixed generator
     nonzero = nonzero_candidates(flag, 3)
     first = next(weight_spaces(alg, 3, nonzero))
     assert first[0] == nonzero[len(kernels) - 1]
     assert len(kernels) < len(nonzero)
-    assert len(k0_solves) == 1
+    assert len(k0_solves) == 2
     # every candidate, in order: the semi-invariant report
     kernels.clear()
     entries = list(weight_spaces(alg, 3, candidate_weights(flag, 3)))
     assert len(kernels) == len(candidate_weights(flag, 3))
-    assert len(k0_solves) == 2
+    assert len(k0_solves) == 4
     assert _entries_text(entries) == _entries_text(semi_invariants(g, None, 3).entries)
 
 
@@ -475,20 +477,24 @@ def test_weight_spaces_solves_only_the_listed_weights(monkeypatch):
 # weight_spaces against the whole-slice solve of every weight
 
 
-def _weight_spaces_whole_slice(alg, d, weights):
-    """Reference: the slice actions computed once, then per weight one
-    kernel of the stacked A_j - lam(x_j) I over the whole slice."""
+def _whole_slice_actions(alg, d):
+    """The degree-<= d slice as elements, with the rows of every generator's
+    action on all of it and the rows of the identity."""
     from liepoisson.invariants import _generator_actions
-    from liepoisson.spaces import (
-        basis_monomials,
-        common_denominator_rows,
-        kernel_of_operators,
-        operator_rows,
-    )
+    from liepoisson.spaces import basis_monomials, common_denominator_rows, operator_rows
 
     basis = [alg.element(m) for m in basis_monomials(alg, d)]
     actions = operator_rows(alg, basis, _generator_actions(alg))
     identity, _ = common_denominator_rows(alg, basis)
+    return basis, actions, identity
+
+
+def _weight_spaces_whole_slice(alg, d, weights):
+    """Reference: the slice actions computed once, then per weight one
+    kernel of the stacked A_j - lam(x_j) I over the whole slice."""
+    from liepoisson.spaces import kernel_of_operators
+
+    basis, actions, identity = _whole_slice_actions(alg, d)
     out = []
     for lam in weights:
         shifted = []
@@ -591,6 +597,86 @@ def test_weight_spaces_with_k0_the_constants():
     ) == [(["0", "0"], ["1"])]
 
 
+def _solvable_xyz():
+    # t x y z: [x, y] = z, [t, x] = x, [t, y] = -y
+    return verify_lie("t x y z", {(1, 2): {3: 1}, (0, 1): {1: 1}, (0, 2): {2: -1}})
+
+
+def _xyzat():
+    # x y z a t: [x, y] = z, [t, x] = x, [t, y] = -y, a central
+    return verify_lie("x y z a t", {(0, 1): {2: 1}, (0, 4): {0: -1}, (1, 4): {1: 1}})
+
+
+def _weights(m):
+    # t1..tm, x1..xm: [t_i, x_j] = (i + j - 1) x_j for j = i and j = i + 1 mod m
+    names = [f"t{i}" for i in range(1, m + 1)] + [f"x{i}" for i in range(1, m + 1)]
+    structure = {}
+    for i in range(m):
+        for j in (i, (i + 1) % m):
+            structure[(i, m + j)] = {m + j: i + j + 1}
+    return verify_lie(names, structure)
+
+
+_RESTRICTED_CASES = [(_solvable_xyz, 5), (_xyzat, 6), (lambda: _weights(3), 4)]
+
+
+def test_weight_spaces_restrict_step_by_step_like_the_whole_slice(monkeypatch):
+    # every fixed generator cuts the kernel the ones before it left; the
+    # bases equal the whole-slice solve of every weight
+    from liepoisson import invariants
+
+    made = []
+    combination = invariants.combination
+
+    def recorded(alg, terms):
+        el = combination(alg, terms)
+        made.append(el)
+        return el
+
+    monkeypatch.setattr(invariants, "combination", recorded)
+    for build, d in _RESTRICTED_CASES:
+        g = build()
+        weights, _ = _assert_semi_invariants_whole_slice(g, None, d)
+        assert len(_fixed_generators(weights)) >= 2
+    # the intermediate kernels hold elements of several terms, such as
+    # t*z + x*y in the kernel of {x, .} on t x y z
+    assert any(len(el.num.terms) > 1 for el in made)
+    A = reduced_algebra(_solvable_xyz(), None)
+    want = parse_poly("t*z + x*y", A.vars)
+    assert any(el.num == want for el in made)
+
+
+def test_weight_spaces_bracket_each_generator_on_the_kernel_left_to_cut(monkeypatch):
+    # brackets = sum over fixed j of dim(kernel before j) + #moving * dim K0,
+    # with the kernels of the fixed generators solved on the whole slice
+    from liepoisson.poisson import PoissonAlgebra
+    from liepoisson.spaces import kernel_of_operators
+
+    cases = _RESTRICTED_CASES + [(_two_weight, 5)]
+    for build, d in cases:
+        g = build()
+        alg = reduced_algebra(g, None)
+        weights = candidate_weights(jordan_holder(g), d)
+        fixed = _fixed_generators(weights)
+        basis, actions, _ = _whole_slice_actions(alg, d)
+        dims = [len(kernel_of_operators(alg, basis, [actions[j] for j in fixed[:k]]))
+                for k in range(len(fixed) + 1)]
+        assert dims[0] == len(basis)
+        moving = len(actions) - len(fixed)
+        calls = []
+        original = PoissonAlgebra.bracket
+
+        def counted(self, a, b):
+            calls.append(1)
+            return original(self, a, b)
+
+        monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+        list(weight_spaces(alg, d, weights))
+        monkeypatch.undo()
+        assert len(calls) == sum(dims[:-1]) + moving * dims[-1], g.names()
+        assert len(calls) < len(actions) * len(basis)
+
+
 def test_weight_search_feeds_few_rows_to_nullspace(monkeypatch):
     # a count, not a timing: the whole-slice solve of every weight fed 7,430
     # rows; K0 plus the restricted systems feed under 1,000
@@ -610,7 +696,7 @@ def test_weight_search_feeds_few_rows_to_nullspace(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workload, rows_in", [("ideal-decompose", 672), ("weight-search", 904)]
+    "workload, rows_in", [("ideal-decompose", 672), ("weight-search", 869)]
 )
 def test_nullspace_presolve_leaves_few_rows_to_eliminate(monkeypatch, workload, rows_in):
     # a count, not a timing: of the rows one benchmark op at seed 11 hands

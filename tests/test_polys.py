@@ -132,6 +132,33 @@ def test_parse_errors_carry_offsets():
         parse_poly("x * q", CTX)
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("x^", "expected integer", 2),
+        ("(x + y", "expected ')'", 6),
+        ("x y", "trailing input", 2),
+    ],
+)
+def test_parse_error_message_and_offset(text, message, offset):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, CTX)
+    assert (err.value.message, err.value.offset) == (message, offset)
+    assert str(err.value) == f"{message} (at byte {offset})"
+
+
+def test_polys_of_another_context_are_refused():
+    other = make_vars("x y z")
+    with pytest.raises(ValueError, match="^polynomials from different variable contexts$"):
+        X + Poly.var(other, "x")
+    with pytest.raises(UnknownVariable, match="^unknown variable 'q'$"):
+        X.substitute({"q": Y})
+    with pytest.raises(ValueError, match="^substitution image from a different context$"):
+        X.substitute({"x": Poly.var(other, "z")})
+    with pytest.raises(UnknownVariable, match="^unknown variable 'q'$"):
+        X.shift({"q": 1})
+
+
 def test_deep_nesting_is_a_parse_error():
     # 100 open parentheses parse; one more is an error, not a RecursionError
     assert parse_poly("(" * 100 + "x" + ")" * 100, CTX) == X
