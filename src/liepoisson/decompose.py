@@ -45,13 +45,14 @@ itself.  The actions of s are derivations of each level algebra:
 {t, x_k} = [t, x_k] is a linear form in the level's own variables.
 
 Each level keeps the rules of the ideal on its variables whose images use
-no later variable.  One ``invariants.SliceTable`` per call shifts the top's
-degree-d slice once and builds every level the top covers from the top,
-with its degree-d center (the covered-level rule is stated there); only
-the top and the levels it does not cover are built from g, each with its
-own stability check and, below the top, its own slice.  The table is a
-local value, so its rows die with the call; a later center of the returned
-algebra at another degree shifts its own slice.
+no later variable.  The top is the hypothesis check's quotient, built and
+checked once, on the flag's variables (``poisson.on_variables``).  One
+``invariants.SliceTable`` per call shifts the top's degree-d slice once and
+builds every level the top covers from it, with its degree-d center (the
+covered-level rule is stated there); only the levels the top does not cover
+are built from g, each with its own stability check and slice.  The table,
+a local value, dies with the call; a later center of the returned algebra
+at another degree shifts its own slice.
 An element of a covered level, lifted to the next covered level, or into a
 localization of its own level, is already in normal form there: ``_carry``
 only extends its numerator and pads its denominator exponents with zeros.
@@ -89,6 +90,7 @@ from .poisson import (
     PoissonAlgebra,
     SubstitutionIdeal,
     localize,
+    on_variables,
     reduced_algebra,
 )
 from .polys import Context, Poly, make_vars
@@ -156,7 +158,7 @@ def _level_algebra(g, ideal, level):
     """The quotient on the first ``level`` flag variables (an ideal of g, so
     its brackets are the structure constants among them) by the rules of
     ``ideal`` on those variables whose images use no later variable, with its
-    own stability check: the top, or a level it does not cover (``SliceTable``)."""
+    own stability check: a level the top does not cover (``SliceTable``)."""
     ctx = g.basis[:level]
     sub = LieAlgebra(ctx, {ij: vec for ij, vec in g.structure.items() if ij[1] < level})
     names = {v.name for v in ctx}
@@ -375,7 +377,8 @@ def decompose(
         raise ValueError(f"s lies in dimension {s.ambient_dim}, but g has dimension {g.dim}")
     trace: dict = {"degree_bound": d, "levels": []}
     flag = jordan_holder(g)
-    for w, basis in weight_spaces(reduced_algebra(g, ideal), d, nonzero_candidates(flag, d)):
+    checked = reduced_algebra(g, ideal)
+    for w, basis in weight_spaces(checked, d, nonzero_candidates(flag, d)):
         raise HypothesisFailed(tuple(map(str, w.values)), str(basis[0].num))
     trace["hypothesis"] = f"all semi-invariants central up to degree {d}"
 
@@ -396,7 +399,7 @@ def decompose(
     theta_by_level = [tuple(flag.weights[k](t) for t in ts) for k in order]
     g, ts = _on_flag_basis(g, [flag.generators[k] for k in order], names, ts)
     trace["chain"] = g.names()
-    alg = _level_algebra(g, ideal, g.dim)
+    alg = on_variables(checked, names) if None not in units else reduced_algebra(g, None)
     table = SliceTable(alg, d)
 
     pairs: list[tuple[LocalElement, LocalElement]] = []

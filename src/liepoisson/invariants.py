@@ -34,7 +34,8 @@ is solved only for them, on K0.
 One ``decompose`` solves one slice: a ``SliceTable``, a value local to the
 call, shifts the top's degree-d slice once and builds each flag level the
 top covers (its docstring states the rule) from the top, with the level's
-center solved from the same rows.  The hypothesis check's ``weight_spaces``
+center solved from the same rows; the top is the hypothesis check's algebra
+cut the same way (``poisson.on_variables``).  That check's ``weight_spaces``
 brackets its own slice, and centers of degree above d shift their own.
 """
 
@@ -60,7 +61,7 @@ from .poisson import (
     LocalElement,
     PoissonAlgebra,
     SubstitutionIdeal,
-    poisson_algebra,
+    on_variables,
     reduced_algebra,
     skew_extend,
 )
@@ -141,14 +142,13 @@ class SliceTable:
     The level on the first l variables is covered when no rule of the top on
     them has its image in a later variable.  A flag prefix is an ideal, so
     for i, j < l the top's {x_i, x_j} uses only those variables, and on a
-    covered level the top's normal form is the level's: the level is the top
-    restricted to them, with the same table entries and rules, and its ideal
-    is stable because the top's is.  ``level(l)`` builds it so.  Its slice
+    covered level the top's normal form is the level's: ``level(l)`` is the
+    top on them (``poisson.on_variables``), stable as the top is.  Its slice
     is the top's tuples zero past l, cut to length l, in the same graded-lex
     order, and its rows are the top's rows of its generators at those tuples
     (kernels depend only on the row space, so the rows keep their top keys
-    and the canonical ``nullspace`` basis is unchanged).  A level that is
-    not covered keeps a variable the top eliminates: ``level`` gives None."""
+    and the canonical ``nullspace`` basis is unchanged).  An uncovered level
+    keeps a variable the top eliminates: ``level`` gives None."""
 
     def __init__(self, top: PoissonAlgebra, d: int):
         self.top = top
@@ -165,14 +165,9 @@ class SliceTable:
         top = self.top
         if l == len(top.vars):
             return top
-        ctx = top.vars[:l]
-        names = {v.name for v in ctx}
-        rules = [(v, img) for v, img in top.ideal.rules if v.name in names] if top.ideal else []
-        if any(not img.variables_used() <= names for _, img in rules):
+        level = on_variables(top, top.vars[:l])
+        if level is None:
             return None
-        entries = {ij: el.num.restrict(ctx) for ij, el in top.table.items() if ij[1] < l}
-        ideal = SubstitutionIdeal(tuple((v, img.restrict(ctx)) for v, img in rules))
-        level = poisson_algebra(ctx, entries, ideal if rules else None)
         keep = [k for k, mono in enumerate(self.monos) if not any(mono[l:])]
         rows = [[rows[k] for k in keep] for rows in self.rows[:l]]
         monos = [self.monos[k][:l] for k in keep]

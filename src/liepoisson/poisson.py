@@ -686,6 +686,24 @@ def localize(alg: PoissonAlgebra, denominators: Sequence[Poly]) -> PoissonAlgebr
     return out
 
 
+def on_variables(alg: PoissonAlgebra, ctx: Context) -> PoissonAlgebra | None:
+    """alg, which inverts nothing, on ctx: some of its variables, in any order,
+    whose brackets close among themselves.  Its entries and rules on ctx,
+    restricted to ctx (an entry changes sign where ctx reverses its pair), with
+    no stability check; None when a rule on ctx has its image outside ctx."""
+    pos = {v.name: k for k, v in enumerate(ctx)}
+    rules = [(v, img) for v, img in alg.ideal.rules if v.name in pos] if alg.ideal else []
+    if any(not img.variables_used() <= pos.keys() for _, img in rules):
+        return None
+    entries = {}
+    for (i, j), el in alg.table.items():
+        a, b = pos.get(alg.vars[i].name), pos.get(alg.vars[j].name)
+        if a is not None and b is not None:
+            entries[min(a, b), max(a, b)] = (el.num if a < b else -el.num).restrict(ctx)
+    ideal = SubstitutionIdeal(tuple((v, img.restrict(ctx)) for v, img in rules))
+    return poisson_algebra(ctx, entries, ideal if rules else None)
+
+
 def tensor(a: PoissonAlgebra, b: PoissonAlgebra) -> PoissonAlgebra:
     """Tensor product: disjoint generator sets, cross brackets zero."""
     clash = {v.name for v in a.vars} & {v.name for v in b.vars}

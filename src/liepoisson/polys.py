@@ -530,7 +530,7 @@ class _Tokens:
     def take_name(self) -> str:
         self.skip_ws()
         start = self.pos
-        if not (self.text[self.pos].isalpha()):
+        if not (self.text[self.pos].isalpha()):  # parse_poly calls this only on a letter
             raise PolyParseError("expected name", start)
         self.pos += 1
         while self.pos < len(self.text) and (

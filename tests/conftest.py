@@ -46,6 +46,43 @@ def family_n(n: int) -> LieAlgebra:
     return verify_lie(" ".join(names), structure)
 
 
+def _matrix_units(units: list[tuple[int, int]]) -> LieAlgebra:
+    """The span of the matrix units E_ij, (i, j) in ``units``, under the
+    commutator [E_ij, E_pq] = delta_jp E_iq - delta_qi E_pj; E_ii is named
+    h{i} and E_ij (i < j) e{i}{j}."""
+    index = {u: n for n, u in enumerate(units)}
+    structure = {}
+    for a, (i, j) in enumerate(units):
+        for b in range(a + 1, len(units)):
+            p, q = units[b]
+            vec = {}
+            if j == p:
+                vec[index[(i, q)]] = 1
+            if q == i:
+                vec[index[(p, j)]] = -1
+            if vec:
+                structure[(a, b)] = vec
+    names = [f"h{i}" if i == j else f"e{i}{j}" for i, j in units]
+    return verify_lie(" ".join(names), structure)
+
+
+def _strictly_upper(k: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+
+def n_k(k: int) -> LieAlgebra:
+    """The strictly upper triangular k x k matrices (dimension k(k-1)/2),
+    basis e_ij for i < j in lexicographic order."""
+    return _matrix_units(_strictly_upper(k))
+
+
+def b_k(k: int) -> LieAlgebra:
+    """The upper triangular k x k matrices, the Borel of n_k: the diagonal
+    units h_1..h_k, then the basis of ``n_k``; [h_i, e_jl] is
+    (delta_ij - delta_il) e_jl."""
+    return _matrix_units([(i, i) for i in range(1, k + 1)] + _strictly_upper(k))
+
+
 def lie_fixtures() -> list[ProblemFile]:
     """The problem files of tests/data that hold a Lie algebra, in file name
     order (the ``.jsonl`` sweep golden is not a problem file)."""

@@ -26,11 +26,14 @@ from liepoisson.poisson import (
     is_p_derivation,
     is_stable_ideal,
     localize,
+    on_variables,
     poisson_algebra,
     quotient,
+    reduced_algebra,
     skew_extend,
     tensor,
 )
+from liepoisson.lie import verify_lie
 from liepoisson.polys import Poly, make_vars, parse_poly
 
 from conftest import eng4, heisenberg, random_poly
@@ -622,3 +625,55 @@ def test_element_refuses_a_denominator_the_algebra_lacks():
     with pytest.raises(ValueError, match="denominators the algebra lacks"):
         L.element(LocalElement(x, (1, 1)))
     assert L.element(LocalElement(x, (1, 0))) == LocalElement(x, (1,))
+
+
+def _content(alg):
+    """vars, table entries and rules, comparable across algebras."""
+    table = {ij: (el.num, el.den) for ij, el in alg.table.items()}
+    return alg.vars, table, alg.ideal.rules if alg.ideal else ()
+
+
+def _quotient(names, structure, rules):
+    g = verify_lie(names, structure)
+    return reduced_algebra(g, ideal_from_pairs(g.basis, rules))
+
+
+def test_on_variables_is_the_quotient_built_on_those_variables():
+    # a permutation: eng4 with e4 = 1 on its variables reversed, where
+    # {e1, e2} = e3 becomes {e2, e1} = -e3 at (2, 3) and {e1, e3} = 1
+    # becomes -1 at (1, 3)
+    A = _quotient("e1 e2 e3 e4", {(0, 1): {2: 1}, (0, 2): {3: 1}}, [("e4", "1")])
+    R = on_variables(A, tuple(reversed(A.vars)))
+    assert R.format(R.table[(2, 3)]) == "-e3" and R.format(R.table[(1, 3)]) == "-1"
+    assert _content(R) == _content(
+        _quotient("e4 e3 e2 e1", {(2, 3): {1: -1}, (1, 3): {0: -1}}, [("e4", "1")])
+    )
+    # a prefix: z x1 y1 of family_n(2)'s flag z x1 y1 x2 y2 keeps z = 1
+    top = _quotient("z x1 y1 x2 y2", {(1, 2): {0: 1}, (3, 4): {0: 1}}, [("z", "1")])
+    prefix = _quotient("z x1 y1", {(1, 2): {0: 1}}, [("z", "1")])
+    assert _content(on_variables(top, top.vars[:3])) == _content(prefix)
+    # a rule whose image leaves ctx: heisenberg plus a central a = z keeps
+    # its rule on z a and has none on a alone
+    B = _quotient("x y z a", {(0, 1): {2: 1}}, [("a", "z")])
+    assert [(v.name, str(img)) for v, img in on_variables(B, B.vars[2:]).ideal.rules] == [
+        ("a", "z")
+    ]
+    assert on_variables(B, B.vars[3:]) is None
+
+
+def test_an_empty_ideal_keeps_each_polynomial():
+    p = parse_poly("x*y + 1", make_vars("x y"))
+    assert SubstitutionIdeal(()).normal_form(p) is p
+
+
+def test_poisson_algebra_refuses_a_table_index_out_of_order():
+    ctx = make_vars("x y")
+    with pytest.raises(ValueError, match=r"^bad table index \(1, 0\)$"):
+        poisson_algebra(ctx, {(1, 0): Poly.const(ctx, 1)})
+
+
+def test_skew_extend_refuses_a_name_the_algebra_has():
+    A = canonical_from_lie(heisenberg())
+    message = r"^variable names occur on both tensor factors: \['x'\]$"
+    with pytest.raises(NameClash, match=message):
+        skew_extend(A, inner_derivation(A, A.gen("z")), "x")

@@ -202,6 +202,27 @@ def test_shift_translation():
 def test_divide_exact():
     assert (X**2 + X * Y).divide_exact(X) == X + Y
     assert (X**2 + Y).divide_exact(X) is None
+    assert X.divide_exact(Poly.zero(CTX)) is None
+
+
+def test_a_negative_exponent_needs_a_laurent_variable():
+    with pytest.raises(NegativePowerOfNonUnit, match=r"^negative power of non-unit: x\^-1$"):
+        Poly(CTX, {(-1, 0): 1})
+
+
+def test_the_zero_polynomial_has_degree_minus_one():
+    assert Poly.zero(CTX).degree() == -1 and Poly.const(CTX, 1).degree() == 0
+
+
+def test_a_laurent_variable_is_not_shifted():
+    message = "^negative power of non-unit: shift of Laurent variable g$"
+    with pytest.raises(NegativePowerOfNonUnit, match=message):
+        Poly.var(LCTX, "g").shift({"g": 1})
+
+
+def test_extend_needs_every_variable_of_the_polynomial():
+    with pytest.raises(UnknownVariable, match="^unknown variable 'y'$"):
+        Y.extend(make_vars("x z"))
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,9 @@ def test_lie_fixtures_agree():
 
 
 def _record_algebras(monkeypatch):
-    """The level algebras ``decompose`` uses, as it makes them: the top and
-    every level built from g (``_level_algebra``), every level the slice
-    table builds from the top (the top again among them), and every
+    """The level algebras ``decompose`` uses, as it makes them: every level
+    built from g (``_level_algebra``, the uncovered ones), every level the
+    slice table builds from the top (the top among them), and every
     localization."""
     built = []
 
@@ -133,8 +133,10 @@ def test_every_algebra_of_the_decompose_sweep_agrees(monkeypatch):
             localized += bool(alg.inverted)
             rules = alg.ideal.rules if alg.ideal else ()
             nonlinear += any(img.degree() > 1 for _, img in rules)
-    # 1,534 algebras, 221 of them localized and 512 with a nonlinear rule
-    assert checked >= 1500 and localized >= 200 and nonlinear >= 500
+    # 1,330 algebras, 221 of them localized and 444 with a nonlinear rule.
+    # The recorder once counted each top twice, built from g and returned by
+    # ``SliceTable.level`` (1,534 and 512); the distinct algebras are the same
+    assert checked >= 1300 and localized >= 200 and nonlinear >= 440, (checked, nonlinear)
 
 
 def test_every_central_choice_span_agrees(monkeypatch):

@@ -18,7 +18,7 @@ from liepoisson.poisson import PoissonAlgebra, ideal_from_pairs, poisson_algebra
 from liepoisson.polys import Poly
 from liepoisson.spaces import kernel_of_operators, operator_rows, slice_basis, slice_monomials
 
-from conftest import eng4, family_n, heisenberg, random_basis_change, random_solvable
+from conftest import eng4, family_n, heisenberg, n_k, random_basis_change, random_solvable
 from test_acceptance import DECOMP_FIXTURES
 from test_center_memo import _ideal_decompose_input
 
@@ -131,12 +131,19 @@ def _content(alg: PoissonAlgebra):
 
 
 def test_a_covered_level_equals_the_level_built_from_g(monkeypatch):
-    # every level the table builds has the vars, table entries and rules of
-    # the quotient built from g on the same variables, and its slice (the
-    # top's tuples zero past l, cut to length l) is its own, order included;
-    # decompose builds from g only the top and the levels not covered
+    # the top, cut from the hypothesis check's algebra, and every level the
+    # table builds have the vars, table entries and rules of the quotient
+    # built from the presented g on the same variables, and a level's slice
+    # (the top's tuples zero past l, cut to length l) is its own, order
+    # included; decompose builds from g only the levels not covered
     original = dec._level_algebra
-    built = []
+    presented, built = [], []
+    original_presentation = dec._on_flag_basis
+
+    def recorded_presentation(*args):
+        out = original_presentation(*args)
+        presented.append(out[0])
+        return out
 
     def recorded_build(g, ideal, l):
         built.append((g, ideal, l))
@@ -150,38 +157,47 @@ def test_a_covered_level_equals_the_level_built_from_g(monkeypatch):
         levels.append((self, l, level))
         return level
 
+    monkeypatch.setattr(dec, "_on_flag_basis", recorded_presentation)
     monkeypatch.setattr(dec, "_level_algebra", recorded_build)
     monkeypatch.setattr(SliceTable, "level", recorded_level)
     inputs = [(g, ideal, d) for _, g, ideal, d in _inputs()]
     inputs += [(g, ideal, 4) for g, ideal, _, _ in _uncovered_inputs()]
-    covered = uncovered = 0
+    inputs += [(n_k(4), None, 4), (n_k(5), None, 4)]
+    covered = uncovered = tops = 0
     for g, ideal, d in inputs:
-        del built[:], levels[:]
+        del presented[:], built[:], levels[:]
         try:
             dec.decompose(g, ideal, d)
         except LiePoissonError:
-            if not built:  # the hypothesis check failed
+            if not presented:  # the hypothesis check failed
                 continue
-        flag_g, flag_ideal, m = built[0]
-        assert [l for _, _, l in built] == [m] + [l for _, l, lv in levels if lv is None]
+        (flag_g,) = presented
+        assert [l for _, _, l in built] == [l for _, l, lv in levels if lv is None]
+        assert all(flag is flag_g and flag_ideal is ideal for flag, flag_ideal, _ in built)
+        (table,) = {id(table): table for table, _, _ in levels}.values()
+        top = original(flag_g, ideal, flag_g.dim)
+        assert _content(table.top) == _content(top), g.names()
+        tops += 1
         for table, l, level in levels:
             if level is None:
                 uncovered += 1
                 continue
             covered += level is not table.top
-            assert _content(level) == _content(original(flag_g, flag_ideal, l)), (g.names(), l)
+            assert _content(level) == _content(original(flag_g, ideal, l)), (g.names(), l)
             kept = [mono[:l] for mono in table.monos if not any(mono[l:])]
             assert kept == slice_monomials(level, table.d), (g.names(), l)
-    # 343 covered levels below the tops; one uncovered level per uncovered
-    # input, and the uncovered input of ``_inputs`` once more
-    assert covered >= 340 and uncovered == 4
+    # 134 tops, n_4's and n_5's included; 357 covered levels below them,
+    # 14 of them n_4's and n_5's; one uncovered level per uncovered input,
+    # and the uncovered input of ``_inputs`` once more
+    assert tops >= 130 and covered >= 350 and uncovered == 4, (tops, covered)
 
 
 def test_one_stability_check_per_covered_level_chain(monkeypatch):
     # the ideal-decompose benchmark input covers every level: the hypothesis
-    # check and the top check the ideal, no level does.  b3 b4 b2 b1 with
-    # b4 = b2 and b3 = 1: level 2 drops b4 = b2 but keeps b3 = 1, so it
-    # checks its own rule; the covered levels 1 and 3 check none
+    # check checks the ideal, and the top, cut from its algebra, and the
+    # levels check none.  b3 b4 b2 b1 with b4 = b2 and b3 = 1: level 2 drops
+    # b4 = b2 but keeps b3 = 1, so it checks its own rule; the covered
+    # levels 1 and 3 check none
     sizes = []
     original = poisson._unstable_witness
 
@@ -191,14 +207,14 @@ def test_one_stability_check_per_covered_level_chain(monkeypatch):
 
     monkeypatch.setattr(poisson, "_unstable_witness", counted)
     assert dec.decompose(*_ideal_decompose_input(), 6).n == 2
-    assert sizes == [5, 5]
+    assert sizes == [5]
     g = random_solvable(random.Random(99), 4)
     ideal = ideal_from_pairs(g.basis, [("b4", "b2"), ("b3", "1")])
     for d in (4, 6):
         del sizes[:]
         res = dec.decompose(g, ideal, d)
         assert res.trace["chain"] == ["b3", "b4", "b2", "b1"]
-        assert sizes == [4, 4, 2]
+        assert sizes == [4, 2]
 
 
 def test_uncovered_levels_bracket_their_own_slice(monkeypatch):

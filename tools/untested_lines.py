@@ -16,7 +16,10 @@ comment are not listed.  It uses the standard library only, besides the
 pytest it runs, and is not part of the test suite.
 
 The hypothesis tests run with a fixed seed (``--hypothesis-seed=0``), so
-two runs on the same code list the same statements.
+two runs on the same code list the same statements.  The sources are read
+before pytest starts and the recorded lines are mapped onto that text; when
+a file under ``src/liepoisson`` is edited, added or removed during the run,
+the tool names it and exits 2 instead of listing shifted lines.
 
 Only this process is traced.  Tests that start the package in a subprocess
 (the ``python -m liepoisson`` run in ``tests/test_cli.py`` and the
@@ -63,6 +66,23 @@ def _statement_spans(source: str):
     return out
 
 
+def snapshot(src: str) -> dict[str, str]:
+    """The text of each ``.py`` file in ``src``, by path."""
+    out = {}
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        path = os.path.join(src, name)
+        with open(path) as fh:
+            out[path] = fh.read()
+    return out
+
+
+def changed_files(before: dict[str, str], src: str) -> list[str]:
+    """The paths whose text now differs from the ``snapshot`` ``before``:
+    edited, added or removed files."""
+    after = snapshot(src)
+    return sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
@@ -92,6 +112,7 @@ def main(argv: list[str]) -> int:
 
         return on_line
 
+    sources = snapshot(SRC)
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
@@ -100,11 +121,13 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    changed = changed_files(sources, SRC)
+    for path in changed:
+        print(f"{os.path.relpath(path, ROOT)}: changed during the run", file=sys.stderr)
+    if changed:
+        return 2
     missing = 0
-    for name in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
-        path = os.path.join(SRC, name)
-        with open(path) as fh:
-            source = fh.read()
+    for path, source in sources.items():
         seen = ran.get(path, set())
         lines = source.splitlines()
         for lineno, span in sorted(_statement_spans(source)):
