@@ -95,8 +95,8 @@ class ZeroDenominator(LiePoissonError):
 
 
 class NameClash(LiePoissonError):
-    def __init__(self, names):
-        super().__init__(f"variable names occur on both tensor factors: {sorted(names)}")
+    def __init__(self, names, message: str | None = None):
+        super().__init__(message or f"variable names occur on both tensor factors: {sorted(names)}")
         self.names = names
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from . import linalg
 from .errors import ComplementEliminated
@@ -190,23 +191,27 @@ def candidate_weights(flag: JordanHolderData, d: int) -> list[Weight]:
     """Distinct natural-number combinations of the flag weights with
     coefficient sum <= d, sorted by their value tuples.
 
-    Enumerated level by level: level t holds the sums of t flag weights
-    whose values are new; a value reached again later adds nothing, since
-    its successors were already reached one level after its first visit."""
+    Enumerated level by level over integer tuples, the distinct nonzero
+    flag weights scaled by the lcm of their denominators: level t holds the
+    sums of t of them whose values are new; a value reached again later
+    adds nothing, since its successors were already reached one level after
+    its first visit.  A positive scale keeps the order of the tuples."""
     m = len(flag.weights)
-    zero = Weight(tuple(Fraction(0) for _ in range(m)))
-    seen = {zero.values: zero}
+    den = lcm(*[v.denominator for w in flag.weights for v in w.values])
+    zero = (0,) * m
+    steps = {tuple(v.numerator * (den // v.denominator) for v in w.values) for w in flag.weights}
+    steps.discard(zero)
+    seen = {zero}
     level = [zero]
     for _ in range(d):
         new = []
         for w in level:
-            for f in flag.weights:
-                s = w + f
-                if s.values not in seen:
-                    seen[s.values] = s
+            for f in steps:
+                if (s := tuple(map(add, w, f))) not in seen:
+                    seen.add(s)
                     new.append(s)
         level = new
-    return [seen[k] for k in sorted(seen)]
+    return [Weight(tuple(Fraction(v, den) for v in k)) for k in sorted(seen)]
 
 
 def nonzero_candidates(flag: JordanHolderData, d: int) -> list[Weight]:

@@ -338,17 +338,26 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 
 def _is_nilpotent_matrix(mat) -> bool:
-    cp = linalg.charpoly(mat)
-    return all(c == 0 for c in cp[:-1])
+    return linalg.rational_eigenvalues(mat) == {0: len(mat)}
 
 
 def nilradical(g: LieAlgebra) -> Subspace:
-    """Largest nilpotent ideal, via the ad-nilpotent candidate heuristic.
+    """Largest nilpotent ideal.  For solvable g with a rational flag it is
+    the common kernel of the flag weights: in the flag's basis each ad x is
+    triangular with diagonal lambda_k(x), and the ad-nilpotent elements of a
+    solvable g form its nilradical.
 
-    Candidates are the basis vectors with nilpotent ad plus a basis of
-    [g, g]; the span must validate as a nilpotent ideal containing [g, g],
-    otherwise ``NilradicalUndecided`` asks the caller to supply it.
+    Where ``jordan_holder`` raises, a heuristic: the basis vectors with
+    nilpotent ad plus a basis of [g, g], whose span must validate as a
+    nilpotent ideal, otherwise ``NilradicalUndecided`` asks the caller to
+    supply it.
     """
+    try:
+        weights = jordan_holder(g).weights
+    except (NotSolvable, EigenvalueNotRational):
+        pass
+    else:
+        return Subspace(g.dim, linalg.nullspace([linalg.sparse(w.values) for w in weights], g.dim))
     cands = [
         basis_vec(i, g.dim)
         for i in range(g.dim)
@@ -426,7 +435,7 @@ def common_eigenvector(
         return None
     ops = [g.ad_matrix(basis_vec(i, g.dim)) for i in range(g.dim)]
     rows = [[linalg.sparse(row) for row in op] for op in ops]
-    roots = cache(lambda level: linalg.rational_roots(linalg.charpoly(ops[level])))
+    roots = cache(lambda level: list(linalg.rational_eigenvalues(ops[level])))
     found = _joint_eigenspaces(rows, g.dim, space.equations(), roots)
     for vals, sub in found:
         return Weight(vals), sub.basis[0]
@@ -461,8 +470,8 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     ad x on g is that on g_j times that on g/g_j, and the roots on g_j are
     the weights found so far.  The roots on the quotient are therefore the
     roots on g less those weights, counted with multiplicity (a subset of
-    the roots on g): one characteristic polynomial per generator serves
-    every step.
+    the roots on g): one eigenvalue list per generator, read off the
+    diagonal when ad x_i is triangular, serves every step.
 
     When a quotient has no rational common eigenvector, raises NotSolvable
     if g is not solvable (tested only then) and EigenvalueNotRational
@@ -474,9 +483,7 @@ def jordan_holder(g: LieAlgebra) -> JordanHolderData:
     gens: list[Vec] = []
     # root -> multiplicity on the current quotient, for each ad x_i
     remaining = cache(
-        lambda level: linalg.rational_root_multiplicities(
-            linalg.charpoly(g.ad_matrix(basis_vec(level, m)))
-        )
+        lambda level: linalg.rational_eigenvalues(g.ad_matrix(basis_vec(level, m)))
     )
 
     def candidates(level: int) -> list[Fraction]:

@@ -20,10 +20,13 @@ The dense helpers for small operator matrices clear denominators as well:
 the integers, and ``mat_vec``/``mat_mul`` skip zero entries.  Fractions
 appear only at the boundary (inputs, coefficients, and the kernel and
 solution vectors, sparse {column: entry} with keys ascending).
+``rational_eigenvalues`` reads a triangular matrix's eigenvalues off its
+diagonal and takes the characteristic polynomial only of any other.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -338,3 +341,17 @@ def rational_root_multiplicities(coeffs: Sequence[Fraction]) -> dict[Fraction, i
             k += 1
         out[r] = k
     return out
+
+
+def rational_eigenvalues(mat: Sequence[Sequence[Fraction]]) -> dict[Fraction, int]:
+    """Each rational eigenvalue of the square matrix with its algebraic
+    multiplicity, ascending: ``rational_root_multiplicities(charpoly(mat))``,
+    counted off the diagonal when mat is upper or lower triangular, since
+    then det(tI - A) is the product of the t - a_kk."""
+    n = len(mat)
+    if all(not mat[i][j] for i in range(n) for j in range(i)) or all(
+        not mat[i][j] for i in range(n) for j in range(i + 1, n)
+    ):
+        diag = Counter(Fraction(mat[k][k]) for k in range(n))
+        return {r: diag[r] for r in sorted(diag)}
+    return rational_root_multiplicities(charpoly(mat))

@@ -784,7 +784,7 @@ def skew_extend(alg: PoissonAlgebra, delta: Derivation, name: str) -> PoissonAlg
     if not ok:
         raise NotPDerivation(witness[:2], str(witness[2]))
     if any(v.name == name for v in alg.vars):
-        raise NameClash({name})
+        raise NameClash({name}, f"extension variable {name!r} is already a variable of the algebra")
     ctx = alg.vars + (VarSpec(name),)
     n = len(alg.vars)
     ideal = (

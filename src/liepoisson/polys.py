@@ -440,7 +440,7 @@ class Poly:
         return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"Poly({format_poly(self)})"
+        return f"Poly({format_poly(self)}, ctx={[v.name for v in self.ctx]})"
 
 
 def _order_key(mono: Mono):

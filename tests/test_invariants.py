@@ -27,6 +27,7 @@ from conftest import (
     abelian,
     aff2,
     eng4,
+    family_n,
     heisenberg,
     lie_fixtures,
     perfbench_workloads,
@@ -378,6 +379,46 @@ def _candidate_weights_per_multiset(flag, d):
                 w = w + flag.weights[i]
             seen.setdefault(w.values, w)
     return [seen[k] for k in sorted(seen)]
+
+
+def _candidate_weights_over_fractions(flag, d):
+    """Reference: the level-by-level enumeration over Fraction weights, one
+    ``Weight`` add per lattice step."""
+    zero = Weight(tuple(F(0) for _ in flag.weights))
+    seen = {zero.values: zero}
+    level = [zero]
+    for _ in range(d):
+        new = []
+        for w in level:
+            for f in flag.weights:
+                s = w + f
+                if s.values not in seen:
+                    seen[s.values] = s
+                    new.append(s)
+        level = new
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_candidate_weights_match_the_fraction_enumeration():
+    # seeded flags with repeated weights, zero weights and denominators, and
+    # the benchmark flags, at every bound 0..6: the same list, value tuples
+    # of Fractions in the same order
+    from liepoisson.lie import JordanHolderData
+
+    flags = [jordan_holder(family_n(2))]
+    flags += [jordan_holder(g) for seed in (5, 11, 23) for g in _workload_algebras(seed)]
+    rng = random.Random(20261022)
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        pool = [Weight(tuple(F(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(m)))
+                for _ in range(rng.randint(1, 3))]
+        pool.append(Weight(tuple(F(0) for _ in range(m))))
+        flags.append(JordanHolderData((), tuple(rng.choice(pool) for _ in range(m)), ()))
+    for flag in flags:
+        for d in range(7):
+            got = candidate_weights(flag, d)
+            assert got == _candidate_weights_over_fractions(flag, d)
+            assert all(type(v) is Fraction for w in got for v in w.values)
 
 
 def test_candidate_weights_match_multiset_reference(rng):

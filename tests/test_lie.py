@@ -40,6 +40,7 @@ from conftest import (
     family_n,
     heisenberg,
     lie_fixtures,
+    random_basis_change,
     random_solvable,
     random_unimodular,
 )
@@ -171,6 +172,45 @@ def test_nilradical_examples():
     assert n2.dim == 4
     assert n2.contains((1, 0, 0, 0, 0)) and n2.contains((0, 0, 0, 0, 1))
     assert not n2.contains((0, 0, 0, 1, 0))
+
+
+def _ad_is_nilpotent(g, v):
+    ad = g.ad_matrix(v)
+    power = ad
+    for _ in range(g.dim - 1):
+        power = linalg.mat_mul(ad, power)
+    return not any(any(row) for row in power)
+
+
+def test_nilradical_is_the_common_kernel_of_the_flag_weights():
+    # t - s is central, so the nilradical is span(t - s, x); the basis
+    # vectors with nilpotent ad and [g, g] span only x
+    g = verify_lie("t s x", {(0, 2): {2: 1}, (1, 2): {2: 1}})
+    assert nilradical(g) == Subspace(3, [(1, -1, 0), (0, 0, 1)])
+    # for solvable g, the ad-nilpotent elements: an ideal of dimension
+    # dim g - rank(weights) whose every element has nilpotent ad
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(40):
+        base = random_solvable(rng, rng.randint(2, 5))
+        for h in (base, random_basis_change(rng, base)):
+            try:
+                weights = jordan_holder(h).weights
+            except EigenvalueNotRational:
+                continue
+            n = nilradical(h)
+            assert n.dim == h.dim - linalg.rank(linalg.sparse(w.values) for w in weights)
+            for v in n.basis:
+                assert _ad_is_nilpotent(h, v)
+                for i in range(h.dim):
+                    assert n.contains(h.bracket_vec(basis_vec(i, h.dim), v))
+            checked += 1
+    assert checked >= 40
+    # no rational flag (t rotates x, y): the heuristic, validated
+    rotation = verify_lie("t x y", {(0, 1): {2: 1}, (0, 2): {1: -1}})
+    with pytest.raises(EigenvalueNotRational):
+        jordan_holder(rotation)
+    assert nilradical(rotation) == Subspace(3, [(0, 1, 0), (0, 0, 1)])
 
 
 def test_nilradical_undecided_on_sl2():
@@ -354,12 +394,20 @@ def test_jordan_holder_weights_are_the_ad_eigenvalues():
 
 
 @pytest.mark.parametrize(
-    "g", [family_n(2), _workload_algebras(11)[1]], ids=["family_n(2)", "weight-search"]
+    "g, triangular",
+    [
+        (family_n(2), True),
+        (_workload_algebras(11)[1], True),
+        (random_basis_change(random.Random(2), family_n(2)), False),
+    ],
+    ids=["family_n(2)", "weight-search", "basis-change"],
 )
-def test_jordan_holder_takes_one_charpoly_per_generator(g, monkeypatch):
-    # one characteristic polynomial of ad x_i on g serves every flag step
-    # (25 calls on family_n(2) and 27 on the weight-search algebra when each
-    # step took its own)
+def test_jordan_holder_takes_one_charpoly_per_generator(g, triangular, monkeypatch):
+    # one eigenvalue list of ad x_i on g serves every flag step (25 charpoly
+    # calls on family_n(2) and 27 on the weight-search algebra when each step
+    # took its own); a triangular ad x_i gives it off its diagonal, with no
+    # characteristic polynomial, and the basis change makes every ad x_i of
+    # family_n(2) non-triangular
     calls = []
     charpoly = linalg.charpoly
 
@@ -369,8 +417,39 @@ def test_jordan_holder_takes_one_charpoly_per_generator(g, monkeypatch):
 
     monkeypatch.setattr(linalg, "charpoly", counted)
     jordan_holder(g)
-    assert len(calls) <= g.dim
-    assert set(calls) == {g.dim}
+    if triangular:
+        assert calls == []
+    else:
+        assert len(calls) <= g.dim
+        assert set(calls) == {g.dim}
+
+
+def prime_family(n):
+    """t acting on x0..x(n-1) by 1/13, 2/17, 3/19, 5/23, ...: diagonal ad
+    matrices whose characteristic polynomials have large denominators."""
+    scales = [F(1, 13), F(2, 17), F(3, 19), F(5, 23), F(7, 29), F(11, 31), F(13, 37), F(17, 41)]
+    names = "t " + " ".join(f"x{i}" for i in range(n))
+    return verify_lie(names, {(0, 1 + i): {1 + i: scales[i]} for i in range(n)})
+
+
+def test_jordan_holder_reads_the_prime_family_off_the_diagonal(monkeypatch):
+    # a count guard, not a time test: through the characteristic polynomial
+    # and the rational-root divisor search this flag took seconds at n = 8
+    calls = []
+    for name in ("charpoly", "_divisors"):
+
+        def counted(*args, _name=name, _f=getattr(linalg, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    g = prime_family(8)
+    jh = jordan_holder(g)
+    assert calls == []
+    assert [s.dim for s in jh.chain] == list(range(10))
+    for i in range(g.dim):
+        ad = g.ad_matrix(basis_vec(i, g.dim))
+        assert sorted(w.values[i] for w in jh.weights) == sorted(ad[k][k] for k in range(g.dim))
 
 
 def _diag(*entries):

@@ -433,6 +433,56 @@ def test_rational_root_multiplicities_of_random_products():
         assert list(got.items()) == sorted(want.items())
 
 
+def test_rational_eigenvalues_match_charpoly_and_sympy(monkeypatch):
+    # upper and lower triangular matrices, read off the diagonal, and dense
+    # ones (conjugates of triangular ones, so that rational eigenvalues
+    # occur, and every fourth one with the irrational pair of t^2 - 2 too),
+    # through the characteristic polynomial; each diagonal repeats an entry
+    # and every other one holds a zero.  Oracles: the rational roots of the
+    # characteristic polynomial and sympy's rational eigenvalues
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261022)
+    calls = []
+    charpoly = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly", lambda mat: calls.append(mat) or charpoly(mat))
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for trial in range(60):
+        kind = ("upper", "lower", "dense")[trial % 3]
+        n = rng.randint(2, 4)
+        diag = [entry() for _ in range(n)]
+        diag[rng.randrange(1, n)] = diag[0]
+        if trial % 2:
+            diag[rng.randrange(n)] = F(0)
+        mat = [[diag[i] if i == j else entry() if i < j else F(0) for j in range(n)]
+               for i in range(n)]
+        mat[0][n - 1] = mat[0][n - 1] or F(1)  # not scalar: some conjugate is not triangular
+        if kind == "lower":
+            mat = [list(col) for col in zip(*mat)]
+        elif kind == "dense":
+            if trial % 4 == 2:
+                mat[0][0:2], mat[1][0:2] = [F(0), F(2)], [F(1), F(0)]
+            tri = mat
+            while not (mat[0][n - 1] and mat[n - 1][0]):  # neither triangle is zero
+                p = random_unimodular(rng, n)
+                mat = linalg.mat_mul(linalg.mat_mul(p, tri), linalg.mat_inverse(p))
+            mat = [[F(v) for v in row] for row in mat]
+        calls.clear()
+        got = linalg.rational_eigenvalues(mat)
+        assert bool(calls) == (kind == "dense"), mat
+        assert list(got.items()) == list(
+            linalg.rational_root_multiplicities(charpoly(mat)).items()
+        )
+        assert all(isinstance(r, Fraction) for r in got)
+        m = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                          for row in mat])
+        want = {F(int(r.p), int(r.q)): k for r, k in m.eigenvals().items() if r.is_rational}
+        assert got == want
+    assert linalg.rational_eigenvalues([]) == {}
+
+
 def _reference_nullspace(rows, ncols):
     """Elimination alone: every row goes through the echelon, no presolve."""
     reduced = linalg.echelon_of(rows).rows

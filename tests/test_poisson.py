@@ -674,6 +674,6 @@ def test_poisson_algebra_refuses_a_table_index_out_of_order():
 
 def test_skew_extend_refuses_a_name_the_algebra_has():
     A = canonical_from_lie(heisenberg())
-    message = r"^variable names occur on both tensor factors: \['x'\]$"
+    message = r"^extension variable 'x' is already a variable of the algebra$"
     with pytest.raises(NameClash, match=message):
         skew_extend(A, inner_derivation(A, A.gen("z")), "x")

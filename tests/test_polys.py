@@ -554,3 +554,12 @@ def test_single_term_product_and_division_match_term_by_term(p, a, lmono, pmono,
         d2 = Poly.monomial(CTX, pmono[:2], c)
         assert (plain * d2).divide_exact(d2) == plain
         assert plain.divide_exact(d2) == _term_by_term_quotient(plain, pmono[:2], c)
+
+
+def test_repr_names_the_context():
+    # equal terms over different contexts compare unequal, and print apart;
+    # str, which every report uses, shows the terms alone
+    a, b = Poly.const(make_vars("x"), 1), Poly.const(make_vars("x y"), 1)
+    assert a != b
+    assert (repr(a), repr(b)) == ("Poly(1, ctx=['x'])", "Poly(1, ctx=['x', 'y'])")
+    assert str(a) == str(b) == "1"
